@@ -26,17 +26,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import BivariateSample, order_view
+from .core import BivariateSample, fraction_to_count, order_view
 from .errors import CotailError, NonPositivePrice, ParseError
 from .estimators import (
-    cond_tail_curve,
+    ESTIMATORS,
+    check_y_grid,
     confidence_interval,
-    cte_aleph3,
-    cte_aleph4,
-    edm_estimate,
-    tdc_empirical,
-    tdc_quasispectral,
-    tdc_quasispectral_estimated,
+    estimate,
     theta_hat,
 )
 from .simulate import (
@@ -183,7 +179,11 @@ def _emit(args, columns, rows, extra: dict | None = None) -> None:
 
 
 def _default_seed() -> int:
-    return int(os.environ.get("COTAIL_SEED", "0"))
+    text = os.environ.get("COTAIL_SEED", "0")
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"COTAIL_SEED must be an integer, got {text!r}") from None
 
 
 def _sample_payload(args, sample: BivariateSample) -> None:
@@ -207,7 +207,8 @@ def _model_config(args) -> ModelConfig:
         model = LinearParetoModel(phi=args.phi, sigma=args.sigma, alpha=args.alpha)
     else:
         model = BivariateTModel(nu=args.nu, rho=args.rho)
-    return ModelConfig(model=model, n=args.n, seed=args.seed)
+    seed = _default_seed() if args.seed is None else args.seed
+    return ModelConfig(model=model, n=args.n, seed=seed)
 
 
 def _resolve_count(absolute, fraction, n: int, what: str) -> int:
@@ -216,10 +217,15 @@ def _resolve_count(absolute, fraction, n: int, what: str) -> int:
     if absolute is not None:
         return int(absolute)
     if fraction is not None:
-        if not 0.0 < fraction < 1.0:
-            raise ValueError(f"--{what}-frac must lie in (0, 1)")
-        return min(max(int(round(fraction * n)), 1), n - 1)
+        return fraction_to_count(fraction, n, f"--{what}-frac")
     raise ValueError(f"one of --{what} or --{what}-frac is required")
+
+
+def _k_alpha(args, k: int, n: int) -> int:
+    """--k-alpha or --k-alpha-frac when given, else the documented 2k heuristic."""
+    if args.k_alpha is None and args.k_alpha_frac is None:
+        return min(max(2 * k, 1), n - 1)
+    return _resolve_count(args.k_alpha, args.k_alpha_frac, n, "k-alpha")
 
 
 def _float_list(text: str) -> list[float]:
@@ -241,150 +247,99 @@ def _cmd_ingest(args) -> None:
     _sample_payload(args, _load_sample(args))
 
 
-def _blank_report() -> dict:
-    return {c: None for c in REPORT_COLUMNS}
-
-
 def _cmd_estimate(args) -> None:
     sample = _load_sample(args)
     n = sample.n
     k = _resolve_count(args.k, args.k_frac, n, "k")
-    report = _blank_report()
-    report.update({"estimator_id": args.estimator, "n": n, "k": k})
-
-    def resolve_k_alpha() -> int:
-        if args.k_alpha is None and args.k_alpha_frac is None:
-            return min(max(2 * k, 1), n - 1)  # documented 2k heuristic
-        return _resolve_count(args.k_alpha, args.k_alpha_frac, n, "k-alpha")
-
-    est = None
-    if args.estimator == "tdc-empirical":
-        est = tdc_empirical(sample, k, args.y)
-        report["y"] = args.y
-    elif args.estimator == "tdc-quasispectral":
-        if args.alpha is None:
-            raise ValueError("tdc-quasispectral requires --alpha")
-        est = tdc_quasispectral(sample, k, args.y, alpha=args.alpha)
-        report.update({"y": args.y, "alpha_source": "supplied"})
-    elif args.estimator == "tdc-quasispectral-estimated":
-        k_alpha = resolve_k_alpha()
-        est = tdc_quasispectral_estimated(sample, k, k_alpha, args.y)
-        report.update({"y": args.y, "k_alpha": k_alpha, "alpha_source": "hill"})
-    elif args.estimator == "cte-aleph3":
-        est = cte_aleph3(sample, k)
-    elif args.estimator == "cte-aleph4":
-        if args.alpha is None:
-            raise ValueError("cte-aleph4 requires --alpha")
-        est = cte_aleph4(sample, k, args.alpha)
-        report["alpha_source"] = "supplied"
-    elif args.estimator == "edm":
-        est = edm_estimate(sample, k, args.norm)
-    elif args.estimator == "theta":
-        if args.p is None:
-            raise ValueError("theta requires --p")
-        if args.alpha is not None:
-            alpha, source = args.alpha, "supplied"
-        else:
-            k_alpha = resolve_k_alpha()
-            alpha = hill_estimate(order_view(sample), k_alpha).alpha_hat
-            source = "hill"
-            report["k_alpha"] = k_alpha
-        if args.aleph_from == "cte-aleph3":
-            aleph = cte_aleph3(sample, k).value
-        else:
-            aleph = cte_aleph4(sample, k, alpha).value
-        ext = theta_hat(sample, k, args.p, aleph, alpha)
-        report.update(
-            {
-                "estimator_id": "theta_hat",
-                "value": ext.theta_hat,
-                "alpha_used": ext.alpha_used,
-                "alpha_source": source,
-                "p": ext.p,
-                "extrapolation_factor": ext.extrapolation_factor,
-                "aleph_used": ext.aleph_used,
-            }
-        )
+    report = dict.fromkeys(REPORT_COLUMNS)
+    report.update({"n": n, "k": k})
+    if args.estimator == "theta":
+        report.update(_theta_report(args, sample, k))
     else:
-        raise ValueError(f"unknown estimator {args.estimator!r}")
-
-    if est is not None:
+        name = args.estimator.replace("-", "_")
+        params = ESTIMATORS[name].params
+        k_alpha = _k_alpha(args, k, n) if "k_alpha" in params else None
+        est = estimate(
+            name, sample, k, y=args.y, alpha=args.alpha, k_alpha=k_alpha, norm=args.norm
+        )
+        lo, hi = confidence_interval(est, args.ci_level)
         report.update(
             {
                 "estimator_id": est.estimator_id,
+                "k_alpha": k_alpha,
+                "y": args.y if "y" in params else None,
                 "value": est.value,
                 "plugin_variance": est.plugin_variance,
+                "ci_level": args.ci_level,
+                "ci_lo": lo,
+                "ci_hi": hi,
                 "alpha_used": est.alpha_used,
             }
         )
-        if est.plugin_variance is not None:
-            lo, hi = confidence_interval(est, args.ci_level)
-            report.update({"ci_level": args.ci_level, "ci_lo": lo, "ci_hi": hi})
+        if k_alpha is not None:
+            report["alpha_source"] = "hill"
+        elif "alpha" in params:
+            report["alpha_source"] = "supplied"
     _emit(args, REPORT_COLUMNS, [report])
+
+
+def _theta_report(args, sample: BivariateSample, k: int) -> dict:
+    """theta_hat composes a Hill or supplied alpha, a CTE coefficient and k."""
+    if args.p is None:
+        raise ValueError("theta requires --p")
+    k_alpha = None
+    if args.alpha is not None:
+        alpha, source = args.alpha, "supplied"
+    else:
+        k_alpha = _k_alpha(args, k, sample.n)
+        alpha, source = hill_estimate(order_view(sample), k_alpha).alpha_hat, "hill"
+    aleph = estimate(args.aleph_from.replace("-", "_"), sample, k, alpha=alpha).value
+    ext = theta_hat(sample, k, args.p, aleph, alpha)
+    return {
+        "estimator_id": "theta_hat",
+        "k_alpha": k_alpha,
+        "value": ext.theta_hat,
+        "alpha_used": ext.alpha_used,
+        "alpha_source": source,
+        "p": ext.p,
+        "extrapolation_factor": ext.extrapolation_factor,
+        "aleph_used": ext.aleph_used,
+    }
 
 
 _CURVE_COLUMNS = ("estimator_id", "k", "y", "value", "plugin_variance")
 
 
-def _curve_point(method: str, sample, k: int, y: float, alpha, k_alpha):
-    if method == "empirical":
-        return tdc_empirical(sample, k, y)
-    if method == "quasispectral":
-        if alpha is None:
-            raise ValueError("quasispectral curves require --alpha")
-        return tdc_quasispectral(sample, k, y, alpha=alpha)
-    if method == "quasispectral-estimated":
-        return tdc_quasispectral_estimated(sample, k, k_alpha, y)
-    raise ValueError(f"unknown method {method!r}")
-
-
 def _cmd_curve(args) -> None:
     sample = _load_sample(args)
     n = sample.n
-    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     if (args.y_grid is None) == (args.k_grid is None):
         raise ValueError("pass exactly one of --y-grid or --k-grid")
-    rows = []
     if args.y_grid is not None:
         k = _resolve_count(args.k, args.k_frac, n, "k")
-        k_alpha = (
-            _resolve_count(args.k_alpha, args.k_alpha_frac, n, "k-alpha")
-            if (args.k_alpha is not None or args.k_alpha_frac is not None)
-            else min(max(2 * k, 1), n - 1)
-        )
-        for method in methods:
-            for y in _float_list(args.y_grid):
-                est = _curve_point(method, sample, k, y, args.alpha, k_alpha)
-                rows.append(
-                    {
-                        "estimator_id": est.estimator_id,
-                        "k": k,
-                        "y": y,
-                        "value": est.value,
-                        "plugin_variance": est.plugin_variance,
-                    }
-                )
+        points = [(k, y) for y in check_y_grid(_float_list(args.y_grid)).tolist()]
     else:
-        for method in methods:
-            for frac in _float_list(args.k_grid):
-                if not 0.0 < frac < 1.0:
-                    raise ValueError("--k-grid fractions must lie in (0, 1)")
-                k = min(max(int(round(frac * n)), 1), n - 1)
-                k_alpha = (
-                    _resolve_count(args.k_alpha, args.k_alpha_frac, n, "k-alpha")
-                    if (args.k_alpha is not None or args.k_alpha_frac is not None)
-                    else min(max(2 * k, 1), n - 1)
-                )
-                est = _curve_point(method, sample, k, args.y, args.alpha, k_alpha)
-                rows.append(
-                    {
-                        "estimator_id": est.estimator_id,
-                        "k": k,
-                        "y": args.y,
-                        "value": est.value,
-                        "plugin_variance": est.plugin_variance,
-                    }
-                )
+        points = [
+            (fraction_to_count(frac, n, "--k-grid fractions"), args.y)
+            for frac in _float_list(args.k_grid)
+        ]
+    rows = []
+    for method in [m.strip() for m in args.methods.split(",") if m.strip()]:
+        name = "tdc_" + method.replace("-", "_")
+        if name not in ESTIMATORS or "y" not in ESTIMATORS[name].params:
+            raise ValueError(f"unknown method {method!r}")
+        for k, y in points:
+            k_alpha = _k_alpha(args, k, n)
+            est = estimate(name, sample, k, y=y, alpha=args.alpha, k_alpha=k_alpha)
+            rows.append(
+                {
+                    "estimator_id": est.estimator_id,
+                    "k": k,
+                    "y": y,
+                    "value": est.value,
+                    "plugin_variance": est.plugin_variance,
+                }
+            )
     _emit(args, _CURVE_COLUMNS, rows)
 
 
@@ -417,7 +372,7 @@ def _cmd_mc(args) -> None:
                 "q95": cell.q95,
                 "rep_count": cell.rep_count,
                 "failures": cell.failures,
-                "truth": summary.truth if name.startswith("tdc_") else None,
+                "truth": summary.truth if "y" in ESTIMATORS[name].params else None,
             }
         )
     _emit(
@@ -455,7 +410,7 @@ def _add_model_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--alpha", type=float, default=4.0)
     p.add_argument("--nu", type=float, default=4.0)
     p.add_argument("--rho", type=float, default=0.9)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, help="default: COTAIL_SEED, else 0")
 
 
 def _add_k_options(p: argparse.ArgumentParser) -> None:
@@ -487,15 +442,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--estimator",
         required=True,
-        choices=(
-            "tdc-empirical",
-            "tdc-quasispectral",
-            "tdc-quasispectral-estimated",
-            "cte-aleph3",
-            "cte-aleph4",
-            "edm",
-            "theta",
-        ),
+        choices=(*(name.replace("_", "-") for name in ESTIMATORS), "theta"),
     )
     _add_k_options(p)
     p.add_argument("--y", type=float, default=1.0)

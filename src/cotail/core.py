@@ -93,6 +93,13 @@ def order_view(sample: BivariateSample) -> OrderedView:
     return OrderedView(sample=sample, order=order, x_sorted=x_sorted)
 
 
+def fraction_to_count(frac: float, n: int, what: str = "fraction") -> int:
+    """Nearest-integer count for a fraction of n, clamped to [1, n - 1]."""
+    if not 0.0 < frac < 1.0:
+        raise ValueError(f"{what} must lie in (0, 1), got {frac}")
+    return min(max(int(round(frac * n)), 1), n - 1)
+
+
 def exceedance_indices(view: OrderedView, k: int) -> np.ndarray:
     """Indices j with x_j strictly above the level-k threshold, ascending.
 

@@ -17,10 +17,6 @@ class ZeroSpread(CotailError):
     """All top order statistics are equal, so the tail index is undefined."""
 
 
-class NonPositiveX(CotailError):
-    """An exceedance pair has a nonpositive first coordinate."""
-
-
 class AlphaNotAboveOne(CotailError):
     """The tail index must exceed 1 for expectation-type estimators."""
 

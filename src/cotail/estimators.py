@@ -21,6 +21,12 @@ the extremal dependence measure, thresholded on norm order statistics rather
 than the x margin. ``confidence_interval`` turns a plug-in variance into a
 normal interval.
 
+``ESTIMATORS`` is the one table of the estimators above (all but
+``theta_hat``): each id maps to its function, the parameters it takes from
+y / alpha / k_alpha / norm, and the upper end of its natural range.
+``estimate`` runs an estimator by id; the CLI and the Monte Carlo harness
+dispatch through it.
+
 Plug-in variances are second moments of the same weights (the fixed-level
 approximation at s = 1); they omit random-threshold corrections, so treat the
 derived intervals as approximate. Ties are handled by the nominal-k
@@ -34,9 +40,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Callable, Mapping
 
 import numpy as np
-from scipy.stats import norm as _normal
+from scipy.special import ndtri
 
 from .core import BivariateSample, TailEstimate, order_view
 from .errors import (
@@ -44,14 +51,9 @@ from .errors import (
     InvalidP,
     MissingVariance,
     NonPositiveThreshold,
-    NonPositiveX,
 )
 from .tail_function import NORMS, norm_values, squared_norm
 from .tail_index import hill_estimate
-
-PROBABILITY_ESTIMATORS = frozenset(
-    {"tdc_empirical", "tdc_quasispectral", "tdc_quasispectral_estimated"}
-)
 
 
 @dataclass(frozen=True)
@@ -69,8 +71,7 @@ class CondTailCurve:
         vals = np.asarray(self.values, dtype=float)
         if grid.size != vals.size:
             raise ValueError("y_grid and values must have equal length")
-        if grid.size == 0 or np.any(grid <= 0) or np.any(np.diff(grid) <= 0):
-            raise ValueError("y_grid must be strictly increasing and positive")
+        check_y_grid(grid)
         if np.any(vals < 0) or np.any(vals > 1):
             raise ValueError("conditional tail values must lie in [0, 1]")
         if np.any(np.diff(vals) > 0):
@@ -93,7 +94,7 @@ class CteExtrapolation:
 
 
 def _exceedances(sample: BivariateSample, k: int):
-    """Threshold plus the (x, y) pairs strictly above it, in input order."""
+    """Threshold T plus the (x, y) pairs with x > T >= 0, in input order."""
     view = order_view(sample)
     thr = view.threshold(k)
     mask = sample.x > thr
@@ -112,9 +113,8 @@ def tdc_empirical(sample: BivariateSample, k: int, y: float = 1.0) -> TailEstima
     themselves).
     """
     _check_y(y)
-    view = order_view(sample)
-    thr = view.threshold(k)
-    joint = int(np.count_nonzero((sample.x > thr) & (sample.y > y * thr)))
+    thr, _, ye = _exceedances(sample, k)
+    joint = int(np.count_nonzero(ye > y * thr))
     value = joint / k
     return TailEstimate(
         value=value, k=k, estimator_id="tdc_empirical", plugin_variance=value
@@ -129,8 +129,6 @@ def tdc_quasispectral(
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     _, xe, ye = _exceedances(sample, k)
-    if np.any(xe <= 0):
-        raise NonPositiveX("an exceedance pair has x <= 0")
     weights = np.minimum(ye / (y * xe), 1.0) ** alpha
     return TailEstimate(
         value=math.fsum(weights) / k,
@@ -154,6 +152,16 @@ def tdc_quasispectral_estimated(
     )
 
 
+def check_y_grid(y_grid) -> np.ndarray:
+    """The y grid as a float array; it must be nonempty, positive and increasing."""
+    grid = np.asarray(y_grid, dtype=float)
+    if grid.ndim != 1 or grid.size == 0:
+        raise ValueError("y_grid must be a nonempty one-dimensional sequence")
+    if np.any(grid <= 0) or np.any(np.diff(grid) <= 0):
+        raise ValueError("y_grid must be strictly increasing and positive")
+    return grid
+
+
 def cond_tail_curve(
     sample: BivariateSample,
     k: int,
@@ -161,23 +169,17 @@ def cond_tail_curve(
     method: str,
     alpha: float | None = None,
 ) -> CondTailCurve:
-    """Per-y conditional tail distribution estimates along an increasing grid."""
-    grid = np.asarray(y_grid, dtype=float)
-    if grid.ndim != 1 or grid.size == 0:
-        raise ValueError("y_grid must be a nonempty one-dimensional sequence")
-    if np.any(grid <= 0) or np.any(np.diff(grid) <= 0):
-        raise ValueError("y_grid must be strictly increasing and positive")
-    if method == "empirical":
-        values = [tdc_empirical(sample, k, float(y)).value for y in grid]
-        return CondTailCurve(grid, np.asarray(values), "tdc_empirical", k)
-    if method == "quasispectral":
-        if alpha is None:
-            raise ValueError("alpha is required for the quasispectral method")
-        values = [
-            tdc_quasispectral(sample, k, float(y), alpha=alpha).value for y in grid
-        ]
-        return CondTailCurve(grid, np.asarray(values), "tdc_quasispectral", k, alpha)
-    raise ValueError(f"unknown method {method!r}")
+    """Per-y conditional tail distribution estimates along an increasing grid.
+
+    ``method`` is ``empirical`` or ``quasispectral`` (which needs ``alpha``).
+    """
+    grid = check_y_grid(y_grid)
+    if method not in ("empirical", "quasispectral"):
+        raise ValueError(f"unknown method {method!r}")
+    name = f"tdc_{method}"
+    values = [estimate(name, sample, k, y=float(y), alpha=alpha).value for y in grid]
+    alpha_used = alpha if method == "quasispectral" else None
+    return CondTailCurve(grid, np.asarray(values), name, k, alpha_used)
 
 
 def cte_aleph3(sample: BivariateSample, k: int) -> TailEstimate:
@@ -270,18 +272,66 @@ def edm_estimate(sample: BivariateSample, k: int, norm: str = "l2") -> TailEstim
     )
 
 
+@dataclass(frozen=True)
+class EstimatorEntry:
+    """One row of the estimator table.
+
+    ``params`` names the keyword parameters the function takes besides the
+    sample and k. The natural range is [0, ``upper``]; for ``edm`` the bound
+    depends on the norm, so ``upper`` maps each norm to its bound.
+    """
+
+    fn: Callable[..., TailEstimate]
+    params: tuple[str, ...]
+    upper: float | Mapping[str, float] = math.inf
+
+
+ESTIMATORS: Mapping[str, EstimatorEntry] = {
+    "tdc_empirical": EstimatorEntry(tdc_empirical, ("y",), 1.0),
+    "tdc_quasispectral": EstimatorEntry(tdc_quasispectral, ("y", "alpha"), 1.0),
+    "tdc_quasispectral_estimated": EstimatorEntry(
+        tdc_quasispectral_estimated, ("k_alpha", "y"), 1.0
+    ),
+    "cte_aleph3": EstimatorEntry(cte_aleph3, ()),
+    "cte_aleph4": EstimatorEntry(cte_aleph4, ("alpha",)),
+    # x y / |(x, y)|^2 peaks on the diagonal x = y
+    "edm": EstimatorEntry(edm_estimate, ("norm",), {"l2": 0.5, "l1": 0.25, "linf": 1.0}),
+}
+
+
+def estimate(name: str, sample: BivariateSample, k: int, **params) -> TailEstimate:
+    """Run the estimator ``name`` from ``ESTIMATORS`` at level k.
+
+    Each parameter the estimator takes must be in ``params`` and not None;
+    the others are ignored, so callers can pass one shared set.
+    """
+    entry = ESTIMATORS.get(name)
+    if entry is None:
+        raise ValueError(f"unknown estimator {name!r}")
+    kwargs = {}
+    for param in entry.params:
+        if params.get(param) is None:
+            raise ValueError(f"{name} requires {param}")
+        kwargs[param] = params[param]
+    return entry.fn(sample, k, **kwargs)
+
+
 def confidence_interval(est: TailEstimate, level: float) -> tuple[float, float]:
     """Normal interval from the plug-in variance, clipped to the natural range.
 
-    Probability-type estimators clip to [0, 1]; everything else to [0, inf).
+    The range is [0, upper] from the estimator's ``ESTIMATORS`` entry (for
+    ``edm``, the bound of the norm in its metadata); ids outside the table
+    clip to [0, inf).
     """
     if est.plugin_variance is None:
         raise MissingVariance(f"{est.estimator_id} carries no plug-in variance")
     if not 0.0 < level < 1.0:
         raise ValueError("level must lie in (0, 1)")
-    z = float(_normal.ppf(0.5 * (1.0 + level)))
+    z = float(ndtri(0.5 * (1.0 + level)))
     half = z * math.sqrt(est.plugin_variance / est.k)
     lo, hi = est.value - half, est.value + half
-    if est.estimator_id in PROBABILITY_ESTIMATORS:
-        return max(lo, 0.0), min(hi, 1.0)
-    return max(lo, 0.0), hi
+    entry = ESTIMATORS.get(est.estimator_id)
+    upper = math.inf if entry is None else entry.upper
+    if isinstance(upper, Mapping):
+        upper = upper[est.metadata["norm"]]
+    return max(lo, 0.0), min(hi, upper)

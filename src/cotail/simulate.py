@@ -28,28 +28,12 @@ from dataclasses import dataclass, replace
 from typing import Mapping, Sequence, Union
 
 import numpy as np
-from scipy.stats import t as _student_t
+from scipy.special import stdtr
 
 from . import rng
-from .core import BivariateSample
+from .core import BivariateSample, fraction_to_count
 from .errors import CotailError
-from .estimators import (
-    cte_aleph3,
-    cte_aleph4,
-    tdc_empirical,
-    tdc_quasispectral,
-    tdc_quasispectral_estimated,
-)
-
-ESTIMATOR_NAMES = (
-    "tdc_empirical",
-    "tdc_quasispectral",
-    "tdc_quasispectral_estimated",
-    "cte_aleph3",
-    "cte_aleph4",
-)
-
-_TDC_NAMES = frozenset(n for n in ESTIMATOR_NAMES if n.startswith("tdc_"))
+from .estimators import ESTIMATORS, estimate
 
 
 @dataclass(frozen=True)
@@ -93,7 +77,7 @@ class BivariateTModel:
     @property
     def tail_dependence(self) -> float:
         arg = math.sqrt((self.nu + 1.0) * (1.0 - self.rho) / (1.0 + self.rho))
-        return float(2.0 * _student_t.sf(arg, df=self.nu + 1.0))
+        return float(2.0 * stdtr(self.nu + 1.0, -arg))
 
 
 Model = Union[LinearParetoModel, BivariateTModel]
@@ -172,35 +156,6 @@ class McSummary:
     reps: int
 
 
-def fraction_to_count(frac: float, n: int) -> int:
-    """Nearest-integer order-statistic count for a fraction of n, clamped."""
-    if not 0.0 < frac < 1.0:
-        raise ValueError(f"fraction must lie in (0, 1), got {frac}")
-    return min(max(int(round(frac * n)), 1), n - 1)
-
-
-def _evaluate(
-    name: str,
-    sample: BivariateSample,
-    k: int,
-    k_alpha: int | None,
-    y: float,
-    alpha_true: float,
-) -> float:
-    if name == "tdc_empirical":
-        return tdc_empirical(sample, k, y).value
-    if name == "tdc_quasispectral":
-        return tdc_quasispectral(sample, k, y, alpha=alpha_true).value
-    if name == "tdc_quasispectral_estimated":
-        assert k_alpha is not None
-        return tdc_quasispectral_estimated(sample, k, k_alpha, y).value
-    if name == "cte_aleph3":
-        return cte_aleph3(sample, k).value
-    if name == "cte_aleph4":
-        return cte_aleph4(sample, k, alpha_true).value
-    raise ValueError(f"unknown estimator {name!r}")
-
-
 def run_mc(
     config: ModelConfig,
     reps: int,
@@ -211,9 +166,11 @@ def run_mc(
 ) -> McSummary:
     """Replicate the simulation protocol over estimators and k fractions.
 
-    Known-alpha estimators receive the model's true tail index. The truth
-    field carries the model's tail dependence coefficient when a TDC
-    estimator is evaluated at y = 1.
+    ``estimators`` are ids from ``ESTIMATORS``; those that take k_alpha get
+    one cell per k_alpha fraction. Known-alpha estimators receive the model's
+    true tail index and ``edm`` uses the l2 norm. The truth field carries the
+    model's tail dependence coefficient when a TDC estimator (one that takes
+    y) is evaluated at y = 1.
     """
     if reps < 1:
         raise ValueError("reps must be at least 1")
@@ -221,41 +178,39 @@ def run_mc(
         raise ValueError("y must be positive")
     names = list(dict.fromkeys(estimators))
     for name in names:
-        if name not in ESTIMATOR_NAMES:
+        if name not in ESTIMATORS:
             raise ValueError(f"unknown estimator {name!r}")
     k_fracs = sorted(set(float(f) for f in k_fractions))
     ka_fracs = sorted(set(float(f) for f in k_alpha_fractions))
     if not k_fracs:
         raise ValueError("at least one k fraction is required")
-    if "tdc_quasispectral_estimated" in names and not ka_fracs:
-        raise ValueError("tdc_quasispectral_estimated needs k_alpha fractions")
-
-    keys: list[CellKey] = []
-    for name in names:
-        for kf in k_fracs:
-            if name == "tdc_quasispectral_estimated":
-                keys.extend((name, kf, kaf) for kaf in ka_fracs)
-            else:
-                keys.append((name, kf, None))
 
     n = config.n
-    alpha_true = config.model.tail_index
-    values: dict[CellKey, list[float]] = {key: [] for key in keys}
-    failures: dict[CellKey, int] = {key: 0 for key in keys}
+    # cell key -> (k, k_alpha) counts, in output order
+    counts: dict[CellKey, tuple[int, int | None]] = {}
+    for name in names:
+        takes_k_alpha = "k_alpha" in ESTIMATORS[name].params
+        if takes_k_alpha and not ka_fracs:
+            raise ValueError(f"{name} needs k_alpha fractions")
+        for kf in k_fracs:
+            for kaf in ka_fracs if takes_k_alpha else (None,):
+                ka = None if kaf is None else fraction_to_count(kaf, n)
+                counts[(name, kf, kaf)] = (fraction_to_count(kf, n), ka)
+
+    params = {"alpha": config.model.tail_index, "y": y, "norm": "l2"}
+    values: dict[CellKey, list[float]] = {key: [] for key in counts}
+    failures: dict[CellKey, int] = {key: 0 for key in counts}
 
     for rep in range(reps):
         sample = sample_dataset(replace(config, seed=rng.mix_seed(config.seed, rep)))
-        for key in keys:
-            name, kf, kaf = key
-            k = fraction_to_count(kf, n)
-            ka = fraction_to_count(kaf, n) if kaf is not None else None
+        for key, (k, ka) in counts.items():
             try:
-                values[key].append(_evaluate(name, sample, k, ka, y, alpha_true))
+                values[key].append(estimate(key[0], sample, k, k_alpha=ka, **params).value)
             except CotailError:
                 failures[key] += 1
 
     cells: dict[CellKey, McCell] = {}
-    for key in keys:
+    for key in counts:
         vals = np.asarray(values[key], dtype=float)
         if vals.size == 0:
             mean = sd = q05 = q25 = q50 = q75 = q95 = float("nan")
@@ -268,6 +223,6 @@ def run_mc(
         cells[key] = McCell(mean, sd, q05, q25, q50, q75, q95, reps, failures[key])
 
     truth = None
-    if y == 1.0 and any(name in _TDC_NAMES for name in names):
+    if y == 1.0 and any("y" in ESTIMATORS[name].params for name in names):
         truth = config.model.tail_dependence
     return McSummary(cells=cells, truth=truth, y=y, reps=reps)

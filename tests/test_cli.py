@@ -205,6 +205,13 @@ def test_curve_y_grid(tmp_path, capsys):
     assert lines[0] == "estimator_id,k,y,value,plugin_variance"
     values = [float(line.split(",")[3]) for line in lines[1:]]
     assert values[0] == 1.0 and values[1] == 1.0  # y = x gives ratio exactly 1
+    for bad_grid in ("2,1", "1,1", "0,1", "-1,2", ","):
+        code, out, err = run_cli(
+            capsys, "curve", "--input", str(data), f"--y-grid={bad_grid}",
+            "--k", "10", "--methods", "empirical",
+        )
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"]["type"] == "ValueError"
 
 
 def test_error_is_machine_readable(tmp_path, capsys):
@@ -229,6 +236,10 @@ def test_seed_env_override(tmp_path, capsys, monkeypatch):
     )
     assert code == code2 == 0
     assert out_env == out_explicit
+    monkeypatch.setenv("COTAIL_SEED", "abc")
+    code, out, err = run_cli(capsys, "simulate", "--model", "linear-pareto", "--n", "5")
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"]["type"] == "ValueError"
 
 
 def test_k_flag_validation(tmp_path, capsys):
@@ -274,6 +285,16 @@ def test_stdin_input(capsys, monkeypatch):
     assert code == 0
     assert out.splitlines()[0] == "x,y"
     assert len(out.strip().splitlines()) == 3
+
+
+def test_cli_import_skips_scipy_stats():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, cotail.cli; "
+         "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"],
+        capture_output=True, text=True, check=True,
+    )
+    assert proc.stdout.strip() == "[]"
 
 
 def test_module_entrypoint_runs():

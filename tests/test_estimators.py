@@ -18,6 +18,7 @@ from cotail import (
     cte_aleph3,
     cte_aleph4,
     edm_estimate,
+    estimate,
     order_view,
     sample_linear_pareto,
     tdc_empirical,
@@ -310,6 +311,15 @@ def test_ci_hand_values():
     lo, hi = confidence_interval(est, 0.95)
     assert lo == pytest.approx(0.4 - 1.959964 * 0.04, abs=1e-6)
     assert hi == pytest.approx(0.4 + 1.959964 * 0.04, abs=1e-6)
+    # no upper clip for CTE coefficients, none for an edm interval inside [0, 1/2]
+    est = TailEstimate(value=1.5, k=100, estimator_id="cte_aleph4", plugin_variance=0.16)
+    assert confidence_interval(est, 0.95)[1] == pytest.approx(1.5 + 1.959964 * 0.04, abs=1e-6)
+    est = TailEstimate(
+        value=0.3, k=100, estimator_id="edm", plugin_variance=0.04, metadata={"norm": "l2"}
+    )
+    lo, hi = confidence_interval(est, 0.95)
+    assert lo == pytest.approx(0.3 - 1.959964 * 0.02, abs=1e-6)
+    assert hi == pytest.approx(0.3 + 1.959964 * 0.02, abs=1e-6)
 
 
 def test_ci_clipped_to_unit_interval():
@@ -319,6 +329,14 @@ def test_ci_clipped_to_unit_interval():
     lo, hi = confidence_interval(est, 0.99)
     assert hi == 1.0
     assert lo == 0.0
+    # x = y puts every edm weight at the maximum of x y / |(x, y)|^2 for its norm
+    s = pareto_sample(24, 70)
+    for norm, cap in (("l2", 0.5), ("l1", 0.25), ("linf", 1.0)):
+        est = edm_estimate(s, 20, norm)
+        assert est.value == cap
+        lo, hi = confidence_interval(est, 0.95)
+        assert hi == cap
+        assert 0.0 < lo < cap
 
 
 def test_ci_requires_variance():
@@ -347,6 +365,27 @@ def test_estimates_carry_k_and_id():
         assert est.k == 8
         assert est.estimator_id
         assert est.plugin_variance >= 0.0
+
+
+def test_estimate_dispatches_by_id():
+    s = pareto_sample(26, 60, ratio=0.7)
+    params = {"y": 0.9, "alpha": 3.0, "k_alpha": 20, "norm": "l1"}
+    direct = {
+        "tdc_empirical": tdc_empirical(s, 8, 0.9),
+        "tdc_quasispectral": tdc_quasispectral(s, 8, 0.9, alpha=3.0),
+        "tdc_quasispectral_estimated": tdc_quasispectral_estimated(s, 8, 20, 0.9),
+        "cte_aleph3": cte_aleph3(s, 8),
+        "cte_aleph4": cte_aleph4(s, 8, 3.0),
+        "edm": edm_estimate(s, 8, "l1"),
+    }
+    for name, want in direct.items():
+        assert estimate(name, s, 8, **params) == want
+    with pytest.raises(ValueError):
+        estimate("theta", s, 8, **params)
+    with pytest.raises(ValueError):
+        estimate("tdc_quasispectral", s, 8, y=1.0)
+    with pytest.raises(ValueError):
+        estimate("cte_aleph4", s, 8, alpha=None)
 
 
 def test_negative_variance_rejected():

@@ -14,6 +14,7 @@ from cotail import (
     sample_bivariate_t,
     sample_dataset,
     sample_linear_pareto,
+    edm_estimate,
     tdc_empirical,
 )
 from cotail import rng as crng
@@ -125,12 +126,13 @@ def test_seed_mixing_distinct_streams():
 
 def test_run_mc_single_rep_equals_direct_estimate():
     config = ModelConfig(LinearParetoModel(0.8, 0.1, 4.0), n=500, seed=303)
-    summary = run_mc(config, reps=1, k_fractions=[0.1], estimators=("tdc_empirical",))
-    cell = summary.cells[("tdc_empirical", 0.1, None)]
-    direct = tdc_empirical(
-        sample_dataset(ModelConfig(config.model, 500, crng.mix_seed(303, 0))), 50
+    summary = run_mc(
+        config, reps=1, k_fractions=[0.1], estimators=("tdc_empirical", "edm")
     )
-    assert cell.mean == direct.value
+    cell = summary.cells[("tdc_empirical", 0.1, None)]
+    sample = sample_dataset(ModelConfig(config.model, 500, crng.mix_seed(303, 0)))
+    assert cell.mean == tdc_empirical(sample, 50).value
+    assert summary.cells[("edm", 0.1, None)].mean == edm_estimate(sample, 50, "l2").value
     assert cell.sd == 0.0
     assert cell.rep_count == 1
     assert summary.truth == pytest.approx(0.8 ** 4)
@@ -158,16 +160,16 @@ def test_run_mc_quantiles_ordered():
 
 
 def test_run_mc_tallies_failures(monkeypatch):
-    real = simulate._evaluate
+    real = simulate.estimate
     calls = {"count": 0}
 
-    def flaky(name, sample, k, k_alpha, y, alpha_true):
+    def flaky(name, sample, k, **params):
         calls["count"] += 1
         if calls["count"] % 3 == 0:
             raise ZeroSpread("forced failure")
-        return real(name, sample, k, k_alpha, y, alpha_true)
+        return real(name, sample, k, **params)
 
-    monkeypatch.setattr(simulate, "_evaluate", flaky)
+    monkeypatch.setattr(simulate, "estimate", flaky)
     config = ModelConfig(LinearParetoModel(0.8, 0.1, 4.0), n=100, seed=1)
     summary = run_mc(config, reps=6, k_fractions=[0.2], estimators=("tdc_empirical",))
     cell = summary.cells[("tdc_empirical", 0.2, None)]
@@ -193,7 +195,9 @@ def test_run_mc_validation():
 
 def test_truth_absent_for_non_tdc_runs():
     config = ModelConfig(LinearParetoModel(0.8, 0.1, 4.0), n=200, seed=2)
-    summary = run_mc(config, reps=2, k_fractions=[0.1], estimators=("cte_aleph3",))
+    summary = run_mc(
+        config, reps=2, k_fractions=[0.1], estimators=("cte_aleph3", "edm")
+    )
     assert summary.truth is None
     off_level = run_mc(
         config, reps=2, k_fractions=[0.1], estimators=("tdc_empirical",), y=2.0
