@@ -22,6 +22,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +39,7 @@ from .estimators import (
 from .simulate import (
     BivariateTModel,
     LinearParetoModel,
+    McCell,
     ModelConfig,
     run_mc,
     sample_dataset,
@@ -46,20 +48,9 @@ from .tail_index import hill_estimate
 
 TRANSFORMS = ("none", "abs-log-returns")
 
+# rows spread an McCell between the cell key and the truth
 MC_COLUMNS = (
-    "estimator_id",
-    "k_frac",
-    "k_alpha_frac",
-    "mean",
-    "sd",
-    "q05",
-    "q25",
-    "q50",
-    "q75",
-    "q95",
-    "rep_count",
-    "failures",
-    "truth",
+    "estimator_id", "k_frac", "k_alpha_frac", *(f.name for f in fields(McCell)), "truth"
 )
 
 REPORT_COLUMNS = (
@@ -130,11 +121,6 @@ def ingest_text(text: str, transform: str = "none") -> BivariateSample:
     x = np.abs(np.log(first[1:] / first[:-1]))
     y = np.abs(np.log(second[1:] / second[:-1]))
     return BivariateSample(x, y)
-
-
-def ingest(path: str | Path, transform: str = "none") -> BivariateSample:
-    """Read a two-column file (``-`` for stdin) into a sample."""
-    return ingest_text(_read_text(str(path)), transform)
 
 
 # ---------------------------------------------------------------------------
@@ -323,8 +309,13 @@ def _cmd_curve(args) -> None:
             (fraction_to_count(frac, n, "--k-grid fractions"), args.y)
             for frac in _float_list(args.k_grid)
         ]
+        if not points:
+            raise ValueError("--k-grid needs at least one fraction")
+    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
+    if not methods:
+        raise ValueError("at least one method is required")
     rows = []
-    for method in [m.strip() for m in args.methods.split(",") if m.strip()]:
+    for method in methods:
         name = "tdc_" + method.replace("-", "_")
         if name not in ESTIMATORS or "y" not in ESTIMATORS[name].params:
             raise ValueError(f"unknown method {method!r}")
@@ -356,25 +347,16 @@ def _cmd_mc(args) -> None:
         estimators=estimators,
         y=args.y,
     )
-    rows = []
-    for (name, kf, kaf), cell in summary.cells.items():
-        rows.append(
-            {
-                "estimator_id": name,
-                "k_frac": kf,
-                "k_alpha_frac": kaf,
-                "mean": cell.mean,
-                "sd": cell.sd,
-                "q05": cell.q05,
-                "q25": cell.q25,
-                "q50": cell.q50,
-                "q75": cell.q75,
-                "q95": cell.q95,
-                "rep_count": cell.rep_count,
-                "failures": cell.failures,
-                "truth": summary.truth if "y" in ESTIMATORS[name].params else None,
-            }
-        )
+    rows = [
+        {
+            "estimator_id": name,
+            "k_frac": kf,
+            "k_alpha_frac": kaf,
+            **asdict(cell),
+            "truth": summary.truth if "y" in ESTIMATORS[name].params else None,
+        }
+        for (name, kf, kaf), cell in summary.cells.items()
+    ]
     _emit(
         args,
         MC_COLUMNS,

@@ -1,12 +1,18 @@
-"""Sample containers and order-statistic access.
+"""Sample containers, order-statistic access and the level-k exceedance rule.
 
 Everything here is immutable after construction, so samples and views can be
 shared freely between concurrent tasks. The order of pairs inside a sample
 carries no meaning; every downstream estimator is permutation invariant.
+
+A sample sorts x once, lazily: the first ``order_view`` caches the ordering on
+the sample for every later view, k and Hill step; a concurrent first access
+at worst sorts twice. ``level_threshold`` (X_(n-k), 1 <= k <= n-1) and
+``above_level`` (strict, in input order) are the one level-k rule.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -56,6 +62,19 @@ class BivariateSample:
     def pairs(self) -> list[tuple[float, float]]:
         return list(zip(self.x.tolist(), self.y.tolist()))
 
+    def __reduce__(self):
+        # unpickle through __post_init__: read-only arrays, no stale cached order
+        return type(self), (self.x, self.y)
+
+    @cached_property
+    def _x_order(self) -> tuple[np.ndarray, np.ndarray]:
+        # the arrays, not the view: a cached view would hold its sample in a cycle
+        order = np.argsort(self.x, kind="stable")
+        x_sorted = self.x[order]
+        order.setflags(write=False)
+        x_sorted.setflags(write=False)
+        return order, x_sorted
+
 
 @dataclass(frozen=True)
 class OrderedView:
@@ -78,19 +97,37 @@ class OrderedView:
 
     def threshold(self, k: int) -> float:
         """Return the (k+1)-th largest x value, the exceedance level for k."""
-        n = self.sample.n
-        if not 1 <= k <= n - 1:
-            raise ValueError(f"k must be in [1, {n - 1}], got {k}")
-        return self.order_statistic(n - k)
+        return level_threshold(self.x_sorted, k)
+
+    def exceedances(self, k: int) -> tuple[float, np.ndarray, np.ndarray]:
+        """The level-k threshold plus the (x, y) pairs above it, in input order."""
+        thr, mask = above_level(self.sample.x, self.x_sorted, k)
+        return thr, self.sample.x[mask], self.sample.y[mask]
 
 
 def order_view(sample: BivariateSample) -> OrderedView:
-    """Build the ascending-x view of a sample."""
-    order = np.argsort(sample.x, kind="stable")
-    x_sorted = sample.x[order]
-    order.setflags(write=False)
-    x_sorted.setflags(write=False)
+    """The ascending-x view of a sample; x is sorted on first access only."""
+    order, x_sorted = sample._x_order
     return OrderedView(sample=sample, order=order, x_sorted=x_sorted)
+
+
+def level_threshold(key_sorted: np.ndarray, k: int, what: str = "k") -> float:
+    """X_(n-k) of an ascending key: its (k+1)-th largest value, 1 <= k <= n-1."""
+    n = key_sorted.size
+    if not 1 <= k <= n - 1:
+        raise ValueError(f"{what} must be in [1, {n - 1}], got {k}")
+    return float(key_sorted[n - k - 1])
+
+
+def above_level(key: np.ndarray, key_sorted: np.ndarray, k: int) -> tuple[float, np.ndarray]:
+    """The level-k threshold of ``key`` and the mask ``key > threshold``.
+
+    The mask is in input order, so gathered values keep the order of the
+    sample. With tie-free data it selects exactly k entries; ties at the
+    threshold shrink the set (estimators still divide by the nominal k).
+    """
+    thr = level_threshold(key_sorted, k)
+    return thr, key > thr
 
 
 def fraction_to_count(frac: float, n: int, what: str = "fraction") -> int:
@@ -101,13 +138,8 @@ def fraction_to_count(frac: float, n: int, what: str = "fraction") -> int:
 
 
 def exceedance_indices(view: OrderedView, k: int) -> np.ndarray:
-    """Indices j with x_j strictly above the level-k threshold, ascending.
-
-    With tie-free data the set has exactly k elements; ties at the threshold
-    shrink it (estimators still divide by the nominal k).
-    """
-    thr = view.threshold(k)
-    return np.nonzero(view.sample.x > thr)[0]
+    """Indices j with x_j strictly above the level-k threshold, ascending."""
+    return np.flatnonzero(above_level(view.sample.x, view.x_sorted, k)[1])
 
 
 @dataclass(frozen=True)

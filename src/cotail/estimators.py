@@ -45,14 +45,14 @@ from typing import Callable, Mapping
 import numpy as np
 from scipy.special import ndtri
 
-from .core import BivariateSample, TailEstimate, order_view
+from .core import BivariateSample, TailEstimate, above_level, order_view
 from .errors import (
     AlphaNotAboveOne,
     InvalidP,
     MissingVariance,
     NonPositiveThreshold,
 )
-from .tail_function import NORMS, norm_values, squared_norm
+from .tail_function import norm_values, squared_norm
 from .tail_index import hill_estimate
 
 
@@ -67,11 +67,10 @@ class CondTailCurve:
     alpha_used: float | None = None
 
     def __post_init__(self):
-        grid = np.asarray(self.y_grid, dtype=float)
+        grid = check_y_grid(self.y_grid)
         vals = np.asarray(self.values, dtype=float)
         if grid.size != vals.size:
             raise ValueError("y_grid and values must have equal length")
-        check_y_grid(grid)
         if np.any(vals < 0) or np.any(vals > 1):
             raise ValueError("conditional tail values must lie in [0, 1]")
         if np.any(np.diff(vals) > 0):
@@ -93,14 +92,6 @@ class CteExtrapolation:
     extrapolation_factor: float
 
 
-def _exceedances(sample: BivariateSample, k: int):
-    """Threshold T plus the (x, y) pairs with x > T >= 0, in input order."""
-    view = order_view(sample)
-    thr = view.threshold(k)
-    mask = sample.x > thr
-    return thr, sample.x[mask], sample.y[mask]
-
-
 def _check_y(y: float) -> None:
     if y <= 0:
         raise ValueError("y must be positive")
@@ -113,7 +104,7 @@ def tdc_empirical(sample: BivariateSample, k: int, y: float = 1.0) -> TailEstima
     themselves).
     """
     _check_y(y)
-    thr, _, ye = _exceedances(sample, k)
+    thr, _, ye = order_view(sample).exceedances(k)
     joint = int(np.count_nonzero(ye > y * thr))
     value = joint / k
     return TailEstimate(
@@ -128,7 +119,7 @@ def tdc_quasispectral(
     _check_y(y)
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    _, xe, ye = _exceedances(sample, k)
+    _, xe, ye = order_view(sample).exceedances(k)
     weights = np.minimum(ye / (y * xe), 1.0) ** alpha
     return TailEstimate(
         value=math.fsum(weights) / k,
@@ -189,7 +180,7 @@ def cte_aleph3(sample: BivariateSample, k: int) -> TailEstimate:
     plug-in is a variance proxy only when the tail index exceeds 2, which is
     noted in the metadata.
     """
-    thr, _, ye = _exceedances(sample, k)
+    thr, _, ye = order_view(sample).exceedances(k)
     if thr <= 0:
         raise NonPositiveThreshold(f"X_(n-k) = {thr} is not positive")
     terms = ye / thr
@@ -210,7 +201,7 @@ def cte_aleph4(sample: BivariateSample, k: int, alpha: float) -> TailEstimate:
     """
     if alpha <= 1:
         raise AlphaNotAboveOne(f"alpha must exceed 1, got {alpha}")
-    _, xe, ye = _exceedances(sample, k)
+    _, xe, ye = order_view(sample).exceedances(k)
     factor = alpha / (alpha - 1.0)
     terms = ye / xe
     return TailEstimate(
@@ -234,8 +225,7 @@ def theta_hat(
         raise InvalidP(f"p must lie in (0, 1), got {p}")
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    view = order_view(sample)
-    thr = view.threshold(k)
+    thr = order_view(sample).threshold(k)
     # evaluated as (k/n)/p so that p = k/n yields the factor 1.0 exactly
     factor = ((k / sample.n) / p) ** (1.0 / alpha)
     return CteExtrapolation(
@@ -253,14 +243,8 @@ def edm_estimate(sample: BivariateSample, k: int, norm: str = "l2") -> TailEstim
     Unlike the other estimators this thresholds on order statistics of the
     chosen norm of the pairs, not on the x margin (flagged in the metadata).
     """
-    if norm not in NORMS:
-        raise ValueError(f"unknown norm {norm!r}, expected one of {NORMS}")
-    n = sample.n
-    if not 1 <= k <= n - 1:
-        raise ValueError(f"k must be in [1, {n - 1}], got {k}")
-    radii = norm_values(sample.x, sample.y, norm)
-    thr = float(np.sort(radii, kind="stable")[n - k - 1])
-    mask = radii > thr
+    radii = norm_values(sample.x, sample.y, norm)  # rejects an unknown norm
+    _, mask = above_level(radii, np.sort(radii), k)
     xe, ye = sample.x[mask], sample.y[mask]
     terms = (xe * ye) / squared_norm(xe, ye, norm)
     return TailEstimate(

@@ -221,8 +221,7 @@ def tef_random(
     """
     if s <= 0:
         raise ValueError("s must be positive")
-    view = order_view(sample)
-    thr = view.threshold(k)
+    thr = order_view(sample).threshold(k)
     if thr <= 0:
         raise NonPositiveThreshold(f"X_(n-k) = {thr} is not positive")
     if normalize_psi_by_threshold:

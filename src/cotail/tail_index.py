@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import OrderedView
+from .core import OrderedView, level_threshold
 from .errors import NonPositiveThreshold, ZeroSpread
 
 
@@ -29,9 +29,7 @@ def hill_estimate(view: OrderedView, k_alpha: int) -> HillEstimate:
     alpha_hat = k_alpha / sum_{i=0..k_alpha-1} log(X_{n:n-i} / X_{n:n-k_alpha})
     """
     n = view.sample.n
-    if not 1 <= k_alpha <= n - 1:
-        raise ValueError(f"k_alpha must be in [1, {n - 1}], got {k_alpha}")
-    base = view.order_statistic(n - k_alpha)
+    base = level_threshold(view.x_sorted, k_alpha, "k_alpha")
     if base <= 0:
         raise NonPositiveThreshold(
             f"order statistic X_({n - k_alpha}) = {base} is not positive"

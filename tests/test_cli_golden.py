@@ -169,7 +169,12 @@ ERRORS = {
     "curve_no_grid": ([*CURVE_LP, "--k", "10"], 1, "ValueError"),
     "curve_y_grid_without_k": ([*CURVE_LP, "--y-grid", "1,2"], 1, "ValueError"),
     "curve_bad_number": ([*CURVE_LP, "--k", "10", "--y-grid", "1,x"], 1, "ValueError"),
+    "curve_no_methods": (
+        [*CURVE_LP, "--k", "10", "--y-grid", "1,2", "--methods", ","], 1, "ValueError"),
+    "curve_empty_k_grid": (
+        [*CURVE_LP, "--k-grid", ",", "--methods", "empirical"], 1, "ValueError"),
     "mc_unknown_estimator": ([*MC_LP, "--estimators", "nope"], 1, "ValueError"),
+    "mc_no_estimators": ([*MC_LP, "--estimators", ","], 1, "ValueError"),
     "mc_estimated_without_k_alpha": (
         [*MC_LP, "--estimators", "tdc-quasispectral-estimated", "--k-alpha-fracs", ""],
         1, "ValueError"),

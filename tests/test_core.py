@@ -1,3 +1,7 @@
+import gc
+import pickle
+import weakref
+
 import numpy as np
 import pytest
 
@@ -131,3 +135,33 @@ def test_stable_sort_on_ties():
     s = BivariateSample([2.0, 1.0, 2.0, 2.0], [10.0, 20.0, 30.0, 40.0])
     view = order_view(s)
     assert view.order.tolist() == [1, 0, 2, 3]
+
+
+def test_order_view_sorts_once_per_sample():
+    s = make([2.0, 1.0, 3.0])
+    view, again = order_view(s), order_view(s)
+    assert again.order is view.order and again.x_sorted is view.x_sorted
+    assert again.sample is s
+    # an equal but distinct sample sorts for itself
+    assert order_view(make([2.0, 1.0, 3.0])).order is not view.order
+
+
+def test_dropped_sample_is_freed_without_the_cyclic_collector():
+    s = make([2.0, 1.0, 3.0])
+    order_view(s).threshold(1)
+    ref = weakref.ref(s)
+    gc.disable()
+    try:
+        del s
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_unpickled_sample_stays_read_only():
+    s = make([3.0, 1.0, 2.0])
+    order_view(s)
+    t = pickle.loads(pickle.dumps(s))
+    with pytest.raises(ValueError):
+        t.x[0] = 0.0
+    assert order_view(t).threshold(1) == 2.0

@@ -178,6 +178,28 @@ def test_run_mc_tallies_failures(monkeypatch):
     assert not math.isnan(cell.mean)
 
 
+def test_run_mc_sorts_each_sample_once(monkeypatch):
+    # the criterion-1 study: 15 cells and a Hill step, one argsort per sample
+    real = np.argsort
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", counting)
+    config = ModelConfig(LinearParetoModel(0.8, 0.1, 4.0), n=1000, seed=20_260_808)
+    summary = run_mc(
+        config,
+        reps=3,
+        k_fractions=(0.05, 0.1, 0.2, 0.3, 0.4),
+        k_alpha_fractions=(0.2,),
+        estimators=("tdc_empirical", "tdc_quasispectral", "tdc_quasispectral_estimated"),
+    )
+    assert len(summary.cells) == 15
+    assert len(calls) == 3
+
+
 def test_run_mc_validation():
     config = ModelConfig(LinearParetoModel(0.8, 0.1, 4.0), n=100, seed=1)
     with pytest.raises(ValueError):
@@ -186,6 +208,8 @@ def test_run_mc_validation():
         run_mc(config, reps=1, k_fractions=[])
     with pytest.raises(ValueError):
         run_mc(config, reps=1, k_fractions=[0.1], estimators=("nope",))
+    with pytest.raises(ValueError, match="at least one estimator"):
+        run_mc(config, reps=1, k_fractions=[0.1], estimators=())
     with pytest.raises(ValueError):
         run_mc(
             config, reps=1, k_fractions=[0.1],
