@@ -23,6 +23,7 @@ import json
 import os
 import sys
 from dataclasses import asdict, fields
+from itertools import starmap
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +45,7 @@ from .simulate import (
     run_mc,
     sample_dataset,
 )
+from .tail_function import NORMS
 from .tail_index import hill_estimate
 
 TRANSFORMS = ("none", "abs-log-returns")
@@ -76,32 +78,32 @@ REPORT_COLUMNS = (
 # ingestion
 # ---------------------------------------------------------------------------
 
-def _parse_table(text: str) -> list[tuple[float, float]]:
-    lines = [line for line in text.splitlines() if line.strip()]
+def _parse_table(text: str) -> tuple[list[float], list[float]]:
+    # float() ignores the same surrounding whitespace as str.strip(), except
+    # U+001F; mapping it to a space keeps cells stripped without a per-cell strip
+    lines = [line for line in text.replace("\x1f", " ").splitlines() if line.strip()]
     if not lines:
         raise ParseError("input contains no rows")
-
-    def cells(line: str) -> list[str]:
-        return [c.strip() for c in line.split(",")]
-
     start = 0
     try:
-        for cell in cells(lines[0]):
+        for cell in lines[0].split(","):
             float(cell)
     except ValueError:
         start = 1  # non-numeric first row is a header
-    rows: list[tuple[float, float]] = []
+    first: list[float] = []
+    second: list[float] = []
     for lineno, line in enumerate(lines[start:], start=start + 1):
-        parts = cells(line)
+        parts = line.split(",")
         if len(parts) != 2:
             raise ParseError(f"row {lineno}: expected 2 columns, got {len(parts)}")
         try:
-            rows.append((float(parts[0]), float(parts[1])))
+            first.append(float(parts[0]))
+            second.append(float(parts[1]))
         except ValueError:
             raise ParseError(f"row {lineno}: non-numeric cell") from None
-    if not rows:
+    if not first:
         raise ParseError("input contains no data rows")
-    return rows
+    return first, second
 
 
 def ingest_text(text: str, transform: str = "none") -> BivariateSample:
@@ -109,12 +111,10 @@ def ingest_text(text: str, transform: str = "none") -> BivariateSample:
     transform = transform.replace("_", "-")
     if transform not in TRANSFORMS:
         raise ValueError(f"unknown transform {transform!r}, expected {TRANSFORMS}")
-    rows = _parse_table(text)
-    first = np.asarray([r[0] for r in rows], dtype=float)
-    second = np.asarray([r[1] for r in rows], dtype=float)
+    first, second = map(np.asarray, _parse_table(text))
     if transform == "none":
         return BivariateSample(first, second)
-    if len(rows) < 2:
+    if first.size < 2:
         raise ParseError("abs-log-returns needs at least 2 rows of prices")
     if np.any(first <= 0) or np.any(second <= 0):
         raise NonPositivePrice("all price levels must be strictly positive")
@@ -140,27 +140,19 @@ def _write_text(path: str, text: str) -> None:
         Path(path).write_text(text, encoding="utf-8")
 
 
-def _fmt(value) -> str:
-    """Lossless cell formatting: repr for floats, empty for missing."""
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _rows_to_csv(columns, rows) -> str:
-    lines = [",".join(columns)]
-    lines.extend(",".join(_fmt(row[c]) for c in columns) for row in rows)
-    return "\n".join(lines) + "\n"
+    """The one CSV writer; a cell is str(value), for a float its exact repr."""
+    line = ",".join(["{}"] * len(columns)).format
+    return "\n".join([",".join(columns), *starmap(line, rows)]) + "\n"
 
 
 def _emit(args, columns, rows, extra: dict | None = None) -> None:
     if args.format == "csv":
-        _write_text(args.out, _rows_to_csv(columns, rows))
+        # a missing value is an empty cell
+        values = (["" if row[c] is None else row[c] for c in columns] for row in rows)
+        _write_text(args.out, _rows_to_csv(columns, values))
     else:
-        payload: dict = {} if extra is None else dict(extra)
-        payload["rows"] = [dict(row) for row in rows]
+        payload = {**(extra or {}), "rows": rows}
         _write_text(args.out, json.dumps(payload, indent=2) + "\n")
 
 
@@ -173,15 +165,11 @@ def _default_seed() -> int:
 
 
 def _sample_payload(args, sample: BivariateSample) -> None:
+    x, y = sample.x.tolist(), sample.y.tolist()
     if args.format == "csv":
-        lines = ["x,y"]
-        lines.extend(
-            f"{_fmt(float(a))},{_fmt(float(b))}" for a, b in zip(sample.x, sample.y)
-        )
-        _write_text(args.out, "\n".join(lines) + "\n")
+        _write_text(args.out, _rows_to_csv(("x", "y"), zip(x, y)))
     else:
-        payload = {"x": sample.x.tolist(), "y": sample.y.tolist()}
-        _write_text(args.out, json.dumps(payload) + "\n")
+        _write_text(args.out, json.dumps({"x": x, "y": y}) + "\n")
 
 
 def _load_sample(args) -> BivariateSample:
@@ -214,11 +202,21 @@ def _k_alpha(args, k: int, n: int) -> int:
     return _resolve_count(args.k_alpha, args.k_alpha_frac, n, "k-alpha")
 
 
+def _comma_list(text: str) -> list[str]:
+    """The tokens of a comma-separated flag value, stripped, blanks dropped."""
+    return [tok.strip() for tok in text.split(",") if tok.strip()]
+
+
 def _float_list(text: str) -> list[float]:
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
+        return [float(tok) for tok in _comma_list(text)]
     except ValueError:
         raise ValueError(f"expected a comma-separated list of numbers, got {text!r}")
+
+
+def _registry_id(name: str) -> str:
+    """CLI ids spell with dashes what registry ids spell with underscores."""
+    return name.replace("-", "_")
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +240,7 @@ def _cmd_estimate(args) -> None:
     if args.estimator == "theta":
         report.update(_theta_report(args, sample, k))
     else:
-        name = args.estimator.replace("-", "_")
+        name = _registry_id(args.estimator)
         params = ESTIMATORS[name].params
         k_alpha = _k_alpha(args, k, n) if "k_alpha" in params else None
         est = estimate(
@@ -279,7 +277,7 @@ def _theta_report(args, sample: BivariateSample, k: int) -> dict:
     else:
         k_alpha = _k_alpha(args, k, sample.n)
         alpha, source = hill_estimate(order_view(sample), k_alpha).alpha_hat, "hill"
-    aleph = estimate(args.aleph_from.replace("-", "_"), sample, k, alpha=alpha).value
+    aleph = estimate(_registry_id(args.aleph_from), sample, k, alpha=alpha).value
     ext = theta_hat(sample, k, args.p, aleph, alpha)
     return {
         "estimator_id": "theta_hat",
@@ -311,12 +309,12 @@ def _cmd_curve(args) -> None:
         ]
         if not points:
             raise ValueError("--k-grid needs at least one fraction")
-    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
+    methods = _comma_list(args.methods)
     if not methods:
         raise ValueError("at least one method is required")
     rows = []
     for method in methods:
-        name = "tdc_" + method.replace("-", "_")
+        name = "tdc_" + _registry_id(method)
         if name not in ESTIMATORS or "y" not in ESTIMATORS[name].params:
             raise ValueError(f"unknown method {method!r}")
         for k, y in points:
@@ -336,15 +334,12 @@ def _cmd_curve(args) -> None:
 
 def _cmd_mc(args) -> None:
     config = _model_config(args)
-    estimators = tuple(
-        name.strip().replace("-", "_") for name in args.estimators.split(",") if name.strip()
-    )
     summary = run_mc(
         config,
         reps=args.reps,
         k_fractions=_float_list(args.k_fracs),
-        k_alpha_fractions=_float_list(args.k_alpha_fracs) if args.k_alpha_fracs else (),
-        estimators=estimators,
+        k_alpha_fractions=_float_list(args.k_alpha_fracs),
+        estimators=[_registry_id(name) for name in _comma_list(args.estimators)],
         y=args.y,
     )
     rows = [
@@ -431,7 +426,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, help="tail index when known")
     p.add_argument("--p", type=float, help="exceedance probability for theta")
     p.add_argument("--aleph-from", choices=("cte-aleph3", "cte-aleph4"), default="cte-aleph3")
-    p.add_argument("--norm", choices=("l2", "l1", "linf"), default="l2")
+    p.add_argument("--norm", choices=NORMS, default="l2")
     p.add_argument("--ci-level", type=float, default=0.95)
     _add_output_options(p)
     p.set_defaults(func=_cmd_estimate)
@@ -471,7 +466,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         args.func(args)
-    except (CotailError, ValueError) as exc:
+    except (CotailError, ValueError, OSError) as exc:
         payload = {"error": {"type": type(exc).__name__, "message": str(exc)}}
         print(json.dumps(payload), file=sys.stderr)
         return 1

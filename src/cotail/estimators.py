@@ -93,7 +93,7 @@ class CteExtrapolation:
 
 
 def _check_y(y: float) -> None:
-    if y <= 0:
+    if not y > 0:
         raise ValueError("y must be positive")
 
 
@@ -117,7 +117,7 @@ def tdc_quasispectral(
 ) -> TailEstimate:
     """Mean of min(y_j / (y x_j), 1)^alpha over x-exceedances, known alpha."""
     _check_y(y)
-    if alpha <= 0:
+    if not alpha > 0:
         raise ValueError("alpha must be positive")
     _, xe, ye = order_view(sample).exceedances(k)
     weights = np.minimum(ye / (y * xe), 1.0) ** alpha
@@ -148,7 +148,7 @@ def check_y_grid(y_grid) -> np.ndarray:
     grid = np.asarray(y_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("y_grid must be a nonempty one-dimensional sequence")
-    if np.any(grid <= 0) or np.any(np.diff(grid) <= 0):
+    if not (np.all(grid > 0) and np.all(np.diff(grid) > 0)):
         raise ValueError("y_grid must be strictly increasing and positive")
     return grid
 
@@ -199,7 +199,7 @@ def cte_aleph4(sample: BivariateSample, k: int, alpha: float) -> TailEstimate:
     alpha/(alpha - 1) times the mean of y_j / x_j over x-exceedances. The
     ratio form keeps the variance finite even when the tail index is below 2.
     """
-    if alpha <= 1:
+    if not alpha > 1:
         raise AlphaNotAboveOne(f"alpha must exceed 1, got {alpha}")
     _, xe, ye = order_view(sample).exceedances(k)
     factor = alpha / (alpha - 1.0)
@@ -223,7 +223,7 @@ def theta_hat(
     """
     if not 0.0 < p < 1.0:
         raise InvalidP(f"p must lie in (0, 1), got {p}")
-    if alpha <= 0:
+    if not alpha > 0:
         raise ValueError("alpha must be positive")
     thr = order_view(sample).threshold(k)
     # evaluated as (k/n)/p so that p = k/n yields the factor 1.0 exactly

@@ -50,7 +50,7 @@ def standard_normal(gen: np.random.Generator, size: int) -> np.ndarray:
 
 def standard_gamma(gen: np.random.Generator, shape: float, size: int) -> np.ndarray:
     """Gamma(shape, scale=1) via Marsaglia-Tsang with the shape < 1 boost."""
-    if shape <= 0:
+    if not shape > 0:
         raise ValueError("shape must be positive")
     if shape < 1.0:
         boost = open_uniform(gen, size) ** (1.0 / shape)
@@ -85,6 +85,6 @@ def chi_square(gen: np.random.Generator, df: float, size: int) -> np.ndarray:
 
 def pareto(gen: np.random.Generator, alpha: float, size: int) -> np.ndarray:
     """Standard Pareto(alpha): survival x^(-alpha) on x >= 1."""
-    if alpha <= 0:
+    if not alpha > 0:
         raise ValueError("alpha must be positive")
     return open_uniform(gen, size) ** (-1.0 / alpha)

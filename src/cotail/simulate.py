@@ -46,9 +46,9 @@ class LinearParetoModel:
     def __post_init__(self):
         if not 0.0 < self.phi < 1.0:
             raise ValueError("phi must lie in (0, 1)")
-        if self.sigma < 0.0:
+        if not self.sigma >= 0.0:
             raise ValueError("sigma must be nonnegative (0 is the degenerate case)")
-        if self.alpha <= 0.0:
+        if not self.alpha > 0.0:
             raise ValueError("alpha must be positive")
 
     @property
@@ -66,7 +66,7 @@ class BivariateTModel:
     rho: float
 
     def __post_init__(self):
-        if self.nu <= 0.0:
+        if not self.nu > 0.0:
             raise ValueError("nu must be positive")
         if not -1.0 < self.rho < 1.0:
             raise ValueError("rho must lie in (-1, 1)")
@@ -175,7 +175,7 @@ def run_mc(
     """
     if reps < 1:
         raise ValueError("reps must be at least 1")
-    if y <= 0:
+    if not y > 0:
         raise ValueError("y must be positive")
     names = list(dict.fromkeys(estimators))
     if not names:

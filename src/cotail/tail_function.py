@@ -95,7 +95,7 @@ def margin_exceedance() -> TailFunctionSpec:
 
 def joint_exceedance(y_cut: float = 1.0) -> TailFunctionSpec:
     """psi = 1 on {x1 > 1, x2 > y_cut}: joint exceedance counting."""
-    if y_cut <= 0:
+    if not y_cut > 0:
         raise ValueError("y_cut must be positive")
     return TailFunctionSpec(
         psi=lambda u, v: np.ones_like(u),
@@ -107,9 +107,9 @@ def joint_exceedance(y_cut: float = 1.0) -> TailFunctionSpec:
 
 def capped_ratio_power(alpha: float, y_cut: float = 1.0) -> TailFunctionSpec:
     """psi = min(x2 / (y_cut * x1), 1)^alpha on {x1 > 1}."""
-    if alpha <= 0:
+    if not alpha > 0:
         raise ValueError("alpha must be positive")
-    if y_cut <= 0:
+    if not y_cut > 0:
         raise ValueError("y_cut must be positive")
     return TailFunctionSpec(
         psi=lambda u, v: np.minimum(v / (y_cut * u), 1.0) ** alpha,
@@ -194,9 +194,9 @@ def tef_fixed(
     Returns (1 / (n * fbar_u)) * sum_j psi(x_j/u, y_j/u) * 1{(x_j, y_j) in s*u*C}
     where fbar_u is the caller-supplied survival mass at u.
     """
-    if u <= 0:
+    if not u > 0:
         raise ValueError("u must be positive")
-    if s <= 0:
+    if not s > 0:
         raise ValueError("s must be positive")
     if not 0 < fbar_u <= 1:
         raise ValueError("fbar_u must lie in (0, 1]")
@@ -219,7 +219,7 @@ def tef_random(
     level ``u``, which must then be supplied (simulation-side use only). The
     inclusion region is always scaled by s * X_{n:n-k}.
     """
-    if s <= 0:
+    if not s > 0:
         raise ValueError("s must be positive")
     thr = order_view(sample).threshold(k)
     if thr <= 0:
@@ -229,7 +229,7 @@ def tef_random(
     else:
         if u is None:
             raise ValueError("u is required when psi is scaled by a deterministic level")
-        if u <= 0:
+        if not u > 0:
             raise ValueError("u must be positive")
         denom = u
     return _weighted_sum(sample.x, sample.y, spec, scale=s * thr, denom=denom) / k

@@ -48,6 +48,14 @@ def test_ingest_header_autodetected():
     assert sample.pairs() == [(1.0, 2.0), (3.0, 4.0)]
 
 
+def test_ingest_cell_whitespace():
+    # U+001F is the one character that str.isspace() accepts, float() rejects
+    # and str.splitlines() does not split on
+    for space in (" ", "\t", "\xa0", "\u2003", "\x1f"):
+        text = f"{space}1.5{space},{space}2{space}\n3,{space}4\n"
+        assert ingest_text(text, "none").pairs() == [(1.5, 2.0), (3.0, 4.0)], repr(space)
+
+
 def test_ingest_parse_errors():
     with pytest.raises(ParseError):
         ingest_text("", "none")
@@ -59,6 +67,21 @@ def test_ingest_parse_errors():
         ingest_text("1.0,0.0\n2.0,1.0\n", "abs-log-returns")
     with pytest.raises(NegativeValue):
         ingest_text("1.0,-2.0\n", "none")
+    # rows are numbered among non-blank lines, the header counting as row 1
+    messages = {
+        "x,y\n1.0,2.0\n3.0\n": "row 3: expected 2 columns, got 1",
+        "x,y\n1.0,2.0\n3.0,x\n": "row 3: non-numeric cell",
+        "1.0,2.0\n\n  \n3.0,4.0,5.0\n": "row 2: expected 2 columns, got 3",
+        "x,y\n\n1.0,2.0\n\n\n3.0,\n": "row 3: non-numeric cell",
+        " 1.0 ,\t2.0 \n 3.0 , 4.0 , \n": "row 2: expected 2 columns, got 3",
+        " 1.0 ,\t2.0 \n 3.0 , 4 .0 \n": "row 2: non-numeric cell",
+        "x,y\r\n1.0,2.0\r\n\r\n3.0;4.0\r\n": "row 3: expected 2 columns, got 1",
+        "1.0,2.0\r\n3.0,nan?\r\n": "row 2: non-numeric cell",
+    }
+    for text, message in messages.items():
+        with pytest.raises(ParseError) as info:
+            ingest_text(text, "none")
+        assert str(info.value) == message, text
 
 
 # ---------------------------------------------------------------------------

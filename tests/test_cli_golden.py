@@ -1,8 +1,11 @@
 """Byte-for-byte CLI outputs on two small fixed datasets.
 
 ``tests/golden/linear_pareto.csv`` and ``tests/golden/bivariate_t.csv`` are
-200-pair files written by ``cotail simulate`` (seeds 11 and 12). Each success
-case pins its exit code and its stdout, stored in ``tests/golden/<case>.out``.
+200-pair files written by ``cotail simulate`` (seeds 11 and 12);
+``headerless.csv`` is a hand-written table with blank lines and whitespace
+around its cells, and ``prices.csv`` a headed table of price levels for
+``--transform abs-log-returns``. Each success case pins its exit code and its
+stdout, stored in ``tests/golden/<case>.out``.
 Each error case pins the exit code, an empty stdout and the JSON error type;
 the message text is free to change.
 
@@ -25,6 +28,8 @@ from cotail.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 DATA = {"lp": GOLDEN / "linear_pareto.csv", "bt": GOLDEN / "bivariate_t.csv"}
+HEADERLESS = str(GOLDEN / "headerless.csv")
+PRICES = str(GOLDEN / "prices.csv")
 
 ESTIMATORS = {
     "tdc-empirical": [],
@@ -76,6 +81,22 @@ MC_MODELS = {
     "lp": ["--model", "linear-pareto", "--seed", "3"],
     "bt": ["--model", "bivariate-t", "--seed", "4"],
 }
+SIMULATE_MODELS = {
+    "lp": ["--model", "linear-pareto", "--n", "40", "--seed", "5"],
+    "lp_params": [
+        "--model", "linear-pareto", "--n", "40", "--seed", "6",
+        "--phi", "0.5", "--sigma", "0.3", "--alpha", "2.5",
+    ],
+    "bt": ["--model", "bivariate-t", "--n", "40", "--seed", "7"],
+    "bt_params": [
+        "--model", "bivariate-t", "--n", "40", "--seed", "8", "--nu", "2.5", "--rho", "0.3",
+    ],
+}
+INGEST_INPUTS = {
+    "headerless": ["--input", HEADERLESS],
+    "headed": ["--input", str(DATA["lp"])],
+    "prices": ["--input", PRICES, "--transform", "abs-log-returns"],
+}
 MC_ARGS = [
     "--n", "200", "--reps", "8", "--k-fracs", "0.1,0.2", "--k-alpha-fracs", "0.2,0.3",
     "--estimators",
@@ -103,6 +124,12 @@ def _success_cases() -> dict[str, list[str]]:
                 "curve", "--input", str(path), "--methods", ALL_METHODS,
                 "--alpha", "4", *extra,
             ]
+    for tag, model in SIMULATE_MODELS.items():
+        cases[f"simulate_{tag}_csv"] = ["simulate", *model]
+        cases[f"simulate_{tag}_json"] = ["simulate", *model, "--format", "json"]
+    for tag, inputs in INGEST_INPUTS.items():
+        cases[f"ingest_{tag}_csv"] = ["ingest", *inputs]
+        cases[f"ingest_{tag}_json"] = ["ingest", *inputs, "--format", "json"]
     for tag, model in MC_MODELS.items():
         cases[f"mc_{tag}_csv"] = ["mc", *model, *MC_ARGS]
         cases[f"mc_{tag}_json"] = ["mc", *model, *MC_ARGS, "--format", "json"]
@@ -153,6 +180,9 @@ ERRORS = {
     "ci_level_out_of_range": (
         [*ESTIMATE_LP, "--estimator", "cte-aleph3", "--k", "10", "--ci-level", "1.5"],
         1, "ValueError"),
+    "y_nan": (
+        [*ESTIMATE_LP, "--estimator", "tdc-empirical", "--k", "10", "--y", "nan"],
+        1, "ValueError"),
     "unknown_estimator": ([*ESTIMATE_LP, "--estimator", "nope", "--k", "10"], 2, None),
     "curve_unknown_method": (
         [*CURVE_LP, "--k", "10", "--y-grid", "1,2", "--methods", "empirical,nope"],
@@ -180,6 +210,12 @@ ERRORS = {
         1, "ValueError"),
     "mc_k_frac_out_of_range": ([*MC_LP, "--k-fracs", "0.1,1.5"], 1, "ValueError"),
     "mc_no_reps": ([*MC_LP, "--reps", "0"], 1, "ValueError"),
+    "input_missing": (
+        ["estimate", "--input", str(GOLDEN / "missing.csv"), "--estimator",
+         "tdc-empirical", "--k", "10"], 1, "FileNotFoundError"),
+    "out_dir_missing": (
+        ["ingest", "--input", LP, "--out", str(GOLDEN / "no-such-dir" / "o.csv")],
+        1, "FileNotFoundError"),
 }
 
 

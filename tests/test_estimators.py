@@ -7,26 +7,34 @@ import reference
 from cotail import (
     AlphaNotAboveOne,
     BivariateSample,
+    BivariateTModel,
     InvalidP,
     LinearParetoModel,
     MissingVariance,
     ModelConfig,
     NonPositiveThreshold,
     TailEstimate,
+    capped_ratio_power,
     cond_tail_curve,
     confidence_interval,
     cte_aleph3,
     cte_aleph4,
     edm_estimate,
     estimate,
+    joint_exceedance,
+    margin_exceedance,
     order_view,
+    run_mc,
     sample_linear_pareto,
     tdc_empirical,
     tdc_quasispectral,
     tdc_quasispectral_estimated,
+    tef_fixed,
+    tef_random,
     theta_hat,
 )
 from cotail import rng as crng
+from cotail.estimators import check_y_grid
 
 
 def pareto_sample(seed, n, alpha=4.0, ratio=None):
@@ -391,3 +399,40 @@ def test_estimate_dispatches_by_id():
 def test_negative_variance_rejected():
     with pytest.raises(ValueError):
         TailEstimate(value=0.1, k=2, estimator_id="x", plugin_variance=-1e-9)
+
+
+NAN = float("nan")
+_S = BivariateSample([1.0, 2.0, 3.0, 4.0, 5.0], [5.0, 4.0, 3.0, 2.0, 1.0])
+_LP = ModelConfig(LinearParetoModel(0.8, 0.1, 4.0), 50, 1)
+NAN_INPUTS = {
+    "tdc_empirical_y": (lambda: tdc_empirical(_S, 2, y=NAN), ValueError),
+    "tdc_quasispectral_y": (lambda: tdc_quasispectral(_S, 2, y=NAN, alpha=4.0), ValueError),
+    "tdc_quasispectral_alpha": (lambda: tdc_quasispectral(_S, 2, alpha=NAN), ValueError),
+    "cte_aleph4_alpha": (lambda: cte_aleph4(_S, 2, alpha=NAN), AlphaNotAboveOne),
+    "theta_hat_alpha": (lambda: theta_hat(_S, 2, 0.1, 1.0, NAN), ValueError),
+    "check_y_grid": (lambda: check_y_grid([1.0, NAN]), ValueError),
+    "check_y_grid_first": (lambda: check_y_grid([NAN, 1.0]), ValueError),
+    "run_mc_y": (lambda: run_mc(_LP, 2, [0.1], y=NAN), ValueError),
+    "linear_pareto_sigma": (lambda: LinearParetoModel(0.8, NAN, 4.0), ValueError),
+    "linear_pareto_alpha": (lambda: LinearParetoModel(0.8, 0.1, NAN), ValueError),
+    "bivariate_t_nu": (lambda: BivariateTModel(NAN, 0.5), ValueError),
+    "tef_random_s": (lambda: tef_random(_S, margin_exceedance(), 2, s=NAN), ValueError),
+    "tef_random_u": (
+        lambda: tef_random(_S, margin_exceedance(), 2, normalize_psi_by_threshold=False, u=NAN),
+        ValueError,
+    ),
+    "tef_fixed_u": (lambda: tef_fixed(_S, margin_exceedance(), NAN, 1.0, 0.5), ValueError),
+    "tef_fixed_s": (lambda: tef_fixed(_S, margin_exceedance(), 1.0, NAN, 0.5), ValueError),
+    "capped_ratio_power_alpha": (lambda: capped_ratio_power(NAN), ValueError),
+    "capped_ratio_power_y_cut": (lambda: capped_ratio_power(4.0, NAN), ValueError),
+    "joint_exceedance_y_cut": (lambda: joint_exceedance(NAN), ValueError),
+    "rng_pareto_alpha": (lambda: crng.pareto(crng.generator(1), NAN, 3), ValueError),
+    "rng_gamma_shape": (lambda: crng.standard_gamma(crng.generator(1), NAN, 3), ValueError),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NAN_INPUTS))
+def test_nan_parameters_rejected(case):
+    call, error = NAN_INPUTS[case]
+    with pytest.raises(error):
+        call()
