@@ -19,7 +19,8 @@ High-quantile extrapolation ``theta_hat`` multiplies a CTE coefficient by the
 threshold and the power-law factor (k/(n p))^(1/alpha). ``edm_estimate`` is
 the extremal dependence measure, thresholded on norm order statistics rather
 than the x margin. ``confidence_interval`` turns a plug-in variance into a
-normal interval.
+normal interval; its quantile comes from the standard library's
+``statistics.NormalDist``.
 
 ``ESTIMATORS`` is the one table of the estimators above (all but
 ``theta_hat``): each id maps to its function, the parameters it takes from
@@ -40,10 +41,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from statistics import NormalDist
 from typing import Callable, Mapping
 
 import numpy as np
-from scipy.special import ndtri
 
 from .core import BivariateSample, TailEstimate, above_level, order_view
 from .errors import (
@@ -97,6 +98,19 @@ def _check_y(y: float) -> None:
         raise ValueError("y must be positive")
 
 
+def _weight_mean(
+    weights: np.ndarray, k: int, estimator_id: str, factor: float = 1.0, **fields
+) -> TailEstimate:
+    """factor * (1/k) sum w as the value, factor^2 * (1/k) sum w^2 as the variance."""
+    return TailEstimate(
+        value=factor * (math.fsum(weights) / k),
+        k=k,
+        estimator_id=estimator_id,
+        plugin_variance=(factor * factor) * (math.fsum(weights * weights) / k),
+        **fields,
+    )
+
+
 def tdc_empirical(sample: BivariateSample, k: int, y: float = 1.0) -> TailEstimate:
     """Share of x-exceedances whose y coordinate also clears y * threshold.
 
@@ -121,13 +135,7 @@ def tdc_quasispectral(
         raise ValueError("alpha must be positive")
     _, xe, ye = order_view(sample).exceedances(k)
     weights = np.minimum(ye / (y * xe), 1.0) ** alpha
-    return TailEstimate(
-        value=math.fsum(weights) / k,
-        k=k,
-        estimator_id="tdc_quasispectral",
-        plugin_variance=math.fsum(weights * weights) / k,
-        alpha_used=alpha,
-    )
+    return _weight_mean(weights, k, "tdc_quasispectral", alpha_used=alpha)
 
 
 def tdc_quasispectral_estimated(
@@ -183,12 +191,8 @@ def cte_aleph3(sample: BivariateSample, k: int) -> TailEstimate:
     thr, _, ye = order_view(sample).exceedances(k)
     if thr <= 0:
         raise NonPositiveThreshold(f"X_(n-k) = {thr} is not positive")
-    terms = ye / thr
-    return TailEstimate(
-        value=math.fsum(terms) / k,
-        k=k,
-        estimator_id="cte_aleph3",
-        plugin_variance=math.fsum(terms * terms) / k,
+    return _weight_mean(
+        ye / thr, k, "cte_aleph3",
         metadata={"variance_note": "second-moment proxy, valid for tail index > 2"},
     )
 
@@ -203,14 +207,7 @@ def cte_aleph4(sample: BivariateSample, k: int, alpha: float) -> TailEstimate:
         raise AlphaNotAboveOne(f"alpha must exceed 1, got {alpha}")
     _, xe, ye = order_view(sample).exceedances(k)
     factor = alpha / (alpha - 1.0)
-    terms = ye / xe
-    return TailEstimate(
-        value=factor * (math.fsum(terms) / k),
-        k=k,
-        estimator_id="cte_aleph4",
-        plugin_variance=(factor * factor) * (math.fsum(terms * terms) / k),
-        alpha_used=alpha,
-    )
+    return _weight_mean(ye / xe, k, "cte_aleph4", factor, alpha_used=alpha)
 
 
 def theta_hat(
@@ -246,12 +243,8 @@ def edm_estimate(sample: BivariateSample, k: int, norm: str = "l2") -> TailEstim
     radii = norm_values(sample.x, sample.y, norm)  # rejects an unknown norm
     _, mask = above_level(radii, np.sort(radii), k)
     xe, ye = sample.x[mask], sample.y[mask]
-    terms = (xe * ye) / squared_norm(xe, ye, norm)
-    return TailEstimate(
-        value=math.fsum(terms) / k,
-        k=k,
-        estimator_id="edm",
-        plugin_variance=math.fsum(terms * terms) / k,
+    return _weight_mean(
+        (xe * ye) / squared_norm(xe, ye, norm), k, "edm",
         metadata={"norm": norm, "threshold_scale": "norm order statistic"},
     )
 
@@ -311,7 +304,7 @@ def confidence_interval(est: TailEstimate, level: float) -> tuple[float, float]:
         raise MissingVariance(f"{est.estimator_id} carries no plug-in variance")
     if not 0.0 < level < 1.0:
         raise ValueError("level must lie in (0, 1)")
-    z = float(ndtri(0.5 * (1.0 + level)))
+    z = NormalDist().inv_cdf(0.5 * (1.0 + level))
     half = z * math.sqrt(est.plugin_variance / est.k)
     lo, hi = est.value - half, est.value + half
     entry = ESTIMATORS.get(est.estimator_id)

@@ -50,8 +50,10 @@ def standard_normal(gen: np.random.Generator, size: int) -> np.ndarray:
 
 def standard_gamma(gen: np.random.Generator, shape: float, size: int) -> np.ndarray:
     """Gamma(shape, scale=1) via Marsaglia-Tsang with the shape < 1 boost."""
-    if not shape > 0:
-        raise ValueError("shape must be positive")
+    # an infinite shape would make every acceptance test NaN, so the
+    # rejection loop would never finish
+    if not 0 < shape < math.inf:
+        raise ValueError("shape must be positive and finite")
     if shape < 1.0:
         boost = open_uniform(gen, size) ** (1.0 / shape)
         return _gamma_at_least_one(gen, shape + 1.0, size) * boost

@@ -12,7 +12,10 @@ BivariateTModel
     (X, Y) = sqrt(W) * (|Z1|, |Z2|) where nu / W is chi-square(nu) and
     (Z1, Z2) are standard normal with correlation rho, built as
     Z2 = rho * Z1 + sqrt(1 - rho^2) * Z2'. Each margin is |t_nu|, so the tail
-    index is nu. Draw order: chi-square, then Z1, then Z2'.
+    index is nu. Draw order: chi-square, then Z1, then Z2'. The tail
+    dependence coefficient is the t-copula's 2 t_{nu+1}(-sqrt((nu+1)(1-rho)/(1+rho)))
+    (Demarta & McNeil 2005), evaluated as the regularised incomplete beta
+    I_{(1+rho)/2}((nu+1)/2, 1/2) by a continued fraction.
 
 The harness ``run_mc`` evaluates a set of estimators over replications; the
 replication r uses the generator keyed with ``mix_seed(seed, r)`` = seed XOR r,
@@ -29,7 +32,6 @@ from dataclasses import dataclass, replace
 from typing import Mapping, Sequence, Union
 
 import numpy as np
-from scipy.special import stdtr
 
 from . import rng
 from .core import BivariateSample, fraction_to_count
@@ -66,8 +68,8 @@ class BivariateTModel:
     rho: float
 
     def __post_init__(self):
-        if not self.nu > 0.0:
-            raise ValueError("nu must be positive")
+        if not 0.0 < self.nu < math.inf:
+            raise ValueError("nu must be positive and finite")
         if not -1.0 < self.rho < 1.0:
             raise ValueError("rho must lie in (-1, 1)")
 
@@ -77,8 +79,42 @@ class BivariateTModel:
 
     @property
     def tail_dependence(self) -> float:
-        arg = math.sqrt((self.nu + 1.0) * (1.0 - self.rho) / (1.0 + self.rho))
-        return float(2.0 * stdtr(self.nu + 1.0, -arg))
+        return _betainc(
+            (self.nu + 1.0) / 2.0, 0.5, (1.0 + self.rho) / 2.0, (1.0 - self.rho) / 2.0
+        )
+
+
+def _betainc(a: float, b: float, x: float, y: float) -> float:
+    """Regularised incomplete beta I_x(a, b) for a, b > 0, 0 < x < 1 and y = 1 - x.
+
+    Below x = (a + 1) / (a + b + 2) the continued fraction of DLMF 8.17.22
+    converges fast (under 150 terms at b = 1/2 over a sweep of a up to 5e5);
+    above it, I_x(a, b) = 1 - I_y(b, a). y is passed rather than formed as
+    1 - x, which would lose the digits of a small complement (rho near 1).
+    """
+    flip = x > (a + 1.0) / (a + b + 2.0)
+    if flip:  # no second test on the swapped side: x + y may exceed 1 by an ulp
+        a, b, x = b, a, y
+    log_front = (
+        a * math.log(x) + b * math.log1p(-x)
+        + math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+    )
+    # modified Lentz evaluation of 1 + d_1 / (1 + d_2 / (1 + ...))
+    f = c = 1.0
+    d = 0.0
+    for j in range(1, 10_000):
+        m = j // 2
+        if j % 2:
+            num = -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1))
+        else:
+            num = m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m))
+        d = 1.0 / (1.0 + num * d)
+        c = 1.0 + num / c
+        f *= c * d
+        if abs(c * d - 1.0) < 1e-16:
+            break
+    value = math.exp(log_front) / (a * f)
+    return 1.0 - value if flip else value
 
 
 Model = Union[LinearParetoModel, BivariateTModel]

@@ -311,13 +311,36 @@ def test_stdin_input(capsys, monkeypatch):
 
 
 def test_cli_import_skips_scipy_stats():
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, cotail.cli; "
-         "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"],
-        capture_output=True, text=True, check=True,
-    )
-    assert proc.stdout.strip() == "[]"
+    # the runtime needs numpy only: no scipy module at all loads
+    for module in ("cotail", "cotail.cli"):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             f"import sys, {module}; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+            capture_output=True, text=True, check=True,
+        )
+        assert proc.stdout.strip() == "[]", module
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    data = tmp_path / "bt.csv"
+    script = f"""
+import sys
+sys.modules["scipy"] = None  # any scipy import now raises ImportError
+from cotail.cli import main
+codes = [
+    main(["simulate", "--model", "bivariate-t", "--n", "200", "--out", {str(data)!r}]),
+    main(["estimate", "--input", {str(data)!r}, "--estimator", "tdc-quasispectral-estimated",
+          "--k-frac", "0.1", "--ci-level", "0.9"]),
+    main(["mc", "--model", "bivariate-t", "--n", "200", "--reps", "3", "--k-fracs", "0.1"]),
+]
+sys.exit(max(codes))
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0].startswith("estimator_id,")
+    assert lines[2].startswith("estimator_id,")
 
 
 def test_module_entrypoint_runs():

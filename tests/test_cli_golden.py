@@ -210,6 +210,8 @@ ERRORS = {
         1, "ValueError"),
     "mc_k_frac_out_of_range": ([*MC_LP, "--k-fracs", "0.1,1.5"], 1, "ValueError"),
     "mc_no_reps": ([*MC_LP, "--reps", "0"], 1, "ValueError"),
+    "simulate_nu_inf": (
+        ["simulate", "--model", "bivariate-t", "--n", "10", "--nu", "inf"], 1, "ValueError"),
     "input_missing": (
         ["estimate", "--input", str(GOLDEN / "missing.csv"), "--estimator",
          "tdc-empirical", "--k", "10"], 1, "FileNotFoundError"),

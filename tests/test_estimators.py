@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -347,6 +349,18 @@ def test_ci_clipped_to_unit_interval():
         assert 0.0 < lo < cap
 
 
+def test_ci_z_matches_normal_quantile():
+    from scipy.special import ndtri
+
+    # value 0, variance 1, k 1 and no upper clip: the upper end is z itself
+    est = TailEstimate(value=0.0, k=1, estimator_id="none", plugin_variance=1.0)
+    for i in range(1, 1000):
+        level = i / 1000
+        z = confidence_interval(est, level)[1]
+        want = float(ndtri(0.5 * (1.0 + level)))
+        assert abs(z - want) <= 4 * math.ulp(want), level
+
+
 def test_ci_requires_variance():
     est = TailEstimate(value=0.5, k=10, estimator_id="tdc_empirical")
     with pytest.raises(MissingVariance):
@@ -436,3 +450,21 @@ def test_nan_parameters_rejected(case):
     call, error = NAN_INPUTS[case]
     with pytest.raises(error):
         call()
+
+
+# an infinite gamma shape used to stall the rejection sampler, so each case
+# runs in its own interpreter under a timeout
+INF_INPUTS = {
+    "bivariate_t_nu": "from cotail import BivariateTModel; BivariateTModel(INF, 0.5)",
+    "rng_gamma_shape": "from cotail import rng; rng.standard_gamma(rng.generator(1), INF, 3)",
+}
+
+
+@pytest.mark.parametrize("case", sorted(INF_INPUTS))
+def test_infinite_parameters_rejected(case):
+    script = (
+        f"INF = float('inf')\ntry:\n    {INF_INPUTS[case]}\n"
+        "except ValueError:\n    raise SystemExit(0)\nraise SystemExit(1)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.special import stdtr
 
 import cotail.simulate as simulate
 from cotail import (
@@ -231,3 +232,25 @@ def test_truth_absent_for_non_tdc_runs():
 
 def test_bivariate_t_tail_dependence_value():
     assert BivariateTModel(4.0, 0.9).tail_dependence == pytest.approx(0.63, abs=0.005)
+
+
+@pytest.mark.parametrize("nu", [0.1, 0.5, 0.9, 1.0, 2.0, 4.0, 10.0, 50.0, 1000.0])
+def test_bivariate_t_tail_dependence_matches_t_cdf(nu):
+    for rho in (-0.99, -0.5, 0.0, 0.5, 0.9, 0.99, 0.999):
+        arg = math.sqrt((nu + 1.0) * (1.0 - rho) / (1.0 + rho))
+        want = float(2.0 * stdtr(nu + 1.0, -arg))
+        assert BivariateTModel(nu, rho).tail_dependence == pytest.approx(want, rel=1e-12)
+
+
+def test_bivariate_t_tail_dependence_cauchy_hand_values():
+    # nu = 1: lambda = 2 t_2(-a) = 1 - a / sqrt(2 + a^2) with
+    # a = sqrt(2 (1 - rho) / (1 + rho)), which is 1 - sqrt((1 - rho) / 2);
+    # written as ((1 + rho) / 2) / (1 + sqrt((1 - rho) / 2)) to avoid cancellation
+    for rho in (-0.999, -0.99, -0.5, 0.0, 0.3, 0.5, 0.9, 0.99, 0.999):
+        want = ((1.0 + rho) / 2.0) / (1.0 + math.sqrt((1.0 - rho) / 2.0))
+        assert BivariateTModel(1.0, rho).tail_dependence == pytest.approx(want, rel=1e-14)
+    assert BivariateTModel(1.0, 0.5).tail_dependence == pytest.approx(0.5, rel=1e-15)
+    # rho one ulp below 1 rounds (1 + rho) / 2 to 1; lambda must stay below 1
+    rho = math.nextafter(1.0, 0.0)
+    want = 1.0 - math.sqrt((1.0 - rho) / 2.0)
+    assert BivariateTModel(1.0, rho).tail_dependence == pytest.approx(want, rel=1e-15)
