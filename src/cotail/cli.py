@@ -37,14 +37,7 @@ from .estimators import (
     estimate,
     theta_hat,
 )
-from .simulate import (
-    BivariateTModel,
-    LinearParetoModel,
-    McCell,
-    ModelConfig,
-    run_mc,
-    sample_dataset,
-)
+from .simulate import MODELS, McCell, ModelConfig, run_mc, sample_dataset
 from .tail_function import NORMS
 from .tail_index import hill_estimate
 
@@ -177,10 +170,8 @@ def _load_sample(args) -> BivariateSample:
 
 
 def _model_config(args) -> ModelConfig:
-    if args.model == "linear-pareto":
-        model = LinearParetoModel(phi=args.phi, sigma=args.sigma, alpha=args.alpha)
-    else:
-        model = BivariateTModel(nu=args.nu, rho=args.rho)
+    cls = MODELS[args.model]
+    model = cls(**{f.name: getattr(args, f.name) for f in fields(cls)})
     seed = _default_seed() if args.seed is None else args.seed
     return ModelConfig(model=model, n=args.n, seed=seed)
 
@@ -315,11 +306,12 @@ def _cmd_curve(args) -> None:
     rows = []
     for method in methods:
         name = "tdc_" + _registry_id(method)
-        if name not in ESTIMATORS or "y" not in ESTIMATORS[name].params:
+        if name not in ESTIMATORS:
             raise ValueError(f"unknown method {method!r}")
+        takes_k_alpha = "k_alpha" in ESTIMATORS[name].params
+        k_alphas = {k: _k_alpha(args, k, n) if takes_k_alpha else None for k, _ in points}
         for k, y in points:
-            k_alpha = _k_alpha(args, k, n)
-            est = estimate(name, sample, k, y=y, alpha=args.alpha, k_alpha=k_alpha)
+            est = estimate(name, sample, k, y=y, alpha=args.alpha, k_alpha=k_alphas[k])
             rows.append(
                 {
                     "estimator_id": est.estimator_id,
@@ -352,12 +344,8 @@ def _cmd_mc(args) -> None:
         }
         for (name, kf, kaf), cell in summary.cells.items()
     ]
-    _emit(
-        args,
-        MC_COLUMNS,
-        rows,
-        extra={"truth": summary.truth, "y": summary.y, "reps": summary.reps},
-    )
+    extra = {"truth": summary.truth, "y": summary.y, "reps": summary.reps}
+    _emit(args, MC_COLUMNS, rows, extra)
 
 
 # ---------------------------------------------------------------------------
@@ -380,13 +368,11 @@ def _add_input_options(p: argparse.ArgumentParser) -> None:
 
 
 def _add_model_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--model", choices=("linear-pareto", "bivariate-t"), required=True)
+    p.add_argument("--model", choices=tuple(MODELS), required=True)
     p.add_argument("--n", type=int, default=1000)
-    p.add_argument("--phi", type=float, default=0.8)
-    p.add_argument("--sigma", type=float, default=0.1)
-    p.add_argument("--alpha", type=float, default=4.0)
-    p.add_argument("--nu", type=float, default=4.0)
-    p.add_argument("--rho", type=float, default=0.9)
+    for cls in MODELS.values():
+        for f in fields(cls):
+            p.add_argument(f"--{f.name}", type=float, default=f.default)
     p.add_argument("--seed", type=int, help="default: COTAIL_SEED, else 0")
 
 

@@ -131,9 +131,11 @@ def above_level(key: np.ndarray, key_sorted: np.ndarray, k: int) -> tuple[float,
 
 
 def fraction_to_count(frac: float, n: int, what: str = "fraction") -> int:
-    """Nearest-integer count for a fraction of n, clamped to [1, n - 1]."""
+    """Nearest-integer count for a fraction of n, clamped to [1, n - 1]; n >= 2."""
     if not 0.0 < frac < 1.0:
         raise ValueError(f"{what} must lie in (0, 1), got {frac}")
+    if n < 2:
+        raise ValueError(f"{what} needs n >= 2 for a count in [1, n - 1], got n = {n}")
     return min(max(int(round(frac * n)), 1), n - 1)
 
 

@@ -2,28 +2,33 @@
 
 Models
 ------
+``MODELS`` maps each model id to its class; the CLI builds its ``--model``
+choices and parameter flags from it. Every field has a default, the
+parameters of the paper's simulation studies, and ``sample(gen, n)`` draws n
+pairs from a generator (its docstring gives the draw order).
+
 LinearParetoModel
     Y = phi * X + sigma * |Z| with X standard Pareto(alpha) (survival
     x^(-alpha) on x >= 1) and Z standard normal, independent of X. The tail
-    dependence coefficient is phi^alpha. Draw order: the n Pareto uniforms,
-    then the n normals.
+    dependence coefficient is phi^alpha.
 
 BivariateTModel
     (X, Y) = sqrt(W) * (|Z1|, |Z2|) where nu / W is chi-square(nu) and
     (Z1, Z2) are standard normal with correlation rho, built as
     Z2 = rho * Z1 + sqrt(1 - rho^2) * Z2'. Each margin is |t_nu|, so the tail
-    index is nu. Draw order: chi-square, then Z1, then Z2'. The tail
-    dependence coefficient is the t-copula's 2 t_{nu+1}(-sqrt((nu+1)(1-rho)/(1+rho)))
-    (Demarta & McNeil 2005), evaluated as the regularised incomplete beta
-    I_{(1+rho)/2}((nu+1)/2, 1/2) by a continued fraction.
+    index is nu. The tail dependence coefficient is the t-copula's
+    2 t_{nu+1}(-sqrt((nu+1)(1-rho)/(1+rho))) (Demarta & McNeil 2005),
+    evaluated as the regularised incomplete beta I_{(1+rho)/2}((nu+1)/2, 1/2)
+    by a continued fraction.
 
 The harness ``run_mc`` evaluates a set of estimators over replications; the
 replication r uses the generator keyed with ``mix_seed(seed, r)`` = seed XOR r,
 so the streams of one run are distinct, but seeds whose key sets overlap share
 streams (seeds 1, 2 and 3 give identical summaries). Replications are
 aggregated in index order and execution is sequential, so summaries are
-bit-identical across runs. Per-replication estimator errors are tallied in
-the cell's failure count instead of aborting the run.
+bit-identical across runs. A replication whose estimator raises a
+``CotailError`` is left out of that cell's values and counted in its
+failures instead of aborting the run.
 """
 from __future__ import annotations
 
@@ -41,9 +46,9 @@ from .estimators import ESTIMATORS, estimate
 
 @dataclass(frozen=True)
 class LinearParetoModel:
-    phi: float
-    sigma: float
-    alpha: float
+    phi: float = 0.8
+    sigma: float = 0.1
+    alpha: float = 4.0
 
     def __post_init__(self):
         if not 0.0 < self.phi < 1.0:
@@ -61,11 +66,17 @@ class LinearParetoModel:
     def tail_dependence(self) -> float:
         return self.phi ** self.alpha
 
+    def sample(self, gen: np.random.Generator, n: int) -> BivariateSample:
+        """Draw order: the n Pareto uniforms, then the n normals."""
+        x = rng.pareto(gen, self.alpha, n)
+        z = rng.standard_normal(gen, n)
+        return BivariateSample(x, self.phi * x + self.sigma * np.abs(z))
+
 
 @dataclass(frozen=True)
 class BivariateTModel:
-    nu: float
-    rho: float
+    nu: float = 4.0
+    rho: float = 0.9
 
     def __post_init__(self):
         if not 0.0 < self.nu < math.inf:
@@ -82,6 +93,14 @@ class BivariateTModel:
         return _betainc(
             (self.nu + 1.0) / 2.0, 0.5, (1.0 + self.rho) / 2.0, (1.0 - self.rho) / 2.0
         )
+
+    def sample(self, gen: np.random.Generator, n: int) -> BivariateSample:
+        """Draw order: the chi-square, then Z1, then Z2'."""
+        w = self.nu / rng.chi_square(gen, self.nu, n)
+        z1 = rng.standard_normal(gen, n)
+        z2 = self.rho * z1 + math.sqrt(1.0 - self.rho ** 2) * rng.standard_normal(gen, n)
+        root_w = np.sqrt(w)
+        return BivariateSample(root_w * np.abs(z1), root_w * np.abs(z2))
 
 
 def _betainc(a: float, b: float, x: float, y: float) -> float:
@@ -119,6 +138,9 @@ def _betainc(a: float, b: float, x: float, y: float) -> float:
 
 Model = Union[LinearParetoModel, BivariateTModel]
 
+# model id -> class: the one list of models, in CLI order
+MODELS = {"linear-pareto": LinearParetoModel, "bivariate-t": BivariateTModel}
+
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -131,36 +153,26 @@ class ModelConfig:
             raise ValueError("n must be at least 1")
 
 
+def _draw(config: ModelConfig, kind: type | None = None) -> BivariateSample:
+    """Sample ``config`` from the generator keyed by its seed; ``kind`` narrows the model."""
+    if not isinstance(config.model, kind or tuple(MODELS.values())):
+        raise TypeError(
+            f"config.model must be a {kind.__name__}" if kind
+            else f"unknown model type {type(config.model).__name__}"
+        )
+    return config.model.sample(rng.generator(config.seed), config.n)
+
+
 def sample_linear_pareto(config: ModelConfig) -> BivariateSample:
-    model = config.model
-    if not isinstance(model, LinearParetoModel):
-        raise TypeError("config.model must be a LinearParetoModel")
-    gen = rng.generator(config.seed)
-    x = rng.pareto(gen, model.alpha, config.n)
-    z = rng.standard_normal(gen, config.n)
-    return BivariateSample(x, model.phi * x + model.sigma * np.abs(z))
+    return _draw(config, LinearParetoModel)
 
 
 def sample_bivariate_t(config: ModelConfig) -> BivariateSample:
-    model = config.model
-    if not isinstance(model, BivariateTModel):
-        raise TypeError("config.model must be a BivariateTModel")
-    gen = rng.generator(config.seed)
-    w = model.nu / rng.chi_square(gen, model.nu, config.n)
-    z1 = rng.standard_normal(gen, config.n)
-    z2 = model.rho * z1 + math.sqrt(1.0 - model.rho ** 2) * rng.standard_normal(
-        gen, config.n
-    )
-    root_w = np.sqrt(w)
-    return BivariateSample(root_w * np.abs(z1), root_w * np.abs(z2))
+    return _draw(config, BivariateTModel)
 
 
 def sample_dataset(config: ModelConfig) -> BivariateSample:
-    if isinstance(config.model, LinearParetoModel):
-        return sample_linear_pareto(config)
-    if isinstance(config.model, BivariateTModel):
-        return sample_bivariate_t(config)
-    raise TypeError(f"unknown model type {type(config.model).__name__}")
+    return _draw(config)
 
 
 # ---------------------------------------------------------------------------
@@ -172,13 +184,15 @@ CellKey = tuple[str, float, Union[float, None]]
 
 @dataclass(frozen=True)
 class McCell:
-    mean: float
-    sd: float
-    q05: float
-    q25: float
-    q50: float
-    q75: float
-    q95: float
+    """One cell's summary; the statistics are None when every replication failed."""
+
+    mean: float | None
+    sd: float | None
+    q05: float | None
+    q25: float | None
+    q50: float | None
+    q75: float | None
+    q95: float | None
     rep_count: int
     failures: int
 
@@ -237,8 +251,8 @@ def run_mc(
                 counts[(name, kf, kaf)] = (fraction_to_count(kf, n), ka)
 
     params = {"alpha": config.model.tail_index, "y": y, "norm": "l2"}
+    # a failed replication is simply missing from its cell's list
     values: dict[CellKey, list[float]] = {key: [] for key in counts}
-    failures: dict[CellKey, int] = {key: 0 for key in counts}
 
     for rep in range(reps):
         sample = sample_dataset(replace(config, seed=rng.mix_seed(config.seed, rep)))
@@ -246,20 +260,17 @@ def run_mc(
             try:
                 values[key].append(estimate(key[0], sample, k, k_alpha=ka, **params).value)
             except CotailError:
-                failures[key] += 1
+                pass
 
     cells: dict[CellKey, McCell] = {}
-    for key in counts:
-        vals = np.asarray(values[key], dtype=float)
-        if vals.size == 0:
-            mean = sd = q05 = q25 = q50 = q75 = q95 = float("nan")
-        else:
-            mean = float(np.mean(vals))
-            sd = float(np.std(vals, ddof=1)) if vals.size > 1 else 0.0
-            q05, q25, q50, q75, q95 = (
-                float(q) for q in np.quantile(vals, [0.05, 0.25, 0.5, 0.75, 0.95])
-            )
-        cells[key] = McCell(mean, sd, q05, q25, q50, q75, q95, reps, failures[key])
+    for key, vals in values.items():
+        stats = [None] * 7
+        if vals:
+            arr = np.asarray(vals, dtype=float)
+            sd = float(np.std(arr, ddof=1)) if arr.size > 1 else 0.0
+            quantiles = np.quantile(arr, [0.05, 0.25, 0.5, 0.75, 0.95])
+            stats = [float(np.mean(arr)), sd, *(float(q) for q in quantiles)]
+        cells[key] = McCell(*stats, rep_count=reps, failures=reps - len(vals))
 
     truth = None
     if y == 1.0 and any("y" in ESTIMATORS[name].params for name in names):

@@ -70,13 +70,8 @@ def squared_norm(x: np.ndarray, y: np.ndarray, norm: str) -> np.ndarray:
     # l2 avoids the sqrt round-trip so x = y gives the ratio 1/2 exactly
     if norm == "l2":
         return x * x + y * y
-    if norm == "l1":
-        s = x + y
-        return s * s
-    if norm == "linf":
-        m = np.maximum(x, y)
-        return m * m
-    raise ValueError(f"unknown norm {norm!r}, expected one of {NORMS}")
+    r = norm_values(x, y, norm)
+    return r * r
 
 
 # ---------------------------------------------------------------------------

@@ -237,6 +237,29 @@ def test_curve_y_grid(tmp_path, capsys):
         assert json.loads(err)["error"]["type"] == "ValueError"
 
 
+def test_curve_ignores_k_alpha_flags_for_methods_without_a_hill_step(tmp_path, capsys):
+    # as estimate does: an out-of-range --k-alpha-frac only fails where it is used
+    data = tmp_path / "xy.csv"
+    data.write_text("\n".join(f"{v}.0,{v}.0" for v in range(1, 61)) + "\n")
+    code, out, err = run_cli(
+        capsys, "curve", "--input", str(data), "--k", "10", "--y-grid", "1,2",
+        "--methods", "empirical", "--k-alpha-frac", "1.5",
+    )
+    assert (code, err) == (0, "")
+    assert len(out.strip().splitlines()) == 3
+    code, _, _ = run_cli(
+        capsys, "estimate", "--input", str(data), "--estimator", "tdc-empirical",
+        "--k", "10", "--k-alpha-frac", "1.5",
+    )
+    assert code == 0
+    code, out, err = run_cli(
+        capsys, "curve", "--input", str(data), "--k", "10", "--y-grid", "1,2",
+        "--methods", "quasispectral-estimated", "--k-alpha-frac", "1.5",
+    )
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"]["type"] == "ValueError"
+
+
 def test_error_is_machine_readable(tmp_path, capsys):
     data = tmp_path / "bad.csv"
     data.write_text("1.0,2.0\nbroken,4.0\n")

@@ -133,6 +133,13 @@ def _success_cases() -> dict[str, list[str]]:
     for tag, model in MC_MODELS.items():
         cases[f"mc_{tag}_csv"] = ["mc", *model, *MC_ARGS]
         cases[f"mc_{tag}_json"] = ["mc", *model, *MC_ARGS, "--format", "json"]
+    # the model's alpha 0.8 reaches cte_aleph4, so each of its replications fails
+    all_failed = [
+        "mc", "--model", "linear-pareto", "--alpha", "0.8", "--estimators",
+        "cte-aleph4,tdc-empirical", "--n", "200", "--reps", "3", "--k-fracs", "0.1",
+    ]
+    cases["mc_lp_all_failed_csv"] = all_failed
+    cases["mc_lp_all_failed_json"] = [*all_failed, "--format", "json"]
     cases["mc_lp_y_off_one"] = [
         "mc", *MC_MODELS["lp"], "--n", "150", "--reps", "4", "--k-fracs", "0.1",
         "--y", "1.5",
@@ -210,6 +217,8 @@ ERRORS = {
         1, "ValueError"),
     "mc_k_frac_out_of_range": ([*MC_LP, "--k-fracs", "0.1,1.5"], 1, "ValueError"),
     "mc_no_reps": ([*MC_LP, "--reps", "0"], 1, "ValueError"),
+    "mc_n_one": (
+        ["mc", "--model", "linear-pareto", "--n", "1", "--reps", "2"], 1, "ValueError"),
     "simulate_nu_inf": (
         ["simulate", "--model", "bivariate-t", "--n", "10", "--nu", "inf"], 1, "ValueError"),
     "input_missing": (
@@ -249,6 +258,19 @@ def test_golden_error_type(case, monkeypatch):
     assert out == ""
     if expected_type is not None:
         assert json.loads(err)["error"]["type"] == expected_type
+
+
+def test_all_failed_mc_cell_is_strict_json():
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    text = (GOLDEN / "mc_lp_all_failed_json.out").read_text(encoding="utf-8")
+    failed, ok = json.loads(text, parse_constant=reject)["rows"]
+    assert failed["estimator_id"] == "cte_aleph4"
+    assert failed["failures"] == failed["rep_count"] == 3
+    stats = ("mean", "sd", "q05", "q25", "q50", "q75", "q95")
+    assert all(failed[s] is None for s in stats)
+    assert ok["failures"] == 0 and all(ok[s] is not None for s in stats)
 
 
 def test_every_stored_output_has_a_case():

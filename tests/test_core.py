@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from cotail import BivariateSample, NegativeValue, exceedance_indices, order_view
+from cotail.core import fraction_to_count
 
 
 def make(x, y=None):
@@ -165,3 +166,13 @@ def test_unpickled_sample_stays_read_only():
     with pytest.raises(ValueError):
         t.x[0] = 0.0
     assert order_view(t).threshold(1) == 2.0
+
+
+def test_fraction_to_count_clamps_and_needs_two_observations():
+    assert fraction_to_count(0.1, 1000) == 100
+    assert fraction_to_count(0.001, 100) == 1
+    assert fraction_to_count(0.999, 100) == 99
+    assert fraction_to_count(0.5, 2) == 1
+    for n in (1, 0):
+        with pytest.raises(ValueError, match=f"n = {n}"):
+            fraction_to_count(0.5, n)

@@ -10,6 +10,7 @@ from cotail import (
     AlphaNotAboveOne,
     BivariateSample,
     BivariateTModel,
+    CondTailCurve,
     InvalidP,
     LinearParetoModel,
     MissingVariance,
@@ -25,8 +26,11 @@ from cotail import (
     estimate,
     joint_exceedance,
     margin_exceedance,
+    normalized_product,
     order_view,
     run_mc,
+    sample_bivariate_t,
+    sample_dataset,
     sample_linear_pareto,
     tdc_empirical,
     tdc_quasispectral,
@@ -36,7 +40,9 @@ from cotail import (
     theta_hat,
 )
 from cotail import rng as crng
+from cotail.cli import ingest_text
 from cotail.estimators import check_y_grid
+from cotail.tail_function import norm_values, squared_norm
 
 
 def pareto_sample(seed, n, alpha=4.0, ratio=None):
@@ -468,3 +474,40 @@ def test_infinite_parameters_rejected(case):
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+# guard clauses no other test reaches: each call must raise the pinned type
+_BT = ModelConfig(BivariateTModel(4.0, 0.9), 50, 1)
+_GRID = [1.0, 2.0, 3.0]
+GUARD_INPUTS = {
+    "ingest_unknown_transform": (lambda: ingest_text("1,2\n", "bogus"), ValueError),
+    "sample_two_dimensional": (
+        lambda: BivariateSample(np.ones((2, 2)), np.ones((2, 2))), ValueError),
+    "sample_from_no_pairs": (lambda: BivariateSample.from_pairs([]), ValueError),
+    "curve_length_mismatch": (
+        lambda: CondTailCurve(_GRID, [0.5, 0.4], "x", 2), ValueError),
+    "curve_value_above_one": (
+        lambda: CondTailCurve(_GRID, [1.5, 0.4, 0.3], "x", 2), ValueError),
+    "curve_increasing_values": (
+        lambda: CondTailCurve(_GRID, [0.3, 0.4, 0.5], "x", 2), ValueError),
+    "sample_linear_pareto_given_t": (lambda: sample_linear_pareto(_BT), TypeError),
+    "sample_bivariate_t_given_pareto": (lambda: sample_bivariate_t(_LP), TypeError),
+    "sample_dataset_unknown_model": (
+        lambda: sample_dataset(ModelConfig(object(), 10, 0)), TypeError),
+    "norm_values_l3": (lambda: norm_values(_S.x, _S.y, "l3"), ValueError),
+    "squared_norm_l3": (lambda: squared_norm(_S.x, _S.y, "l3"), ValueError),
+    "normalized_product_l3": (lambda: normalized_product("l3"), ValueError),
+    "edm_estimate_l3": (lambda: edm_estimate(_S, 2, "l3"), ValueError),
+    "tef_fixed_fbar_zero": (
+        lambda: tef_fixed(_S, margin_exceedance(), 1.0, 1.0, 0.0), ValueError),
+    "tef_fixed_fbar_above_one": (
+        lambda: tef_fixed(_S, margin_exceedance(), 1.0, 1.0, 1.5), ValueError),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GUARD_INPUTS))
+def test_guard_rejects_input(case):
+    call, error = GUARD_INPUTS[case]
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error

@@ -179,6 +179,20 @@ def test_run_mc_tallies_failures(monkeypatch):
     assert not math.isnan(cell.mean)
 
 
+def test_run_mc_cell_with_every_replication_failed():
+    # cte_aleph4 receives the model's alpha 0.8 and raises AlphaNotAboveOne
+    config = ModelConfig(LinearParetoModel(0.8, 0.1, 0.8), n=200, seed=0)
+    summary = run_mc(
+        config, reps=3, k_fractions=[0.1], estimators=("cte_aleph4", "tdc_empirical")
+    )
+    failed = summary.cells[("cte_aleph4", 0.1, None)]
+    assert failed.failures == failed.rep_count == 3
+    stats = (failed.mean, failed.sd, failed.q05, failed.q25, failed.q50, failed.q75, failed.q95)
+    assert stats == (None,) * 7
+    ok = summary.cells[("tdc_empirical", 0.1, None)]
+    assert ok.failures == 0 and ok.mean is not None
+
+
 def test_run_mc_sorts_each_sample_once(monkeypatch):
     # the criterion-1 study: 15 cells and a Hill step, one argsort per sample
     real = np.argsort
