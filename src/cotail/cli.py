@@ -140,9 +140,10 @@ def _rows_to_csv(columns, rows) -> str:
 
 
 def _emit(args, columns, rows, extra: dict | None = None) -> None:
+    # each row is projected onto the columns: a field it lacks is None, an empty CSV cell
+    rows = [{c: row.get(c) for c in columns} for row in rows]
     if args.format == "csv":
-        # a missing value is an empty cell
-        values = (["" if row[c] is None else row[c] for c in columns] for row in rows)
+        values = (["" if v is None else v for v in row.values()] for row in rows)
         _write_text(args.out, _rows_to_csv(columns, values))
     else:
         payload = {**(extra or {}), "rows": rows}
@@ -222,40 +223,36 @@ def _cmd_ingest(args) -> None:
     _sample_payload(args, _load_sample(args))
 
 
+def _report_row(args, sample: BivariateSample, name: str, k: int, y: float):
+    """Run the ``ESTIMATORS`` entry ``name`` at (k, y); return it and its report fields."""
+    params = ESTIMATORS[name].params
+    k_alpha = _k_alpha(args, k, sample.n) if "k_alpha" in params else None
+    # curve has no --norm: none of its tdc methods takes one
+    norm = getattr(args, "norm", None)
+    est = estimate(name, sample, k, y=y, alpha=args.alpha, k_alpha=k_alpha, norm=norm)
+    source = "hill" if k_alpha is not None else "supplied" if "alpha" in params else None
+    return est, {
+        "estimator_id": est.estimator_id,
+        "k": k,
+        "k_alpha": k_alpha,
+        "y": y if "y" in params else None,
+        "value": est.value,
+        "plugin_variance": est.plugin_variance,
+        "alpha_used": est.alpha_used,
+        "alpha_source": source,
+    }
+
+
 def _cmd_estimate(args) -> None:
     sample = _load_sample(args)
-    n = sample.n
-    k = _resolve_count(args.k, args.k_frac, n, "k")
-    report = dict.fromkeys(REPORT_COLUMNS)
-    report.update({"n": n, "k": k})
+    k = _resolve_count(args.k, args.k_frac, sample.n, "k")
     if args.estimator == "theta":
-        report.update(_theta_report(args, sample, k))
+        row = _theta_report(args, sample, k)
     else:
-        name = _registry_id(args.estimator)
-        params = ESTIMATORS[name].params
-        k_alpha = _k_alpha(args, k, n) if "k_alpha" in params else None
-        est = estimate(
-            name, sample, k, y=args.y, alpha=args.alpha, k_alpha=k_alpha, norm=args.norm
-        )
+        est, row = _report_row(args, sample, _registry_id(args.estimator), k, args.y)
         lo, hi = confidence_interval(est, args.ci_level)
-        report.update(
-            {
-                "estimator_id": est.estimator_id,
-                "k_alpha": k_alpha,
-                "y": args.y if "y" in params else None,
-                "value": est.value,
-                "plugin_variance": est.plugin_variance,
-                "ci_level": args.ci_level,
-                "ci_lo": lo,
-                "ci_hi": hi,
-                "alpha_used": est.alpha_used,
-            }
-        )
-        if k_alpha is not None:
-            report["alpha_source"] = "hill"
-        elif "alpha" in params:
-            report["alpha_source"] = "supplied"
-    _emit(args, REPORT_COLUMNS, [report])
+        row.update(ci_level=args.ci_level, ci_lo=lo, ci_hi=hi)
+    _emit(args, REPORT_COLUMNS, [{"n": sample.n, **row}])
 
 
 def _theta_report(args, sample: BivariateSample, k: int) -> dict:
@@ -272,6 +269,7 @@ def _theta_report(args, sample: BivariateSample, k: int) -> dict:
     ext = theta_hat(sample, k, args.p, aleph, alpha)
     return {
         "estimator_id": "theta_hat",
+        "k": k,
         "k_alpha": k_alpha,
         "value": ext.theta_hat,
         "alpha_used": ext.alpha_used,
@@ -294,6 +292,8 @@ def _cmd_curve(args) -> None:
         k = _resolve_count(args.k, args.k_frac, n, "k")
         points = [(k, y) for y in check_y_grid(_float_list(args.y_grid)).tolist()]
     else:
+        if args.k is not None or args.k_frac is not None:
+            raise ValueError("--k/--k-frac set the level of a --y-grid sweep only")
         points = [
             (fraction_to_count(frac, n, "--k-grid fractions"), args.y)
             for frac in _float_list(args.k_grid)
@@ -308,19 +308,7 @@ def _cmd_curve(args) -> None:
         name = "tdc_" + _registry_id(method)
         if name not in ESTIMATORS:
             raise ValueError(f"unknown method {method!r}")
-        takes_k_alpha = "k_alpha" in ESTIMATORS[name].params
-        k_alphas = {k: _k_alpha(args, k, n) if takes_k_alpha else None for k, _ in points}
-        for k, y in points:
-            est = estimate(name, sample, k, y=y, alpha=args.alpha, k_alpha=k_alphas[k])
-            rows.append(
-                {
-                    "estimator_id": est.estimator_id,
-                    "k": k,
-                    "y": y,
-                    "value": est.value,
-                    "plugin_variance": est.plugin_variance,
-                }
-            )
+        rows += [_report_row(args, sample, name, k, y)[1] for k, y in points]
     _emit(args, _CURVE_COLUMNS, rows)
 
 

@@ -94,8 +94,8 @@ class CteExtrapolation:
 
 
 def _check_y(y: float) -> None:
-    if not y > 0:
-        raise ValueError("y must be positive")
+    if not 0 < y < math.inf:
+        raise ValueError("y must be positive and finite")
 
 
 def _weight_mean(
@@ -131,8 +131,8 @@ def tdc_quasispectral(
 ) -> TailEstimate:
     """Mean of min(y_j / (y x_j), 1)^alpha over x-exceedances, known alpha."""
     _check_y(y)
-    if not alpha > 0:
-        raise ValueError("alpha must be positive")
+    if not 0 < alpha < math.inf:
+        raise ValueError("alpha must be positive and finite")
     _, xe, ye = order_view(sample).exceedances(k)
     weights = np.minimum(ye / (y * xe), 1.0) ** alpha
     return _weight_mean(weights, k, "tdc_quasispectral", alpha_used=alpha)
@@ -152,12 +152,12 @@ def tdc_quasispectral_estimated(
 
 
 def check_y_grid(y_grid) -> np.ndarray:
-    """The y grid as a float array; it must be nonempty, positive and increasing."""
+    """The y grid as a float array; it must be nonempty, positive, finite and increasing."""
     grid = np.asarray(y_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("y_grid must be a nonempty one-dimensional sequence")
-    if not (np.all(grid > 0) and np.all(np.diff(grid) > 0)):
-        raise ValueError("y_grid must be strictly increasing and positive")
+    if not (np.all((0 < grid) & (grid < math.inf)) and np.all(np.diff(grid) > 0)):
+        raise ValueError("y_grid must be strictly increasing, positive and finite")
     return grid
 
 
@@ -203,8 +203,8 @@ def cte_aleph4(sample: BivariateSample, k: int, alpha: float) -> TailEstimate:
     alpha/(alpha - 1) times the mean of y_j / x_j over x-exceedances. The
     ratio form keeps the variance finite even when the tail index is below 2.
     """
-    if not alpha > 1:
-        raise AlphaNotAboveOne(f"alpha must exceed 1, got {alpha}")
+    if not 1 < alpha < math.inf:
+        raise AlphaNotAboveOne(f"alpha must exceed 1 and be finite, got {alpha}")
     _, xe, ye = order_view(sample).exceedances(k)
     factor = alpha / (alpha - 1.0)
     return _weight_mean(ye / xe, k, "cte_aleph4", factor, alpha_used=alpha)
@@ -216,18 +216,25 @@ def theta_hat(
     """Extrapolated conditional tail expectation at exceedance probability p.
 
     theta_hat = aleph * X_{n:n-k} * (k / (n p))^(1/alpha). Extrapolation is
-    meaningful for p <= k/n (factor >= 1).
+    meaningful for p <= k/n (factor >= 1). A factor or theta_hat beyond the
+    double range is a ValueError.
     """
     if not 0.0 < p < 1.0:
         raise InvalidP(f"p must lie in (0, 1), got {p}")
-    if not alpha > 0:
-        raise ValueError("alpha must be positive")
+    if not 0 < alpha < math.inf:
+        raise ValueError("alpha must be positive and finite")
     thr = order_view(sample).threshold(k)
-    # evaluated as (k/n)/p so that p = k/n yields the factor 1.0 exactly
-    factor = ((k / sample.n) / p) ** (1.0 / alpha)
+    try:
+        # evaluated as (k/n)/p so that p = k/n yields the factor 1.0 exactly
+        factor = ((k / sample.n) / p) ** (1.0 / alpha)
+    except OverflowError:
+        raise ValueError(f"the extrapolation factor overflows at p = {p}") from None
+    value = aleph * thr * factor
+    if not math.isfinite(value):
+        raise ValueError(f"theta_hat = {value} is not finite")
     return CteExtrapolation(
         p=p,
-        theta_hat=aleph * thr * factor,
+        theta_hat=value,
         aleph_used=aleph,
         alpha_used=alpha,
         extrapolation_factor=factor,

@@ -87,6 +87,6 @@ def chi_square(gen: np.random.Generator, df: float, size: int) -> np.ndarray:
 
 def pareto(gen: np.random.Generator, alpha: float, size: int) -> np.ndarray:
     """Standard Pareto(alpha): survival x^(-alpha) on x >= 1."""
-    if not alpha > 0:
-        raise ValueError("alpha must be positive")
+    if not 0 < alpha < math.inf:
+        raise ValueError("alpha must be positive and finite")
     return open_uniform(gen, size) ** (-1.0 / alpha)

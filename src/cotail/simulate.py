@@ -55,8 +55,8 @@ class LinearParetoModel:
             raise ValueError("phi must lie in (0, 1)")
         if not self.sigma >= 0.0:
             raise ValueError("sigma must be nonnegative (0 is the degenerate case)")
-        if not self.alpha > 0.0:
-            raise ValueError("alpha must be positive")
+        if not 0.0 < self.alpha < math.inf:
+            raise ValueError("alpha must be positive and finite")
 
     @property
     def tail_index(self) -> float:
@@ -153,26 +153,11 @@ class ModelConfig:
             raise ValueError("n must be at least 1")
 
 
-def _draw(config: ModelConfig, kind: type | None = None) -> BivariateSample:
-    """Sample ``config`` from the generator keyed by its seed; ``kind`` narrows the model."""
-    if not isinstance(config.model, kind or tuple(MODELS.values())):
-        raise TypeError(
-            f"config.model must be a {kind.__name__}" if kind
-            else f"unknown model type {type(config.model).__name__}"
-        )
-    return config.model.sample(rng.generator(config.seed), config.n)
-
-
-def sample_linear_pareto(config: ModelConfig) -> BivariateSample:
-    return _draw(config, LinearParetoModel)
-
-
-def sample_bivariate_t(config: ModelConfig) -> BivariateSample:
-    return _draw(config, BivariateTModel)
-
-
 def sample_dataset(config: ModelConfig) -> BivariateSample:
-    return _draw(config)
+    """Sample ``config`` from the generator keyed by its seed."""
+    if not isinstance(config.model, tuple(MODELS.values())):
+        raise TypeError(f"unknown model type {type(config.model).__name__}")
+    return config.model.sample(rng.generator(config.seed), config.n)
 
 
 # ---------------------------------------------------------------------------
@@ -225,8 +210,8 @@ def run_mc(
     """
     if reps < 1:
         raise ValueError("reps must be at least 1")
-    if not y > 0:
-        raise ValueError("y must be positive")
+    if not 0 < y < math.inf:
+        raise ValueError("y must be positive and finite")
     names = list(dict.fromkeys(estimators))
     if not names:
         raise ValueError("at least one estimator is required")

@@ -16,10 +16,10 @@ Two evaluation modes exist:
   survival mass ``fbar_u`` at that level. The survival mass is only knowable
   in simulations, so this form is a simulation-side diagnostic.
 - ``tef_random`` replaces the level with the order statistic X_{n:n-k} and the
-  normalization with the nominal k. With ``normalize_psi_by_threshold`` the
-  psi arguments are scaled by the same order statistic (the fully data-driven
-  form every estimator in this package uses); otherwise the caller must pass
-  the deterministic u that scales the psi arguments.
+  normalization with the nominal k. The psi arguments are scaled by the same
+  order statistic (the fully data-driven form every estimator in this package
+  uses) unless a deterministic level ``u`` is passed, which then scales them
+  instead; only a simulation knows such a u.
 
 Sums are accumulated with ``math.fsum`` (exactly rounded), so results do not
 depend on summation order and are bit-reproducible.
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -90,8 +90,8 @@ def margin_exceedance() -> TailFunctionSpec:
 
 def joint_exceedance(y_cut: float = 1.0) -> TailFunctionSpec:
     """psi = 1 on {x1 > 1, x2 > y_cut}: joint exceedance counting."""
-    if not y_cut > 0:
-        raise ValueError("y_cut must be positive")
+    if not 0 < y_cut < math.inf:
+        raise ValueError("y_cut must be positive and finite")
     return TailFunctionSpec(
         psi=lambda u, v: np.ones_like(u),
         gamma=0.0,
@@ -102,10 +102,10 @@ def joint_exceedance(y_cut: float = 1.0) -> TailFunctionSpec:
 
 def capped_ratio_power(alpha: float, y_cut: float = 1.0) -> TailFunctionSpec:
     """psi = min(x2 / (y_cut * x1), 1)^alpha on {x1 > 1}."""
-    if not alpha > 0:
-        raise ValueError("alpha must be positive")
-    if not y_cut > 0:
-        raise ValueError("y_cut must be positive")
+    if not 0 < alpha < math.inf:
+        raise ValueError("alpha must be positive and finite")
+    if not 0 < y_cut < math.inf:
+        raise ValueError("y_cut must be positive and finite")
     return TailFunctionSpec(
         psi=lambda u, v: np.minimum(v / (y_cut * u), 1.0) ** alpha,
         gamma=0.0,
@@ -204,45 +204,20 @@ def tef_random(
     spec: TailFunctionSpec,
     k: int,
     s: float = 1.0,
-    normalize_psi_by_threshold: bool = True,
     u: float | None = None,
 ) -> float:
     """Tail functional at the random level X_{n:n-k}, normalized by nominal k.
 
-    With ``normalize_psi_by_threshold`` the psi arguments are scaled by the
-    order statistic itself; otherwise they are scaled by the deterministic
-    level ``u``, which must then be supplied (simulation-side use only). The
+    The psi arguments are scaled by the deterministic level ``u`` when it is
+    given (simulation-side use only), else by the order statistic itself. The
     inclusion region is always scaled by s * X_{n:n-k}.
     """
     if not s > 0:
         raise ValueError("s must be positive")
+    if u is not None and not u > 0:
+        raise ValueError("u must be positive")
     thr = order_view(sample).threshold(k)
     if thr <= 0:
         raise NonPositiveThreshold(f"X_(n-k) = {thr} is not positive")
-    if normalize_psi_by_threshold:
-        denom = thr
-    else:
-        if u is None:
-            raise ValueError("u is required when psi is scaled by a deterministic level")
-        if not u > 0:
-            raise ValueError("u must be positive")
-        denom = u
+    denom = thr if u is None else u
     return _weighted_sum(sample.x, sample.y, spec, scale=s * thr, denom=denom) / k
-
-
-def tef_random_grid(
-    sample: BivariateSample,
-    spec: TailFunctionSpec,
-    k: int,
-    s_values: Sequence[float],
-    normalize_psi_by_threshold: bool = True,
-    u: float | None = None,
-) -> np.ndarray:
-    """Evaluate ``tef_random`` over a grid of s values (grid choice is yours)."""
-    return np.asarray(
-        [
-            tef_random(sample, spec, k, s, normalize_psi_by_threshold, u)
-            for s in s_values
-        ],
-        dtype=float,
-    )

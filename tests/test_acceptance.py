@@ -25,7 +25,7 @@ from cotail import (
     hill_estimate,
     order_view,
     run_mc,
-    sample_linear_pareto,
+    sample_dataset,
     tdc_empirical,
     tdc_quasispectral,
     tdc_quasispectral_estimated,
@@ -245,7 +245,7 @@ def test_criterion_6_cte_identity():
     factor = alpha / (alpha - 1.0)
     exact = all(
         cte_aleph4(
-            sample_linear_pareto(
+            sample_dataset(
                 ModelConfig(LinearParetoModel(phi, 0.0, alpha), n=2000, seed=crng.mix_seed(607, rep))
             ),
             200,

@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -95,9 +96,9 @@ def test_simulate_then_ingest_roundtrip_bit_exact(tmp_path, capsys):
         "--seed", "9", "--out", str(out),
     )
     assert code == 0
-    from cotail import LinearParetoModel, ModelConfig, sample_linear_pareto
+    from cotail import LinearParetoModel, ModelConfig, sample_dataset
 
-    direct = sample_linear_pareto(ModelConfig(LinearParetoModel(0.8, 0.1, 4.0), 200, 9))
+    direct = sample_dataset(ModelConfig(LinearParetoModel(0.8, 0.1, 4.0), 200, 9))
     reread = ingest_text(out.read_text(), "none")
     assert np.array_equal(direct.x, reread.x)
     assert np.array_equal(direct.y, reread.y)
@@ -258,6 +259,33 @@ def test_curve_ignores_k_alpha_flags_for_methods_without_a_hill_step(tmp_path, c
     )
     assert (code, out) == (1, "")
     assert json.loads(err)["error"]["type"] == "ValueError"
+
+
+def test_curve_and_estimate_report_the_same_numbers(capsys):
+    data = str(Path(__file__).parent / "golden" / "linear_pareto.csv")
+
+    def row(command, *argv):
+        code, out, _ = run_cli(
+            capsys, command, "--input", data, "--alpha", "4", "--k-alpha", "50", *argv,
+            "--format", "json",
+        )
+        assert code == 0
+        return json.loads(out)["rows"][0]
+
+    # one --y-grid point at k = 15, one --k-grid point at k = 0.2 * 200 = 40
+    points = (
+        (["--k", "15", "--y-grid", "0.7"], 15, 0.7),
+        (["--k-grid", "0.2", "--y", "1.3"], 40, 1.3),
+    )
+    for method in ("empirical", "quasispectral", "quasispectral-estimated"):
+        for grid, k, y in points:
+            curve = row("curve", "--methods", method, *grid)
+            single = row(
+                "estimate", "--estimator", f"tdc-{method}", "--k", str(k), "--y", str(y)
+            )
+            assert (curve["k"], curve["y"]) == (k, y)
+            for field in ("estimator_id", "value", "plugin_variance"):
+                assert curve[field] == single[field], (method, grid, field)
 
 
 def test_error_is_machine_readable(tmp_path, capsys):

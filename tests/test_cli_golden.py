@@ -184,11 +184,24 @@ ERRORS = {
     "aleph4_alpha_below_one": (
         [*ESTIMATE_LP, "--estimator", "cte-aleph4", "--k", "10", "--alpha", "0.9"],
         1, "AlphaNotAboveOne"),
+    "aleph4_alpha_inf": (
+        [*ESTIMATE_LP, "--estimator", "cte-aleph4", "--k", "10", "--alpha", "inf"],
+        1, "AlphaNotAboveOne"),
+    "quasispectral_alpha_inf": (
+        [*ESTIMATE_LP, "--estimator", "tdc-quasispectral", "--k", "10", "--alpha", "inf"],
+        1, "ValueError"),
+    # (0.05 / 1e-300)^2 is past the double range
+    "theta_factor_overflow": (
+        [*ESTIMATE_LP, "--estimator", "theta", "--k", "10", "--p", "1e-300",
+         "--alpha", "0.5"], 1, "ValueError"),
     "ci_level_out_of_range": (
         [*ESTIMATE_LP, "--estimator", "cte-aleph3", "--k", "10", "--ci-level", "1.5"],
         1, "ValueError"),
     "y_nan": (
         [*ESTIMATE_LP, "--estimator", "tdc-empirical", "--k", "10", "--y", "nan"],
+        1, "ValueError"),
+    "y_inf": (
+        [*ESTIMATE_LP, "--estimator", "tdc-empirical", "--k", "10", "--y", "inf"],
         1, "ValueError"),
     "unknown_estimator": ([*ESTIMATE_LP, "--estimator", "nope", "--k", "10"], 2, None),
     "curve_unknown_method": (
@@ -206,6 +219,11 @@ ERRORS = {
     "curve_no_grid": ([*CURVE_LP, "--k", "10"], 1, "ValueError"),
     "curve_y_grid_without_k": ([*CURVE_LP, "--y-grid", "1,2"], 1, "ValueError"),
     "curve_bad_number": ([*CURVE_LP, "--k", "10", "--y-grid", "1,x"], 1, "ValueError"),
+    "curve_y_grid_inf": (
+        [*CURVE_LP, "--k", "10", "--y-grid", "1,inf", "--methods", "empirical"],
+        1, "ValueError"),
+    "curve_k_grid_with_k": (
+        [*CURVE_LP, "--k-grid", "0.1", "--k", "5", "--methods", "empirical"], 1, "ValueError"),
     "curve_no_methods": (
         [*CURVE_LP, "--k", "10", "--y-grid", "1,2", "--methods", ","], 1, "ValueError"),
     "curve_empty_k_grid": (
@@ -219,6 +237,7 @@ ERRORS = {
     "mc_no_reps": ([*MC_LP, "--reps", "0"], 1, "ValueError"),
     "mc_n_one": (
         ["mc", "--model", "linear-pareto", "--n", "1", "--reps", "2"], 1, "ValueError"),
+    "mc_alpha_inf": ([*MC_LP, "--alpha", "inf"], 1, "ValueError"),
     "simulate_nu_inf": (
         ["simulate", "--model", "bivariate-t", "--n", "10", "--nu", "inf"], 1, "ValueError"),
     "input_missing": (

@@ -29,9 +29,7 @@ from cotail import (
     normalized_product,
     order_view,
     run_mc,
-    sample_bivariate_t,
     sample_dataset,
-    sample_linear_pareto,
     tdc_empirical,
     tdc_quasispectral,
     tdc_quasispectral_estimated,
@@ -166,7 +164,7 @@ def test_curve_vanishes_beyond_max_ratio():
 
 def test_curve_methods_agree_at_scale():
     config = ModelConfig(LinearParetoModel(0.8, 0.1, 4.0), n=100_000, seed=12)
-    sample = sample_linear_pareto(config)
+    sample = sample_dataset(config)
     grid = [0.6, 0.8, 1.0, 1.2]
     emp = cond_tail_curve(sample, 1000, grid, "empirical")
     qs = cond_tail_curve(sample, 1000, grid, "quasispectral", alpha=4.0)
@@ -232,7 +230,7 @@ def test_cte_aleph4_half_slope_exact():
 
 def test_cte_estimators_agree_on_linear_model():
     config = ModelConfig(LinearParetoModel(0.8, 0.1, 4.0), n=100_000, seed=18)
-    sample = sample_linear_pareto(config)
+    sample = sample_dataset(config)
     a3 = cte_aleph3(sample, 1000).value
     a4 = cte_aleph4(sample, 1000, 4.0).value
     assert abs(a3 - a4) < 0.08
@@ -272,12 +270,12 @@ def test_theta_against_conditional_mean_oracle():
     model = LinearParetoModel(0.8, 0.1, 4.0)
     p = 0.005
     x_p = (1.0 / p) ** 0.25
-    big = sample_linear_pareto(ModelConfig(model, n=2_000_000, seed=22))
+    big = sample_dataset(ModelConfig(model, n=2_000_000, seed=22))
     oracle = float(np.mean(big.y[big.x > x_p]))
 
     reps, total = 100, 0.0
     for rep in range(reps):
-        sample = sample_linear_pareto(ModelConfig(model, n=5000, seed=crng.mix_seed(23, rep)))
+        sample = sample_dataset(ModelConfig(model, n=5000, seed=crng.mix_seed(23, rep)))
         k = 500
         aleph = cte_aleph4(sample, k, 4.0).value
         total += theta_hat(sample, k, p, aleph, 4.0).theta_hat
@@ -437,10 +435,7 @@ NAN_INPUTS = {
     "linear_pareto_alpha": (lambda: LinearParetoModel(0.8, 0.1, NAN), ValueError),
     "bivariate_t_nu": (lambda: BivariateTModel(NAN, 0.5), ValueError),
     "tef_random_s": (lambda: tef_random(_S, margin_exceedance(), 2, s=NAN), ValueError),
-    "tef_random_u": (
-        lambda: tef_random(_S, margin_exceedance(), 2, normalize_psi_by_threshold=False, u=NAN),
-        ValueError,
-    ),
+    "tef_random_u": (lambda: tef_random(_S, margin_exceedance(), 2, u=NAN), ValueError),
     "tef_fixed_u": (lambda: tef_fixed(_S, margin_exceedance(), NAN, 1.0, 0.5), ValueError),
     "tef_fixed_s": (lambda: tef_fixed(_S, margin_exceedance(), 1.0, NAN, 0.5), ValueError),
     "capped_ratio_power_alpha": (lambda: capped_ratio_power(NAN), ValueError),
@@ -459,25 +454,43 @@ def test_nan_parameters_rejected(case):
 
 
 # an infinite gamma shape used to stall the rejection sampler, so each case
-# runs in its own interpreter under a timeout
+# runs in its own interpreter under a timeout and prints the type it raised
+_SETUP = (
+    "import cotail as c; from cotail import rng, estimators as e; INF = float('inf'); "
+    "s = c.BivariateSample([1.0, 2.0, 3.0, 4.0, 5.0], [5.0, 4.0, 3.0, 2.0, 1.0]); "
+    "lp = c.ModelConfig(c.LinearParetoModel(), 50, 1)"
+)
 INF_INPUTS = {
-    "bivariate_t_nu": "from cotail import BivariateTModel; BivariateTModel(INF, 0.5)",
-    "rng_gamma_shape": "from cotail import rng; rng.standard_gamma(rng.generator(1), INF, 3)",
+    "bivariate_t_nu": ("c.BivariateTModel(INF, 0.5)", "ValueError"),
+    "rng_gamma_shape": ("rng.standard_gamma(rng.generator(1), INF, 3)", "ValueError"),
+    "check_y": ("c.tdc_empirical(s, 2, y=INF)", "ValueError"),
+    "check_y_grid": ("e.check_y_grid([1.0, INF])", "ValueError"),
+    "tdc_quasispectral_alpha": ("c.tdc_quasispectral(s, 2, alpha=INF)", "ValueError"),
+    "cte_aleph4_alpha": ("c.cte_aleph4(s, 2, alpha=INF)", "AlphaNotAboveOne"),
+    "theta_hat_alpha": ("c.theta_hat(s, 2, 0.1, 1.0, INF)", "ValueError"),
+    "run_mc_y": ("c.run_mc(lp, 2, [0.1], y=INF)", "ValueError"),
+    "linear_pareto_alpha": ("c.LinearParetoModel(0.8, 0.1, INF)", "ValueError"),
+    "rng_pareto_alpha": ("rng.pareto(rng.generator(1), INF, 3)", "ValueError"),
+    "capped_ratio_power_alpha": ("c.capped_ratio_power(INF)", "ValueError"),
+    "capped_ratio_power_y_cut": ("c.capped_ratio_power(4.0, INF)", "ValueError"),
+    "joint_exceedance_y_cut": ("c.joint_exceedance(INF)", "ValueError"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(INF_INPUTS))
 def test_infinite_parameters_rejected(case):
+    call, error = INF_INPUTS[case]
     script = (
-        f"INF = float('inf')\ntry:\n    {INF_INPUTS[case]}\n"
-        "except ValueError:\n    raise SystemExit(0)\nraise SystemExit(1)\n"
+        f"{_SETUP}\ntry:\n    {call}\n"
+        "except Exception as exc:\n    print(type(exc).__name__)\n"
     )
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=60
+    )
+    assert proc.stdout.strip() == error, proc.stderr
 
 
 # guard clauses no other test reaches: each call must raise the pinned type
-_BT = ModelConfig(BivariateTModel(4.0, 0.9), 50, 1)
 _GRID = [1.0, 2.0, 3.0]
 GUARD_INPUTS = {
     "ingest_unknown_transform": (lambda: ingest_text("1,2\n", "bogus"), ValueError),
@@ -490,8 +503,6 @@ GUARD_INPUTS = {
         lambda: CondTailCurve(_GRID, [1.5, 0.4, 0.3], "x", 2), ValueError),
     "curve_increasing_values": (
         lambda: CondTailCurve(_GRID, [0.3, 0.4, 0.5], "x", 2), ValueError),
-    "sample_linear_pareto_given_t": (lambda: sample_linear_pareto(_BT), TypeError),
-    "sample_bivariate_t_given_pareto": (lambda: sample_bivariate_t(_LP), TypeError),
     "sample_dataset_unknown_model": (
         lambda: sample_dataset(ModelConfig(object(), 10, 0)), TypeError),
     "norm_values_l3": (lambda: norm_values(_S.x, _S.y, "l3"), ValueError),
@@ -502,6 +513,9 @@ GUARD_INPUTS = {
         lambda: tef_fixed(_S, margin_exceedance(), 1.0, 1.0, 0.0), ValueError),
     "tef_fixed_fbar_above_one": (
         lambda: tef_fixed(_S, margin_exceedance(), 1.0, 1.0, 1.5), ValueError),
+    # (0.4 / 1e-300)^2 is past the double range; so is 1e10 * 3 * 4e299
+    "theta_hat_factor_overflow": (lambda: theta_hat(_S, 2, 1e-300, 1.0, 0.5), ValueError),
+    "theta_hat_value_overflow": (lambda: theta_hat(_S, 2, 1e-300, 1e10, 1.0), ValueError),
 }
 
 

@@ -12,9 +12,7 @@ from cotail import (
     ModelConfig,
     ZeroSpread,
     run_mc,
-    sample_bivariate_t,
     sample_dataset,
-    sample_linear_pareto,
     edm_estimate,
     tdc_empirical,
 )
@@ -36,13 +34,13 @@ def test_model_validation():
 
 def test_degenerate_sigma_gives_exact_slope():
     config = ModelConfig(LinearParetoModel(0.5, 0.0, 4.0), n=2000, seed=5)
-    sample = sample_linear_pareto(config)
+    sample = sample_dataset(config)
     assert np.all(sample.y / sample.x == 0.5)
 
 
 def test_pareto_survival_probability():
     config = ModelConfig(LinearParetoModel(0.8, 0.1, 4.0), n=1_000_000, seed=6)
-    sample = sample_linear_pareto(config)
+    sample = sample_dataset(config)
     p_hat = float(np.mean(sample.x > 2.0))
     p_true = 2.0 ** -4.0
     se = math.sqrt(p_true * (1 - p_true) / sample.n)
@@ -51,10 +49,10 @@ def test_pareto_survival_probability():
 
 def test_same_seed_identical_samples():
     config = ModelConfig(BivariateTModel(4.0, 0.9), n=5000, seed=77)
-    a, b = sample_bivariate_t(config), sample_bivariate_t(config)
+    a, b = sample_dataset(config), sample_dataset(config)
     assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
     config2 = ModelConfig(BivariateTModel(4.0, 0.9), n=5000, seed=78)
-    c = sample_bivariate_t(config2)
+    c = sample_dataset(config2)
     assert not np.array_equal(a.x, c.x)
 
 
@@ -63,7 +61,7 @@ def test_bivariate_t_margin_matches_folded_t():
     # of the t density at two reference points
     nu = 4.0
     config = ModelConfig(BivariateTModel(nu, 0.9), n=1_000_000, seed=8)
-    sample = sample_bivariate_t(config)
+    sample = sample_dataset(config)
     c = math.gamma((nu + 1) / 2) / (math.sqrt(nu * math.pi) * math.gamma(nu / 2))
 
     def density(t):

@@ -15,11 +15,10 @@ from cotail import (
     coordinate_ratio,
     joint_exceedance,
     margin_exceedance,
-    sample_linear_pareto,
+    sample_dataset,
     second_coordinate,
     tef_fixed,
     tef_random,
-    tef_random_grid,
 )
 from cotail import rng as crng
 
@@ -42,7 +41,7 @@ def test_fixed_level_joint_exceedance_limit():
     # linear model at the 99% x-quantile: the joint exceedance rate over the
     # marginal rate approaches phi^alpha = 0.4096
     config = ModelConfig(LinearParetoModel(0.8, 0.1, 4.0), n=100_000, seed=3)
-    sample = sample_linear_pareto(config)
+    sample = sample_dataset(config)
     u = 100.0 ** 0.25
     value = tef_fixed(sample, joint_exceedance(1.0), u=u, s=1.0, fbar_u=0.01)
     se = math.sqrt(value / (sample.n * 0.01))
@@ -81,13 +80,10 @@ def test_random_level_deterministic_psi_scale():
     ys = [1.0, 1.0, 1.0, 1.0]
     sample = BivariateSample(xs, ys)
     # threshold for k=2 is 2; with u = 1 the psi arguments are the raw pairs
-    got = tef_random(
-        sample, second_coordinate(), k=2, s=1.0,
-        normalize_psi_by_threshold=False, u=1.0,
-    )
+    got = tef_random(sample, second_coordinate(), k=2, s=1.0, u=1.0)
     assert got == 1.0  # (1 + 1) / 2
-    with pytest.raises(ValueError):
-        tef_random(sample, second_coordinate(), k=2, normalize_psi_by_threshold=False)
+    # without u they are scaled by the threshold
+    assert tef_random(sample, second_coordinate(), k=2) == 0.5  # (1/2 + 1/2) / 2
 
 
 def test_nonpositive_threshold_raises():
@@ -102,7 +98,7 @@ def test_monotone_in_s():
     y = crng.pareto(gen, 2.0, 200)
     sample = BivariateSample(x, y)
     for spec in (margin_exceedance(), joint_exceedance(1.0), second_coordinate()):
-        values = tef_random_grid(sample, spec, k=50, s_values=[0.5, 1.0, 1.5, 2.0, 4.0])
+        values = [tef_random(sample, spec, k=50, s=s) for s in (0.5, 1.0, 1.5, 2.0, 4.0)]
         assert np.all(np.diff(values) <= 0.0)
 
 
