@@ -28,13 +28,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import BivariateSample, fraction_to_count, order_view
+from .core import BivariateSample, LevelSweep, fraction_to_count, order_view
 from .errors import CotailError, NonPositivePrice, ParseError
 from .estimators import (
     ESTIMATORS,
     check_y_grid,
     confidence_interval,
     estimate,
+    level_reader,
     theta_hat,
 )
 from .simulate import MODELS, McCell, ModelConfig, run_mc, sample_dataset
@@ -223,13 +224,14 @@ def _cmd_ingest(args) -> None:
     _sample_payload(args, _load_sample(args))
 
 
-def _report_row(args, sample: BivariateSample, name: str, k: int, y: float):
-    """Run the ``ESTIMATORS`` entry ``name`` at (k, y); return it and its report fields."""
+def _report_row(args, sweep: LevelSweep, name: str, k: int, y: float):
+    """Read the ``ESTIMATORS`` entry ``name`` off a sweep at (k, y), with its report fields."""
     params = ESTIMATORS[name].params
-    k_alpha = _k_alpha(args, k, sample.n) if "k_alpha" in params else None
+    k_alpha = _k_alpha(args, k, sweep.sample.n) if "k_alpha" in params else None
     # curve has no --norm: none of its tdc methods takes one
     norm = getattr(args, "norm", None)
-    est = estimate(name, sample, k, y=y, alpha=args.alpha, k_alpha=k_alpha, norm=norm)
+    reader = level_reader(name, sweep, y=y, alpha=args.alpha, k_alpha=k_alpha, norm=norm)
+    est = reader.estimate(k)
     source = "hill" if k_alpha is not None else "supplied" if "alpha" in params else None
     return est, {
         "estimator_id": est.estimator_id,
@@ -249,7 +251,8 @@ def _cmd_estimate(args) -> None:
     if args.estimator == "theta":
         row = _theta_report(args, sample, k)
     else:
-        est, row = _report_row(args, sample, _registry_id(args.estimator), k, args.y)
+        sweep = LevelSweep(sample, (k,))
+        est, row = _report_row(args, sweep, _registry_id(args.estimator), k, args.y)
         lo, hi = confidence_interval(est, args.ci_level)
         row.update(ci_level=args.ci_level, ci_lo=lo, ci_hi=hi)
     _emit(args, REPORT_COLUMNS, [{"n": sample.n, **row}])
@@ -289,13 +292,16 @@ def _cmd_curve(args) -> None:
     if (args.y_grid is None) == (args.k_grid is None):
         raise ValueError("pass exactly one of --y-grid or --k-grid")
     if args.y_grid is not None:
+        if args.y is not None:
+            raise ValueError("--y sets the y of a --k-grid sweep only")
         k = _resolve_count(args.k, args.k_frac, n, "k")
         points = [(k, y) for y in check_y_grid(_float_list(args.y_grid)).tolist()]
     else:
         if args.k is not None or args.k_frac is not None:
             raise ValueError("--k/--k-frac set the level of a --y-grid sweep only")
+        y = 1.0 if args.y is None else args.y
         points = [
-            (fraction_to_count(frac, n, "--k-grid fractions"), args.y)
+            (fraction_to_count(frac, n, "--k-grid fractions"), y)
             for frac in _float_list(args.k_grid)
         ]
         if not points:
@@ -303,12 +309,14 @@ def _cmd_curve(args) -> None:
     methods = _comma_list(args.methods)
     if not methods:
         raise ValueError("at least one method is required")
+    # one sweep gathers the exceedances of every point's k for all methods
+    sweep = LevelSweep(sample, tuple(dict.fromkeys(k for k, _ in points)))
     rows = []
     for method in methods:
         name = "tdc_" + _registry_id(method)
         if name not in ESTIMATORS:
             raise ValueError(f"unknown method {method!r}")
-        rows += [_report_row(args, sample, name, k, y)[1] for k, y in points]
+        rows += [_report_row(args, sweep, name, k, y)[1] for k, y in points]
     _emit(args, _CURVE_COLUMNS, rows)
 
 
@@ -413,9 +421,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="comma list of empirical, quasispectral, quasispectral-estimated",
     )
     _add_k_options(p)
-    p.add_argument("--y", type=float, default=1.0, help="fixed y for --k-grid sweeps")
+    p.add_argument("--y", type=float, help="fixed y for --k-grid sweeps (default 1)")
     p.add_argument("--y-grid", help="comma list of y values (needs --k or --k-frac)")
-    p.add_argument("--k-grid", help="comma list of k fractions (needs --y)")
+    p.add_argument("--k-grid", help="comma list of k fractions, at --y")
     p.add_argument("--alpha", type=float, help="tail index for quasispectral")
     _add_output_options(p)
     p.set_defaults(func=_cmd_curve)

@@ -7,7 +7,11 @@ carries no meaning; every downstream estimator is permutation invariant.
 A sample sorts x once, lazily: the first ``order_view`` caches the ordering on
 the sample for every later view, k and Hill step; a concurrent first access
 at worst sorts twice. ``level_threshold`` (X_(n-k), 1 <= k <= n-1) and
-``above_level`` (strict, in input order) are the one level-k rule.
+``exceedance_count`` (the number of keys strictly above it) are the one
+level-k rule. A ``LevelSweep`` applies it to a whole set of levels at once:
+it reads every threshold and count from the sorted key and gathers the pairs
+above the lowest level in one pass, so the exceedances at each level are a
+prefix of the gathered arrays.
 """
 from __future__ import annotations
 
@@ -99,11 +103,6 @@ class OrderedView:
         """Return the (k+1)-th largest x value, the exceedance level for k."""
         return level_threshold(self.x_sorted, k)
 
-    def exceedances(self, k: int) -> tuple[float, np.ndarray, np.ndarray]:
-        """The level-k threshold plus the (x, y) pairs above it, in input order."""
-        thr, mask = above_level(self.sample.x, self.x_sorted, k)
-        return thr, self.sample.x[mask], self.sample.y[mask]
-
 
 def order_view(sample: BivariateSample) -> OrderedView:
     """The ascending-x view of a sample; x is sorted on first access only."""
@@ -119,15 +118,58 @@ def level_threshold(key_sorted: np.ndarray, k: int, what: str = "k") -> float:
     return float(key_sorted[n - k - 1])
 
 
-def above_level(key: np.ndarray, key_sorted: np.ndarray, k: int) -> tuple[float, np.ndarray]:
-    """The level-k threshold of ``key`` and the mask ``key > threshold``.
+def exceedance_count(key_sorted: np.ndarray, k: int) -> tuple[float, int]:
+    """The level-k threshold of an ascending key and the count of keys strictly above it.
 
-    The mask is in input order, so gathered values keep the order of the
-    sample. With tie-free data it selects exactly k entries; ties at the
-    threshold shrink the set (estimators still divide by the nominal k).
+    With tie-free data the count is k; ties at the threshold shrink it
+    (estimators still divide by the nominal k).
     """
     thr = level_threshold(key_sorted, k)
-    return thr, key > thr
+    return thr, key_sorted.size - int(np.searchsorted(key_sorted, thr, side="right"))
+
+
+@dataclass(frozen=True, eq=False)
+class LevelSweep:
+    """The strict exceedances of a sample at a set of levels k, gathered once.
+
+    Nothing is read until first use. Then each level's threshold X_(n-k) and
+    strict exceedance count come from the sorted key, and ``x``/``y``
+    receive the pairs above the lowest level in descending key order, so the
+    exceedances at level k are their first ``count`` entries. The key is x,
+    whose cached order is reused, unless another per-pair ``key`` is given
+    (the norm of the dependence measure); that one is sorted here.
+    """
+
+    sample: BivariateSample
+    ks: tuple[int, ...]
+    key: np.ndarray | None = None
+
+    @cached_property
+    def _read(self) -> tuple[dict[int, tuple[float, int]], np.ndarray, np.ndarray]:
+        if self.key is None:
+            order, key_sorted = self.sample._x_order
+        else:
+            order = np.argsort(self.key, kind="stable")
+            key_sorted = self.key[order]
+        levels = {k: exceedance_count(key_sorted, k) for k in self.ks}
+        n = key_sorted.size
+        top = order[n - max((m for _, m in levels.values()), default=0):][::-1]
+        return levels, self.sample.x[top], self.sample.y[top]
+
+    @property
+    def x(self) -> np.ndarray:
+        return self._read[1]
+
+    @property
+    def y(self) -> np.ndarray:
+        return self._read[2]
+
+    def level(self, k: int) -> tuple[float, int]:
+        """The threshold and the strict exceedance count at level k."""
+        levels = self._read[0]
+        if k not in levels:
+            raise ValueError(f"k = {k} is not a level of this sweep")
+        return levels[k]
 
 
 def fraction_to_count(frac: float, n: int, what: str = "fraction") -> int:
@@ -141,7 +183,8 @@ def fraction_to_count(frac: float, n: int, what: str = "fraction") -> int:
 
 def exceedance_indices(view: OrderedView, k: int) -> np.ndarray:
     """Indices j with x_j strictly above the level-k threshold, ascending."""
-    return np.flatnonzero(above_level(view.sample.x, view.x_sorted, k)[1])
+    _, m = exceedance_count(view.x_sorted, k)
+    return np.sort(view.order[view.sample.n - m:])
 
 
 @dataclass(frozen=True)

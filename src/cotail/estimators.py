@@ -23,10 +23,17 @@ normal interval; its quantile comes from the standard library's
 ``statistics.NormalDist``.
 
 ``ESTIMATORS`` is the one table of the estimators above (all but
-``theta_hat``): each id maps to its function, the parameters it takes from
-y / alpha / k_alpha / norm, and the upper end of its natural range.
-``estimate`` runs an estimator by id; the CLI and the Monte Carlo harness
-dispatch through it.
+``theta_hat``): each id maps to its reader, the parameters it takes from
+y / alpha / k_alpha / norm, and the upper end of its natural range. Every
+estimator is read off a ``core.LevelSweep``, which gathers a sample's
+exceedances at a whole set of levels k in one pass. ``level_reader`` binds
+an estimator and its parameters to a sweep: the Hill step and every weight
+that does not depend on k are computed once, and each level is then one
+exactly rounded sum over a prefix of those weights. ``LevelReader.value``
+gives the estimate alone (the Monte Carlo harness discards the variance);
+``LevelReader.estimate`` gives the full ``TailEstimate``. ``estimate`` and
+the functions above run a reader on a one-level sweep, and the CLI's
+``estimate`` and ``curve`` read their rows from one sweep per sample.
 
 Plug-in variances are second moments of the same weights (the fixed-level
 approximation at s = 1); they omit random-threshold corrections, so treat the
@@ -40,13 +47,13 @@ depend on evaluation order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from statistics import NormalDist
 from typing import Callable, Mapping
 
 import numpy as np
 
-from .core import BivariateSample, TailEstimate, above_level, order_view
+from .core import BivariateSample, LevelSweep, TailEstimate, order_view
 from .errors import (
     AlphaNotAboveOne,
     InvalidP,
@@ -98,16 +105,105 @@ def _check_y(y: float) -> None:
         raise ValueError("y must be positive and finite")
 
 
-def _weight_mean(
-    weights: np.ndarray, k: int, estimator_id: str, factor: float = 1.0, **fields
-) -> TailEstimate:
-    """factor * (1/k) sum w as the value, factor^2 * (1/k) sum w^2 as the variance."""
-    return TailEstimate(
-        value=factor * (math.fsum(weights) / k),
-        k=k,
-        estimator_id=estimator_id,
-        plugin_variance=(factor * factor) * (math.fsum(weights * weights) / k),
-        **fields,
+@dataclass(frozen=True)
+class LevelReader:
+    """One estimator with its parameters bound to a sweep, read at any of its levels.
+
+    ``terms(k)`` lists the weights of the exceedances at level k. The value
+    is factor * (1/k) sum w, the plug-in variance factor^2 * (1/k) sum w^2.
+    """
+
+    estimator_id: str
+    terms: Callable[[int], list]
+    factor: float = 1.0
+    alpha_used: float | None = None
+    metadata: Mapping[str, object] = field(default_factory=dict)
+
+    def value(self, k: int) -> float:
+        """The estimate at level k, without its variance."""
+        return self.factor * (math.fsum(self.terms(k)) / k)
+
+    def estimate(self, k: int) -> TailEstimate:
+        """The estimate at level k with its plug-in variance."""
+        terms = self.terms(k)
+        factor = self.factor
+        return TailEstimate(
+            value=factor * (math.fsum(terms) / k),
+            k=k,
+            estimator_id=self.estimator_id,
+            plugin_variance=(factor * factor) * (math.fsum([t * t for t in terms]) / k),
+            alpha_used=self.alpha_used,
+            metadata=dict(self.metadata),
+        )
+
+
+def _prefixes(sweep: LevelSweep, weights: np.ndarray) -> Callable[[int], list]:
+    """Terms at level k: a prefix of weights computed once on the gathered pairs."""
+    weights = weights.tolist()
+    return lambda k: weights[: sweep.level(k)[1]]
+
+
+def _empirical(sweep: LevelSweep, y: float) -> LevelReader:
+    _check_y(y)
+
+    def joint(k):
+        # the indicator weights that are 1; the zeros add nothing to either sum
+        thr, m = sweep.level(k)
+        return [1.0] * int(np.count_nonzero(sweep.y[:m] > y * thr))
+
+    return LevelReader("tdc_empirical", joint)
+
+
+def _ratio_weights(sweep: LevelSweep, y: float, alpha: float) -> Callable[[int], list]:
+    _check_y(y)
+    if not 0 < alpha < math.inf:
+        raise ValueError("alpha must be positive and finite")
+    return _prefixes(sweep, np.minimum(sweep.y / (y * sweep.x), 1.0) ** alpha)
+
+
+def _quasispectral(sweep: LevelSweep, y: float, alpha: float) -> LevelReader:
+    weights = _ratio_weights(sweep, y, alpha)
+    return LevelReader("tdc_quasispectral", weights, alpha_used=alpha)
+
+
+def _quasispectral_estimated(sweep: LevelSweep, k_alpha: int, y: float) -> LevelReader:
+    alpha = hill_estimate(order_view(sweep.sample), k_alpha).alpha_hat
+    return LevelReader(
+        "tdc_quasispectral_estimated", _ratio_weights(sweep, y, alpha), alpha_used=alpha,
+        metadata={"k_alpha": k_alpha, "alpha_source": "hill"},
+    )
+
+
+def _aleph3(sweep: LevelSweep) -> LevelReader:
+    def scaled(k):
+        thr, m = sweep.level(k)
+        if thr <= 0:
+            raise NonPositiveThreshold(f"X_(n-k) = {thr} is not positive")
+        return (sweep.y[:m] / thr).tolist()
+
+    return LevelReader(
+        "cte_aleph3", scaled,
+        metadata={"variance_note": "second-moment proxy, valid for tail index > 2"},
+    )
+
+
+def _aleph4(sweep: LevelSweep, alpha: float) -> LevelReader:
+    if not 1 < alpha < math.inf:
+        raise AlphaNotAboveOne(f"alpha must exceed 1 and be finite, got {alpha}")
+    return LevelReader(
+        "cte_aleph4", _prefixes(sweep, sweep.y / sweep.x), alpha / (alpha - 1.0),
+        alpha_used=alpha,
+    )
+
+
+def _edm(sweep: LevelSweep, norm: str) -> LevelReader:
+    sample = sweep.sample
+    radii = norm_values(sample.x, sample.y, norm)  # rejects an unknown norm
+    by_norm = LevelSweep(sample, sweep.ks, radii)
+    xe, ye = by_norm.x, by_norm.y
+    return LevelReader(
+        "edm", _prefixes(by_norm, (xe * ye) / squared_norm(xe, ye, norm)),
+        metadata={"norm": norm, "threshold_scale": "norm order statistic"},
     )
 
 
@@ -117,38 +213,21 @@ def tdc_empirical(sample: BivariateSample, k: int, y: float = 1.0) -> TailEstima
     The plug-in variance equals the value itself (indicator weights square to
     themselves).
     """
-    _check_y(y)
-    thr, _, ye = order_view(sample).exceedances(k)
-    joint = int(np.count_nonzero(ye > y * thr))
-    value = joint / k
-    return TailEstimate(
-        value=value, k=k, estimator_id="tdc_empirical", plugin_variance=value
-    )
+    return _empirical(LevelSweep(sample, (k,)), y).estimate(k)
 
 
 def tdc_quasispectral(
     sample: BivariateSample, k: int, y: float = 1.0, *, alpha: float
 ) -> TailEstimate:
     """Mean of min(y_j / (y x_j), 1)^alpha over x-exceedances, known alpha."""
-    _check_y(y)
-    if not 0 < alpha < math.inf:
-        raise ValueError("alpha must be positive and finite")
-    _, xe, ye = order_view(sample).exceedances(k)
-    weights = np.minimum(ye / (y * xe), 1.0) ** alpha
-    return _weight_mean(weights, k, "tdc_quasispectral", alpha_used=alpha)
+    return _quasispectral(LevelSweep(sample, (k,)), y, alpha).estimate(k)
 
 
 def tdc_quasispectral_estimated(
     sample: BivariateSample, k: int, k_alpha: int, y: float = 1.0
 ) -> TailEstimate:
     """Ratio-weight estimator with alpha replaced by a Hill estimate."""
-    hill = hill_estimate(order_view(sample), k_alpha)
-    est = tdc_quasispectral(sample, k, y, alpha=hill.alpha_hat)
-    return replace(
-        est,
-        estimator_id="tdc_quasispectral_estimated",
-        metadata={"k_alpha": k_alpha, "alpha_source": "hill"},
-    )
+    return _quasispectral_estimated(LevelSweep(sample, (k,)), k_alpha, y).estimate(k)
 
 
 def check_y_grid(y_grid) -> np.ndarray:
@@ -176,7 +255,8 @@ def cond_tail_curve(
     if method not in ("empirical", "quasispectral"):
         raise ValueError(f"unknown method {method!r}")
     name = f"tdc_{method}"
-    values = [estimate(name, sample, k, y=float(y), alpha=alpha).value for y in grid]
+    sweep = LevelSweep(sample, (k,))
+    values = [level_reader(name, sweep, y=float(y), alpha=alpha).value(k) for y in grid]
     alpha_used = alpha if method == "quasispectral" else None
     return CondTailCurve(grid, np.asarray(values), name, k, alpha_used)
 
@@ -188,13 +268,7 @@ def cte_aleph3(sample: BivariateSample, k: int) -> TailEstimate:
     plug-in is a variance proxy only when the tail index exceeds 2, which is
     noted in the metadata.
     """
-    thr, _, ye = order_view(sample).exceedances(k)
-    if thr <= 0:
-        raise NonPositiveThreshold(f"X_(n-k) = {thr} is not positive")
-    return _weight_mean(
-        ye / thr, k, "cte_aleph3",
-        metadata={"variance_note": "second-moment proxy, valid for tail index > 2"},
-    )
+    return _aleph3(LevelSweep(sample, (k,))).estimate(k)
 
 
 def cte_aleph4(sample: BivariateSample, k: int, alpha: float) -> TailEstimate:
@@ -203,11 +277,7 @@ def cte_aleph4(sample: BivariateSample, k: int, alpha: float) -> TailEstimate:
     alpha/(alpha - 1) times the mean of y_j / x_j over x-exceedances. The
     ratio form keeps the variance finite even when the tail index is below 2.
     """
-    if not 1 < alpha < math.inf:
-        raise AlphaNotAboveOne(f"alpha must exceed 1 and be finite, got {alpha}")
-    _, xe, ye = order_view(sample).exceedances(k)
-    factor = alpha / (alpha - 1.0)
-    return _weight_mean(ye / xe, k, "cte_aleph4", factor, alpha_used=alpha)
+    return _aleph4(LevelSweep(sample, (k,)), alpha).estimate(k)
 
 
 def theta_hat(
@@ -247,44 +317,39 @@ def edm_estimate(sample: BivariateSample, k: int, norm: str = "l2") -> TailEstim
     Unlike the other estimators this thresholds on order statistics of the
     chosen norm of the pairs, not on the x margin (flagged in the metadata).
     """
-    radii = norm_values(sample.x, sample.y, norm)  # rejects an unknown norm
-    _, mask = above_level(radii, np.sort(radii), k)
-    xe, ye = sample.x[mask], sample.y[mask]
-    return _weight_mean(
-        (xe * ye) / squared_norm(xe, ye, norm), k, "edm",
-        metadata={"norm": norm, "threshold_scale": "norm order statistic"},
-    )
+    return _edm(LevelSweep(sample, (k,)), norm).estimate(k)
 
 
 @dataclass(frozen=True)
 class EstimatorEntry:
     """One row of the estimator table.
 
-    ``params`` names the keyword parameters the function takes besides the
-    sample and k. The natural range is [0, ``upper``]; for ``edm`` the bound
-    depends on the norm, so ``upper`` maps each norm to its bound.
+    ``reader`` binds the estimator to a ``LevelSweep``; ``params`` names the
+    keyword parameters it takes besides the sweep. The natural range is
+    [0, ``upper``]; for ``edm`` the bound depends on the norm, so ``upper``
+    maps each norm to its bound.
     """
 
-    fn: Callable[..., TailEstimate]
+    reader: Callable[..., LevelReader]
     params: tuple[str, ...]
     upper: float | Mapping[str, float] = math.inf
 
 
 ESTIMATORS: Mapping[str, EstimatorEntry] = {
-    "tdc_empirical": EstimatorEntry(tdc_empirical, ("y",), 1.0),
-    "tdc_quasispectral": EstimatorEntry(tdc_quasispectral, ("y", "alpha"), 1.0),
+    "tdc_empirical": EstimatorEntry(_empirical, ("y",), 1.0),
+    "tdc_quasispectral": EstimatorEntry(_quasispectral, ("y", "alpha"), 1.0),
     "tdc_quasispectral_estimated": EstimatorEntry(
-        tdc_quasispectral_estimated, ("k_alpha", "y"), 1.0
+        _quasispectral_estimated, ("k_alpha", "y"), 1.0
     ),
-    "cte_aleph3": EstimatorEntry(cte_aleph3, ()),
-    "cte_aleph4": EstimatorEntry(cte_aleph4, ("alpha",)),
+    "cte_aleph3": EstimatorEntry(_aleph3, ()),
+    "cte_aleph4": EstimatorEntry(_aleph4, ("alpha",)),
     # x y / |(x, y)|^2 peaks on the diagonal x = y
-    "edm": EstimatorEntry(edm_estimate, ("norm",), {"l2": 0.5, "l1": 0.25, "linf": 1.0}),
+    "edm": EstimatorEntry(_edm, ("norm",), {"l2": 0.5, "l1": 0.25, "linf": 1.0}),
 }
 
 
-def estimate(name: str, sample: BivariateSample, k: int, **params) -> TailEstimate:
-    """Run the estimator ``name`` from ``ESTIMATORS`` at level k.
+def level_reader(name: str, sweep: LevelSweep, **params) -> LevelReader:
+    """Bind the estimator ``name`` from ``ESTIMATORS`` to a sweep.
 
     Each parameter the estimator takes must be in ``params`` and not None;
     the others are ignored, so callers can pass one shared set.
@@ -297,7 +362,12 @@ def estimate(name: str, sample: BivariateSample, k: int, **params) -> TailEstima
         if params.get(param) is None:
             raise ValueError(f"{name} requires {param}")
         kwargs[param] = params[param]
-    return entry.fn(sample, k, **kwargs)
+    return entry.reader(sweep, **kwargs)
+
+
+def estimate(name: str, sample: BivariateSample, k: int, **params) -> TailEstimate:
+    """Run the estimator ``name`` from ``ESTIMATORS`` at level k (see ``level_reader``)."""
+    return level_reader(name, LevelSweep(sample, (k,)), **params).estimate(k)
 
 
 def confidence_interval(est: TailEstimate, level: float) -> tuple[float, float]:

@@ -21,12 +21,18 @@ BivariateTModel
     evaluated as the regularised incomplete beta I_{(1+rho)/2}((nu+1)/2, 1/2)
     by a continued fraction.
 
-The harness ``run_mc`` evaluates a set of estimators over replications; the
-replication r uses the generator keyed with ``mix_seed(seed, r)`` = seed XOR r,
-so the streams of one run are distinct, but seeds whose key sets overlap share
-streams (seeds 1, 2 and 3 give identical summaries). Replications are
-aggregated in index order and execution is sequential, so summaries are
-bit-identical across runs. A replication whose estimator raises a
+The harness ``run_mc`` evaluates a set of estimators over replications. Each
+replication's sample is swept once (``core.LevelSweep``): one sort of x, one
+gather of the pairs above the lowest level, one Hill step per k_alpha and one
+set of weights per estimator, after which every cell is an exactly rounded
+sum over a prefix of those weights. Only values are computed: the plug-in
+variance is not part of a summary.
+
+The replication r uses the generator keyed with ``mix_seed(seed, r)`` =
+seed XOR r, so the streams of one run are distinct, but seeds whose key sets
+overlap share streams (seeds 1, 2 and 3 give identical summaries).
+Replications are aggregated in index order and execution is sequential, so
+summaries are bit-identical across runs. A replication whose estimator raises a
 ``CotailError`` is left out of that cell's values and counted in its
 failures instead of aborting the run.
 """
@@ -39,9 +45,9 @@ from typing import Mapping, Sequence, Union
 import numpy as np
 
 from . import rng
-from .core import BivariateSample, fraction_to_count
+from .core import BivariateSample, LevelSweep, fraction_to_count
 from .errors import CotailError
-from .estimators import ESTIMATORS, estimate
+from .estimators import ESTIMATORS, level_reader
 
 
 @dataclass(frozen=True)
@@ -207,6 +213,11 @@ def run_mc(
     true tail index and ``edm`` uses the l2 norm. The truth field carries the
     model's tail dependence coefficient when a TDC estimator (one that takes
     y) is evaluated at y = 1.
+
+    Each replication sorts, gathers and runs the Hill step once per k_alpha:
+    one ``LevelSweep`` covers every k, and one reader per (estimator,
+    k_alpha) gives each of its cells a value. A ``CotailError`` while binding
+    a reader fails all of its cells; one at a level fails that cell only.
     """
     if reps < 1:
         raise ValueError("reps must be at least 1")
@@ -224,28 +235,36 @@ def run_mc(
         raise ValueError("at least one k fraction is required")
 
     n = config.n
-    # cell key -> (k, k_alpha) counts, in output order
-    counts: dict[CellKey, tuple[int, int | None]] = {}
+    # a failed replication is simply missing from its cell's list; keys in output order
+    values: dict[CellKey, list[float]] = {}
+    # (estimator, k_alpha count) -> its cells with their k counts
+    readers: dict[tuple[str, int | None], list[tuple[list[float], int]]] = {}
     for name in names:
         takes_k_alpha = "k_alpha" in ESTIMATORS[name].params
         if takes_k_alpha and not ka_fracs:
             raise ValueError(f"{name} needs k_alpha fractions")
         for kf in k_fracs:
+            k = fraction_to_count(kf, n)
             for kaf in ka_fracs if takes_k_alpha else (None,):
                 ka = None if kaf is None else fraction_to_count(kaf, n)
-                counts[(name, kf, kaf)] = (fraction_to_count(kf, n), ka)
+                values[(name, kf, kaf)] = cell = []
+                readers.setdefault((name, ka), []).append((cell, k))
+    ks = tuple(sorted({fraction_to_count(kf, n) for kf in k_fracs}))
 
     params = {"alpha": config.model.tail_index, "y": y, "norm": "l2"}
-    # a failed replication is simply missing from its cell's list
-    values: dict[CellKey, list[float]] = {key: [] for key in counts}
-
     for rep in range(reps):
         sample = sample_dataset(replace(config, seed=rng.mix_seed(config.seed, rep)))
-        for key, (k, ka) in counts.items():
+        sweep = LevelSweep(sample, ks)
+        for (name, ka), cells in readers.items():
             try:
-                values[key].append(estimate(key[0], sample, k, k_alpha=ka, **params).value)
-            except CotailError:
-                pass
+                reader = level_reader(name, sweep, k_alpha=ka, **params)
+            except CotailError:  # a Hill step or parameter failed: all its cells
+                continue
+            for cell, k in cells:
+                try:
+                    cell.append(reader.value(k))
+                except CotailError:
+                    pass
 
     cells: dict[CellKey, McCell] = {}
     for key, vals in values.items():

@@ -189,10 +189,10 @@ def tef_fixed(
     Returns (1 / (n * fbar_u)) * sum_j psi(x_j/u, y_j/u) * 1{(x_j, y_j) in s*u*C}
     where fbar_u is the caller-supplied survival mass at u.
     """
-    if not u > 0:
-        raise ValueError("u must be positive")
-    if not s > 0:
-        raise ValueError("s must be positive")
+    if not 0 < u < math.inf:
+        raise ValueError("u must be positive and finite")
+    if not 0 < s < math.inf:
+        raise ValueError("s must be positive and finite")
     if not 0 < fbar_u <= 1:
         raise ValueError("fbar_u must lie in (0, 1]")
     total = _weighted_sum(sample.x, sample.y, spec, scale=s * u, denom=u)
@@ -212,10 +212,10 @@ def tef_random(
     given (simulation-side use only), else by the order statistic itself. The
     inclusion region is always scaled by s * X_{n:n-k}.
     """
-    if not s > 0:
-        raise ValueError("s must be positive")
-    if u is not None and not u > 0:
-        raise ValueError("u must be positive")
+    if not 0 < s < math.inf:
+        raise ValueError("s must be positive and finite")
+    if u is not None and not 0 < u < math.inf:
+        raise ValueError("u must be positive and finite")
     thr = order_view(sample).threshold(k)
     if thr <= 0:
         raise NonPositiveThreshold(f"X_(n-k) = {thr} is not positive")

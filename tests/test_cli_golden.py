@@ -224,6 +224,9 @@ ERRORS = {
         1, "ValueError"),
     "curve_k_grid_with_k": (
         [*CURVE_LP, "--k-grid", "0.1", "--k", "5", "--methods", "empirical"], 1, "ValueError"),
+    "curve_y_grid_with_y": (
+        [*CURVE_LP, "--k", "10", "--y-grid", "1", "--y", "5", "--methods", "empirical"],
+        1, "ValueError"),
     "curve_no_methods": (
         [*CURVE_LP, "--k", "10", "--y-grid", "1,2", "--methods", ","], 1, "ValueError"),
     "curve_empty_k_grid": (

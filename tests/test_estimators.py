@@ -474,6 +474,10 @@ INF_INPUTS = {
     "capped_ratio_power_alpha": ("c.capped_ratio_power(INF)", "ValueError"),
     "capped_ratio_power_y_cut": ("c.capped_ratio_power(4.0, INF)", "ValueError"),
     "joint_exceedance_y_cut": ("c.joint_exceedance(INF)", "ValueError"),
+    "tef_random_s": ("c.tef_random(s, c.margin_exceedance(), 2, s=INF)", "ValueError"),
+    "tef_random_u": ("c.tef_random(s, c.second_coordinate(), 2, u=INF)", "ValueError"),
+    "tef_fixed_u": ("c.tef_fixed(s, c.margin_exceedance(), INF, 1.0, 0.5)", "ValueError"),
+    "tef_fixed_s": ("c.tef_fixed(s, c.margin_exceedance(), 1.0, INF, 0.5)", "ValueError"),
 }
 
 

@@ -5,7 +5,9 @@ continuous draws), zeros in both margins, and several k per sample. Each
 estimator is compared with ``tests/reference.py`` by exact equality (or the
 same error type) twice: on a freshly built sample, which sorts x on first use,
 and on one shared sample whose cached ordering earlier k values have already
-read.
+read. A third check reads every estimator off one ``LevelSweep`` over all of a
+sample's k, the Monte Carlo path: its full estimate and its value alone must
+equal the oracle at each k.
 
 ``theta_hat`` evaluates its factor as (k/n)/p and the oracle as k/(n p); the
 two agree exactly for the dyadic p used here. ``tef_random`` is checked with
@@ -22,9 +24,11 @@ from cotail import (
     ESTIMATORS,
     BivariateSample,
     CotailError,
+    LevelSweep,
     builtin_specs,
     estimate,
     hill_estimate,
+    level_reader,
     order_view,
     tef_random,
     theta_hat,
@@ -120,3 +124,32 @@ def test_level_k_readers_match_oracle_fresh_and_cached(case):
             _check(f"{name} k={k} fresh", lambda: lib(BivariateSample(xs, ys)), ref)
             _check(f"{name} k={k} cached", lambda: lib(shared), ref)
     assert order_view(shared).order is order
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(cases())
+def test_one_sweep_matches_oracle_at_every_level(case):
+    xs, ys, ks, q = case
+    sweep = LevelSweep(BivariateSample(xs, ys), tuple(ks))
+    for name in ESTIMATORS:
+        try:
+            reader, error = level_reader(name, sweep, **q), None
+        except CotailError as exc:  # a Hill or parameter failure holds at every k
+            reader, error = None, exc
+        for k in ks:
+            def full(k=k):
+                if error is not None:
+                    raise error
+                est = reader.estimate(k)
+                return est.value, est.plugin_variance, est.alpha_used
+
+            def value(k=k):
+                if error is not None:
+                    raise error
+                return reader.value(k)
+
+            _check(f"{name} k={k} sweep", full, lambda k=k: _oracle(name, xs, ys, k, q))
+            _check(
+                f"{name} k={k} sweep value", value,
+                lambda k=k: _oracle(name, xs, ys, k, q)[0],
+            )

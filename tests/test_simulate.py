@@ -7,15 +7,21 @@ from scipy.special import stdtr
 
 import cotail.simulate as simulate
 from cotail import (
+    ESTIMATORS,
+    BivariateSample,
     BivariateTModel,
+    CotailError,
     LinearParetoModel,
+    McCell,
     ModelConfig,
     ZeroSpread,
+    edm_estimate,
+    estimate,
     run_mc,
     sample_dataset,
-    edm_estimate,
     tdc_empirical,
 )
+from cotail.core import fraction_to_count
 from cotail import rng as crng
 
 
@@ -159,22 +165,99 @@ def test_run_mc_quantiles_ordered():
 
 
 def test_run_mc_tallies_failures(monkeypatch):
-    real = simulate.estimate
+    # a CotailError from the reader of a replication fails that replication's cells
+    real = simulate.level_reader
     calls = {"count": 0}
 
-    def flaky(name, sample, k, **params):
+    def flaky(name, sweep, **params):
         calls["count"] += 1
         if calls["count"] % 3 == 0:
             raise ZeroSpread("forced failure")
-        return real(name, sample, k, **params)
+        return real(name, sweep, **params)
 
-    monkeypatch.setattr(simulate, "estimate", flaky)
+    monkeypatch.setattr(simulate, "level_reader", flaky)
     config = ModelConfig(LinearParetoModel(0.8, 0.1, 4.0), n=100, seed=1)
     summary = run_mc(config, reps=6, k_fractions=[0.2], estimators=("tdc_empirical",))
     cell = summary.cells[("tdc_empirical", 0.2, None)]
     assert cell.failures == 2
     assert cell.rep_count == 6
-    assert not math.isnan(cell.mean)
+    assert math.isfinite(cell.mean)
+
+
+def test_run_mc_failures_map_onto_their_cells(monkeypatch):
+    # x sorted: 50 zeros, 1..30, then 20 ties at 50.  Hill at k_alpha = 10 sees
+    # only the ties (ZeroSpread), at 50 a zero base (NonPositiveThreshold), at
+    # 30 a positive spread; cte_aleph3's threshold is 0 at k = 60 only
+    x = np.array([0.0] * 50 + [float(v) for v in range(1, 31)] + [50.0] * 20)
+    sample = BivariateSample(x[::-1], 0.5 * x[::-1] + 1.0)
+    monkeypatch.setattr(simulate, "sample_dataset", lambda config: sample)
+    config = ModelConfig(LinearParetoModel(0.8, 0.1, 4.0), n=100, seed=1)
+    summary = run_mc(
+        config, reps=2, k_fractions=[0.1, 0.3, 0.6], k_alpha_fractions=[0.1, 0.3, 0.5],
+        estimators=("tdc_empirical", "tdc_quasispectral_estimated", "cte_aleph3"),
+    )
+    failures = {key: cell.failures for key, cell in summary.cells.items()}
+    for kf in (0.1, 0.3, 0.6):
+        assert failures[("tdc_empirical", kf, None)] == 0
+        assert failures[("tdc_quasispectral_estimated", kf, 0.1)] == 2
+        assert failures[("tdc_quasispectral_estimated", kf, 0.3)] == 0
+        assert failures[("tdc_quasispectral_estimated", kf, 0.5)] == 2
+        assert failures[("cte_aleph3", kf, None)] == (2 if kf == 0.6 else 0)
+
+
+def test_run_mc_lets_a_value_error_through(monkeypatch):
+    def broken(name, sweep, **params):
+        raise ValueError("forced")
+
+    monkeypatch.setattr(simulate, "level_reader", broken)
+    config = ModelConfig(LinearParetoModel(0.8, 0.1, 4.0), n=100, seed=1)
+    with pytest.raises(ValueError, match="forced"):
+        run_mc(config, reps=2, k_fractions=[0.2], estimators=("tdc_empirical",))
+
+
+def _mc_by_estimate(config, reps, k_fracs, ka_fracs, names, y):
+    """run_mc written as one ``estimate`` call per cell and replication."""
+    n = config.n
+    params = {"alpha": config.model.tail_index, "y": y, "norm": "l2"}
+    values = {}
+    for name in names:
+        kafs = sorted(ka_fracs) if "k_alpha" in ESTIMATORS[name].params else [None]
+        for kf in sorted(k_fracs):
+            for kaf in kafs:
+                values[(name, kf, kaf)] = []
+    for rep in range(reps):
+        seed = crng.mix_seed(config.seed, rep)
+        sample = sample_dataset(ModelConfig(config.model, n, seed))
+        for (name, kf, kaf), vals in values.items():
+            k = fraction_to_count(kf, n)
+            ka = None if kaf is None else fraction_to_count(kaf, n)
+            try:
+                vals.append(estimate(name, sample, k, k_alpha=ka, **params).value)
+            except CotailError:
+                pass
+    cells = {}
+    for key, vals in values.items():
+        stats = [None] * 7
+        if vals:
+            arr = np.asarray(vals)
+            sd = float(np.std(arr, ddof=1)) if arr.size > 1 else 0.0
+            qs = np.quantile(arr, [0.05, 0.25, 0.5, 0.75, 0.95])
+            stats = [float(np.mean(arr)), sd, *(float(q) for q in qs)]
+        cells[key] = McCell(*stats, rep_count=reps, failures=reps - len(vals))
+    return cells
+
+
+@pytest.mark.parametrize("model", [BivariateTModel(4.0, 0.9), LinearParetoModel(0.8, 0.1, 0.8)])
+def test_run_mc_equals_one_estimate_per_cell(model):
+    # every estimator, two k_alpha fractions, y off the diagonal; alpha 0.8
+    # fails every cte_aleph4 cell
+    config = ModelConfig(model, n=150, seed=42)
+    args = (config, 12, (0.05, 0.2, 0.4), (0.1, 0.3), tuple(ESTIMATORS), 1.5)
+    summary = run_mc(*args)
+    expected = _mc_by_estimate(*args)
+    assert list(summary.cells) == list(expected)
+    for key, cell in summary.cells.items():
+        assert cell == expected[key], key
 
 
 def test_run_mc_cell_with_every_replication_failed():
