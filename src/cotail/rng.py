@@ -4,7 +4,13 @@ Everything reduces to the 64-bit Philox generator, so a seed fully determines
 the output and distinct keys give non-overlapping streams:
 
 - uniforms are taken on the open interval (0, 1) as (m + 0.5) / 2^53 with m a
-  53-bit integer, so logarithms never see zero;
+  53-bit integer, so logarithms never see zero. ``Generator.random`` returns
+  m * 2^-53 with m = next_uint64 >> 11, the same m that ``integers(0, 2^53)``
+  draws: Lemire's method over a power-of-two range keeps the top 53 bits and
+  never rejects. m * 2^-53 is exact, and adding 2^-54 rounds as m + 0.5 does,
+  scaled by a power of two. So ``random() + 2^-54`` gives the values and the
+  generator state of ``(integers(0, 2^53) + 0.5) * 2^-53`` bit for bit,
+  without the range checks ``integers`` makes on every call;
 - normals come from the Box-Muller transform on open-interval uniform pairs;
 - gamma variates use Marsaglia-Tsang rejection for shape >= 1 and the
   power-of-uniform boost below 1; chi-square(df) is 2 * gamma(df / 2);
@@ -20,7 +26,6 @@ import math
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
-_TWO53 = 1 << 53
 
 
 def generator(seed: int) -> np.random.Generator:
@@ -34,18 +39,23 @@ def mix_seed(base_seed: int, rep: int) -> int:
 
 
 def open_uniform(gen: np.random.Generator, size: int) -> np.ndarray:
-    """Uniform draws strictly inside (0, 1)."""
-    return (gen.integers(0, _TWO53, size=size, dtype=np.int64) + 0.5) * 2.0 ** -53
+    """Uniform draws strictly inside (0, 1): (m + 0.5) * 2^-53, m a 53-bit integer."""
+    return gen.random(size) + 2.0 ** -54
 
 
 def standard_normal(gen: np.random.Generator, size: int) -> np.ndarray:
-    """Box-Muller pairs; for odd sizes the last variate of a pair is dropped."""
+    """Box-Muller pairs; for odd sizes the last variate of a pair is dropped.
+
+    One uniform draw holds the radius block then the angle block.
+    """
     half = (size + 1) // 2
-    u1 = open_uniform(gen, half)
-    u2 = open_uniform(gen, half)
-    radius = np.sqrt(-2.0 * np.log(u1))
-    angle = (2.0 * math.pi) * u2
-    return np.concatenate([radius * np.cos(angle), radius * np.sin(angle)])[:size]
+    u = open_uniform(gen, 2 * half)
+    radius = np.sqrt(-2.0 * np.log(u[:half]))
+    angle = (2.0 * math.pi) * u[half:]
+    out = np.empty(2 * half)
+    np.multiply(radius, np.cos(angle), out=out[:half])
+    np.multiply(radius, np.sin(angle), out=out[half:])
+    return out[:size]
 
 
 def standard_gamma(gen: np.random.Generator, shape: float, size: int) -> np.ndarray:
@@ -69,13 +79,9 @@ def _gamma_at_least_one(gen: np.random.Generator, shape: float, size: int) -> np
         x = standard_normal(gen, todo.size)
         v = (1.0 + c * x) ** 3
         u = open_uniform(gen, todo.size)
-        accept = np.zeros(todo.size, dtype=bool)
-        pos = v > 0.0
-        if pos.any():
-            xp, vp = x[pos], v[pos]
-            accept[pos] = np.log(u[pos]) < (
-                0.5 * xp * xp + d - d * vp + d * np.log(vp)
-            )
+        # log(v) is NaN or -inf where v <= 0; the v > 0 term rejects those
+        with np.errstate(invalid="ignore", divide="ignore"):
+            accept = (v > 0.0) & (np.log(u) < 0.5 * x * x + d - d * v + d * np.log(v))
         out[todo[accept]] = d * v[accept]
         todo = todo[~accept]
     return out

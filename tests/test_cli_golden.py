@@ -144,6 +144,12 @@ def _success_cases() -> dict[str, list[str]]:
         "mc", *MC_MODELS["lp"], "--n", "150", "--reps", "4", "--k-fracs", "0.1",
         "--y", "1.5",
     ]
+    # 250 replications run as two blocks wherever two CPUs are usable
+    cases["mc_bt_two_blocks"] = [
+        "mc", *MC_MODELS["bt"], "--n", "200", "--reps", "250", "--k-fracs", "0.1,0.2",
+        "--k-alpha-fracs", "0.2", "--estimators",
+        "tdc-empirical,tdc-quasispectral-estimated",
+    ]
     return cases
 
 
@@ -243,6 +249,15 @@ ERRORS = {
     "mc_alpha_inf": ([*MC_LP, "--alpha", "inf"], 1, "ValueError"),
     "simulate_nu_inf": (
         ["simulate", "--model", "bivariate-t", "--n", "10", "--nu", "inf"], 1, "ValueError"),
+    # draws past the double range: the JSON error alone, no numpy warning first
+    "simulate_pareto_overflow": (
+        ["simulate", "--model", "linear-pareto", "--n", "10", "--alpha", "0.001"],
+        1, "ValueError"),
+    "simulate_chi_square_zero": (
+        ["simulate", "--model", "bivariate-t", "--n", "10", "--nu", "0.001"], 1, "ValueError"),
+    "simulate_sigma_overflow": (
+        ["simulate", "--model", "linear-pareto", "--n", "10", "--sigma", "1e308"],
+        1, "ValueError"),
     "input_missing": (
         ["estimate", "--input", str(GOLDEN / "missing.csv"), "--estimator",
          "tdc-empirical", "--k", "10"], 1, "FileNotFoundError"),
@@ -271,6 +286,7 @@ def test_golden_stdout(case, monkeypatch):
     assert out == (GOLDEN / f"{case}.out").read_text(encoding="utf-8")
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("case", sorted(ERRORS))
 def test_golden_error_type(case, monkeypatch):
     monkeypatch.delenv("COTAIL_SEED", raising=False)

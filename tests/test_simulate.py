@@ -1,4 +1,8 @@
+import json
 import math
+import os
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -119,6 +123,97 @@ def test_pareto_ks_distance_across_seeds():
         d = float(np.max(np.maximum(np.abs(grid - cdf), np.abs(grid - 1 / n - cdf))))
         below += d < crit
     assert below >= 19
+
+
+# The sampler's earlier formulas: the integer rule for uniforms, two uniform
+# draws and a concatenate for Box-Muller, and a gathered acceptance test.
+def _reference_open_uniform(gen, size):
+    return (gen.integers(0, 2**53, size=size, dtype=np.int64) + 0.5) * 2**-53
+
+
+def _reference_standard_normal(gen, size):
+    half = (size + 1) // 2
+    u1 = _reference_open_uniform(gen, half)
+    u2 = _reference_open_uniform(gen, half)
+    radius = np.sqrt(-2.0 * np.log(u1))
+    angle = (2.0 * math.pi) * u2
+    return np.concatenate([radius * np.cos(angle), radius * np.sin(angle)])[:size]
+
+
+def _reference_gamma_at_least_one(gen, shape, size):
+    d = shape - 1.0 / 3.0
+    c = 1.0 / math.sqrt(9.0 * d)
+    out = np.empty(size, dtype=float)
+    todo = np.arange(size)
+    while todo.size:
+        x = _reference_standard_normal(gen, todo.size)
+        v = (1.0 + c * x) ** 3
+        u = _reference_open_uniform(gen, todo.size)
+        accept = np.zeros(todo.size, dtype=bool)
+        pos = v > 0.0
+        if pos.any():
+            xp, vp = x[pos], v[pos]
+            accept[pos] = np.log(u[pos]) < (0.5 * xp * xp + d - d * vp + d * np.log(vp))
+        out[todo[accept]] = d * v[accept]
+        todo = todo[~accept]
+    return out
+
+
+def _reference_standard_gamma(gen, shape, size):
+    if shape < 1.0:
+        boost = _reference_open_uniform(gen, size) ** (1.0 / shape)
+        return _reference_gamma_at_least_one(gen, shape + 1.0, size) * boost
+    return _reference_gamma_at_least_one(gen, shape, size)
+
+
+# draw id -> (rng draw, reference draw), each called as f(gen, size)
+SAMPLER_DRAWS = {
+    "uniform": (crng.open_uniform, _reference_open_uniform),
+    "normal": (crng.standard_normal, _reference_standard_normal),
+    **{
+        f"gamma_{shape}": (
+            lambda gen, size, shape=shape: crng.standard_gamma(gen, shape, size),
+            lambda gen, size, shape=shape: _reference_standard_gamma(gen, shape, size),
+        )
+        for shape in (0.3, 0.5, 1.0, 2.0, 7.5)
+    },
+    **{
+        f"chi_square_{df}": (
+            lambda gen, size, df=df: crng.chi_square(gen, df, size),
+            lambda gen, size, df=df: 2.0 * _reference_standard_gamma(gen, df / 2.0, size),
+        )
+        for df in (1.0, 4.0)
+    },
+    "pareto": (
+        lambda gen, size: crng.pareto(gen, 4.0, size),
+        lambda gen, size: _reference_open_uniform(gen, size) ** (-1.0 / 4.0),
+    ),
+}
+
+
+def _state(gen):
+    return json.dumps(gen.bit_generator.state, default=lambda a: a.tolist(), sort_keys=True)
+
+
+@pytest.mark.parametrize("draw", sorted(SAMPLER_DRAWS))
+def test_sampler_matches_its_reference_formulas_bit_for_bit(draw):
+    # shape 1.0 at size 1000 meets candidates with v <= 0 (about 0.7% of them);
+    # a partial draw first leaves Philox mid-way through its four-word buffer
+    new, reference = SAMPLER_DRAWS[draw]
+    keys = [0, 1, 2, 3, 303, 2**32 - 1, 2**32, 2**63, 2**64 - 1, 0x9E3779B97F4A7C15]
+    for key in keys:
+        for size in (1, 2, 3, 17, 1000, 1001):
+            for before in (0, 1, 3):
+                a, b = crng.generator(key), crng.generator(key)
+                if before:
+                    crng.standard_normal(a, before)
+                    _reference_standard_normal(b, before)
+                got, want = new(a, size), reference(b, size)
+                assert got.dtype == want.dtype and got.shape == want.shape == (size,)
+                assert got.tobytes() == want.tobytes(), (key, size, before)
+                assert _state(a) == _state(b), (key, size, before)
+                # the next draw starts at the same place
+                assert new(a, 5).tobytes() == reference(b, 5).tobytes()
 
 
 def test_seed_mixing_distinct_streams():
@@ -294,6 +389,136 @@ def test_run_mc_sorts_each_sample_once(monkeypatch):
     )
     assert len(summary.cells) == 15
     assert len(calls) == 3
+
+
+def _recorded_forks(monkeypatch):
+    """The pids of the children ``os.fork`` starts from now on."""
+    pids = []
+    real = os.fork
+
+    def recording():
+        pid = real()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording)
+    return pids
+
+
+def _assert_reaped(pids):
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+BLOCK_CONFIG = ModelConfig(BivariateTModel(4.0, 0.9), n=60, seed=9)
+BLOCK_ARGS = dict(
+    k_fractions=(0.1, 0.3), k_alpha_fractions=(0.2,),
+    estimators=("tdc_empirical", "tdc_quasispectral_estimated", "cte_aleph3"),
+)
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+
+
+def test_blocks_split_by_cpu_count_and_block_floor(monkeypatch):
+    monkeypatch.setattr(simulate, "_usable_cpus", lambda: 3)
+    assert simulate._blocks(1) == [(0, 1)]
+    assert simulate._blocks(199) == [(0, 199)]
+    assert simulate._blocks(250) == [(0, 125), (125, 250)]
+    assert simulate._blocks(301) == [(0, 100), (100, 200), (200, 301)]
+    assert simulate._blocks(4000) == [(0, 1333), (1333, 2666), (2666, 4000)]
+    monkeypatch.setattr(simulate, "_usable_cpus", lambda: 1)
+    assert simulate._blocks(4000) == [(0, 4000)]
+
+
+@needs_fork
+def test_run_mc_blocks_leave_the_summary_unchanged(monkeypatch):
+    pids = _recorded_forks(monkeypatch)
+    summaries = []
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(simulate, "_usable_cpus", lambda: cpus)
+        summaries.append(run_mc(BLOCK_CONFIG, reps=301, **BLOCK_ARGS))
+    assert len(pids) == 0 + 1 + 2
+    assert summaries[0] == summaries[1] == summaries[2]
+    assert summaries[0].cells[("tdc_empirical", 0.1, None)].rep_count == 301
+    _assert_reaped(pids)
+
+
+@needs_fork
+def test_run_mc_does_not_fork_beside_another_thread(monkeypatch):
+    pids = _recorded_forks(monkeypatch)
+    monkeypatch.setattr(simulate, "_usable_cpus", lambda: 2)
+    done = threading.Event()
+    thread = threading.Thread(target=done.wait)
+    thread.start()
+    try:
+        run_mc(BLOCK_CONFIG, reps=200, **BLOCK_ARGS)
+    finally:
+        done.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert pids == []
+
+
+@needs_fork
+def test_run_mc_raises_the_first_forked_blocks_error(monkeypatch):
+    # only children raise, each naming its replication: three blocks of 301
+    # replications start at 0, 100 and 200, so the caller must see rep 100
+    pids = _recorded_forks(monkeypatch)
+    parent = os.getpid()
+    real = simulate.sample_dataset
+
+    def child_fails(config):
+        if os.getpid() != parent:
+            raise ValueError(f"rep {config.seed ^ BLOCK_CONFIG.seed}")
+        return real(config)
+
+    monkeypatch.setattr(simulate, "sample_dataset", child_fails)
+    monkeypatch.setattr(simulate, "_usable_cpus", lambda: 3)
+    with pytest.raises(ValueError, match="^rep 100$"):
+        run_mc(BLOCK_CONFIG, reps=301, **BLOCK_ARGS)
+    assert len(pids) == 2
+    _assert_reaped(pids)
+
+
+@needs_fork
+def test_run_mc_reports_a_block_that_exits_without_a_result(monkeypatch):
+    pids = _recorded_forks(monkeypatch)
+    parent = os.getpid()
+    real = simulate.sample_dataset
+
+    def child_exits(config):
+        if os.getpid() != parent:
+            os._exit(3)
+        return real(config)
+
+    monkeypatch.setattr(simulate, "sample_dataset", child_exits)
+    monkeypatch.setattr(simulate, "_usable_cpus", lambda: 2)
+    with pytest.raises(RuntimeError, match="without a result"):
+        run_mc(BLOCK_CONFIG, reps=200, **BLOCK_ARGS)
+    assert len(pids) == 1
+    _assert_reaped(pids)
+
+
+@needs_fork
+def test_run_mc_kills_its_children_when_its_own_block_fails(monkeypatch):
+    # the children would sleep for a minute; the caller's error must not wait
+    pids = _recorded_forks(monkeypatch)
+    parent = os.getpid()
+
+    def stall_or_fail(config):
+        if os.getpid() != parent:
+            time.sleep(60)
+        raise ValueError("caller's block")
+
+    monkeypatch.setattr(simulate, "sample_dataset", stall_or_fail)
+    monkeypatch.setattr(simulate, "_usable_cpus", lambda: 3)
+    start = time.monotonic()
+    with pytest.raises(ValueError, match="caller's block"):
+        run_mc(BLOCK_CONFIG, reps=300, **BLOCK_ARGS)
+    assert time.monotonic() - start < 30
+    assert len(pids) == 2
+    _assert_reaped(pids)
 
 
 def test_run_mc_validation():
