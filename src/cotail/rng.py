@@ -16,8 +16,13 @@ the output and distinct keys give non-overlapping streams:
   power-of-uniform boost below 1; chi-square(df) is 2 * gamma(df / 2);
 - Pareto(alpha) is an inverse-power transform of an open uniform.
 
-Per-replication streams are keyed with ``mix_seed`` (base seed XOR replication
-index), the convention the Monte Carlo harness documents and tests rely on.
+Streams are keyed on the pair (seed, replication): Philox takes a 128-bit
+key, and replication ``rep`` of ``seed`` uses ``[seed mod 2^64, rep]``
+(``stream_key``), the counter-based design of Salmon et al., "Parallel random
+numbers: as easy as 1, 2, 3" (SC'11). Distinct pairs give distinct keys, so
+streams are independent across seeds as well as across replications.
+``Philox(key=seed)`` is the key ``[seed, 0]``, so replication 0 draws the
+stream a plain seeded generator draws.
 """
 from __future__ import annotations
 
@@ -28,14 +33,14 @@ import numpy as np
 _MASK64 = (1 << 64) - 1
 
 
-def generator(seed: int) -> np.random.Generator:
-    """A Philox-backed generator keyed by ``seed``."""
-    return np.random.Generator(np.random.Philox(key=seed & _MASK64))
+def stream_key(seed: int, rep: int = 0) -> np.ndarray:
+    """The Philox key of replication ``rep`` of ``seed``: [seed mod 2^64, rep]."""
+    return np.array([seed & _MASK64, rep], dtype=np.uint64)
 
 
-def mix_seed(base_seed: int, rep: int) -> int:
-    """The per-replication key: base_seed XOR rep, reduced to 64 bits."""
-    return (base_seed ^ rep) & _MASK64
+def generator(seed: int, rep: int = 0) -> np.random.Generator:
+    """A Philox-backed generator keyed by the pair (seed, rep)."""
+    return np.random.Generator(np.random.Philox(key=stream_key(seed, rep)))
 
 
 def open_uniform(gen: np.random.Generator, size: int) -> np.ndarray:

@@ -28,11 +28,10 @@ set of weights per estimator, after which every cell is an exactly rounded
 sum over a prefix of those weights. Only values are computed: the plug-in
 variance is not part of a summary.
 
-The replication r uses the generator keyed with ``mix_seed(seed, r)`` =
-seed XOR r, so the streams of one run are distinct, but seeds whose key sets
-overlap share streams (seeds 1, 2 and 3 give identical summaries). Philox is
-counter-based, so replication r draws the same stream whichever process runs
-it. The replications are split into contiguous blocks, one per usable CPU
+Replication r of seed s draws from the Philox stream keyed by the pair
+(s, r) (``rng.stream_key``), so streams are distinct across replications and
+across seeds. Philox is counter-based, so replication r draws the same stream
+whichever process runs it. The replications are split into contiguous blocks, one per usable CPU
 with at least 100 replications to a block. The calling process runs the
 first block and a forked child runs each other one; with one block, no
 ``os.fork`` or another live thread, the caller runs them all. The blocks'
@@ -49,7 +48,7 @@ import os
 import pickle
 import signal
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence, Union
 
 import numpy as np
@@ -169,8 +168,8 @@ class ModelConfig:
             raise ValueError("n must be at least 1")
 
 
-def sample_dataset(config: ModelConfig) -> BivariateSample:
-    """Sample ``config`` from the generator keyed by its seed.
+def sample_dataset(config: ModelConfig, rep: int = 0) -> BivariateSample:
+    """Sample replication ``rep`` of ``config``: the generator keyed by (seed, rep).
 
     A draw past the double range is left to the sample's finiteness check,
     which raises ``ValueError``, without numpy's overflow warnings.
@@ -178,7 +177,7 @@ def sample_dataset(config: ModelConfig) -> BivariateSample:
     if not isinstance(config.model, tuple(MODELS.values())):
         raise TypeError(f"unknown model type {type(config.model).__name__}")
     with np.errstate(over="ignore", divide="ignore"):
-        return config.model.sample(rng.generator(config.seed), config.n)
+        return config.model.sample(rng.generator(config.seed, rep), config.n)
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +304,7 @@ def _replicate(
     """
     values: list[list[float]] = [[] for cells in readers.values() for _ in cells]
     for rep in range(lo, hi):
-        sample = sample_dataset(replace(config, seed=rng.mix_seed(config.seed, rep)))
+        sample = sample_dataset(config, rep)
         sweep = LevelSweep(sample, ks)
         for (name, ka), cells in readers.items():
             try:

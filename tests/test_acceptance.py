@@ -232,7 +232,7 @@ def test_criterion_6_cte_identity():
     target = alpha / (alpha - 1.0)
     totals = [0.0, 0.0]
     for rep in range(reps):
-        gen = crng.generator(crng.mix_seed(606, rep))
+        gen = crng.generator(606, rep)
         x = crng.pareto(gen, alpha, n)
         sample = BivariateSample(x, x)
         totals[0] += cte_aleph3(sample, k).value
@@ -245,9 +245,7 @@ def test_criterion_6_cte_identity():
     factor = alpha / (alpha - 1.0)
     exact = all(
         cte_aleph4(
-            sample_dataset(
-                ModelConfig(LinearParetoModel(phi, 0.0, alpha), n=2000, seed=crng.mix_seed(607, rep))
-            ),
+            sample_dataset(ModelConfig(LinearParetoModel(phi, 0.0, alpha), n=2000, seed=607), rep),
             200,
             alpha,
         ).value
@@ -269,7 +267,7 @@ def test_criterion_7_hill_consistency():
     reps, n, k_alpha, alpha = 200, 10_000, 500, 4.0
     total = 0.0
     for rep in range(reps):
-        gen = crng.generator(crng.mix_seed(707, rep))
+        gen = crng.generator(707, rep)
         x = crng.pareto(gen, alpha, n)
         sample = BivariateSample(x, np.zeros(n))
         total += hill_estimate(order_view(sample), k_alpha).alpha_hat

@@ -275,7 +275,7 @@ def test_theta_against_conditional_mean_oracle():
 
     reps, total = 100, 0.0
     for rep in range(reps):
-        sample = sample_dataset(ModelConfig(model, n=5000, seed=crng.mix_seed(23, rep)))
+        sample = sample_dataset(ModelConfig(model, n=5000, seed=23), rep)
         k = 500
         aleph = cte_aleph4(sample, k, 4.0).value
         total += theta_hat(sample, k, p, aleph, 4.0).theta_hat

@@ -217,11 +217,35 @@ def test_sampler_matches_its_reference_formulas_bit_for_bit(draw):
 
 
 def test_seed_mixing_distinct_streams():
-    seeds = {crng.mix_seed(123, r) for r in range(1000)}
-    assert len(seeds) == 1000
-    a = sample_dataset(ModelConfig(LinearParetoModel(0.8, 0.1, 4.0), 100, crng.mix_seed(123, 0)))
-    b = sample_dataset(ModelConfig(LinearParetoModel(0.8, 0.1, 4.0), 100, crng.mix_seed(123, 1)))
+    config = ModelConfig(LinearParetoModel(0.8, 0.1, 4.0), 100, 123)
+    a, b = sample_dataset(config, 0), sample_dataset(config, 1)
     assert not np.array_equal(a.x, b.x)
+    # replication 0 keeps the stream of a plain seeded generator
+    plain = np.random.Generator(np.random.Philox(key=123))
+    assert np.array_equal(a.x, config.model.sample(plain, 100).x)
+
+
+def test_stream_keys_are_injective_in_seed_and_rep():
+    # seed XOR rep would map (0, 1) and (1, 0), and (2**64, 0) and (0, 0), together
+    seeds = [0, 1, 2, 3, 4, 7, 8, 255, 2**32, 2**63, 2**64 - 1]
+    keys = {
+        crng.stream_key(seed, rep).tobytes(): (seed & (2**64 - 1), rep)
+        for seed in seeds for rep in range(300)
+    }
+    assert len(keys) == len(seeds) * 300
+    assert crng.stream_key(5, 2**64 - 1).tolist() == [5, 2**64 - 1]
+    first = {crng.generator(seed, rep).random() for seed in seeds for rep in range(8)}
+    assert len(first) == len(seeds) * 8
+
+
+def test_adjacent_seeds_give_different_summaries():
+    # 200 replications cover every key seed XOR rep for seeds 0-7 alike
+    cells = []
+    for seed in range(5):
+        config = ModelConfig(LinearParetoModel(0.8, 0.1, 4.0), n=200, seed=seed)
+        summary = run_mc(config, reps=200, k_fractions=[0.1], estimators=("tdc_quasispectral",))
+        cells.append(summary.cells[("tdc_quasispectral", 0.1, None)])
+    assert len({cell.mean for cell in cells}) == 5
 
 
 def test_run_mc_single_rep_equals_direct_estimate():
@@ -230,7 +254,7 @@ def test_run_mc_single_rep_equals_direct_estimate():
         config, reps=1, k_fractions=[0.1], estimators=("tdc_empirical", "edm")
     )
     cell = summary.cells[("tdc_empirical", 0.1, None)]
-    sample = sample_dataset(ModelConfig(config.model, 500, crng.mix_seed(303, 0)))
+    sample = sample_dataset(config)
     assert cell.mean == tdc_empirical(sample, 50).value
     assert summary.cells[("edm", 0.1, None)].mean == edm_estimate(sample, 50, "l2").value
     assert cell.sd == 0.0
@@ -285,7 +309,7 @@ def test_run_mc_failures_map_onto_their_cells(monkeypatch):
     # 30 a positive spread; cte_aleph3's threshold is 0 at k = 60 only
     x = np.array([0.0] * 50 + [float(v) for v in range(1, 31)] + [50.0] * 20)
     sample = BivariateSample(x[::-1], 0.5 * x[::-1] + 1.0)
-    monkeypatch.setattr(simulate, "sample_dataset", lambda config: sample)
+    monkeypatch.setattr(simulate, "sample_dataset", lambda config, rep: sample)
     config = ModelConfig(LinearParetoModel(0.8, 0.1, 4.0), n=100, seed=1)
     summary = run_mc(
         config, reps=2, k_fractions=[0.1, 0.3, 0.6], k_alpha_fractions=[0.1, 0.3, 0.5],
@@ -321,8 +345,7 @@ def _mc_by_estimate(config, reps, k_fracs, ka_fracs, names, y):
             for kaf in kafs:
                 values[(name, kf, kaf)] = []
     for rep in range(reps):
-        seed = crng.mix_seed(config.seed, rep)
-        sample = sample_dataset(ModelConfig(config.model, n, seed))
+        sample = sample_dataset(config, rep)
         for (name, kf, kaf), vals in values.items():
             k = fraction_to_count(kf, n)
             ka = None if kaf is None else fraction_to_count(kaf, n)
@@ -468,10 +491,10 @@ def test_run_mc_raises_the_first_forked_blocks_error(monkeypatch):
     parent = os.getpid()
     real = simulate.sample_dataset
 
-    def child_fails(config):
+    def child_fails(config, rep):
         if os.getpid() != parent:
-            raise ValueError(f"rep {config.seed ^ BLOCK_CONFIG.seed}")
-        return real(config)
+            raise ValueError(f"rep {rep}")
+        return real(config, rep)
 
     monkeypatch.setattr(simulate, "sample_dataset", child_fails)
     monkeypatch.setattr(simulate, "_usable_cpus", lambda: 3)
@@ -487,10 +510,10 @@ def test_run_mc_reports_a_block_that_exits_without_a_result(monkeypatch):
     parent = os.getpid()
     real = simulate.sample_dataset
 
-    def child_exits(config):
+    def child_exits(config, rep):
         if os.getpid() != parent:
             os._exit(3)
-        return real(config)
+        return real(config, rep)
 
     monkeypatch.setattr(simulate, "sample_dataset", child_exits)
     monkeypatch.setattr(simulate, "_usable_cpus", lambda: 2)
@@ -506,7 +529,7 @@ def test_run_mc_kills_its_children_when_its_own_block_fails(monkeypatch):
     pids = _recorded_forks(monkeypatch)
     parent = os.getpid()
 
-    def stall_or_fail(config):
+    def stall_or_fail(config, rep):
         if os.getpid() != parent:
             time.sleep(60)
         raise ValueError("caller's block")
