@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import BivariateSample, LevelSweep, fraction_to_count, order_view
+from .core import BivariateSample, LevelSweep, fraction_to_count
 from .errors import CotailError, NonPositivePrice, ParseError
 from .estimators import (
     ESTIMATORS,
@@ -40,7 +40,7 @@ from .estimators import (
 )
 from .simulate import MODELS, McCell, ModelConfig, run_mc, sample_dataset
 from .tail_function import NORMS
-from .tail_index import hill_estimate
+from .tail_index import hill_alphas
 
 TRANSFORMS = ("none", "abs-log-returns")
 
@@ -227,7 +227,7 @@ def _cmd_ingest(args) -> None:
 def _report_row(args, sweep: LevelSweep, name: str, k: int, y: float):
     """Read the ``ESTIMATORS`` entry ``name`` off a sweep at (k, y), with its report fields."""
     params = ESTIMATORS[name].params
-    k_alpha = _k_alpha(args, k, sweep.sample.n) if "k_alpha" in params else None
+    k_alpha = _k_alpha(args, k, sweep.n) if "k_alpha" in params else None
     # curve has no --norm: none of its tdc methods takes one
     norm = getattr(args, "norm", None)
     reader = level_reader(name, sweep, y=y, alpha=args.alpha, k_alpha=k_alpha, norm=norm)
@@ -267,7 +267,9 @@ def _theta_report(args, sample: BivariateSample, k: int) -> dict:
         alpha, source = args.alpha, "supplied"
     else:
         k_alpha = _k_alpha(args, k, sample.n)
-        alpha, source = hill_estimate(order_view(sample), k_alpha).alpha_hat, "hill"
+        alpha, source = hill_alphas(LevelSweep(sample, ()), k_alpha)[0], "hill"
+        if isinstance(alpha, CotailError):
+            raise alpha
     aleph = estimate(_registry_id(args.aleph_from), sample, k, alpha=alpha).value
     ext = theta_hat(sample, k, args.p, aleph, alpha)
     return {

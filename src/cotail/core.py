@@ -4,14 +4,19 @@ Everything here is immutable after construction, so samples and views can be
 shared freely between concurrent tasks. The order of pairs inside a sample
 carries no meaning; every downstream estimator is permutation invariant.
 
-A sample sorts x once, lazily: the first ``order_view`` caches the ordering on
-the sample for every later view, k and Hill step; a concurrent first access
-at worst sorts twice. ``level_threshold`` (X_(n-k), 1 <= k <= n-1) and
-``exceedance_count`` (the number of keys strictly above it) are the one
-level-k rule. A ``LevelSweep`` applies it to a whole set of levels at once:
-it reads every threshold and count from the sorted key and gathers the pairs
-above the lowest level in one pass, so the exceedances at each level are a
-prefix of the gathered arrays.
+``level_threshold`` (X_(n-k), 1 <= k <= n-1) and ``exceedance_count`` (the
+number of keys strictly above it) are the one level-k rule. They read rows
+of keys sorted in descending order, so one call serves a single sample or a
+block of replications held as rows (``SampleRows``). A ``LevelSweep``
+applies the rule to a whole set of levels at once: per row, ``argpartition``
+selects the largest max(k) + 1 keys and only those are sorted, and the pairs
+behind them are gathered in descending key order, so the exceedances at each
+level are a prefix of every row. No sort needs to be stable: every count is
+strict and every sum exact, so the order among tied keys changes no value.
+
+``order_view`` is the full ascending sort of a sample's x margin (stable, and
+cached on the sample) for callers that want every order statistic; no
+estimator uses it.
 """
 from __future__ import annotations
 
@@ -24,16 +29,20 @@ import numpy as np
 from .errors import NegativeValue
 
 
+def _check_values(arr: np.ndarray, name: str) -> None:
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} contains non-finite values")
+    if np.any(arr < 0):
+        raise NegativeValue(f"{name} contains negative values")
+
+
 def _as_readonly_array(values, name: str) -> np.ndarray:
     arr = np.array(values, dtype=float)
     if arr.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional")
     if arr.size == 0:
         raise ValueError(f"{name} must contain at least one observation")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite values")
-    if np.any(arr < 0):
-        raise NegativeValue(f"{name} contains negative values")
+    _check_values(arr, name)
     arr.setflags(write=False)
     return arr
 
@@ -81,6 +90,24 @@ class BivariateSample:
 
 
 @dataclass(frozen=True)
+class SampleRows:
+    """Samples of equal size as the rows of x and y, checked as ``BivariateSample`` checks one.
+
+    The Monte Carlo harness holds a chunk of replications this way; row r of
+    x and y are the pairs of one sample.
+    """
+
+    x: np.ndarray
+    y: np.ndarray
+
+    def __post_init__(self):
+        if self.x.ndim != 2 or self.x.shape != self.y.shape or self.x.shape[1] == 0:
+            raise ValueError("x and y must be equal nonempty (rows, n) arrays")
+        _check_values(self.x, "x")
+        _check_values(self.y, "y")
+
+
+@dataclass(frozen=True)
 class OrderedView:
     """Sorted-by-x view of a sample with order-statistic access.
 
@@ -101,7 +128,7 @@ class OrderedView:
 
     def threshold(self, k: int) -> float:
         """Return the (k+1)-th largest x value, the exceedance level for k."""
-        return level_threshold(self.x_sorted, k)
+        return float(level_threshold(self.x_sorted[None, ::-1], k, self.sample.n)[0])
 
 
 def order_view(sample: BivariateSample) -> OrderedView:
@@ -110,66 +137,111 @@ def order_view(sample: BivariateSample) -> OrderedView:
     return OrderedView(sample=sample, order=order, x_sorted=x_sorted)
 
 
-def level_threshold(key_sorted: np.ndarray, k: int, what: str = "k") -> float:
-    """X_(n-k) of an ascending key: its (k+1)-th largest value, 1 <= k <= n-1."""
-    n = key_sorted.size
+def _check_level(k: int, n: int, what: str) -> None:
     if not 1 <= k <= n - 1:
         raise ValueError(f"{what} must be in [1, {n - 1}], got {k}")
-    return float(key_sorted[n - k - 1])
 
 
-def exceedance_count(key_sorted: np.ndarray, k: int) -> tuple[float, int]:
-    """The level-k threshold of an ascending key and the count of keys strictly above it.
+def level_threshold(top: np.ndarray, k: int, n: int, what: str = "k") -> np.ndarray:
+    """X_(n-k) of each row of n keys, 1 <= k <= n-1: the row's (k+1)-th largest key.
+
+    ``top`` holds at least the largest k + 1 keys of every row, in descending
+    order.
+    """
+    _check_level(k, n, what)
+    return top[:, k]
+
+
+def exceedance_count(top: np.ndarray, k: int, threshold: np.ndarray) -> np.ndarray:
+    """The count of each row's keys strictly above its level-k threshold.
 
     With tie-free data the count is k; ties at the threshold shrink it
     (estimators still divide by the nominal k).
     """
-    thr = level_threshold(key_sorted, k)
-    return thr, key_sorted.size - int(np.searchsorted(key_sorted, thr, side="right"))
+    return np.count_nonzero(top[:, :k] > threshold[:, None], axis=1)
+
+
+def _take(a: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """a[r, cols[r, j]] for every row r: ``np.take_along_axis`` without its index building."""
+    return a.ravel()[cols + np.arange(0, a.size, a.shape[1])[:, None]]
 
 
 @dataclass(frozen=True, eq=False)
 class LevelSweep:
-    """The strict exceedances of a sample at a set of levels k, gathered once.
+    """The strict exceedances of one sample, or of every row of a block, at a set of levels k.
 
-    Nothing is read until first use. Then each level's threshold X_(n-k) and
-    strict exceedance count come from the sorted key, and ``x``/``y``
-    receive the pairs above the lowest level in descending key order, so the
-    exceedances at level k are their first ``count`` entries. The key is x,
-    whose cached order is reused, unless another per-pair ``key`` is given
-    (the norm of the dependence measure); that one is sorted here.
+    ``sample`` is a ``BivariateSample`` (one row) or ``SampleRows``. Nothing
+    is read until first use. Then each row's largest max(ks) + 1 keys are
+    selected and sorted in descending order, each level's threshold and
+    strict exceedance count follow from them, and ``x``/``y`` receive the
+    pairs behind the largest max(ks) keys, so the exceedances of a row at
+    level k are the first ``count(k)[row]`` entries of that row. The key is
+    x unless another per-pair ``key`` of the same shape is given (the norm of
+    the dependence measure).
     """
 
-    sample: BivariateSample
+    sample: BivariateSample | SampleRows
     ks: tuple[int, ...]
     key: np.ndarray | None = None
 
+    @property
+    def n(self) -> int:
+        return self.sample.x.shape[-1]
+
+    @property
+    def rows(self) -> int:
+        return np.atleast_2d(self.sample.x).shape[0]
+
     @cached_property
-    def _read(self) -> tuple[dict[int, tuple[float, int]], np.ndarray, np.ndarray]:
-        if self.key is None:
-            order, key_sorted = self.sample._x_order
-        else:
-            order = np.argsort(self.key, kind="stable")
-            key_sorted = self.key[order]
-        levels = {k: exceedance_count(key_sorted, k) for k in self.ks}
-        n = key_sorted.size
-        top = order[n - max((m for _, m in levels.values()), default=0):][::-1]
-        return levels, self.sample.x[top], self.sample.y[top]
+    def _read(self):
+        x, y = np.atleast_2d(self.sample.x), np.atleast_2d(self.sample.y)
+        key = x if self.key is None else np.atleast_2d(self.key)
+        n, width = self.n, max(self.ks, default=0)
+        for k in self.ks:
+            _check_level(k, n, "k")
+        # the largest width + 1 keys of each row; which of several tied keys
+        # make the cut changes no threshold, count or sum
+        part = np.argpartition(key, n - width - 1, axis=1)[:, n - width - 1:]
+        part_keys = _take(key, part)
+        order = np.argsort(part_keys, axis=1)[:, ::-1]
+        top = _take(part_keys, order)
+        levels = {}
+        for k in self.ks:
+            thr = level_threshold(top, k, n)
+            levels[k] = (thr, exceedance_count(top, k, thr).tolist())
+        gather = _take(part, order[:, :width])
+        xs = top[:, :width] if self.key is None else _take(x, gather)
+        return top, levels, xs, _take(y, gather)
 
     @property
     def x(self) -> np.ndarray:
-        return self._read[1]
+        """Per row, the x of the pairs with the largest max(ks) keys, in descending key order."""
+        return self._read[2]
 
     @property
     def y(self) -> np.ndarray:
-        return self._read[2]
+        """The y of the same pairs as ``x``."""
+        return self._read[3]
 
-    def level(self, k: int) -> tuple[float, int]:
-        """The threshold and the strict exceedance count at level k."""
-        levels = self._read[0]
+    def _level(self, k: int) -> tuple[np.ndarray, list[int]]:
+        levels = self._read[1]
         if k not in levels:
             raise ValueError(f"k = {k} is not a level of this sweep")
         return levels[k]
+
+    def threshold(self, k: int) -> np.ndarray:
+        """Each row's threshold X_(n-k)."""
+        return self._level(k)[0]
+
+    def count(self, k: int) -> list[int]:
+        """Each row's count of strict exceedances at level k."""
+        return self._level(k)[1]
+
+    def top_x(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Each row's x order statistic X_(n-k) and the k x values above it, in no set order."""
+        _check_level(k, self.n, "k_alpha")
+        part = np.partition(np.atleast_2d(self.sample.x), self.n - k - 1, axis=1)
+        return part[:, self.n - k - 1], part[:, self.n - k:]
 
 
 def fraction_to_count(frac: float, n: int, what: str = "fraction") -> int:
@@ -183,7 +255,8 @@ def fraction_to_count(frac: float, n: int, what: str = "fraction") -> int:
 
 def exceedance_indices(view: OrderedView, k: int) -> np.ndarray:
     """Indices j with x_j strictly above the level-k threshold, ascending."""
-    _, m = exceedance_count(view.x_sorted, k)
+    top = view.x_sorted[None, ::-1]
+    m = int(exceedance_count(top, k, level_threshold(top, k, view.sample.n))[0])
     return np.sort(view.order[view.sample.n - m:])
 
 

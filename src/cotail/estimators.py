@@ -25,15 +25,17 @@ normal interval; its quantile comes from the standard library's
 ``ESTIMATORS`` is the one table of the estimators above (all but
 ``theta_hat``): each id maps to its reader, the parameters it takes from
 y / alpha / k_alpha / norm, and the upper end of its natural range. Every
-estimator is read off a ``core.LevelSweep``, which gathers a sample's
-exceedances at a whole set of levels k in one pass. ``level_reader`` binds
-an estimator and its parameters to a sweep: the Hill step and every weight
-that does not depend on k are computed once, and each level is then one
-exactly rounded sum over a prefix of those weights. ``LevelReader.value``
-gives the estimate alone (the Monte Carlo harness discards the variance);
-``LevelReader.estimate`` gives the full ``TailEstimate``. ``estimate`` and
-the functions above run a reader on a one-level sweep, and the CLI's
-``estimate`` and ``curve`` read their rows from one sweep per sample.
+estimator is read off a ``core.LevelSweep``, which gathers the exceedances
+of one sample, or of each row of a block of replications, at a whole set of
+levels k. ``level_reader`` binds an estimator and its parameters to a sweep:
+the Hill step and every weight that does not depend on k are computed once
+for all rows, and each (row, level) is then one exactly rounded sum over a
+prefix of that row's weights. ``LevelReader.values`` gives every row's
+estimate alone (the Monte Carlo harness discards the variance);
+``LevelReader.estimate`` gives a one-row sweep's full ``TailEstimate``.
+``estimate`` and the functions above run a reader on a one-level sweep of
+one sample, and the CLI's ``estimate`` and ``curve`` read their rows from
+one sweep per sample: the same code as the Monte Carlo harness, on one row.
 
 Plug-in variances are second moments of the same weights (the fixed-level
 approximation at s = 1); they omit random-threshold corrections, so treat the
@@ -49,19 +51,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from statistics import NormalDist
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .core import BivariateSample, LevelSweep, TailEstimate, order_view
+from .core import BivariateSample, LevelSweep, TailEstimate
 from .errors import (
     AlphaNotAboveOne,
+    CotailError,
     InvalidP,
     MissingVariance,
     NonPositiveThreshold,
 )
 from .tail_function import norm_values, squared_norm
-from .tail_index import hill_estimate
+from .tail_index import hill_alphas
 
 
 @dataclass(frozen=True)
@@ -105,42 +108,66 @@ def _check_y(y: float) -> None:
         raise ValueError("y must be positive and finite")
 
 
+def _check_alpha(alpha: float) -> None:
+    if not 0 < alpha < math.inf:
+        raise ValueError("alpha must be positive and finite")
+
+
+def _quiet():
+    # a row's gathered pairs beyond its exceedances may hold x = 0: their
+    # weights are never summed, so their divisions must not warn either
+    return np.errstate(divide="ignore", invalid="ignore", over="ignore")
+
+
 @dataclass(frozen=True)
 class LevelReader:
-    """One estimator with its parameters bound to a sweep, read at any of its levels.
+    """One estimator with its parameters bound to a sweep, read row by row at any of its levels.
 
-    ``terms(k)`` lists the weights of the exceedances at level k. The value
-    is factor * (1/k) sum w, the plug-in variance factor^2 * (1/k) sum w^2.
+    ``terms(k)`` gives, for each row of the sweep, the weights of its
+    exceedances at level k, or the ``CotailError`` that fails the row there.
+    A row's value is factor * (1/k) sum w and its plug-in variance
+    factor^2 * (1/k) sum w^2. ``alpha_used`` holds each row's alpha.
     """
 
     estimator_id: str
     terms: Callable[[int], list]
     factor: float = 1.0
-    alpha_used: float | None = None
+    alpha_used: Sequence | None = None
     metadata: Mapping[str, object] = field(default_factory=dict)
 
+    def values(self, k: int) -> list:
+        """Each row's estimate at level k without its variance, or the error that fails the row."""
+        factor = self.factor
+        return [
+            t if isinstance(t, CotailError) else factor * (math.fsum(t) / k)
+            for t in self.terms(k)
+        ]
+
     def value(self, k: int) -> float:
-        """The estimate at level k, without its variance."""
-        return self.factor * (math.fsum(self.terms(k)) / k)
+        """The estimate of a one-row sweep at level k, without its variance."""
+        return self.estimate(k).value
 
     def estimate(self, k: int) -> TailEstimate:
-        """The estimate at level k with its plug-in variance."""
-        terms = self.terms(k)
+        """The estimate of a one-row sweep at level k with its plug-in variance."""
+        terms = self.terms(k)[0]
+        if isinstance(terms, CotailError):
+            raise terms
         factor = self.factor
         return TailEstimate(
             value=factor * (math.fsum(terms) / k),
             k=k,
             estimator_id=self.estimator_id,
             plugin_variance=(factor * factor) * (math.fsum([t * t for t in terms]) / k),
-            alpha_used=self.alpha_used,
+            alpha_used=None if self.alpha_used is None else self.alpha_used[0],
             metadata=dict(self.metadata),
         )
 
 
-def _prefixes(sweep: LevelSweep, weights: np.ndarray) -> Callable[[int], list]:
-    """Terms at level k: a prefix of weights computed once on the gathered pairs."""
-    weights = weights.tolist()
-    return lambda k: weights[: sweep.level(k)[1]]
+def _prefixes(sweep: LevelSweep, rows: list) -> Callable[[int], list]:
+    """Terms at level k: a prefix of each row's weights, or the error that fails the row."""
+    return lambda k: [
+        w if isinstance(w, CotailError) else w[:m] for w, m in zip(rows, sweep.count(k))
+    ]
 
 
 def _empirical(sweep: LevelSweep, y: float) -> LevelReader:
@@ -148,38 +175,52 @@ def _empirical(sweep: LevelSweep, y: float) -> LevelReader:
 
     def joint(k):
         # the indicator weights that are 1; the zeros add nothing to either sum
-        thr, m = sweep.level(k)
-        return [1.0] * int(np.count_nonzero(sweep.y[:m] > y * thr))
+        thr = sweep.threshold(k)[:, None]
+        hits = (sweep.x[:, :k] > thr) & (sweep.y[:, :k] > y * thr)
+        return [[1.0] * c for c in np.count_nonzero(hits, axis=1).tolist()]
 
     return LevelReader("tdc_empirical", joint)
 
 
-def _ratio_weights(sweep: LevelSweep, y: float, alpha: float) -> Callable[[int], list]:
+def _capped_ratio(sweep: LevelSweep, y: float) -> np.ndarray:
     _check_y(y)
-    if not 0 < alpha < math.inf:
-        raise ValueError("alpha must be positive and finite")
-    return _prefixes(sweep, np.minimum(sweep.y / (y * sweep.x), 1.0) ** alpha)
+    with _quiet():
+        return np.minimum(sweep.y / (y * sweep.x), 1.0)
 
 
 def _quasispectral(sweep: LevelSweep, y: float, alpha: float) -> LevelReader:
-    weights = _ratio_weights(sweep, y, alpha)
-    return LevelReader("tdc_quasispectral", weights, alpha_used=alpha)
+    capped = _capped_ratio(sweep, y)
+    _check_alpha(alpha)
+    with _quiet():
+        weights = (capped ** alpha).tolist()
+    return LevelReader(
+        "tdc_quasispectral", _prefixes(sweep, weights), alpha_used=[alpha] * sweep.rows
+    )
 
 
 def _quasispectral_estimated(sweep: LevelSweep, k_alpha: int, y: float) -> LevelReader:
-    alpha = hill_estimate(order_view(sweep.sample), k_alpha).alpha_hat
+    alphas = hill_alphas(sweep, k_alpha)  # each positive and finite, or an error
+    capped = _capped_ratio(sweep, y)
+    with _quiet():  # one alpha per row, so one power per row
+        weights = [
+            a if isinstance(a, CotailError) else (row ** a).tolist()
+            for row, a in zip(capped, alphas)
+        ]
     return LevelReader(
-        "tdc_quasispectral_estimated", _ratio_weights(sweep, y, alpha), alpha_used=alpha,
+        "tdc_quasispectral_estimated", _prefixes(sweep, weights), alpha_used=alphas,
         metadata={"k_alpha": k_alpha, "alpha_source": "hill"},
     )
 
 
 def _aleph3(sweep: LevelSweep) -> LevelReader:
     def scaled(k):
-        thr, m = sweep.level(k)
-        if thr <= 0:
-            raise NonPositiveThreshold(f"X_(n-k) = {thr} is not positive")
-        return (sweep.y[:m] / thr).tolist()
+        thr = sweep.threshold(k)
+        with _quiet():
+            terms = (sweep.y[:, :k] / thr[:, None]).tolist()
+        return [
+            NonPositiveThreshold(f"X_(n-k) = {t} is not positive") if t <= 0 else row[:m]
+            for t, row, m in zip(thr.tolist(), terms, sweep.count(k))
+        ]
 
     return LevelReader(
         "cte_aleph3", scaled,
@@ -190,9 +231,11 @@ def _aleph3(sweep: LevelSweep) -> LevelReader:
 def _aleph4(sweep: LevelSweep, alpha: float) -> LevelReader:
     if not 1 < alpha < math.inf:
         raise AlphaNotAboveOne(f"alpha must exceed 1 and be finite, got {alpha}")
+    with _quiet():
+        ratios = (sweep.y / sweep.x).tolist()
     return LevelReader(
-        "cte_aleph4", _prefixes(sweep, sweep.y / sweep.x), alpha / (alpha - 1.0),
-        alpha_used=alpha,
+        "cte_aleph4", _prefixes(sweep, ratios), alpha / (alpha - 1.0),
+        alpha_used=[alpha] * sweep.rows,
     )
 
 
@@ -201,8 +244,10 @@ def _edm(sweep: LevelSweep, norm: str) -> LevelReader:
     radii = norm_values(sample.x, sample.y, norm)  # rejects an unknown norm
     by_norm = LevelSweep(sample, sweep.ks, radii)
     xe, ye = by_norm.x, by_norm.y
+    with _quiet():
+        weights = ((xe * ye) / squared_norm(xe, ye, norm)).tolist()
     return LevelReader(
-        "edm", _prefixes(by_norm, (xe * ye) / squared_norm(xe, ye, norm)),
+        "edm", _prefixes(by_norm, weights),
         metadata={"norm": norm, "threshold_scale": "norm order statistic"},
     )
 
@@ -291,9 +336,8 @@ def theta_hat(
     """
     if not 0.0 < p < 1.0:
         raise InvalidP(f"p must lie in (0, 1), got {p}")
-    if not 0 < alpha < math.inf:
-        raise ValueError("alpha must be positive and finite")
-    thr = order_view(sample).threshold(k)
+    _check_alpha(alpha)
+    thr = float(LevelSweep(sample, (k,)).threshold(k)[0])
     try:
         # evaluated as (k/n)/p so that p = k/n yields the factor 1.0 exactly
         factor = ((k / sample.n) / p) ** (1.0 / alpha)

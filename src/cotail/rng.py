@@ -22,11 +22,17 @@ key, and replication ``rep`` of ``seed`` uses ``[seed mod 2^64, rep]``
 numbers: as easy as 1, 2, 3" (SC'11). Distinct pairs give distinct keys, so
 streams are independent across seeds as well as across replications.
 ``Philox(key=seed)`` is the key ``[seed, 0]``, so replication 0 draws the
-stream a plain seeded generator draws.
+stream a plain seeded generator draws. ``streams`` serves a run of
+replications from one Philox, re-keyed through its state for each.
+
+The transforms (``pareto_of``, ``box_muller``) act elementwise or along the
+last axis, so a block of uniforms drawn as rows transforms to the same bits
+as each row drawn alone.
 """
 from __future__ import annotations
 
 import math
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -43,24 +49,50 @@ def generator(seed: int, rep: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=stream_key(seed, rep)))
 
 
-def open_uniform(gen: np.random.Generator, size: int) -> np.ndarray:
-    """Uniform draws strictly inside (0, 1): (m + 0.5) * 2^-53, m a 53-bit integer."""
-    return gen.random(size) + 2.0 ** -54
+def streams(seed: int, reps: Iterable[int]) -> Iterator[np.random.Generator]:
+    """``generator(seed, rep)`` for each rep in turn, from one re-keyed Philox.
+
+    Each yielded generator is the same object, valid until the next one is
+    yielded. Setting a Philox's state costs about 3 us, building one about 15.
+    """
+    bitgen = np.random.Philox(key=stream_key(seed))
+    gen = np.random.Generator(bitgen)
+    fresh = bitgen.state  # counter 0 and an empty buffer
+    for rep in reps:
+        fresh["state"]["key"] = stream_key(seed, rep)
+        bitgen.state = fresh
+        yield gen
+
+
+def open_uniform(gen: np.random.Generator, size: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Uniform draws strictly inside (0, 1): (m + 0.5) * 2^-53, m a 53-bit integer.
+
+    With ``out`` (a C-contiguous float array of ``size`` values) they are
+    written there.
+    """
+    u = gen.random(size, out=out)
+    u += 2.0 ** -54
+    return u
 
 
 def standard_normal(gen: np.random.Generator, size: int) -> np.ndarray:
-    """Box-Muller pairs; for odd sizes the last variate of a pair is dropped.
+    """Box-Muller pairs; for odd sizes the last variate of a pair is dropped."""
+    return box_muller(open_uniform(gen, 2 * ((size + 1) // 2)), size)
 
-    One uniform draw holds the radius block then the angle block.
+
+def box_muller(u: np.ndarray, size: int) -> np.ndarray:
+    """``size`` normals from 2 * ceil(size / 2) open uniforms along u's last axis.
+
+    The uniforms hold the radius block then the angle block; for odd sizes
+    the last variate of a pair is dropped. Rows of a 2-D u transform alike.
     """
     half = (size + 1) // 2
-    u = open_uniform(gen, 2 * half)
-    radius = np.sqrt(-2.0 * np.log(u[:half]))
-    angle = (2.0 * math.pi) * u[half:]
-    out = np.empty(2 * half)
-    np.multiply(radius, np.cos(angle), out=out[:half])
-    np.multiply(radius, np.sin(angle), out=out[half:])
-    return out[:size]
+    radius = np.sqrt(-2.0 * np.log(u[..., :half]))
+    angle = (2.0 * math.pi) * u[..., half:]
+    out = np.empty(u.shape)
+    np.multiply(radius, np.cos(angle), out=out[..., :half])
+    np.multiply(radius, np.sin(angle), out=out[..., half:])
+    return out[..., :size]
 
 
 def standard_gamma(gen: np.random.Generator, shape: float, size: int) -> np.ndarray:
@@ -100,4 +132,9 @@ def pareto(gen: np.random.Generator, alpha: float, size: int) -> np.ndarray:
     """Standard Pareto(alpha): survival x^(-alpha) on x >= 1."""
     if not 0 < alpha < math.inf:
         raise ValueError("alpha must be positive and finite")
-    return open_uniform(gen, size) ** (-1.0 / alpha)
+    return pareto_of(open_uniform(gen, size), alpha)
+
+
+def pareto_of(u: np.ndarray, alpha: float) -> np.ndarray:
+    """Standard Pareto(alpha) variates from open uniforms: u^(-1/alpha), elementwise."""
+    return u ** (-1.0 / alpha)

@@ -6,6 +6,8 @@ Models
 choices and parameter flags from it. Every field has a default, the
 parameters of the paper's simulation studies, and ``sample(gen, n)`` draws n
 pairs from a generator (its docstring gives the draw order).
+``sample_rows(seed, reps, n)`` draws replications ``reps`` as the rows of x
+and y, each row the bits ``sample`` draws from ``rng.generator(seed, rep)``.
 
 LinearParetoModel
     Y = phi * X + sigma * |Z| with X standard Pareto(alpha) (survival
@@ -21,25 +23,34 @@ BivariateTModel
     evaluated as the regularised incomplete beta I_{(1+rho)/2}((nu+1)/2, 1/2)
     by a continued fraction.
 
-The harness ``run_mc`` evaluates a set of estimators over replications. Each
-replication's sample is swept once (``core.LevelSweep``): one sort of x, one
-gather of the pairs above the lowest level, one Hill step per k_alpha and one
-set of weights per estimator, after which every cell is an exactly rounded
-sum over a prefix of those weights. Only values are computed: the plug-in
-variance is not part of a summary.
+The harness ``run_mc`` evaluates a set of estimators over replications,
+held as the rows of 2-D arrays. Each model draws a chunk of replications
+into rows with ``sample_rows``, row r equal to ``sample_dataset(config, r)``
+bit for bit: linear-Pareto fills each row with one uniform draw and runs the
+Pareto power and Box-Muller once per chunk, while bivariate-t, whose gamma
+rejection consumes a random count of draws, samples each row on its own. One
+``core.LevelSweep`` then covers the chunk: one partition and one sort of each
+row's top keys, one Hill step per k_alpha and one set of weights per
+estimator, after which every (row, cell) is an exactly rounded sum over a
+prefix of that row's weights. A chunk's row count comes from a fixed byte
+budget and n. Only values are computed: the plug-in variance is not part of
+a summary.
 
 Replication r of seed s draws from the Philox stream keyed by the pair
 (s, r) (``rng.stream_key``), so streams are distinct across replications and
-across seeds. Philox is counter-based, so replication r draws the same stream
-whichever process runs it. The replications are split into contiguous blocks, one per usable CPU
-with at least 100 replications to a block. The calling process runs the
-first block and a forked child runs each other one; with one block, no
-``os.fork`` or another live thread, the caller runs them all. The blocks'
-values are joined in replication order before any statistic is taken, so
-summaries are bit-identical whatever the block count. An error in a block is
-raised in block order, the one a single process would meet first. A
-replication whose estimator raises a ``CotailError`` is left out of that
-cell's values and counted in its failures instead of aborting the run.
+across seeds; a chunk re-keys one Philox for each of its rows. Philox is
+counter-based, so replication r draws the same stream whichever process and
+chunk run it. The replications are split into contiguous blocks, one per
+usable CPU with at least 100 replications to a block. The calling process
+runs the first block and a forked child runs each other one; with one
+block, no ``os.fork`` or another live thread, the caller runs them all. The
+blocks' values are joined in replication order before any statistic is
+taken, so summaries are bit-identical whatever the block count and chunk
+size. An error in a block is raised in block order, the one a single process
+would meet first; a child that dies without a result is a
+``ChildProcessError``. A replication whose estimator raises a
+``CotailError`` is left out of that cell's values and counted in its
+failures instead of aborting the run.
 """
 from __future__ import annotations
 
@@ -54,7 +65,7 @@ from typing import Callable, Mapping, Sequence, Union
 import numpy as np
 
 from . import rng
-from .core import BivariateSample, LevelSweep, fraction_to_count
+from .core import BivariateSample, LevelSweep, SampleRows, fraction_to_count
 from .errors import CotailError
 from .estimators import ESTIMATORS, level_reader
 
@@ -85,7 +96,23 @@ class LinearParetoModel:
         """Draw order: the n Pareto uniforms, then the n normals."""
         x = rng.pareto(gen, self.alpha, n)
         z = rng.standard_normal(gen, n)
-        return BivariateSample(x, self.phi * x + self.sigma * np.abs(z))
+        return BivariateSample(x, self._y(x, z))
+
+    def sample_rows(self, seed: int, reps: range, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """Replications ``reps`` of ``seed`` as rows of x and y, each as ``sample`` draws it.
+
+        A replication consumes a fixed count of uniforms, n for x and
+        2 * ceil(n / 2) for the normals, so each is one draw into its row,
+        and the transforms then run once over all rows.
+        """
+        u = np.empty((len(reps), n + 2 * ((n + 1) // 2)))
+        for row, gen in zip(u, rng.streams(seed, reps)):
+            rng.open_uniform(gen, row.size, out=row)
+        x = rng.pareto_of(u[:, :n], self.alpha)
+        return x, self._y(x, rng.box_muller(u[:, n:], n))
+
+    def _y(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
+        return self.phi * x + self.sigma * np.abs(z)
 
 
 @dataclass(frozen=True)
@@ -111,11 +138,25 @@ class BivariateTModel:
 
     def sample(self, gen: np.random.Generator, n: int) -> BivariateSample:
         """Draw order: the chi-square, then Z1, then Z2'."""
+        return BivariateSample(*self._pairs(gen, n))
+
+    def sample_rows(self, seed: int, reps: range, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """Replications ``reps`` of ``seed`` as rows of x and y, each as ``sample`` draws it.
+
+        The gamma rejection consumes a random count of draws, so each
+        replication is drawn on its own into its row.
+        """
+        x, y = np.empty((len(reps), n)), np.empty((len(reps), n))
+        for i, gen in enumerate(rng.streams(seed, reps)):
+            x[i], y[i] = self._pairs(gen, n)
+        return x, y
+
+    def _pairs(self, gen: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
         w = self.nu / rng.chi_square(gen, self.nu, n)
         z1 = rng.standard_normal(gen, n)
         z2 = self.rho * z1 + math.sqrt(1.0 - self.rho ** 2) * rng.standard_normal(gen, n)
         root_w = np.sqrt(w)
-        return BivariateSample(root_w * np.abs(z1), root_w * np.abs(z2))
+        return root_w * np.abs(z1), root_w * np.abs(z2)
 
 
 def _betainc(a: float, b: float, x: float, y: float) -> float:
@@ -180,6 +221,15 @@ def sample_dataset(config: ModelConfig, rep: int = 0) -> BivariateSample:
         return config.model.sample(rng.generator(config.seed, rep), config.n)
 
 
+def _sample_rows(config: ModelConfig, lo: int, hi: int) -> SampleRows:
+    """Replications lo..hi-1 of ``config`` as rows, each equal to ``sample_dataset(config, rep)``.
+
+    The rows are checked once, with the errors a ``BivariateSample`` raises.
+    """
+    with np.errstate(over="ignore", divide="ignore"):
+        return SampleRows(*config.model.sample_rows(config.seed, range(lo, hi), config.n))
+
+
 # ---------------------------------------------------------------------------
 # Monte Carlo harness
 # ---------------------------------------------------------------------------
@@ -228,12 +278,13 @@ def run_mc(
     model's tail dependence coefficient when a TDC estimator (one that takes
     y) is evaluated at y = 1.
 
-    Each replication sorts, gathers and runs the Hill step once per k_alpha:
-    one ``LevelSweep`` covers every k, and one reader per (estimator,
-    k_alpha) gives each of its cells a value. A ``CotailError`` while binding
-    a reader fails all of its cells; one at a level fails that cell only.
-    The replications run in blocks across processes as the module docstring
-    describes; the summary does not depend on the block count.
+    Each chunk of replications is swept once: one ``LevelSweep`` covers
+    every k of every row, and one reader per (estimator, k_alpha) gives each
+    of its cells a value per row. A ``CotailError`` while binding a reader
+    fails all of its cells; one in a row fails that row's cells of the
+    reader (a Hill step) or that row's cell at one level. The replications
+    run in blocks across processes as the module docstring describes; the
+    summary depends on neither the block count nor the chunk size.
     """
     if reps < 1:
         raise ValueError("reps must be at least 1")
@@ -268,7 +319,7 @@ def run_mc(
 
     params = {"alpha": config.model.tail_index, "y": y, "norm": "l2"}
     parts = _run_blocks(
-        _blocks(reps), lambda lo, hi: _replicate(config, lo, hi, ks, readers, params)
+        _blocks(reps), lambda lo, hi: _sweep_replications(config, lo, hi, ks, readers, params)
     )
     # a failed replication is simply missing from its cell's list
     values = {key: [v for part in parts for v in part[i]] for i, key in enumerate(keys)}
@@ -289,7 +340,17 @@ def run_mc(
     return McSummary(cells=cells, truth=truth, y=y, reps=reps)
 
 
-def _replicate(
+# Replications are swept a chunk of rows at a time. A row costs roughly 64 n
+# bytes of buffers, so at n = 1000 a chunk holds 8 rows; larger chunks are
+# no faster and grow the peak memory.
+_CHUNK_BYTES = 1 << 19
+
+
+def _chunk_rows(n: int) -> int:
+    return max(1, _CHUNK_BYTES // (64 * n))
+
+
+def _sweep_replications(
     config: ModelConfig,
     lo: int,
     hi: int,
@@ -299,23 +360,23 @@ def _replicate(
 ) -> list[list[float]]:
     """Each cell's values over replications lo..hi-1, in replication order.
 
-    One ``LevelSweep`` per sample covers every k in ``ks``; ``readers`` maps
-    (estimator, k_alpha) to the (cell index, k) of its cells.
+    Each chunk of replications is drawn as rows and swept once over every k
+    in ``ks``; ``readers`` maps (estimator, k_alpha) to the (cell index, k)
+    of its cells. A row's error fails that row's cell only.
     """
     values: list[list[float]] = [[] for cells in readers.values() for _ in cells]
-    for rep in range(lo, hi):
-        sample = sample_dataset(config, rep)
-        sweep = LevelSweep(sample, ks)
+    step = _chunk_rows(config.n)
+    for start in range(lo, hi, step):
+        sweep = LevelSweep(_sample_rows(config, start, min(start + step, hi)), ks)
         for (name, ka), cells in readers.items():
             try:
                 reader = level_reader(name, sweep, k_alpha=ka, **params)
-            except CotailError:  # a Hill step or parameter failed: all its cells
+            except CotailError:  # a parameter failed: all its cells, in every row
                 continue
             for index, k in cells:
-                try:
-                    values[index].append(reader.value(k))
-                except CotailError:
-                    pass
+                values[index] += [
+                    v for v in reader.values(k) if not isinstance(v, CotailError)
+                ]
     return values
 
 
@@ -387,7 +448,8 @@ def _run_blocks(blocks: Sequence[tuple[int, int]], work: Callable[[int, int], ob
             finally:
                 _stop(pid)
             if not data:
-                raise RuntimeError(f"Monte Carlo block process {pid} exited without a result")
+                raise ChildProcessError(
+                    f"Monte Carlo block process {pid} exited without a result")
             ok, result = pickle.loads(data)
             if not ok:
                 raise result

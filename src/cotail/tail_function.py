@@ -32,7 +32,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import BivariateSample, order_view
+from .core import BivariateSample, LevelSweep
 from .errors import NonPositiveThreshold
 
 Weight = Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -216,7 +216,7 @@ def tef_random(
         raise ValueError("s must be positive and finite")
     if u is not None and not 0 < u < math.inf:
         raise ValueError("u must be positive and finite")
-    thr = order_view(sample).threshold(k)
+    thr = float(LevelSweep(sample, (k,)).threshold(k)[0])
     if thr <= 0:
         raise NonPositiveThreshold(f"X_(n-k) = {thr} is not positive")
     denom = thr if u is None else u

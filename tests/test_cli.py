@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -7,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import cotail.simulate as simulate
 from cotail import BivariateSample, tdc_quasispectral
 from cotail.cli import ingest_text, main
 from cotail.errors import NegativeValue, NonPositivePrice, ParseError
@@ -297,6 +299,29 @@ def test_error_is_machine_readable(tmp_path, capsys):
     payload = json.loads(err)
     assert payload["error"]["type"] == "ParseError"
     assert "row 2" in payload["error"]["message"]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_mc_block_process_that_dies_is_a_json_error(capsys, monkeypatch):
+    # two blocks of 100 replications; the forked one exits without a result
+    parent = os.getpid()
+    real = simulate._sample_rows
+
+    def child_exits(config, lo, hi):
+        if os.getpid() != parent:
+            os._exit(3)
+        return real(config, lo, hi)
+
+    monkeypatch.setattr(simulate, "_sample_rows", child_exits)
+    monkeypatch.setattr(simulate, "_usable_cpus", lambda: 2)
+    code, out, err = run_cli(
+        capsys, "mc", "--model", "linear-pareto", "--n", "50", "--reps", "200",
+        "--k-fracs", "0.1", "--estimators", "tdc-empirical",
+    )
+    assert (code, out) == (1, "")
+    payload = json.loads(err)["error"]
+    assert payload["type"] == "ChildProcessError"
+    assert "without a result" in payload["message"]
 
 
 def test_seed_env_override(tmp_path, capsys, monkeypatch):

@@ -38,7 +38,7 @@ from cotail import (
     theta_hat,
 )
 from cotail import rng as crng
-from cotail.cli import ingest_text
+from cotail.cli import ingest_text, main
 from cotail.estimators import check_y_grid
 from cotail.tail_function import norm_values, squared_norm
 
@@ -391,6 +391,34 @@ def test_estimates_carry_k_and_id():
         assert est.k == 8
         assert est.estimator_id
         assert est.plugin_variance >= 0.0
+
+
+def test_estimator_paths_sort_only_the_selected_keys(monkeypatch, tmp_path, capsys):
+    # every estimator, theta_hat, the curve, tef_random and the CLI's Hill step
+    # select their top keys with argpartition; nothing sorts the whole sample
+    n, k = 300, 20
+    sample = sample_dataset(ModelConfig(LinearParetoModel(0.8, 0.1, 4.0), n=n, seed=5))
+    sorts = []
+    real = np.argsort
+
+    def recording(a, *args, **kwargs):
+        sorts.append((np.shape(a)[-1], kwargs.get("kind")))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", recording)
+    for name in ("tdc_empirical", "tdc_quasispectral", "tdc_quasispectral_estimated",
+                 "cte_aleph3", "cte_aleph4", "edm"):
+        estimate(name, sample, k, y=1.0, alpha=4.0, k_alpha=2 * k, norm="l1")
+    theta_hat(sample, k, 0.01, 1.2, 4.0)
+    cond_tail_curve(sample, k, [0.5, 1.0], "quasispectral", alpha=4.0)
+    tef_random(sample, margin_exceedance(), k)
+    data = tmp_path / "pairs.csv"
+    data.write_text("".join(f"{a!r},{b!r}\n" for a, b in sample.pairs()))
+    assert main(["estimate", "--input", str(data), "--estimator", "theta", "--k", str(k),
+                 "--p", "0.01"]) == 0
+    capsys.readouterr()
+    assert len(sorts) >= 10
+    assert all(size <= k + 1 and kind is None for size, kind in sorts), sorts
 
 
 def test_estimate_dispatches_by_id():

@@ -3,11 +3,18 @@
 Samples are drawn with many tied x values (a small value pool mixed with
 continuous draws), zeros in both margins, and several k per sample. Each
 estimator is compared with ``tests/reference.py`` by exact equality (or the
-same error type) twice: on a freshly built sample, which sorts x on first use,
-and on one shared sample whose cached ordering earlier k values have already
-read. A third check reads every estimator off one ``LevelSweep`` over all of a
-sample's k, the Monte Carlo path: its full estimate and its value alone must
-equal the oracle at each k.
+same error type): on a freshly built sample, and on one shared sample whose
+full sort ``order_view`` has already cached. A third check reads every
+estimator off one ``LevelSweep`` over all of a sample's k: its full estimate
+and its value alone must equal the oracle at each k.
+
+The block checks do the same for samples held as the rows of one sweep, the
+Monte Carlo engine's layout: rows of odd and even n, rows where x is mostly
+0 (so the Hill step and ``cte_aleph3`` fail in some rows only) and rows with
+y = 0. ``run_mc`` itself is checked against the oracle with the draw
+replaced by such rows and chunk sizes that do not divide the replication
+count. numpy's transcendental functions on the strided 2-D views the engine
+uses must match their 1-D results bit for bit.
 
 ``theta_hat`` evaluates its factor as (k/n)/p and the oracle as k/(n p); the
 two agree exactly for the dyadic p used here. ``tef_random`` is checked with
@@ -16,6 +23,9 @@ scalars, and scalar and vectorised pow may round differently.
 """
 from __future__ import annotations
 
+from unittest import mock
+
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,14 +35,22 @@ from cotail import (
     BivariateSample,
     CotailError,
     LevelSweep,
+    LinearParetoModel,
+    McCell,
+    ModelConfig,
+    SampleRows,
     builtin_specs,
     estimate,
     hill_estimate,
     level_reader,
     order_view,
+    run_mc,
     tef_random,
     theta_hat,
 )
+from cotail import simulate
+from cotail.core import fraction_to_count
+from cotail.tail_index import hill_alphas
 
 POOL = st.sampled_from([0.0, 0.5, 1.0, 2.0, 2.0, 3.0, 4.5, 8.0])
 VALUE = st.one_of(POOL, st.floats(min_value=1e-3, max_value=1e3))
@@ -153,3 +171,127 @@ def test_one_sweep_matches_oracle_at_every_level(case):
                 f"{name} k={k} sweep value", value,
                 lambda k=k: _oracle(name, xs, ys, k, q)[0],
             )
+
+
+ZERO_HEAVY = st.one_of(st.just(0.0), st.just(0.0), st.just(0.0), VALUE)
+
+
+@st.composite
+def blocks(draw, max_rows=6):
+    """Rows of equal n: mixed rows, rows whose x is mostly 0, rows with y = 0."""
+    n = draw(st.integers(min_value=2, max_value=31))
+    xs, ys = [], []
+    for _ in range(draw(st.integers(1, max_rows))):
+        kind = draw(st.sampled_from(["mixed", "zero_x", "zero_y"]))
+        x_value = ZERO_HEAVY if kind == "zero_x" else VALUE
+        xs.append(draw(st.lists(x_value, min_size=n, max_size=n)))
+        y_value = st.just(0.0) if kind == "zero_y" else st.one_of(st.just(0.0), VALUE)
+        ys.append(draw(st.lists(y_value, min_size=n, max_size=n)))
+    ks = draw(st.lists(st.integers(1, n - 1), min_size=1, max_size=4))
+    params = {
+        "y": draw(st.sampled_from([0.5, 1.0, 1.5])),
+        "alpha": draw(st.sampled_from([0.5, 1.0, 2.0, 3.7])),
+        "k_alpha": draw(st.integers(1, n - 1)),
+        "norm": draw(st.sampled_from(["l2", "l1", "linf"])),
+    }
+    return xs, ys, ks, params
+
+
+def _outcome(call):
+    try:
+        return call()
+    except CotailError as exc:
+        return type(exc)
+
+
+def _row_outcome(value):
+    return type(value) if isinstance(value, CotailError) else value
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(blocks())
+def test_block_rows_match_oracle(case):
+    xs, ys, ks, q = case
+    sweep = LevelSweep(SampleRows(np.array(xs), np.array(ys)), tuple(ks))
+    for name in ESTIMATORS:
+        try:
+            reader, error = level_reader(name, sweep, **q), None
+        except CotailError as exc:  # a parameter failure holds in every row
+            reader, error = None, type(exc)
+        for k in ks:
+            got = [error] * len(xs) if error else [_row_outcome(v) for v in reader.values(k)]
+            want = [
+                _outcome(lambda: _oracle(name, x, y, k, q)[0]) for x, y in zip(xs, ys)
+            ]
+            assert got == want, (name, k)
+    # the Hill step and the thresholds of every row
+    alphas = [_row_outcome(a) for a in hill_alphas(sweep, q["k_alpha"])]
+    assert alphas == [_outcome(lambda: reference.hill_alpha(x, q["k_alpha"])) for x in xs]
+    for k in ks:
+        assert sweep.threshold(k).tolist() == [reference.kth_threshold(x, k) for x in xs]
+
+
+def _summary_cell(values, reps):
+    stats = [None] * 7
+    if values:
+        arr = np.asarray(values, dtype=float)
+        sd = float(np.std(arr, ddof=1)) if arr.size > 1 else 0.0
+        qs = np.quantile(arr, [0.05, 0.25, 0.5, 0.75, 0.95])
+        stats = [float(np.mean(arr)), sd, *(float(v) for v in qs)]
+    return McCell(*stats, rep_count=reps, failures=reps - len(values))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(blocks(max_rows=9), st.integers(1, 4), st.sampled_from([0.5, 1.0, 2.0, 3.7]))
+def test_run_mc_chunks_match_oracle(case, chunk, alpha):
+    # the draw serves the drawn rows in replication order, so each chunk holds
+    # rows lo..hi-1; the replication count need not be a multiple of the chunk
+    xs, ys, _, q = case
+    n, reps = len(xs[0]), len(xs)
+
+    def rows(model, seed, span, n):
+        return np.array([xs[r] for r in span]), np.array([ys[r] for r in span])
+
+    config = ModelConfig(LinearParetoModel(0.8, 0.1, alpha), n=n, seed=0)
+    k_fracs, ka_fracs = (0.2, 0.5, 0.9), (0.3, 0.7)
+    with mock.patch.object(LinearParetoModel, "sample_rows", rows), \
+            mock.patch.object(simulate, "_chunk_rows", lambda n: chunk):
+        summary = run_mc(config, reps, k_fracs, ka_fracs, tuple(ESTIMATORS), q["y"])
+    params = {**q, "alpha": alpha, "norm": "l2"}
+    for (name, kf, kaf), cell in summary.cells.items():
+        k = fraction_to_count(kf, n)
+        ka = None if kaf is None else fraction_to_count(kaf, n)
+        outcomes = [
+            _outcome(lambda: _oracle(name, x, y, k, {**params, "k_alpha": ka})[0])
+            for x, y in zip(xs, ys)
+        ]
+        values = [v for v in outcomes if not isinstance(v, type)]
+        assert cell == _summary_cell(values, reps), (name, kf, kaf)
+
+
+def test_strided_2d_transcendentals_match_1d():
+    # the engine applies log, sqrt, sin, cos and pow to column slices of wider
+    # rows (the Box-Muller blocks, the Pareto block) and to fresh 2-D blocks
+    # (the weights, the Hill log-ratios); every element must equal the 1-D
+    # result on a contiguous copy. A reversed (negative-stride) view is not
+    # among them: numpy computes it by another loop, and at this numpy its log
+    # and pow can differ from the contiguous result in the last bit
+    gen = np.random.default_rng(2024)
+    exponents = [4.0, 3.7, 2.0, 0.5, -1.0, -0.25, 1.0 / 3.0]
+    for rows in (1, 2, 3, 8, 9):
+        for width in (1, 7, 8, 31, 64, 201, 500):
+            wide = gen.random((rows, width + 13)) + 2.0 ** -54
+            views = [wide[:, 5:5 + width], wide[::2, 3:3 + width], wide[:, :width] * 1.0]
+            for view in views:
+                for f in (np.log, np.sqrt, np.sin, np.cos):
+                    block = f(view)
+                    for r in range(view.shape[0]):
+                        assert block[r].tobytes() == f(view[r].copy()).tobytes(), (f, rows, width)
+                for a in exponents:
+                    block = view ** a
+                    for r in range(view.shape[0]):
+                        assert block[r].tobytes() == (view[r].copy() ** a).tobytes(), (a, rows)
+                # one exponent per row: the Hill-estimated weights raise row by row
+                row_alphas = gen.random(view.shape[0]) * 5.0 + 0.1
+                for r, a in enumerate(row_alphas.tolist()):
+                    assert (view[r] ** a).tobytes() == (view[r].copy() ** a).tobytes()

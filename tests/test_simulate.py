@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -284,23 +285,36 @@ def test_run_mc_quantiles_ordered():
 
 
 def test_run_mc_tallies_failures(monkeypatch):
-    # a CotailError from the reader of a replication fails that replication's cells
+    # a CotailError in one row of a chunk fails that replication's cell only;
+    # one while binding a reader fails the cell in every row of the chunk.
+    # 10 replications in chunks of 4: rows 4-7 fail at the bind, and row 2
+    # of each chunk (replications 2 and 6) at its level
     real = simulate.level_reader
-    calls = {"count": 0}
+    binds = []
 
     def flaky(name, sweep, **params):
-        calls["count"] += 1
-        if calls["count"] % 3 == 0:
+        binds.append(sweep.rows)
+        if len(binds) == 2:
             raise ZeroSpread("forced failure")
-        return real(name, sweep, **params)
+        reader = real(name, sweep, **params)
+
+        def terms(k):
+            rows = reader.terms(k)
+            return [ZeroSpread("forced") if i == 2 else t for i, t in enumerate(rows)]
+
+        return dataclasses.replace(reader, terms=terms)
 
     monkeypatch.setattr(simulate, "level_reader", flaky)
+    monkeypatch.setattr(simulate, "_chunk_rows", lambda n: 4)
     config = ModelConfig(LinearParetoModel(0.8, 0.1, 4.0), n=100, seed=1)
-    summary = run_mc(config, reps=6, k_fractions=[0.2], estimators=("tdc_empirical",))
+    summary = run_mc(config, reps=10, k_fractions=[0.2], estimators=("tdc_empirical",))
     cell = summary.cells[("tdc_empirical", 0.2, None)]
-    assert cell.failures == 2
-    assert cell.rep_count == 6
-    assert math.isfinite(cell.mean)
+    assert binds == [4, 4, 2]
+    assert cell.failures == 4 + 1
+    assert cell.rep_count == 10
+    kept = [0, 1, 3, 8, 9]
+    expected = [tdc_empirical(sample_dataset(config, rep), 20).value for rep in kept]
+    assert cell.mean == float(np.mean(expected))
 
 
 def test_run_mc_failures_map_onto_their_cells(monkeypatch):
@@ -308,8 +322,10 @@ def test_run_mc_failures_map_onto_their_cells(monkeypatch):
     # only the ties (ZeroSpread), at 50 a zero base (NonPositiveThreshold), at
     # 30 a positive spread; cte_aleph3's threshold is 0 at k = 60 only
     x = np.array([0.0] * 50 + [float(v) for v in range(1, 31)] + [50.0] * 20)
-    sample = BivariateSample(x[::-1], 0.5 * x[::-1] + 1.0)
-    monkeypatch.setattr(simulate, "sample_dataset", lambda config, rep: sample)
+    def rows(model, seed, reps, n):
+        return np.tile(x[::-1], (len(reps), 1)), np.tile(0.5 * x[::-1] + 1.0, (len(reps), 1))
+
+    monkeypatch.setattr(LinearParetoModel, "sample_rows", rows)
     config = ModelConfig(LinearParetoModel(0.8, 0.1, 4.0), n=100, seed=1)
     summary = run_mc(
         config, reps=2, k_fractions=[0.1, 0.3, 0.6], k_alpha_fractions=[0.1, 0.3, 0.5],
@@ -378,6 +394,35 @@ def test_run_mc_equals_one_estimate_per_cell(model):
         assert cell == expected[key], key
 
 
+@pytest.mark.parametrize("model", [BivariateTModel(4.0, 0.9), LinearParetoModel(0.8, 0.1, 4.0)])
+@pytest.mark.parametrize("n", [57, 60])
+def test_sample_rows_equal_one_sample_per_replication(model, n):
+    config = ModelConfig(model, n=n, seed=2**64 + 11)
+    x, y = model.sample_rows(config.seed, range(5, 12), n)
+    assert x.shape == y.shape == (7, n)
+    for i, rep in enumerate(range(5, 12)):
+        sample = sample_dataset(config, rep)
+        assert x[i].tobytes() == sample.x.tobytes() and y[i].tobytes() == sample.y.tobytes()
+
+
+def test_run_mc_chunks_leave_the_summary_unchanged(monkeypatch):
+    # 13 replications in chunks of 1, 5 (5 + 5 + 3) and the default size
+    config = ModelConfig(LinearParetoModel(0.8, 0.1, 0.8), n=41, seed=77)
+    args = (config, 13, (0.05, 0.2, 0.5), (0.1, 0.4), tuple(ESTIMATORS), 1.0)
+    summaries = [run_mc(*args)]
+    for rows in (1, 5):
+        monkeypatch.setattr(simulate, "_chunk_rows", lambda n: rows)
+        summaries.append(run_mc(*args))
+    assert summaries[0] == summaries[1] == summaries[2]
+    assert summaries[0].cells == _mc_by_estimate(*args)
+
+
+def test_chunk_rows_follow_a_byte_budget():
+    assert simulate._chunk_rows(1000) == 8
+    assert simulate._chunk_rows(10**7) == 1
+    assert simulate._chunk_rows(100) == 81
+
+
 def test_run_mc_cell_with_every_replication_failed():
     # cte_aleph4 receives the model's alpha 0.8 and raises AlphaNotAboveOne
     config = ModelConfig(LinearParetoModel(0.8, 0.1, 0.8), n=200, seed=0)
@@ -393,15 +438,16 @@ def test_run_mc_cell_with_every_replication_failed():
 
 
 def test_run_mc_sorts_each_sample_once(monkeypatch):
-    # the criterion-1 study: 15 cells and a Hill step, one argsort per sample
-    real = np.argsort
+    # the criterion-1 study: 15 cells and a Hill step; each chunk of rows is
+    # partitioned once and only its selected keys are sorted, never stably
     calls = []
+    for name in ("argsort", "argpartition"):
+        def counting(*args, _name=name, _real=getattr(np, name), **kwargs):
+            calls.append((_name, kwargs.get("kind")))
+            return _real(*args, **kwargs)
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(np, "argsort", counting)
+        monkeypatch.setattr(np, name, counting)
+    monkeypatch.setattr(simulate, "_chunk_rows", lambda n: 2)
     config = ModelConfig(LinearParetoModel(0.8, 0.1, 4.0), n=1000, seed=20_260_808)
     summary = run_mc(
         config,
@@ -411,7 +457,7 @@ def test_run_mc_sorts_each_sample_once(monkeypatch):
         estimators=("tdc_empirical", "tdc_quasispectral", "tdc_quasispectral_estimated"),
     )
     assert len(summary.cells) == 15
-    assert len(calls) == 3
+    assert sorted(calls) == [("argpartition", None)] * 2 + [("argsort", None)] * 2
 
 
 def _recorded_forks(monkeypatch):
@@ -489,14 +535,14 @@ def test_run_mc_raises_the_first_forked_blocks_error(monkeypatch):
     # replications start at 0, 100 and 200, so the caller must see rep 100
     pids = _recorded_forks(monkeypatch)
     parent = os.getpid()
-    real = simulate.sample_dataset
+    real = simulate._sample_rows
 
-    def child_fails(config, rep):
+    def child_fails(config, lo, hi):
         if os.getpid() != parent:
-            raise ValueError(f"rep {rep}")
-        return real(config, rep)
+            raise ValueError(f"rep {lo}")
+        return real(config, lo, hi)
 
-    monkeypatch.setattr(simulate, "sample_dataset", child_fails)
+    monkeypatch.setattr(simulate, "_sample_rows", child_fails)
     monkeypatch.setattr(simulate, "_usable_cpus", lambda: 3)
     with pytest.raises(ValueError, match="^rep 100$"):
         run_mc(BLOCK_CONFIG, reps=301, **BLOCK_ARGS)
@@ -508,16 +554,16 @@ def test_run_mc_raises_the_first_forked_blocks_error(monkeypatch):
 def test_run_mc_reports_a_block_that_exits_without_a_result(monkeypatch):
     pids = _recorded_forks(monkeypatch)
     parent = os.getpid()
-    real = simulate.sample_dataset
+    real = simulate._sample_rows
 
-    def child_exits(config, rep):
+    def child_exits(config, lo, hi):
         if os.getpid() != parent:
             os._exit(3)
-        return real(config, rep)
+        return real(config, lo, hi)
 
-    monkeypatch.setattr(simulate, "sample_dataset", child_exits)
+    monkeypatch.setattr(simulate, "_sample_rows", child_exits)
     monkeypatch.setattr(simulate, "_usable_cpus", lambda: 2)
-    with pytest.raises(RuntimeError, match="without a result"):
+    with pytest.raises(ChildProcessError, match="without a result"):
         run_mc(BLOCK_CONFIG, reps=200, **BLOCK_ARGS)
     assert len(pids) == 1
     _assert_reaped(pids)
@@ -529,12 +575,12 @@ def test_run_mc_kills_its_children_when_its_own_block_fails(monkeypatch):
     pids = _recorded_forks(monkeypatch)
     parent = os.getpid()
 
-    def stall_or_fail(config, rep):
+    def stall_or_fail(config, lo, hi):
         if os.getpid() != parent:
             time.sleep(60)
         raise ValueError("caller's block")
 
-    monkeypatch.setattr(simulate, "sample_dataset", stall_or_fail)
+    monkeypatch.setattr(simulate, "_sample_rows", stall_or_fail)
     monkeypatch.setattr(simulate, "_usable_cpus", lambda: 3)
     start = time.monotonic()
     with pytest.raises(ValueError, match="caller's block"):
