@@ -29,12 +29,11 @@ from pathlib import Path
 import numpy as np
 
 from .core import BivariateSample, LevelSweep, fraction_to_count
-from .errors import CotailError, NonPositivePrice, ParseError
+from .errors import CotailError, NonPositivePrice, ParseError, unwrap
 from .estimators import (
     ESTIMATORS,
     check_y_grid,
     confidence_interval,
-    estimate,
     level_reader,
     theta_hat,
 )
@@ -262,15 +261,14 @@ def _theta_report(args, sample: BivariateSample, k: int) -> dict:
     """theta_hat composes a Hill or supplied alpha, a CTE coefficient and k."""
     if args.p is None:
         raise ValueError("theta requires --p")
+    sweep = LevelSweep(sample, (k,))
     k_alpha = None
     if args.alpha is not None:
         alpha, source = args.alpha, "supplied"
     else:
         k_alpha = _k_alpha(args, k, sample.n)
-        alpha, source = hill_alphas(LevelSweep(sample, ()), k_alpha)[0], "hill"
-        if isinstance(alpha, CotailError):
-            raise alpha
-    aleph = estimate(_registry_id(args.aleph_from), sample, k, alpha=alpha).value
+        alpha, source = unwrap(hill_alphas(sweep, k_alpha)[0]), "hill"
+    aleph = level_reader(_registry_id(args.aleph_from), sweep, alpha=alpha).value(k)
     ext = theta_hat(sample, k, args.p, aleph, alpha)
     return {
         "estimator_id": "theta_hat",
@@ -450,7 +448,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         args.func(args)
-    except (CotailError, ValueError, OSError) as exc:
+    except (CotailError, ValueError, OSError, MemoryError) as exc:
         payload = {"error": {"type": type(exc).__name__, "message": str(exc)}}
         print(json.dumps(payload), file=sys.stderr)
         return 1

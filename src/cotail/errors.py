@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and ``unwrap`` for a result that may be one."""
 
 
 class CotailError(Exception):
@@ -25,6 +25,10 @@ class InvalidP(CotailError):
     """The extrapolation probability must lie strictly inside (0, 1)."""
 
 
+class NonFiniteEstimate(CotailError):
+    """An estimate or its plug-in variance lies beyond the double range."""
+
+
 class MissingVariance(CotailError):
     """The estimate carries no plug-in variance."""
 
@@ -35,3 +39,10 @@ class ParseError(CotailError):
 
 class NonPositivePrice(CotailError):
     """Price levels must be strictly positive to form log-returns."""
+
+
+def unwrap(value):
+    """``value``, or raise it if it is a ``CotailError`` standing for a failed row."""
+    if isinstance(value, CotailError):
+        raise value
+    return value

@@ -61,7 +61,9 @@ from .errors import (
     CotailError,
     InvalidP,
     MissingVariance,
+    NonFiniteEstimate,
     NonPositiveThreshold,
+    unwrap,
 )
 from .tail_function import norm_values, squared_norm
 from .tail_index import hill_alphas
@@ -126,7 +128,8 @@ class LevelReader:
     ``terms(k)`` gives, for each row of the sweep, the weights of its
     exceedances at level k, or the ``CotailError`` that fails the row there.
     A row's value is factor * (1/k) sum w and its plug-in variance
-    factor^2 * (1/k) sum w^2. ``alpha_used`` holds each row's alpha.
+    factor^2 * (1/k) sum w^2; one that is beyond the double range fails the
+    row with ``NonFiniteEstimate``. ``alpha_used`` holds each row's alpha.
     """
 
     estimator_id: str
@@ -137,30 +140,37 @@ class LevelReader:
 
     def values(self, k: int) -> list:
         """Each row's estimate at level k without its variance, or the error that fails the row."""
-        factor = self.factor
         return [
-            t if isinstance(t, CotailError) else factor * (math.fsum(t) / k)
+            t if isinstance(t, CotailError) else self._mean(t, k, self.factor)
             for t in self.terms(k)
         ]
 
     def value(self, k: int) -> float:
         """The estimate of a one-row sweep at level k, without its variance."""
-        return self.estimate(k).value
+        return unwrap(self.values(k)[0])
 
     def estimate(self, k: int) -> TailEstimate:
         """The estimate of a one-row sweep at level k with its plug-in variance."""
-        terms = self.terms(k)[0]
-        if isinstance(terms, CotailError):
-            raise terms
+        terms = unwrap(self.terms(k)[0])
         factor = self.factor
         return TailEstimate(
-            value=factor * (math.fsum(terms) / k),
+            value=unwrap(self._mean(terms, k, factor)),
             k=k,
             estimator_id=self.estimator_id,
-            plugin_variance=(factor * factor) * (math.fsum([t * t for t in terms]) / k),
+            plugin_variance=unwrap(self._mean([t * t for t in terms], k, factor * factor)),
             alpha_used=None if self.alpha_used is None else self.alpha_used[0],
             metadata=dict(self.metadata),
         )
+
+    def _mean(self, weights: list, k: int, scale: float):
+        """scale * (1/k) sum of ``weights``, or a ``NonFiniteEstimate`` if that is not finite."""
+        try:
+            mean = scale * (math.fsum(weights) / k)
+        except OverflowError:
+            mean = math.inf
+        if math.isfinite(mean):
+            return mean
+        return NonFiniteEstimate(f"{self.estimator_id} at k = {k} is beyond the double range")
 
 
 def _prefixes(sweep: LevelSweep, rows: list) -> Callable[[int], list]:

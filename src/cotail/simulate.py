@@ -3,11 +3,11 @@
 Models
 ------
 ``MODELS`` maps each model id to its class; the CLI builds its ``--model``
-choices and parameter flags from it. Every field has a default, the
-parameters of the paper's simulation studies, and ``sample(gen, n)`` draws n
-pairs from a generator (its docstring gives the draw order).
-``sample_rows(seed, reps, n)`` draws replications ``reps`` as the rows of x
-and y, each row the bits ``sample`` draws from ``rng.generator(seed, rep)``.
+choices and parameter flags from it, and ``ModelConfig`` takes no other
+model. Every field has a default, the parameters of the paper's simulation
+studies. ``sample_rows(seed, reps, n)``, a model's one draw method, draws
+replications ``reps`` as rows, row i from ``rng.generator(seed, reps[i])``
+in its documented order; ``sample_dataset(config, rep)`` is its one-row case.
 
 LinearParetoModel
     Y = phi * X + sigma * |Z| with X standard Pareto(alpha) (survival
@@ -26,7 +26,7 @@ BivariateTModel
 The harness ``run_mc`` evaluates a set of estimators over replications,
 held as the rows of 2-D arrays. Each model draws a chunk of replications
 into rows with ``sample_rows``, row r equal to ``sample_dataset(config, r)``
-bit for bit: linear-Pareto fills each row with one uniform draw and runs the
+bit for bit: linear-Pareto fills each row with two uniform draws and runs the
 Pareto power and Box-Muller once per chunk, while bivariate-t, whose gamma
 rejection consumes a random count of draws, samples each row on its own. One
 ``core.LevelSweep`` then covers the chunk: one partition and one sort of each
@@ -92,27 +92,19 @@ class LinearParetoModel:
     def tail_dependence(self) -> float:
         return self.phi ** self.alpha
 
-    def sample(self, gen: np.random.Generator, n: int) -> BivariateSample:
-        """Draw order: the n Pareto uniforms, then the n normals."""
-        x = rng.pareto(gen, self.alpha, n)
-        z = rng.standard_normal(gen, n)
-        return BivariateSample(x, self._y(x, z))
-
     def sample_rows(self, seed: int, reps: range, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """Replications ``reps`` of ``seed`` as rows of x and y, each as ``sample`` draws it.
+        """Replications ``reps`` of ``seed`` as the rows of x and y.
 
-        A replication consumes a fixed count of uniforms, n for x and
-        2 * ceil(n / 2) for the normals, so each is one draw into its row,
-        and the transforms then run once over all rows.
+        Row i draws from ``rng.generator(seed, reps[i])`` n open uniforms for
+        the Pareto x, then 2 * ceil(n / 2) for the Box-Muller normals Z, each
+        into its row of a buffer; the transforms then run once over all rows.
         """
-        u = np.empty((len(reps), n + 2 * ((n + 1) // 2)))
-        for row, gen in zip(u, rng.streams(seed, reps)):
-            rng.open_uniform(gen, row.size, out=row)
-        x = rng.pareto_of(u[:, :n], self.alpha)
-        return x, self._y(x, rng.box_muller(u[:, n:], n))
-
-    def _y(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
-        return self.phi * x + self.sigma * np.abs(z)
+        ux, uz = np.empty((len(reps), n)), np.empty((len(reps), 2 * ((n + 1) // 2)))
+        for i, gen in enumerate(rng.streams(seed, reps)):
+            rng.open_uniform(gen, n, out=ux[i])
+            rng.open_uniform(gen, uz.shape[1], out=uz[i])
+        x = rng.pareto_of(ux, self.alpha)
+        return x, self.phi * x + self.sigma * np.abs(rng.box_muller(uz, n))
 
 
 @dataclass(frozen=True)
@@ -136,27 +128,21 @@ class BivariateTModel:
             (self.nu + 1.0) / 2.0, 0.5, (1.0 + self.rho) / 2.0, (1.0 - self.rho) / 2.0
         )
 
-    def sample(self, gen: np.random.Generator, n: int) -> BivariateSample:
-        """Draw order: the chi-square, then Z1, then Z2'."""
-        return BivariateSample(*self._pairs(gen, n))
-
     def sample_rows(self, seed: int, reps: range, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """Replications ``reps`` of ``seed`` as rows of x and y, each as ``sample`` draws it.
+        """Replications ``reps`` of ``seed`` as the rows of x and y.
 
-        The gamma rejection consumes a random count of draws, so each
-        replication is drawn on its own into its row.
+        Row i draws from ``rng.generator(seed, reps[i])`` n chi-square variates
+        for W, then n normals Z1, then n normals Z2'. The gamma rejection
+        consumes a random count of draws, so each row is drawn on its own.
         """
-        x, y = np.empty((len(reps), n)), np.empty((len(reps), n))
-        for i, gen in enumerate(rng.streams(seed, reps)):
-            x[i], y[i] = self._pairs(gen, n)
-        return x, y
-
-    def _pairs(self, gen: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
-        w = self.nu / rng.chi_square(gen, self.nu, n)
-        z1 = rng.standard_normal(gen, n)
-        z2 = self.rho * z1 + math.sqrt(1.0 - self.rho ** 2) * rng.standard_normal(gen, n)
-        root_w = np.sqrt(w)
-        return root_w * np.abs(z1), root_w * np.abs(z2)
+        pairs = []
+        for gen in rng.streams(seed, reps):
+            root_w = np.sqrt(self.nu / rng.chi_square(gen, self.nu, n))
+            z1 = rng.standard_normal(gen, n)
+            z2 = self.rho * z1 + math.sqrt(1.0 - self.rho ** 2) * rng.standard_normal(gen, n)
+            pairs.append((root_w * np.abs(z1), root_w * np.abs(z2)))
+        x, y = zip(*pairs)
+        return np.array(x), np.array(y)
 
 
 def _betainc(a: float, b: float, x: float, y: float) -> float:
@@ -205,27 +191,21 @@ class ModelConfig:
     seed: int
 
     def __post_init__(self):
+        if not isinstance(self.model, tuple(MODELS.values())):
+            raise TypeError(f"unknown model type {type(self.model).__name__}")
         if self.n < 1:
             raise ValueError("n must be at least 1")
 
 
 def sample_dataset(config: ModelConfig, rep: int = 0) -> BivariateSample:
-    """Sample replication ``rep`` of ``config``: the generator keyed by (seed, rep).
-
-    A draw past the double range is left to the sample's finiteness check,
-    which raises ``ValueError``, without numpy's overflow warnings.
-    """
-    if not isinstance(config.model, tuple(MODELS.values())):
-        raise TypeError(f"unknown model type {type(config.model).__name__}")
-    with np.errstate(over="ignore", divide="ignore"):
-        return config.model.sample(rng.generator(config.seed, rep), config.n)
+    """Replication ``rep`` of ``config``: the one row of ``_sample_rows(config, rep, rep + 1)``."""
+    rows = _sample_rows(config, rep, rep + 1)
+    return BivariateSample(rows.x[0], rows.y[0])
 
 
 def _sample_rows(config: ModelConfig, lo: int, hi: int) -> SampleRows:
-    """Replications lo..hi-1 of ``config`` as rows, each equal to ``sample_dataset(config, rep)``.
-
-    The rows are checked once, with the errors a ``BivariateSample`` raises.
-    """
+    """Replications lo..hi-1 of ``config`` as rows, checked as a ``BivariateSample`` checks one."""
+    # a draw past the double range is left to that check (a ValueError)
     with np.errstate(over="ignore", divide="ignore"):
         return SampleRows(*config.model.sample_rows(config.seed, range(lo, hi), config.n))
 

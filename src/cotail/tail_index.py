@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import LevelSweep, OrderedView
-from .errors import CotailError, NonPositiveThreshold, ZeroSpread
+from .errors import NonPositiveThreshold, ZeroSpread, unwrap
 
 
 @dataclass(frozen=True)
@@ -52,7 +52,5 @@ def hill_alphas(sweep: LevelSweep, k_alpha: int) -> list:
 
 def hill_estimate(view: OrderedView, k_alpha: int) -> HillEstimate:
     """Reciprocal mean log-ratio of the top k_alpha order statistics of the view's sample."""
-    alpha = hill_alphas(LevelSweep(view.sample, ()), k_alpha)[0]
-    if isinstance(alpha, CotailError):
-        raise alpha
+    alpha = unwrap(hill_alphas(LevelSweep(view.sample, ()), k_alpha)[0])
     return HillEstimate(alpha_hat=alpha, k_alpha=k_alpha)

@@ -324,6 +324,66 @@ def test_mc_block_process_that_dies_is_a_json_error(capsys, monkeypatch):
     assert "without a result" in payload["message"]
 
 
+def test_memory_error_is_a_json_error(capsys, monkeypatch):
+    # the draw is replaced, so nothing is allocated
+    def no_memory(config, lo, hi):
+        raise MemoryError("Unable to allocate 1.46 TiB")
+
+    monkeypatch.setattr(simulate, "_sample_rows", no_memory)
+    code, out, err = run_cli(
+        capsys, "simulate", "--model", "linear-pareto", "--n", "100000000000"
+    )
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {
+        "error": {"type": "MemoryError", "message": "Unable to allocate 1.46 TiB"}
+    }
+
+
+# at k = 3 the ratios y / x are finite but their sum is not, and y / X_(n-k)
+# = y / 0.1 is infinite
+_OVERFLOW_CSV = "x,y\n0.1,1.7e308\n1.0,1.7e308\n1.1,1.7e308\n1.2,1.7e308\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("--estimator", "cte-aleph4", "--alpha", "2"),
+    ("--estimator", "cte-aleph3", "--format", "json"),
+    ("--estimator", "theta", "--aleph-from", "cte-aleph4", "--alpha", "2", "--p", "0.1"),
+])
+def test_estimate_beyond_the_double_range_is_a_json_error(tmp_path, capsys, argv):
+    data = tmp_path / "huge.csv"
+    data.write_text(_OVERFLOW_CSV)
+    code, out, err = run_cli(capsys, "estimate", "--input", str(data), "--k", "3", *argv)
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"]["type"] == "NonFiniteEstimate"
+
+
+def test_theta_reads_the_coefficient_without_its_variance(tmp_path, capsys):
+    # cte_aleph4's mean ratio is finite here but its mean square is not
+    data = tmp_path / "wide.csv"
+    data.write_text("1,1\n2,3e200\n3,3e200\n4,1\n")
+    common = ("estimate", "--input", str(data), "--k", "3", "--alpha", "2")
+    code, _, err = run_cli(capsys, *common, "--estimator", "cte-aleph4")
+    assert code == 1 and json.loads(err)["error"]["type"] == "NonFiniteEstimate"
+    code, out, _ = run_cli(
+        capsys, *common, "--estimator", "theta", "--aleph-from", "cte-aleph4",
+        "--p", "0.75", "--format", "json",
+    )
+    assert code == 0
+    aleph = json.loads(out)["rows"][0]["aleph_used"]
+    assert aleph == 2.0 * (math.fsum([1.5e200, 1e200, 0.25]) / 3)
+
+
+def test_mc_counts_sums_beyond_the_double_range_as_failures(capsys):
+    # at seed 0 two of the three replications' cte_aleph4 sums overflow
+    code, out, _ = run_cli(
+        capsys, "mc", "--model", "linear-pareto", "--sigma", "3e307", "--n", "200",
+        "--reps", "3", "--k-fracs", "0.1", "--estimators", "cte-aleph4", "--format", "json",
+    )
+    assert code == 0
+    [row] = json.loads(out, parse_constant=pytest.fail)["rows"]
+    assert (row["rep_count"], row["failures"]) == (3, 2)
+
+
 def test_seed_env_override(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("COTAIL_SEED", "91")
     code, out_env, _ = run_cli(

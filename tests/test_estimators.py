@@ -12,9 +12,11 @@ from cotail import (
     BivariateTModel,
     CondTailCurve,
     InvalidP,
+    LevelSweep,
     LinearParetoModel,
     MissingVariance,
     ModelConfig,
+    NonFiniteEstimate,
     NonPositiveThreshold,
     TailEstimate,
     capped_ratio_power,
@@ -25,6 +27,7 @@ from cotail import (
     edm_estimate,
     estimate,
     joint_exceedance,
+    level_reader,
     margin_exceedance,
     normalized_product,
     order_view,
@@ -537,6 +540,7 @@ GUARD_INPUTS = {
         lambda: CondTailCurve(_GRID, [0.3, 0.4, 0.5], "x", 2), ValueError),
     "sample_dataset_unknown_model": (
         lambda: sample_dataset(ModelConfig(object(), 10, 0)), TypeError),
+    "model_config_unknown_model": (lambda: ModelConfig(object(), 10, 0), TypeError),
     "norm_values_l3": (lambda: norm_values(_S.x, _S.y, "l3"), ValueError),
     "squared_norm_l3": (lambda: squared_norm(_S.x, _S.y, "l3"), ValueError),
     "normalized_product_l3": (lambda: normalized_product("l3"), ValueError),
@@ -557,3 +561,32 @@ def test_guard_rejects_input(case):
     with pytest.raises(error) as info:
         call()
     assert type(info.value) is error
+
+
+# y near the double maximum: at k = 3 every ratio y / x is finite but their
+# sum is not, and y / X_(n-k) = y / 0.1 is itself infinite
+_HUGE = BivariateSample([0.1, 1.0, 1.1, 1.2], [1.7e308] * 4)
+
+
+def test_sums_beyond_the_double_range_are_a_non_finite_estimate():
+    with pytest.raises(NonFiniteEstimate):
+        cte_aleph4(_HUGE, 3, 2.0)  # fsum overflows
+    with pytest.raises(NonFiniteEstimate):
+        cte_aleph3(_HUGE, 3)  # an infinite weight
+    sweep = LevelSweep(_HUGE, (3,))
+    for name in ("cte_aleph3", "cte_aleph4"):
+        reader = level_reader(name, sweep, alpha=2.0)
+        [value] = reader.values(3)
+        assert isinstance(value, NonFiniteEstimate), name
+        with pytest.raises(NonFiniteEstimate):
+            reader.value(3)
+
+
+def test_a_non_finite_variance_fails_the_estimate_not_the_value():
+    # ratios 1.5e200, 1e200 and 0.25: their mean is finite, their mean square is not
+    sample = BivariateSample([1.0, 2.0, 3.0, 4.0], [1.0, 3e200, 3e200, 1.0])
+    with pytest.raises(NonFiniteEstimate):
+        cte_aleph4(sample, 3, 2.0)
+    reader = level_reader("cte_aleph4", LevelSweep(sample, (3,)), alpha=2.0)
+    assert reader.value(3) == 2.0 * (math.fsum([1.5e200, 1e200, 0.25]) / 3)
+    assert reader.values(3) == [reader.value(3)]

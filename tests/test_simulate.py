@@ -25,6 +25,7 @@ from cotail import (
     sample_dataset,
     tdc_empirical,
 )
+from cotail.cli import ingest_text, main
 from cotail.core import fraction_to_count
 from cotail import rng as crng
 
@@ -222,7 +223,7 @@ def test_seed_mixing_distinct_streams():
     assert not np.array_equal(a.x, b.x)
     # replication 0 keeps the stream of a plain seeded generator
     plain = np.random.Generator(np.random.Philox(key=123))
-    assert np.array_equal(a.x, config.model.sample(plain, 100).x)
+    assert np.array_equal(a.x, crng.pareto(plain, 4.0, 100))
 
 
 def test_stream_keys_are_injective_in_seed_and_rep():
@@ -390,15 +391,88 @@ def test_run_mc_equals_one_estimate_per_cell(model):
         assert cell == expected[key], key
 
 
+def _reference_draw(model, seed, rep, n):
+    """Replication rep of seed, drawn in the order the model's ``sample_rows`` documents."""
+    gen = crng.generator(seed, rep)
+    if isinstance(model, LinearParetoModel):
+        x = crng.pareto(gen, model.alpha, n)
+        return x, model.phi * x + model.sigma * np.abs(crng.standard_normal(gen, n))
+    root_w = np.sqrt(model.nu / crng.chi_square(gen, model.nu, n))
+    z1 = crng.standard_normal(gen, n)
+    z2 = model.rho * z1 + math.sqrt(1.0 - model.rho ** 2) * crng.standard_normal(gen, n)
+    return root_w * np.abs(z1), root_w * np.abs(z2)
+
+
 @pytest.mark.parametrize("model", [BivariateTModel(4.0, 0.9), LinearParetoModel(0.8, 0.1, 4.0)])
 @pytest.mark.parametrize("n", [57, 60])
 def test_sample_rows_equal_one_sample_per_replication(model, n):
+    # every row of a chunk, and sample_dataset's one row, is the documented draw
     config = ModelConfig(model, n=n, seed=2**64 + 11)
     x, y = model.sample_rows(config.seed, range(5, 12), n)
     assert x.shape == y.shape == (7, n)
     for i, rep in enumerate(range(5, 12)):
+        want_x, want_y = _reference_draw(model, config.seed, rep, n)
         sample = sample_dataset(config, rep)
-        assert x[i].tobytes() == sample.x.tobytes() and y[i].tobytes() == sample.y.tobytes()
+        for got_x, got_y in ((x[i], y[i]), (sample.x, sample.y)):
+            assert got_x.tobytes() == want_x.tobytes() and got_y.tobytes() == want_y.tobytes()
+
+
+@dataclasses.dataclass(frozen=True)
+class _ScaledParetoModel:
+    """A model written to the one draw contract: x standard Pareto(2), y = scale * x."""
+
+    scale: float = 0.5
+
+    @property
+    def tail_index(self) -> float:
+        return 2.0
+
+    @property
+    def tail_dependence(self) -> float:
+        return self.scale ** 2
+
+    def sample_rows(self, seed, reps, n):
+        x = np.array([crng.pareto(gen, 2.0, n) for gen in crng.streams(seed, reps)])
+        return x, self.scale * x
+
+
+def test_a_model_with_only_sample_rows_runs_everywhere(monkeypatch, capsys):
+    monkeypatch.setitem(simulate.MODELS, "scaled-pareto", _ScaledParetoModel)
+    config = ModelConfig(_ScaledParetoModel(), n=60, seed=5)
+    sample = sample_dataset(config, 2)
+    want = crng.pareto(crng.generator(5, 2), 2.0, 60)
+    assert sample.x.tobytes() == want.tobytes()
+    assert sample.y.tobytes() == (0.5 * want).tobytes()
+
+    args = (config, 6, (0.1, 0.3), (0.2,), ("tdc_empirical", "tdc_quasispectral_estimated"), 1.0)
+    summary = run_mc(*args)
+    assert summary.cells == _mc_by_estimate(*args)
+    assert summary.truth == 0.25
+
+    argv = ["simulate", "--model", "scaled-pareto", "--n", "60", "--seed", "5", "--scale", "0.5"]
+    assert main(argv) == 0
+    printed = ingest_text(capsys.readouterr().out)
+    first = sample_dataset(config)
+    assert np.array_equal(printed.x, first.x) and np.array_equal(printed.y, first.y)
+
+
+def test_run_mc_counts_non_finite_estimates_as_failures(monkeypatch):
+    # x in [1, 1.1); replications 1 and 4 hold y = 1.7e308, so at k = 10 every
+    # weight of both CTE estimators is finite but their sum is not
+    x = 1.0 + np.arange(100) / 1000
+
+    def rows(model, seed, reps, n):
+        y = [np.full(n, 1.7e308) if rep % 3 == 1 else 0.5 * x for rep in reps]
+        return np.tile(x, (len(reps), 1)), np.array(y)
+
+    monkeypatch.setattr(LinearParetoModel, "sample_rows", rows)
+    config = ModelConfig(LinearParetoModel(0.8, 0.1, 4.0), n=100, seed=1)
+    names = ("cte_aleph3", "cte_aleph4", "tdc_empirical")
+    cells = run_mc(config, reps=6, k_fractions=[0.1], estimators=names).cells
+    assert cells[("cte_aleph3", 0.1, None)].failures == 2
+    assert cells[("cte_aleph4", 0.1, None)].failures == 2
+    assert cells[("cte_aleph4", 0.1, None)].mean == 4.0 / 3.0 * 0.5
+    assert cells[("tdc_empirical", 0.1, None)].failures == 0
 
 
 def test_run_mc_chunks_leave_the_summary_unchanged(monkeypatch):
