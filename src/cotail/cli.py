@@ -72,6 +72,7 @@ REPORT_COLUMNS = (
 # ---------------------------------------------------------------------------
 
 def _parse_table(text: str) -> tuple[list[float], list[float]]:
+    text = text.removeprefix("\ufeff")  # else a byte order mark makes row 1 a header
     # float() ignores the same surrounding whitespace as str.strip(), except
     # U+001F; mapping it to a space keeps cells stripped without a per-cell strip
     lines = [line for line in text.replace("\x1f", " ").splitlines() if line.strip()]

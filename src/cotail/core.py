@@ -20,6 +20,7 @@ estimator uses it.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping
@@ -242,6 +243,12 @@ class LevelSweep:
         _check_level(k, self.n, "k_alpha")
         part = np.partition(np.atleast_2d(self.sample.x), self.n - k - 1, axis=1)
         return part[:, self.n - k - 1], part[:, self.n - k:]
+
+
+def check_positive_finite(value: float, name: str) -> None:
+    """The one rule for a positive, finite parameter (NaN breaks it): a ``ValueError`` naming it."""
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite")
 
 
 def fraction_to_count(frac: float, n: int, what: str = "fraction") -> int:

@@ -33,9 +33,9 @@ for all rows, and each (row, level) is then one exactly rounded sum over a
 prefix of that row's weights. ``LevelReader.values`` gives every row's
 estimate alone (the Monte Carlo harness discards the variance);
 ``LevelReader.estimate`` gives a one-row sweep's full ``TailEstimate``.
-``estimate`` and the functions above run a reader on a one-level sweep of
-one sample, and the CLI's ``estimate`` and ``curve`` read their rows from
-one sweep per sample: the same code as the Monte Carlo harness, on one row.
+``estimate`` runs a reader on a one-level sweep of one sample, and each
+function above is one ``estimate`` call; the CLI's ``estimate`` and ``curve``
+read their rows from one sweep per sample, as the Monte Carlo harness does.
 
 Plug-in variances are second moments of the same weights (the fixed-level
 approximation at s = 1); they omit random-threshold corrections, so treat the
@@ -55,7 +55,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .core import BivariateSample, LevelSweep, TailEstimate
+from .core import BivariateSample, LevelSweep, TailEstimate, check_positive_finite
 from .errors import (
     AlphaNotAboveOne,
     CotailError,
@@ -103,16 +103,6 @@ class CteExtrapolation:
     aleph_used: float
     alpha_used: float
     extrapolation_factor: float
-
-
-def _check_y(y: float) -> None:
-    if not 0 < y < math.inf:
-        raise ValueError("y must be positive and finite")
-
-
-def _check_alpha(alpha: float) -> None:
-    if not 0 < alpha < math.inf:
-        raise ValueError("alpha must be positive and finite")
 
 
 def _quiet():
@@ -181,7 +171,7 @@ def _prefixes(sweep: LevelSweep, rows: list) -> Callable[[int], list]:
 
 
 def _empirical(sweep: LevelSweep, y: float) -> LevelReader:
-    _check_y(y)
+    check_positive_finite(y, "y")
 
     def joint(k):
         # the indicator weights that are 1; the zeros add nothing to either sum
@@ -193,14 +183,14 @@ def _empirical(sweep: LevelSweep, y: float) -> LevelReader:
 
 
 def _capped_ratio(sweep: LevelSweep, y: float) -> np.ndarray:
-    _check_y(y)
+    check_positive_finite(y, "y")
     with _quiet():
         return np.minimum(sweep.y / (y * sweep.x), 1.0)
 
 
 def _quasispectral(sweep: LevelSweep, y: float, alpha: float) -> LevelReader:
     capped = _capped_ratio(sweep, y)
-    _check_alpha(alpha)
+    check_positive_finite(alpha, "alpha")
     with _quiet():
         weights = (capped ** alpha).tolist()
     return LevelReader(
@@ -268,21 +258,21 @@ def tdc_empirical(sample: BivariateSample, k: int, y: float = 1.0) -> TailEstima
     The plug-in variance equals the value itself (indicator weights square to
     themselves).
     """
-    return _empirical(LevelSweep(sample, (k,)), y).estimate(k)
+    return estimate("tdc_empirical", sample, k, y=y)
 
 
 def tdc_quasispectral(
     sample: BivariateSample, k: int, y: float = 1.0, *, alpha: float
 ) -> TailEstimate:
     """Mean of min(y_j / (y x_j), 1)^alpha over x-exceedances, known alpha."""
-    return _quasispectral(LevelSweep(sample, (k,)), y, alpha).estimate(k)
+    return estimate("tdc_quasispectral", sample, k, y=y, alpha=alpha)
 
 
 def tdc_quasispectral_estimated(
     sample: BivariateSample, k: int, k_alpha: int, y: float = 1.0
 ) -> TailEstimate:
     """Ratio-weight estimator with alpha replaced by a Hill estimate."""
-    return _quasispectral_estimated(LevelSweep(sample, (k,)), k_alpha, y).estimate(k)
+    return estimate("tdc_quasispectral_estimated", sample, k, k_alpha=k_alpha, y=y)
 
 
 def check_y_grid(y_grid) -> np.ndarray:
@@ -323,7 +313,7 @@ def cte_aleph3(sample: BivariateSample, k: int) -> TailEstimate:
     plug-in is a variance proxy only when the tail index exceeds 2, which is
     noted in the metadata.
     """
-    return _aleph3(LevelSweep(sample, (k,))).estimate(k)
+    return estimate("cte_aleph3", sample, k)
 
 
 def cte_aleph4(sample: BivariateSample, k: int, alpha: float) -> TailEstimate:
@@ -332,7 +322,7 @@ def cte_aleph4(sample: BivariateSample, k: int, alpha: float) -> TailEstimate:
     alpha/(alpha - 1) times the mean of y_j / x_j over x-exceedances. The
     ratio form keeps the variance finite even when the tail index is below 2.
     """
-    return _aleph4(LevelSweep(sample, (k,)), alpha).estimate(k)
+    return estimate("cte_aleph4", sample, k, alpha=alpha)
 
 
 def theta_hat(
@@ -346,7 +336,7 @@ def theta_hat(
     """
     if not 0.0 < p < 1.0:
         raise InvalidP(f"p must lie in (0, 1), got {p}")
-    _check_alpha(alpha)
+    check_positive_finite(alpha, "alpha")
     thr = float(LevelSweep(sample, (k,)).threshold(k)[0])
     try:
         # evaluated as (k/n)/p so that p = k/n yields the factor 1.0 exactly
@@ -371,7 +361,7 @@ def edm_estimate(sample: BivariateSample, k: int, norm: str = "l2") -> TailEstim
     Unlike the other estimators this thresholds on order statistics of the
     chosen norm of the pairs, not on the x margin (flagged in the metadata).
     """
-    return _edm(LevelSweep(sample, (k,)), norm).estimate(k)
+    return estimate("edm", sample, k, norm=norm)
 
 
 @dataclass(frozen=True)

@@ -36,6 +36,8 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
+from .core import check_positive_finite
+
 _MASK64 = (1 << 64) - 1
 
 
@@ -99,8 +101,7 @@ def standard_gamma(gen: np.random.Generator, shape: float, size: int) -> np.ndar
     """Gamma(shape, scale=1) via Marsaglia-Tsang with the shape < 1 boost."""
     # an infinite shape would make every acceptance test NaN, so the
     # rejection loop would never finish
-    if not 0 < shape < math.inf:
-        raise ValueError("shape must be positive and finite")
+    check_positive_finite(shape, "shape")
     if shape < 1.0:
         boost = open_uniform(gen, size) ** (1.0 / shape)
         return _gamma_at_least_one(gen, shape + 1.0, size) * boost
@@ -130,8 +131,7 @@ def chi_square(gen: np.random.Generator, df: float, size: int) -> np.ndarray:
 
 def pareto(gen: np.random.Generator, alpha: float, size: int) -> np.ndarray:
     """Standard Pareto(alpha): survival x^(-alpha) on x >= 1."""
-    if not 0 < alpha < math.inf:
-        raise ValueError("alpha must be positive and finite")
+    check_positive_finite(alpha, "alpha")
     return pareto_of(open_uniform(gen, size), alpha)
 
 

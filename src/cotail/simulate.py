@@ -65,7 +65,7 @@ from typing import Callable, Mapping, Sequence, Union
 import numpy as np
 
 from . import rng
-from .core import BivariateSample, LevelSweep, SampleRows, fraction_to_count
+from .core import BivariateSample, LevelSweep, SampleRows, check_positive_finite, fraction_to_count
 from .errors import CotailError
 from .estimators import ESTIMATORS, level_reader
 
@@ -81,8 +81,7 @@ class LinearParetoModel:
             raise ValueError("phi must lie in (0, 1)")
         if not self.sigma >= 0.0:
             raise ValueError("sigma must be nonnegative (0 is the degenerate case)")
-        if not 0.0 < self.alpha < math.inf:
-            raise ValueError("alpha must be positive and finite")
+        check_positive_finite(self.alpha, "alpha")
 
     @property
     def tail_index(self) -> float:
@@ -113,8 +112,7 @@ class BivariateTModel:
     rho: float = 0.9
 
     def __post_init__(self):
-        if not 0.0 < self.nu < math.inf:
-            raise ValueError("nu must be positive and finite")
+        check_positive_finite(self.nu, "nu")
         if not -1.0 < self.rho < 1.0:
             raise ValueError("rho must lie in (-1, 1)")
 
@@ -268,8 +266,7 @@ def run_mc(
     """
     if reps < 1:
         raise ValueError("reps must be at least 1")
-    if not 0 < y < math.inf:
-        raise ValueError("y must be positive and finite")
+    check_positive_finite(y, "y")
     names = list(dict.fromkeys(estimators))
     if not names:
         raise ValueError("at least one estimator is required")
@@ -309,15 +306,25 @@ def run_mc(
         stats = [None] * 7
         if vals:
             arr = np.asarray(vals, dtype=float)
-            sd = float(np.std(arr, ddof=1)) if arr.size > 1 else 0.0
+            sd = _finite_stat(lambda a: np.std(a, ddof=1), arr) if arr.size > 1 else 0.0
             quantiles = np.quantile(arr, [0.05, 0.25, 0.5, 0.75, 0.95])
-            stats = [float(np.mean(arr)), sd, *(float(q) for q in quantiles)]
+            stats = [_finite_stat(np.mean, arr), sd, *(float(q) for q in quantiles)]
         cells[key] = McCell(*stats, rep_count=reps, failures=reps - len(vals))
 
     truth = None
     if y == 1.0 and any("y" in ESTIMATORS[name].params for name in names):
         truth = config.model.tail_dependence
     return McSummary(cells=cells, truth=truth, y=y, reps=reps)
+
+
+def _finite_stat(stat: Callable[[np.ndarray], float], arr: np.ndarray) -> float:
+    """``stat(arr)``, or where its sums overflow, ``stat(arr / m) * m`` with m = max|arr|."""
+    with np.errstate(over="ignore"):
+        value = float(stat(arr))
+    if not math.isfinite(value):
+        scale = float(np.max(np.abs(arr)))
+        value = float(stat(arr / scale)) * scale
+    return value
 
 
 # Replications are swept a chunk of rows at a time. A row costs roughly 64 n

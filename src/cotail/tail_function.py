@@ -32,7 +32,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import BivariateSample, LevelSweep
+from .core import BivariateSample, LevelSweep, check_positive_finite
 from .errors import NonPositiveThreshold
 
 Weight = Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -90,8 +90,7 @@ def margin_exceedance() -> TailFunctionSpec:
 
 def joint_exceedance(y_cut: float = 1.0) -> TailFunctionSpec:
     """psi = 1 on {x1 > 1, x2 > y_cut}: joint exceedance counting."""
-    if not 0 < y_cut < math.inf:
-        raise ValueError("y_cut must be positive and finite")
+    check_positive_finite(y_cut, "y_cut")
     return TailFunctionSpec(
         psi=lambda u, v: np.ones_like(u),
         gamma=0.0,
@@ -102,10 +101,8 @@ def joint_exceedance(y_cut: float = 1.0) -> TailFunctionSpec:
 
 def capped_ratio_power(alpha: float, y_cut: float = 1.0) -> TailFunctionSpec:
     """psi = min(x2 / (y_cut * x1), 1)^alpha on {x1 > 1}."""
-    if not 0 < alpha < math.inf:
-        raise ValueError("alpha must be positive and finite")
-    if not 0 < y_cut < math.inf:
-        raise ValueError("y_cut must be positive and finite")
+    check_positive_finite(alpha, "alpha")
+    check_positive_finite(y_cut, "y_cut")
     return TailFunctionSpec(
         psi=lambda u, v: np.minimum(v / (y_cut * u), 1.0) ** alpha,
         gamma=0.0,
@@ -189,10 +186,8 @@ def tef_fixed(
     Returns (1 / (n * fbar_u)) * sum_j psi(x_j/u, y_j/u) * 1{(x_j, y_j) in s*u*C}
     where fbar_u is the caller-supplied survival mass at u.
     """
-    if not 0 < u < math.inf:
-        raise ValueError("u must be positive and finite")
-    if not 0 < s < math.inf:
-        raise ValueError("s must be positive and finite")
+    check_positive_finite(u, "u")
+    check_positive_finite(s, "s")
     if not 0 < fbar_u <= 1:
         raise ValueError("fbar_u must lie in (0, 1]")
     total = _weighted_sum(sample.x, sample.y, spec, scale=s * u, denom=u)
@@ -212,10 +207,9 @@ def tef_random(
     given (simulation-side use only), else by the order statistic itself. The
     inclusion region is always scaled by s * X_{n:n-k}.
     """
-    if not 0 < s < math.inf:
-        raise ValueError("s must be positive and finite")
-    if u is not None and not 0 < u < math.inf:
-        raise ValueError("u must be positive and finite")
+    check_positive_finite(s, "s")
+    if u is not None:
+        check_positive_finite(u, "u")
     thr = float(LevelSweep(sample, (k,)).threshold(k)[0])
     if thr <= 0:
         raise NonPositiveThreshold(f"X_(n-k) = {thr} is not positive")

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +50,11 @@ def test_ingest_single_row_rejected():
 def test_ingest_header_autodetected():
     sample = ingest_text("x,y\n1.0,2.0\n3.0,4.0\n", "none")
     assert sample.pairs() == [(1.0, 2.0), (3.0, 4.0)]
+
+
+def test_ingest_ignores_a_leading_byte_order_mark():
+    assert ingest_text("\ufeff1.0,2.0\n3.0,4.0\n").n == 2
+    assert ingest_text("\ufeffx,y\n1.0,2.0\n3.0,4.0\n").pairs() == [(1.0, 2.0), (3.0, 4.0)]
 
 
 def test_ingest_cell_whitespace():
@@ -382,6 +388,23 @@ def test_mc_counts_sums_beyond_the_double_range_as_failures(capsys):
     assert code == 0
     [row] = json.loads(out, parse_constant=pytest.fail)["rows"]
     assert (row["rep_count"], row["failures"]) == (3, 2)
+
+
+def test_mc_statistics_of_values_near_the_double_maximum_stay_finite(capsys):
+    # the 100 values are each about 5e306, but their sum and their sum of
+    # squared deviations are beyond the double range
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(
+            capsys, "mc", "--model", "linear-pareto", "--sigma", "1e307", "--n", "200",
+            "--reps", "100", "--k-fracs", "0.1", "--estimators", "cte-aleph4",
+            "--format", "json",
+        )
+    assert (code, err) == (0, "")
+    [row] = json.loads(out, parse_constant=pytest.fail)["rows"]
+    assert row["failures"] == 0
+    assert row["q05"] <= row["mean"] <= row["q95"]
+    assert 0 < row["sd"] < row["q95"] - row["q05"]
 
 
 def test_seed_env_override(tmp_path, capsys, monkeypatch):

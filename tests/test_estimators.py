@@ -7,6 +7,7 @@ import pytest
 
 import reference
 from cotail import (
+    ESTIMATORS,
     AlphaNotAboveOne,
     BivariateSample,
     BivariateTModel,
@@ -443,6 +444,32 @@ def test_estimate_dispatches_by_id():
         estimate("tdc_quasispectral", s, 8, y=1.0)
     with pytest.raises(ValueError):
         estimate("cte_aleph4", s, 8, alpha=None)
+
+
+# each public estimator function is one ``estimate`` call, so a parameter
+# passed as None fails as ``estimate`` fails it
+_ALL_PARAMS = {"y": 1.0, "alpha": 4.0, "k_alpha": 3, "norm": "l2"}
+NONE_PARAMS = [
+    (tdc_empirical, "tdc_empirical", "y"),
+    (tdc_quasispectral, "tdc_quasispectral", "y"),
+    (tdc_quasispectral, "tdc_quasispectral", "alpha"),
+    (tdc_quasispectral_estimated, "tdc_quasispectral_estimated", "k_alpha"),
+    (tdc_quasispectral_estimated, "tdc_quasispectral_estimated", "y"),
+    (cte_aleph4, "cte_aleph4", "alpha"),
+    (edm_estimate, "edm", "norm"),
+]
+
+
+@pytest.mark.parametrize(
+    "func, name, param", NONE_PARAMS, ids=[f"{f.__name__}-{p}" for f, _, p in NONE_PARAMS]
+)
+def test_public_function_rejects_none_as_estimate_does(func, name, param):
+    s = pareto_sample(27, 40, ratio=0.7)
+    kwargs = {key: _ALL_PARAMS[key] for key in ESTIMATORS[name].params}
+    kwargs[param] = None
+    for call in (lambda: func(s, 8, **kwargs), lambda: estimate(name, s, 8, **kwargs)):
+        with pytest.raises(ValueError, match=f"^{name} requires {param}$"):
+            call()
 
 
 def test_negative_variance_rejected():
