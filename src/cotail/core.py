@@ -13,6 +13,8 @@ selects the largest max(k) + 1 keys and only those are sorted, and the pairs
 behind them are gathered in descending key order, so the exceedances at each
 level are a prefix of every row. No sort needs to be stable: every count is
 strict and every sum exact, so the order among tied keys changes no value.
+The sweep holds only this rule; the Hill step selects its own order
+statistics.
 
 ``order_view`` is the full ascending sort of a sample's x margin (stable, and
 cached on the sample) for callers that want every order statistic; no
@@ -138,18 +140,13 @@ def order_view(sample: BivariateSample) -> OrderedView:
     return OrderedView(sample=sample, order=order, x_sorted=x_sorted)
 
 
-def _check_level(k: int, n: int, what: str) -> None:
-    if not 1 <= k <= n - 1:
-        raise ValueError(f"{what} must be in [1, {n - 1}], got {k}")
-
-
-def level_threshold(top: np.ndarray, k: int, n: int, what: str = "k") -> np.ndarray:
+def level_threshold(top: np.ndarray, k: int, n: int) -> np.ndarray:
     """X_(n-k) of each row of n keys, 1 <= k <= n-1: the row's (k+1)-th largest key.
 
     ``top`` holds at least the largest k + 1 keys of every row, in descending
     order.
     """
-    _check_level(k, n, what)
+    check_level(k, n, "k")
     return top[:, k]
 
 
@@ -199,7 +196,7 @@ class LevelSweep:
         key = x if self.key is None else np.atleast_2d(self.key)
         n, width = self.n, max(self.ks, default=0)
         for k in self.ks:
-            _check_level(k, n, "k")
+            check_level(k, n, "k")
         # the largest width + 1 keys of each row; which of several tied keys
         # make the cut changes no threshold, count or sum
         part = np.argpartition(key, n - width - 1, axis=1)[:, n - width - 1:]
@@ -238,17 +235,17 @@ class LevelSweep:
         """Each row's count of strict exceedances at level k."""
         return self._level(k)[1]
 
-    def top_x(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """Each row's x order statistic X_(n-k) and the k x values above it, in no set order."""
-        _check_level(k, self.n, "k_alpha")
-        part = np.partition(np.atleast_2d(self.sample.x), self.n - k - 1, axis=1)
-        return part[:, self.n - k - 1], part[:, self.n - k:]
-
 
 def check_positive_finite(value: float, name: str) -> None:
     """The one rule for a positive, finite parameter (NaN breaks it): a ``ValueError`` naming it."""
     if not 0 < value < math.inf:
         raise ValueError(f"{name} must be positive and finite")
+
+
+def check_level(k: int, n: int, what: str) -> None:
+    """The one rule for a level in [1, n-1]: a ``ValueError`` naming it."""
+    if not 1 <= k <= n - 1:
+        raise ValueError(f"{what} must be in [1, {n - 1}], got {k}")
 
 
 def fraction_to_count(frac: float, n: int, what: str = "fraction") -> int:

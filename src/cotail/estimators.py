@@ -182,33 +182,29 @@ def _empirical(sweep: LevelSweep, y: float) -> LevelReader:
     return LevelReader("tdc_empirical", joint)
 
 
-def _capped_ratio(sweep: LevelSweep, y: float) -> np.ndarray:
+def _ratio_power(sweep: LevelSweep, name: str, y: float, alphas: list, **metadata) -> LevelReader:
+    """Weights min(y_j / (y x_j), 1)^alpha, with one alpha (or ``CotailError``) per row."""
     check_positive_finite(y, "y")
     with _quiet():
-        return np.minimum(sweep.y / (y * sweep.x), 1.0)
-
-
-def _quasispectral(sweep: LevelSweep, y: float, alpha: float) -> LevelReader:
-    capped = _capped_ratio(sweep, y)
-    check_positive_finite(alpha, "alpha")
-    with _quiet():
-        weights = (capped ** alpha).tolist()
-    return LevelReader(
-        "tdc_quasispectral", _prefixes(sweep, weights), alpha_used=[alpha] * sweep.rows
-    )
-
-
-def _quasispectral_estimated(sweep: LevelSweep, k_alpha: int, y: float) -> LevelReader:
-    alphas = hill_alphas(sweep, k_alpha)  # each positive and finite, or an error
-    capped = _capped_ratio(sweep, y)
-    with _quiet():  # one alpha per row, so one power per row
+        capped = np.minimum(sweep.y / (y * sweep.x), 1.0)
+        for alpha in alphas:  # a Hill alpha is positive and finite or an error
+            if not isinstance(alpha, CotailError):
+                check_positive_finite(alpha, "alpha")
         weights = [
             a if isinstance(a, CotailError) else (row ** a).tolist()
             for row, a in zip(capped, alphas)
         ]
-    return LevelReader(
-        "tdc_quasispectral_estimated", _prefixes(sweep, weights), alpha_used=alphas,
-        metadata={"k_alpha": k_alpha, "alpha_source": "hill"},
+    return LevelReader(name, _prefixes(sweep, weights), alpha_used=alphas, metadata=metadata)
+
+
+def _quasispectral(sweep: LevelSweep, y: float, alpha: float) -> LevelReader:
+    return _ratio_power(sweep, "tdc_quasispectral", y, [alpha] * sweep.rows)
+
+
+def _quasispectral_estimated(sweep: LevelSweep, k_alpha: int, y: float) -> LevelReader:
+    return _ratio_power(
+        sweep, "tdc_quasispectral_estimated", y, hill_alphas(sweep, k_alpha),
+        k_alpha=k_alpha, alpha_source="hill",
     )
 
 

@@ -6,7 +6,8 @@ yields alpha_hat close to alpha. The number of upper order statistics used
 larger than the exceedance level k of the downstream estimator. A common
 heuristic default is k_alpha = 2k, documented as a heuristic only.
 
-``hill_alphas`` runs the Hill step on every row of a ``LevelSweep``;
+``hill_alphas`` runs the Hill step on every row of a ``LevelSweep``'s
+sample, partitioning x itself (the sweep's levels play no part);
 ``hill_estimate`` is its one-sample form.
 """
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LevelSweep, OrderedView
+from .core import LevelSweep, OrderedView, check_level
 from .errors import NonPositiveThreshold, ZeroSpread, unwrap
 
 
@@ -33,14 +34,17 @@ def hill_alphas(sweep: LevelSweep, k_alpha: int) -> list:
     A row whose X_{n:n-k_alpha} is not positive, or whose log-ratios sum to
     0, gets the ``CotailError`` instead.
     """
-    base, above = sweep.top_x(k_alpha)
+    n = sweep.n
+    check_level(k_alpha, n, "k_alpha")
+    part = np.partition(np.atleast_2d(sweep.sample.x), n - k_alpha - 1, axis=1)
+    base, above = part[:, n - k_alpha - 1], part[:, n - k_alpha:]
     with np.errstate(divide="ignore", invalid="ignore"):
         logs = np.log(above / base[:, None]).tolist()
     out = []
     for b, row in zip(base.tolist(), logs):
         if b <= 0:
             out.append(NonPositiveThreshold(
-                f"order statistic X_({sweep.n - k_alpha}) = {b} is not positive"))
+                f"order statistic X_({n - k_alpha}) = {b} is not positive"))
             continue
         log_sum = math.fsum(row)
         if log_sum <= 0:
