@@ -16,6 +16,11 @@ strict and every sum exact, so the order among tied keys changes no value.
 The sweep holds only this rule; the Hill step selects its own order
 statistics.
 
+``check_level`` is the one rule for a level (an integer, numpy's too, in
+[1, n-1]) and ``check_positive_finite`` the one rule for a positive, finite
+parameter (NaN and None fail it); each raises a ``ValueError`` naming what
+it rejects.
+
 ``order_view`` is the full ascending sort of a sample's x margin (stable, and
 cached on the sample) for callers that want every order statistic; no
 estimator uses it.
@@ -23,6 +28,7 @@ estimator uses it.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping
@@ -237,13 +243,17 @@ class LevelSweep:
 
 
 def check_positive_finite(value: float, name: str) -> None:
-    """The one rule for a positive, finite parameter (NaN breaks it): a ``ValueError`` naming it."""
-    if not 0 < value < math.inf:
+    """The one rule for a positive, finite parameter (None and NaN fail): a ``ValueError``."""
+    if value is None or not 0 < value < math.inf:
         raise ValueError(f"{name} must be positive and finite")
 
 
 def check_level(k: int, n: int, what: str) -> None:
-    """The one rule for a level in [1, n-1]: a ``ValueError`` naming it."""
+    """The one rule for a level: an integer (numpy's too) in [1, n-1], else a ``ValueError``."""
+    try:
+        operator.index(k)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {k!r}") from None
     if not 1 <= k <= n - 1:
         raise ValueError(f"{what} must be in [1, {n - 1}], got {k}")
 

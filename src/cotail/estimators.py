@@ -9,6 +9,10 @@ Conditional tail distribution / tail dependence coefficient:
 - ``tdc_quasispectral_estimated``: same, with the tail index replaced by a
   Hill estimate on k_alpha upper order statistics.
 
+Both ratio-weight estimators read through one body: each binding computes
+the capped ratio once and raises each row to that row's alpha (the known
+alpha, or the row's Hill alpha or the error that fails the row).
+
 Conditional tail expectation coefficients:
 
 - ``cte_aleph3``: threshold-scaled average of y over x-exceedances.
@@ -18,8 +22,9 @@ Conditional tail expectation coefficients:
 High-quantile extrapolation ``theta_hat`` multiplies a CTE coefficient by the
 threshold and the power-law factor (k/(n p))^(1/alpha). ``edm_estimate`` is
 the extremal dependence measure, thresholded on norm order statistics rather
-than the x margin. ``confidence_interval`` turns a plug-in variance into a
-normal interval; its quantile comes from the standard library's
+than the x margin; a row with a squared norm beyond the double range fails
+with ``NonFiniteEstimate``. ``confidence_interval`` turns a plug-in variance
+into a normal interval; its quantile comes from the standard library's
 ``statistics.NormalDist``.
 
 ``ESTIMATORS`` is the one table of the estimators above (all but
@@ -237,11 +242,19 @@ def _aleph4(sweep: LevelSweep, alpha: float) -> LevelReader:
 
 def _edm(sweep: LevelSweep, norm: str) -> LevelReader:
     sample = sweep.sample
-    radii = norm_values(sample.x, sample.y, norm)  # rejects an unknown norm
-    by_norm = LevelSweep(sample, sweep.ks, radii)
-    xe, ye = by_norm.x, by_norm.y
     with _quiet():
-        weights = ((xe * ye) / squared_norm(xe, ye, norm)).tolist()
+        radii = norm_values(sample.x, sample.y, norm)  # rejects an unknown norm
+        by_norm = LevelSweep(sample, sweep.ks, radii)
+        xe, ye = by_norm.x, by_norm.y
+        squares = squared_norm(xe, ye, norm)
+        weights = ((xe * ye) / squares).tolist()
+    # a square beyond the double range ties keys at inf and turns weights into 0
+    # or NaN; the largest norms are the ones gathered, so their squares tell
+    # whether any pair of the row has one
+    weights = [
+        w if ok else NonFiniteEstimate(f"edm: a squared {norm} norm is beyond the double range")
+        for w, ok in zip(weights, np.isfinite(squares).all(axis=1).tolist())
+    ]
     return LevelReader(
         "edm", _prefixes(by_norm, weights),
         metadata={"norm": norm, "threshold_scale": "norm order statistic"},

@@ -8,7 +8,8 @@ heuristic default is k_alpha = 2k, documented as a heuristic only.
 
 ``hill_alphas`` runs the Hill step on every row of a ``LevelSweep``'s
 sample, partitioning x itself (the sweep's levels play no part);
-``hill_estimate`` is its one-sample form.
+``hill_estimate`` is its one-sample form. k_alpha passes ``core.check_level``
+like any other level.
 """
 from __future__ import annotations
 

@@ -345,8 +345,8 @@ def test_memory_error_is_a_json_error(capsys, monkeypatch):
     }
 
 
-# at k = 3 the ratios y / x are finite but their sum is not, and y / X_(n-k)
-# = y / 0.1 is infinite
+# at k = 3 the ratios y / x are finite but their sum is not, y / X_(n-k)
+# = y / 0.1 is infinite, and so is every squared norm
 _OVERFLOW_CSV = "x,y\n0.1,1.7e308\n1.0,1.7e308\n1.1,1.7e308\n1.2,1.7e308\n"
 
 
@@ -354,11 +354,26 @@ _OVERFLOW_CSV = "x,y\n0.1,1.7e308\n1.0,1.7e308\n1.1,1.7e308\n1.2,1.7e308\n"
     ("--estimator", "cte-aleph4", "--alpha", "2"),
     ("--estimator", "cte-aleph3", "--format", "json"),
     ("--estimator", "theta", "--aleph-from", "cte-aleph4", "--alpha", "2", "--p", "0.1"),
+    ("--estimator", "edm"),
+    ("--estimator", "edm", "--norm", "linf"),
 ])
 def test_estimate_beyond_the_double_range_is_a_json_error(tmp_path, capsys, argv):
     data = tmp_path / "huge.csv"
     data.write_text(_OVERFLOW_CSV)
     code, out, err = run_cli(capsys, "estimate", "--input", str(data), "--k", "3", *argv)
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"]["type"] == "NonFiniteEstimate"
+
+
+def test_edm_on_infinite_norm_keys_is_one_json_error(tmp_path, capsys):
+    # every l2 key here is inf: numpy warns of the overflow, which must not reach stderr
+    data = tmp_path / "wide.csv"
+    data.write_text("1e200,1e200\n1e200,2e200\n1e200,3e200\n1e200,4e200\n2e200,1e200\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run_cli(
+            capsys, "estimate", "--input", str(data), "--estimator", "edm", "--k", "3"
+        )
     assert (code, out) == (1, "")
     assert json.loads(err)["error"]["type"] == "NonFiniteEstimate"
 

@@ -27,6 +27,7 @@ from cotail import (
     cte_aleph4,
     edm_estimate,
     estimate,
+    hill_estimate,
     joint_exceedance,
     level_reader,
     margin_exceedance,
@@ -579,6 +580,15 @@ GUARD_INPUTS = {
     # (0.4 / 1e-300)^2 is past the double range; so is 1e10 * 3 * 4e299
     "theta_hat_factor_overflow": (lambda: theta_hat(_S, 2, 1e-300, 1.0, 0.5), ValueError),
     "theta_hat_value_overflow": (lambda: theta_hat(_S, 2, 1e-300, 1e10, 1.0), ValueError),
+    # a level is an integer; a positive parameter is not None
+    "tdc_empirical_k_fraction": (lambda: tdc_empirical(_S, 2.5), ValueError),
+    "tdc_empirical_k_float": (lambda: tdc_empirical(_S, 2.0), ValueError),
+    "tdc_estimated_k_alpha_fraction": (
+        lambda: tdc_quasispectral_estimated(_S, 2, 3.5), ValueError),
+    "tef_random_k_fraction": (lambda: tef_random(_S, margin_exceedance(), 2.5), ValueError),
+    "hill_estimate_k_alpha_none": (lambda: hill_estimate(order_view(_S), None), ValueError),
+    "theta_hat_alpha_none": (lambda: theta_hat(_S, 2, 0.1, 1.0, None), ValueError),
+    "run_mc_y_none": (lambda: run_mc(_LP, 3, [0.1], y=None), ValueError),
 }
 
 
@@ -588,6 +598,14 @@ def test_guard_rejects_input(case):
     with pytest.raises(error) as info:
         call()
     assert type(info.value) is error
+
+
+def test_a_level_is_any_integer_and_a_named_error_otherwise():
+    assert tdc_empirical(_S, np.int64(2)) == tdc_empirical(_S, 2)
+    with pytest.raises(ValueError, match=r"^k must be an integer, got 2\.0$"):
+        tdc_empirical(_S, 2.0)
+    with pytest.raises(ValueError, match="^k_alpha must be an integer, got None$"):
+        hill_estimate(order_view(_S), None)
 
 
 # y near the double maximum: at k = 3 every ratio y / x is finite but their
@@ -607,6 +625,17 @@ def test_sums_beyond_the_double_range_are_a_non_finite_estimate():
         assert isinstance(value, NonFiniteEstimate), name
         with pytest.raises(NonFiniteEstimate):
             reader.value(3)
+
+
+# every squared norm beyond the double range (the l2 keys all inf)
+_WIDE = BivariateSample([1e200] * 4 + [2e200], [1e200, 2e200, 3e200, 4e200, 1e200])
+
+
+@pytest.mark.parametrize("norm", ["l2", "l1", "linf"])
+@pytest.mark.parametrize("sample", [_HUGE, _WIDE], ids=["huge", "wide"])
+def test_edm_with_norms_beyond_the_double_range_is_a_non_finite_estimate(sample, norm):
+    with pytest.raises(NonFiniteEstimate):
+        edm_estimate(sample, 3, norm)
 
 
 def test_a_non_finite_variance_fails_the_estimate_not_the_value():
