@@ -16,8 +16,8 @@ strict and every sum exact, so the order among tied keys changes no value.
 The sweep holds only this rule; the Hill step selects its own order
 statistics.
 
-``check_level`` is the one rule for a level (an integer, numpy's too, in
-[1, n-1]) and ``check_positive_finite`` the one rule for a positive, finite
+``check_level`` is the one rule for a level (an integer, numpy's too but not
+a bool, in [1, n-1]) and ``check_positive_finite`` the one rule for a positive, finite
 parameter (NaN and None fail it); each raises a ``ValueError`` naming what
 it rejects.
 
@@ -252,8 +252,11 @@ def check_level(k: int, n: int, what: str) -> None:
     """The one rule for a level: an integer (numpy's too) in [1, n-1], else a ``ValueError``."""
     try:
         operator.index(k)
+        integer = not isinstance(k, bool)  # numpy would read a bool index as a mask
     except TypeError:
-        raise ValueError(f"{what} must be an integer, got {k!r}") from None
+        integer = False
+    if not integer:
+        raise ValueError(f"{what} must be an integer, got {k!r}")
     if not 1 <= k <= n - 1:
         raise ValueError(f"{what} must be in [1, {n - 1}], got {k}")
 

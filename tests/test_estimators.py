@@ -583,6 +583,7 @@ GUARD_INPUTS = {
     # a level is an integer; a positive parameter is not None
     "tdc_empirical_k_fraction": (lambda: tdc_empirical(_S, 2.5), ValueError),
     "tdc_empirical_k_float": (lambda: tdc_empirical(_S, 2.0), ValueError),
+    "tdc_empirical_k_bool": (lambda: tdc_empirical(_S, True), ValueError),
     "tdc_estimated_k_alpha_fraction": (
         lambda: tdc_quasispectral_estimated(_S, 2, 3.5), ValueError),
     "tef_random_k_fraction": (lambda: tef_random(_S, margin_exceedance(), 2.5), ValueError),
