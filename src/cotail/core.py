@@ -17,9 +17,9 @@ The sweep holds only this rule; the Hill step selects its own order
 statistics.
 
 ``check_level`` is the one rule for a level (an integer, numpy's too but not
-a bool, in [1, n-1]) and ``check_positive_finite`` the one rule for a positive, finite
-parameter (NaN and None fail it); each raises a ``ValueError`` naming what
-it rejects.
+a bool, in [1, n-1]) and ``check_positive_finite`` the one rule for a
+positive, finite parameter (NaN and None fail it); each raises a
+``ValueError`` naming what it rejects.
 
 ``order_view`` is the full ascending sort of a sample's x margin (stable, and
 cached on the sample) for callers that want every order statistic; no
@@ -249,7 +249,7 @@ def check_positive_finite(value: float, name: str) -> None:
 
 
 def check_level(k: int, n: int, what: str) -> None:
-    """The one rule for a level: an integer (numpy's too) in [1, n-1], else a ``ValueError``."""
+    """The one rule for a level: an integer (not a bool) in [1, n-1], else a ``ValueError``."""
     try:
         operator.index(k)
         integer = not isinstance(k, bool)  # numpy would read a bool index as a mask
