@@ -172,8 +172,18 @@ def _load_sample(args) -> BivariateSample:
 
 
 def _model_config(args) -> ModelConfig:
+    """The chosen model from its flags; a flag of another model is a ``ValueError``."""
     cls = MODELS[args.model]
-    model = cls(**{f.name: getattr(args, f.name) for f in fields(cls)})
+    own = {f.name for f in fields(cls)}
+    given = {
+        f.name: getattr(args, f.name)
+        for model in MODELS.values() for f in fields(model)
+        if getattr(args, f.name) is not None
+    }
+    for name in given:
+        if name not in own:
+            raise ValueError(f"--{name} is not a parameter of {args.model}")
+    model = cls(**given)  # unset fields take the model's defaults
     seed = _default_seed() if args.seed is None else args.seed
     return ModelConfig(model=model, n=args.n, seed=seed)
 
@@ -268,7 +278,7 @@ def _theta_report(args, sample: BivariateSample, k: int) -> dict:
         alpha, source = args.alpha, "supplied"
     else:
         k_alpha = _k_alpha(args, k, sample.n)
-        alpha, source = unwrap(hill_alphas(sweep, k_alpha)[0]), "hill"
+        alpha, source = unwrap(hill_alphas(sample.x, k_alpha)[0]), "hill"
     aleph = level_reader(_registry_id(args.aleph_from), sweep, alpha=alpha).value(k)
     ext = theta_hat(sample, k, args.p, aleph, alpha)
     return {
@@ -367,9 +377,9 @@ def _add_input_options(p: argparse.ArgumentParser) -> None:
 def _add_model_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--model", choices=tuple(MODELS), required=True)
     p.add_argument("--n", type=int, default=1000)
-    for cls in MODELS.values():
+    for name, cls in MODELS.items():
         for f in fields(cls):
-            p.add_argument(f"--{f.name}", type=float, default=f.default)
+            p.add_argument(f"--{f.name}", type=float, help=f"{name} only; default {f.default}")
     p.add_argument("--seed", type=int, help="default: COTAIL_SEED, else 0")
 
 

@@ -4,26 +4,26 @@ Everything here is immutable after construction, so samples and views can be
 shared freely between concurrent tasks. The order of pairs inside a sample
 carries no meaning; every downstream estimator is permutation invariant.
 
-``level_threshold`` (X_(n-k), 1 <= k <= n-1) and ``exceedance_count`` (the
-number of keys strictly above it) are the one level-k rule. They read rows
-of keys sorted in descending order, so one call serves a single sample or a
-block of replications held as rows (``SampleRows``). A ``LevelSweep``
-applies the rule to a whole set of levels at once: per row, ``argpartition``
-selects the largest max(k) + 1 keys and only those are sorted, and the pairs
-behind them are gathered in descending key order, so the exceedances at each
-level are a prefix of every row. No sort needs to be stable: every count is
-strict and every sum exact, so the order among tied keys changes no value.
-The sweep holds only this rule; the Hill step selects its own order
-statistics.
+A ``LevelSweep`` holds the one level-k rule: the threshold X_(n-k)
+(1 <= k <= n-1) is the (k+1)-th largest key and the exceedances are the
+keys strictly above it. It applies the rule to a whole set of levels at
+once, for a single sample or a block of replications held as rows
+(``SampleRows``): per row, ``argpartition`` selects the largest max(k) + 1
+keys and only those are sorted, and the pairs behind them are gathered in
+descending key order, so the exceedances at each level are a prefix of every
+row. No sort needs to be stable: every count is strict and every sum exact,
+so the order among tied keys changes no value. The Hill step selects its own
+order statistics.
 
 ``check_level`` is the one rule for a level (an integer, numpy's too but not
-a bool, in [1, n-1]) and ``check_positive_finite`` the one rule for a
-positive, finite parameter (NaN and None fail it); each raises a
-``ValueError`` naming what it rejects.
+a bool, in [1, n-1], returned as an ``int``) and ``check_positive_finite``
+the one rule for a positive, finite parameter (NaN and None fail it); each
+raises a ``ValueError`` naming what it rejects.
 
-``order_view`` is the full ascending sort of a sample's x margin (stable, and
-cached on the sample) for callers that want every order statistic; no
-estimator uses it.
+``order_view`` sorts a sample's x margin in full (a stable sort on each call)
+for callers that want every order statistic; no estimator uses it. Its
+``threshold`` and ``exceedance_indices`` follow the definitions: X_(n-k) is
+the (n-k)-th smallest x, and the exceedances are the pairs with x above it.
 """
 from __future__ import annotations
 
@@ -85,17 +85,8 @@ class BivariateSample:
         return list(zip(self.x.tolist(), self.y.tolist()))
 
     def __reduce__(self):
-        # unpickle through __post_init__: read-only arrays, no stale cached order
+        # unpickle through __post_init__, so the arrays come back read-only
         return type(self), (self.x, self.y)
-
-    @cached_property
-    def _x_order(self) -> tuple[np.ndarray, np.ndarray]:
-        # the arrays, not the view: a cached view would hold its sample in a cycle
-        order = np.argsort(self.x, kind="stable")
-        x_sorted = self.x[order]
-        order.setflags(write=False)
-        x_sorted.setflags(write=False)
-        return order, x_sorted
 
 
 @dataclass(frozen=True)
@@ -136,33 +127,18 @@ class OrderedView:
         return float(self.x_sorted[m - 1])
 
     def threshold(self, k: int) -> float:
-        """Return the (k+1)-th largest x value, the exceedance level for k."""
-        return float(level_threshold(self.x_sorted[None, ::-1], k, self.sample.n)[0])
+        """Return X_(n-k), the (k+1)-th largest x value: the exceedance level for k."""
+        n = self.sample.n
+        return self.order_statistic(n - check_level(k, n, "k"))
 
 
 def order_view(sample: BivariateSample) -> OrderedView:
-    """The ascending-x view of a sample; x is sorted on first access only."""
-    order, x_sorted = sample._x_order
+    """The ascending-x view of a sample; each call sorts x afresh."""
+    order = np.argsort(sample.x, kind="stable")
+    x_sorted = sample.x[order]
+    order.setflags(write=False)
+    x_sorted.setflags(write=False)
     return OrderedView(sample=sample, order=order, x_sorted=x_sorted)
-
-
-def level_threshold(top: np.ndarray, k: int, n: int) -> np.ndarray:
-    """X_(n-k) of each row of n keys, 1 <= k <= n-1: the row's (k+1)-th largest key.
-
-    ``top`` holds at least the largest k + 1 keys of every row, in descending
-    order.
-    """
-    check_level(k, n, "k")
-    return top[:, k]
-
-
-def exceedance_count(top: np.ndarray, k: int, threshold: np.ndarray) -> np.ndarray:
-    """The count of each row's keys strictly above its level-k threshold.
-
-    With tie-free data the count is k; ties at the threshold shrink it
-    (estimators still divide by the nominal k).
-    """
-    return np.count_nonzero(top[:, :k] > threshold[:, None], axis=1)
 
 
 def _take(a: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -200,38 +176,41 @@ class LevelSweep:
     def _read(self):
         x, y = np.atleast_2d(self.sample.x), np.atleast_2d(self.sample.y)
         key = x if self.key is None else np.atleast_2d(self.key)
-        n, width = self.n, max(self.ks, default=0)
-        for k in self.ks:
-            check_level(k, n, "k")
+        n = self.n
+        ks = [check_level(k, n, "k") for k in self.ks]
+        width = max(ks, default=0)
         # the largest width + 1 keys of each row; which of several tied keys
         # make the cut changes no threshold, count or sum
         part = np.argpartition(key, n - width - 1, axis=1)[:, n - width - 1:]
         part_keys = _take(key, part)
         order = np.argsort(part_keys, axis=1)[:, ::-1]
         top = _take(part_keys, order)
-        levels = {}
-        for k in self.ks:
-            thr = level_threshold(top, k, n)
-            levels[k] = (thr, exceedance_count(top, k, thr).tolist())
+        # X_(n-k) is each row's (k+1)-th largest key; ties at it make the
+        # strict count fall below k (estimators still divide by the nominal k)
+        levels = {
+            k: (top[:, k], np.count_nonzero(top[:, :k] > top[:, k, None], axis=1).tolist())
+            for k in ks
+        }
         gather = _take(part, order[:, :width])
         xs = top[:, :width] if self.key is None else _take(x, gather)
-        return top, levels, xs, _take(y, gather)
+        return levels, xs, _take(y, gather)
 
     @property
     def x(self) -> np.ndarray:
         """Per row, the x of the pairs with the largest max(ks) keys, in descending key order."""
-        return self._read[2]
+        return self._read[1]
 
     @property
     def y(self) -> np.ndarray:
         """The y of the same pairs as ``x``."""
-        return self._read[3]
+        return self._read[2]
 
     def _level(self, k: int) -> tuple[np.ndarray, list[int]]:
-        levels = self._read[1]
-        if k not in levels:
-            raise ValueError(f"k = {k} is not a level of this sweep")
-        return levels[k]
+        levels = self._read[0]
+        try:
+            return levels[operator.index(k)]
+        except (TypeError, KeyError):
+            raise ValueError(f"k = {k} is not a level of this sweep") from None
 
     def threshold(self, k: int) -> np.ndarray:
         """Each row's threshold X_(n-k)."""
@@ -248,17 +227,21 @@ def check_positive_finite(value: float, name: str) -> None:
         raise ValueError(f"{name} must be positive and finite")
 
 
-def check_level(k: int, n: int, what: str) -> None:
-    """The one rule for a level: an integer (not a bool) in [1, n-1], else a ``ValueError``."""
+def check_level(k: int, n: int, what: str) -> int:
+    """The one rule for a level: an integer (not a bool) in [1, n-1], returned as an ``int``.
+
+    Anything else is a ``ValueError``.
+    """
     try:
-        operator.index(k)
+        level = operator.index(k)
         integer = not isinstance(k, bool)  # numpy would read a bool index as a mask
     except TypeError:
         integer = False
     if not integer:
         raise ValueError(f"{what} must be an integer, got {k!r}")
-    if not 1 <= k <= n - 1:
+    if not 1 <= level <= n - 1:
         raise ValueError(f"{what} must be in [1, {n - 1}], got {k}")
+    return level
 
 
 def fraction_to_count(frac: float, n: int, what: str = "fraction") -> int:
@@ -272,9 +255,7 @@ def fraction_to_count(frac: float, n: int, what: str = "fraction") -> int:
 
 def exceedance_indices(view: OrderedView, k: int) -> np.ndarray:
     """Indices j with x_j strictly above the level-k threshold, ascending."""
-    top = view.x_sorted[None, ::-1]
-    m = int(exceedance_count(top, k, level_threshold(top, k, view.sample.n))[0])
-    return np.sort(view.order[view.sample.n - m:])
+    return np.flatnonzero(view.sample.x > view.threshold(k))
 
 
 @dataclass(frozen=True)

@@ -60,7 +60,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .core import BivariateSample, LevelSweep, TailEstimate, check_positive_finite
+from .core import BivariateSample, LevelSweep, TailEstimate, check_level, check_positive_finite
 from .errors import (
     AlphaNotAboveOne,
     CotailError,
@@ -208,7 +208,7 @@ def _quasispectral(sweep: LevelSweep, y: float, alpha: float) -> LevelReader:
 
 def _quasispectral_estimated(sweep: LevelSweep, k_alpha: int, y: float) -> LevelReader:
     return _ratio_power(
-        sweep, "tdc_quasispectral_estimated", y, hill_alphas(sweep, k_alpha),
+        sweep, "tdc_quasispectral_estimated", y, hill_alphas(sweep.sample.x, k_alpha),
         k_alpha=k_alpha, alpha_source="hill",
     )
 
@@ -420,7 +420,8 @@ def level_reader(name: str, sweep: LevelSweep, **params) -> LevelReader:
 
 def estimate(name: str, sample: BivariateSample, k: int, **params) -> TailEstimate:
     """Run the estimator ``name`` from ``ESTIMATORS`` at level k (see ``level_reader``)."""
-    return level_reader(name, LevelSweep(sample, (k,)), **params).estimate(k)
+    reader = level_reader(name, LevelSweep(sample, (k,)), **params)
+    return reader.estimate(check_level(k, sample.n, "k"))  # reports k as an int
 
 
 def confidence_interval(est: TailEstimate, level: float) -> tuple[float, float]:

@@ -79,8 +79,8 @@ class LinearParetoModel:
     def __post_init__(self):
         if not 0.0 < self.phi < 1.0:
             raise ValueError("phi must lie in (0, 1)")
-        if not self.sigma >= 0.0:
-            raise ValueError("sigma must be nonnegative (0 is the degenerate case)")
+        if not 0.0 <= self.sigma < math.inf:
+            raise ValueError("sigma must be nonnegative and finite (0 is the degenerate case)")
         check_positive_finite(self.alpha, "alpha")
 
     @property

@@ -6,10 +6,10 @@ yields alpha_hat close to alpha. The number of upper order statistics used
 larger than the exceedance level k of the downstream estimator. A common
 heuristic default is k_alpha = 2k, documented as a heuristic only.
 
-``hill_alphas`` runs the Hill step on every row of a ``LevelSweep``'s
-sample, partitioning x itself (the sweep's levels play no part);
+``hill_alphas`` runs the Hill step on one sample's x or on every row of a
+block of x, partitioning it for the top k_alpha + 1 order statistics;
 ``hill_estimate`` is its one-sample form. k_alpha passes ``core.check_level``
-like any other level.
+like any other level, so it is reported as an ``int``.
 """
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LevelSweep, OrderedView, check_level
+from .core import OrderedView, check_level
 from .errors import NonPositiveThreshold, ZeroSpread, unwrap
 
 
@@ -28,16 +28,17 @@ class HillEstimate:
     k_alpha: int
 
 
-def hill_alphas(sweep: LevelSweep, k_alpha: int) -> list:
-    """Each row's Hill alpha on its top k_alpha order statistics of x.
+def hill_alphas(x: np.ndarray, k_alpha: int) -> list:
+    """Each row's Hill alpha on its top k_alpha order statistics (one sample's x is one row).
 
     alpha_hat = k_alpha / sum_{i=0..k_alpha-1} log(X_{n:n-i} / X_{n:n-k_alpha}).
     A row whose X_{n:n-k_alpha} is not positive, or whose log-ratios sum to
     0, gets the ``CotailError`` instead.
     """
-    n = sweep.n
-    check_level(k_alpha, n, "k_alpha")
-    part = np.partition(np.atleast_2d(sweep.sample.x), n - k_alpha - 1, axis=1)
+    x = np.atleast_2d(x)
+    n = x.shape[1]
+    k_alpha = check_level(k_alpha, n, "k_alpha")
+    part = np.partition(x, n - k_alpha - 1, axis=1)
     base, above = part[:, n - k_alpha - 1], part[:, n - k_alpha:]
     with np.errstate(divide="ignore", invalid="ignore"):
         logs = np.log(above / base[:, None]).tolist()
@@ -57,5 +58,6 @@ def hill_alphas(sweep: LevelSweep, k_alpha: int) -> list:
 
 def hill_estimate(view: OrderedView, k_alpha: int) -> HillEstimate:
     """Reciprocal mean log-ratio of the top k_alpha order statistics of the view's sample."""
-    alpha = unwrap(hill_alphas(LevelSweep(view.sample, ()), k_alpha)[0])
+    k_alpha = check_level(k_alpha, view.sample.n, "k_alpha")
+    alpha = unwrap(hill_alphas(view.sample.x, k_alpha)[0])
     return HillEstimate(alpha_hat=alpha, k_alpha=k_alpha)

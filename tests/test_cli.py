@@ -439,6 +439,34 @@ def test_seed_env_override(tmp_path, capsys, monkeypatch):
     assert json.loads(err)["error"]["type"] == "ValueError"
 
 
+@pytest.mark.parametrize("command", ["simulate", "mc"])
+@pytest.mark.parametrize("model, flag", [
+    ("linear-pareto", "--nu"),
+    ("linear-pareto", "--rho"),
+    ("bivariate-t", "--phi"),
+    ("bivariate-t", "--sigma"),
+    ("bivariate-t", "--alpha"),
+])
+def test_a_flag_of_another_model_is_a_json_error(capsys, command, model, flag):
+    argv = [command, "--model", model, "--n", "20", "--seed", "1", flag, "0.3"]
+    if command == "mc":
+        argv += ["--reps", "2", "--k-fracs", "0.2"]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"] == {
+        "type": "ValueError", "message": f"{flag} is not a parameter of {model}",
+    }
+
+
+@pytest.mark.parametrize("model, defaults", [
+    ("linear-pareto", ["--phi", "0.8", "--sigma", "0.1", "--alpha", "4"]),
+    ("bivariate-t", ["--nu", "4", "--rho", "0.9"]),
+])
+def test_unset_model_flags_take_the_model_defaults(capsys, model, defaults):
+    argv = ["simulate", "--model", model, "--n", "5", "--seed", "3"]
+    assert run_cli(capsys, *argv) == run_cli(capsys, *argv, *defaults)
+
+
 def test_k_flag_validation(tmp_path, capsys):
     data = tmp_path / "xy.csv"
     data.write_text("\n".join(f"{v}.0,{v}.0" for v in range(1, 21)) + "\n")

@@ -590,6 +590,8 @@ GUARD_INPUTS = {
     "hill_estimate_k_alpha_none": (lambda: hill_estimate(order_view(_S), None), ValueError),
     "theta_hat_alpha_none": (lambda: theta_hat(_S, 2, 0.1, 1.0, None), ValueError),
     "run_mc_y_none": (lambda: run_mc(_LP, 3, [0.1], y=None), ValueError),
+    # an infinite sigma would fail every draw as "y contains non-finite values"
+    "linear_pareto_sigma_inf": (lambda: LinearParetoModel(0.8, math.inf, 4.0), ValueError),
 }
 
 
@@ -607,6 +609,17 @@ def test_a_level_is_any_integer_and_a_named_error_otherwise():
         tdc_empirical(_S, 2.0)
     with pytest.raises(ValueError, match="^k_alpha must be an integer, got None$"):
         hill_estimate(order_view(_S), None)
+    # a 0-d integer array is a level too, and levels are reported as ints
+    level = np.array(2)
+    assert tdc_empirical(_S, level) == tdc_empirical(_S, 2)
+    assert type(tdc_empirical(_S, level).k) is int
+    assert tef_random(_S, margin_exceedance(), level) == tef_random(_S, margin_exceedance(), 2)
+    assert theta_hat(_S, level, 0.1, 1.0, 2.0) == theta_hat(_S, 2, 0.1, 1.0, 2.0)
+    hill = hill_estimate(order_view(_S), level)
+    assert hill == hill_estimate(order_view(_S), 2)
+    assert type(hill.k_alpha) is int and hill.k_alpha == 2
+    with pytest.raises(ValueError, match=r"^k = 2\.5 is not a level of this sweep$"):
+        LevelSweep(_S, (2,)).threshold(2.5)
 
 
 # y near the double maximum: at k = 3 every ratio y / x is finite but their
