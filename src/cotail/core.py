@@ -15,10 +15,13 @@ row. No sort needs to be stable: every count is strict and every sum exact,
 so the order among tied keys changes no value. The Hill step selects its own
 order statistics.
 
-``check_level`` is the one rule for a level (an integer, numpy's too but not
-a bool, in [1, n-1], returned as an ``int``) and ``check_positive_finite``
-the one rule for a positive, finite parameter (NaN and None fail it); each
-raises a ``ValueError`` naming what it rejects.
+Every numeric argument passes one of three rules, which return it as an
+``int`` or a float and reject anything else (None, NaN, bools and strings
+too) with an error naming the argument and its range, a ``ValueError`` unless
+the caller names a ``CotailError``: ``check_level`` takes integers (numpy's
+and 0-d integer arrays too) in [lo, hi], ``check_positive_finite`` reals in
+(0, inf) and ``check_real`` reals in a stated interval. README lists the
+range of each parameter.
 
 ``order_view`` sorts a sample's x margin in full (a stable sort on each call)
 for callers that want every order statistic; no estimator uses it. Its
@@ -121,15 +124,12 @@ class OrderedView:
 
     def order_statistic(self, m: int) -> float:
         """Return the m-th smallest x value (1-based)."""
-        n = self.sample.n
-        if not 1 <= m <= n:
-            raise ValueError(f"m must be in [1, {n}], got {m}")
-        return float(self.x_sorted[m - 1])
+        return float(self.x_sorted[check_level(m, "m", 1, self.sample.n) - 1])
 
     def threshold(self, k: int) -> float:
         """Return X_(n-k), the (k+1)-th largest x value: the exceedance level for k."""
         n = self.sample.n
-        return self.order_statistic(n - check_level(k, n, "k"))
+        return self.order_statistic(n - check_level(k, "k", 1, n - 1))
 
 
 def order_view(sample: BivariateSample) -> OrderedView:
@@ -177,7 +177,7 @@ class LevelSweep:
         x, y = np.atleast_2d(self.sample.x), np.atleast_2d(self.sample.y)
         key = x if self.key is None else np.atleast_2d(self.key)
         n = self.n
-        ks = [check_level(k, n, "k") for k in self.ks]
+        ks = [check_level(k, "k", 1, n - 1) for k in self.ks]
         width = max(ks, default=0)
         # the largest width + 1 keys of each row; which of several tied keys
         # make the cut changes no threshold, count or sum
@@ -207,8 +207,8 @@ class LevelSweep:
 
     def _level(self, k: int) -> tuple[np.ndarray, list[int]]:
         levels = self._read[0]
-        try:
-            return levels[operator.index(k)]
+        try:  # a bool is no level, though True would find level 1
+            return levels[None if isinstance(k, bool) else operator.index(k)]
         except (TypeError, KeyError):
             raise ValueError(f"k = {k} is not a level of this sweep") from None
 
@@ -221,35 +221,42 @@ class LevelSweep:
         return self._level(k)[1]
 
 
-def check_positive_finite(value: float, name: str) -> None:
-    """The one rule for a positive, finite parameter (None and NaN fail): a ``ValueError``."""
-    if value is None or not 0 < value < math.inf:
-        raise ValueError(f"{name} must be positive and finite")
-
-
-def check_level(k: int, n: int, what: str) -> int:
-    """The one rule for a level: an integer (not a bool) in [1, n-1], returned as an ``int``.
-
-    Anything else is a ``ValueError``.
-    """
+def check_level(value, what: str, lo: float = 1, hi: float = math.inf) -> int:
+    """The one rule for an integer (numpy's, 0-d arrays too, not a bool) in [lo, hi], as an int."""
     try:
-        level = operator.index(k)
-        integer = not isinstance(k, bool)  # numpy would read a bool index as a mask
+        level = operator.index(value)
+        integer = not isinstance(value, bool)  # numpy would read a bool index as a mask
     except TypeError:
         integer = False
     if not integer:
-        raise ValueError(f"{what} must be an integer, got {k!r}")
-    if not 1 <= level <= n - 1:
-        raise ValueError(f"{what} must be in [1, {n - 1}], got {k}")
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    if not lo <= level <= hi:
+        bounds = f"[{lo}, {hi}]" if hi < math.inf else f"[{lo}, inf)"
+        raise ValueError(f"{what} = {value} is not in {bounds}")
     return level
 
 
+def check_real(value, name: str, interval: str = "(0, inf)", error: type = ValueError) -> float:
+    """The one rule for a real (numpy's, 0-d arrays too) in an interval such as "(0, 1]"."""
+    lo, hi = map(float, interval[1:-1].split(","))
+    try:
+        not_real = isinstance(value, (bool, np.bool_, str, bytes)) or getattr(value, "ndim", 0)
+        real = math.nan if not_real else float(value)
+    except (TypeError, ValueError, OverflowError):
+        real = math.nan
+    closed = real == lo and interval[0] == "[" or real == hi and interval[-1] == "]"
+    if not (lo < real < hi or closed):
+        raise error(f"{name} must be a number in {interval}, got {value!r}")
+    return real
+
+
+check_positive_finite = check_real  # the rule for a positive, finite parameter: (0, inf)
+
+
 def fraction_to_count(frac: float, n: int, what: str = "fraction") -> int:
-    """Nearest-integer count for a fraction of n, clamped to [1, n - 1]; n >= 2."""
-    if not 0.0 < frac < 1.0:
-        raise ValueError(f"{what} must lie in (0, 1), got {frac}")
-    if n < 2:
-        raise ValueError(f"{what} needs n >= 2 for a count in [1, n - 1], got n = {n}")
+    """Nearest-integer count for a fraction in (0, 1) of n, clamped to [1, n - 1]; n >= 2."""
+    frac = check_real(frac, what, "(0, 1)")
+    n = check_level(n, "n", 2)
     return min(max(int(round(frac * n)), 1), n - 1)
 
 
@@ -274,5 +281,5 @@ class TailEstimate:
     metadata: Mapping[str, object] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.plugin_variance is not None and self.plugin_variance < 0:
-            raise ValueError("plugin_variance must be nonnegative")
+        if self.plugin_variance is not None:
+            check_real(self.plugin_variance, "plugin_variance", "[0, inf)")

@@ -54,13 +54,15 @@ depend on evaluation order.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from statistics import NormalDist
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .core import BivariateSample, LevelSweep, TailEstimate, check_level, check_positive_finite
+from .core import (BivariateSample, LevelSweep, TailEstimate, check_level, check_positive_finite,
+                   check_real)
 from .errors import (
     AlphaNotAboveOne,
     CotailError,
@@ -150,7 +152,7 @@ class LevelReader:
         factor = self.factor
         return TailEstimate(
             value=unwrap(self._mean(terms, k, factor)),
-            k=k,
+            k=operator.index(k),  # a level of the sweep, reported as an int
             estimator_id=self.estimator_id,
             plugin_variance=unwrap(self._mean([t * t for t in terms], k, factor * factor)),
             alpha_used=None if self.alpha_used is None else self.alpha_used[0],
@@ -177,24 +179,23 @@ def _prefixes(sweep: LevelSweep, rows: list) -> Callable[[int], list]:
 
 def _empirical(sweep: LevelSweep, y: float) -> LevelReader:
     check_positive_finite(y, "y")
+    with _quiet():  # a y X_(n-k) past the double range is inf, its exact limit
+        cuts = {check_level(k, "k", 1, sweep.n - 1): y * sweep.threshold(k) for k in sweep.ks}
 
     def joint(k):
         # the indicator weights that are 1; the zeros add nothing to either sum
         thr = sweep.threshold(k)[:, None]
-        hits = (sweep.x[:, :k] > thr) & (sweep.y[:, :k] > y * thr)
+        hits = (sweep.x[:, :k] > thr) & (sweep.y[:, :k] > cuts[operator.index(k)][:, None])
         return [[1.0] * c for c in np.count_nonzero(hits, axis=1).tolist()]
 
     return LevelReader("tdc_empirical", joint)
 
 
 def _ratio_power(sweep: LevelSweep, name: str, y: float, alphas: list, **metadata) -> LevelReader:
-    """Weights min(y_j / (y x_j), 1)^alpha, with one alpha (or ``CotailError``) per row."""
+    """Weights min(y_j / (y x_j), 1)^alpha; each row's alpha is positive and finite, or an error."""
     check_positive_finite(y, "y")
     with _quiet():
         capped = np.minimum(sweep.y / (y * sweep.x), 1.0)
-        for alpha in alphas:  # a Hill alpha is positive and finite or an error
-            if not isinstance(alpha, CotailError):
-                check_positive_finite(alpha, "alpha")
         weights = [
             a if isinstance(a, CotailError) else (row ** a).tolist()
             for row, a in zip(capped, alphas)
@@ -203,10 +204,12 @@ def _ratio_power(sweep: LevelSweep, name: str, y: float, alphas: list, **metadat
 
 
 def _quasispectral(sweep: LevelSweep, y: float, alpha: float) -> LevelReader:
+    alpha = check_positive_finite(alpha, "alpha")
     return _ratio_power(sweep, "tdc_quasispectral", y, [alpha] * sweep.rows)
 
 
 def _quasispectral_estimated(sweep: LevelSweep, k_alpha: int, y: float) -> LevelReader:
+    k_alpha = check_level(k_alpha, "k_alpha", 1, sweep.n - 1)
     return _ratio_power(
         sweep, "tdc_quasispectral_estimated", y, hill_alphas(sweep.sample.x, k_alpha),
         k_alpha=k_alpha, alpha_source="hill",
@@ -230,8 +233,7 @@ def _aleph3(sweep: LevelSweep) -> LevelReader:
 
 
 def _aleph4(sweep: LevelSweep, alpha: float) -> LevelReader:
-    if not 1 < alpha < math.inf:
-        raise AlphaNotAboveOne(f"alpha must exceed 1 and be finite, got {alpha}")
+    alpha = check_real(alpha, "alpha", "(1, inf)", AlphaNotAboveOne)
     with _quiet():
         ratios = (sweep.y / sweep.x).tolist()
     return LevelReader(
@@ -309,6 +311,7 @@ def cond_tail_curve(
     if method not in ("empirical", "quasispectral"):
         raise ValueError(f"unknown method {method!r}")
     name = f"tdc_{method}"
+    k = check_level(k, "k", 1, sample.n - 1)  # reported as an int
     sweep = LevelSweep(sample, (k,))
     values = [level_reader(name, sweep, y=float(y), alpha=alpha).value(k) for y in grid]
     alpha_used = alpha if method == "quasispectral" else None
@@ -343,9 +346,10 @@ def theta_hat(
     meaningful for p <= k/n (factor >= 1). A factor or theta_hat beyond the
     double range is a ValueError.
     """
-    if not 0.0 < p < 1.0:
-        raise InvalidP(f"p must lie in (0, 1), got {p}")
-    check_positive_finite(alpha, "alpha")
+    p = check_real(p, "p", "(0, 1)", InvalidP)
+    aleph = check_real(aleph, "aleph", "[0, inf)")
+    alpha = check_positive_finite(alpha, "alpha")
+    k = check_level(k, "k", 1, sample.n - 1)
     thr = float(LevelSweep(sample, (k,)).threshold(k)[0])
     try:
         # evaluated as (k/n)/p so that p = k/n yields the factor 1.0 exactly
@@ -421,7 +425,7 @@ def level_reader(name: str, sweep: LevelSweep, **params) -> LevelReader:
 def estimate(name: str, sample: BivariateSample, k: int, **params) -> TailEstimate:
     """Run the estimator ``name`` from ``ESTIMATORS`` at level k (see ``level_reader``)."""
     reader = level_reader(name, LevelSweep(sample, (k,)), **params)
-    return reader.estimate(check_level(k, sample.n, "k"))  # reports k as an int
+    return reader.estimate(k)
 
 
 def confidence_interval(est: TailEstimate, level: float) -> tuple[float, float]:
@@ -433,8 +437,7 @@ def confidence_interval(est: TailEstimate, level: float) -> tuple[float, float]:
     """
     if est.plugin_variance is None:
         raise MissingVariance(f"{est.estimator_id} carries no plug-in variance")
-    if not 0.0 < level < 1.0:
-        raise ValueError("level must lie in (0, 1)")
+    level = check_real(level, "level", "(0, 1)")
     z = NormalDist().inv_cdf(0.5 * (1.0 + level))
     half = z * math.sqrt(est.plugin_variance / est.k)
     lo, hi = est.value - half, est.value + half

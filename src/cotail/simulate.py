@@ -65,7 +65,8 @@ from typing import Callable, Mapping, Sequence, Union
 import numpy as np
 
 from . import rng
-from .core import BivariateSample, LevelSweep, SampleRows, check_positive_finite, fraction_to_count
+from .core import (BivariateSample, LevelSweep, SampleRows, check_level, check_positive_finite,
+                   check_real, fraction_to_count)
 from .errors import CotailError
 from .estimators import ESTIMATORS, level_reader
 
@@ -77,10 +78,8 @@ class LinearParetoModel:
     alpha: float = 4.0
 
     def __post_init__(self):
-        if not 0.0 < self.phi < 1.0:
-            raise ValueError("phi must lie in (0, 1)")
-        if not 0.0 <= self.sigma < math.inf:
-            raise ValueError("sigma must be nonnegative and finite (0 is the degenerate case)")
+        check_real(self.phi, "phi", "(0, 1)")
+        check_real(self.sigma, "sigma", "[0, inf)")  # 0 is the degenerate case
         check_positive_finite(self.alpha, "alpha")
 
     @property
@@ -113,8 +112,7 @@ class BivariateTModel:
 
     def __post_init__(self):
         check_positive_finite(self.nu, "nu")
-        if not -1.0 < self.rho < 1.0:
-            raise ValueError("rho must lie in (-1, 1)")
+        check_real(self.rho, "rho", "(-1, 1)")
 
     @property
     def tail_index(self) -> float:
@@ -191,12 +189,13 @@ class ModelConfig:
     def __post_init__(self):
         if not isinstance(self.model, tuple(MODELS.values())):
             raise TypeError(f"unknown model type {type(self.model).__name__}")
-        if self.n < 1:
-            raise ValueError("n must be at least 1")
+        object.__setattr__(self, "n", check_level(self.n, "n"))
+        object.__setattr__(self, "seed", check_level(self.seed, "seed", -math.inf))
 
 
 def sample_dataset(config: ModelConfig, rep: int = 0) -> BivariateSample:
     """Replication ``rep`` of ``config``: the one row of ``_sample_rows(config, rep, rep + 1)``."""
+    rep = check_level(rep, "rep", 0, (1 << 64) - 1)
     rows = _sample_rows(config, rep, rep + 1)
     return BivariateSample(rows.x[0], rows.y[0])
 
@@ -264,8 +263,7 @@ def run_mc(
     run in blocks across processes as the module docstring describes; the
     summary depends on neither the block count nor the chunk size.
     """
-    if reps < 1:
-        raise ValueError("reps must be at least 1")
+    reps = check_level(reps, "reps")
     check_positive_finite(y, "y")
     names = list(dict.fromkeys(estimators))
     if not names:
@@ -273,8 +271,8 @@ def run_mc(
     for name in names:
         if name not in ESTIMATORS:
             raise ValueError(f"unknown estimator {name!r}")
-    k_fracs = sorted(set(float(f) for f in k_fractions))
-    ka_fracs = sorted(set(float(f) for f in k_alpha_fractions))
+    k_fracs = sorted({check_real(f, "k fraction", "(0, 1)") for f in k_fractions})
+    ka_fracs = sorted({check_real(f, "k_alpha fraction", "(0, 1)") for f in k_alpha_fractions})
     if not k_fracs:
         raise ValueError("at least one k fraction is required")
 

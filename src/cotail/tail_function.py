@@ -32,7 +32,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import BivariateSample, LevelSweep, check_positive_finite
+from .core import BivariateSample, LevelSweep, check_positive_finite, check_real
 from .errors import NonPositiveThreshold
 
 Weight = Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -167,10 +167,12 @@ def builtin_specs() -> list[TailFunctionSpec]:
 def _weighted_sum(
     x: np.ndarray, y: np.ndarray, spec: TailFunctionSpec, scale: float, denom: float
 ) -> float:
-    mask = np.asarray(spec.region(x / scale, y / scale), dtype=bool)
-    if not mask.any():
-        return 0.0
-    terms = np.asarray(spec.psi(x[mask] / denom, y[mask] / denom), dtype=float)
+    # a ratio past the double range is inf, its exact limit (inside the region)
+    with np.errstate(over="ignore"):
+        mask = np.asarray(spec.region(x / scale, y / scale), dtype=bool)
+        if not mask.any():
+            return 0.0
+        terms = np.asarray(spec.psi(x[mask] / denom, y[mask] / denom), dtype=float)
     return math.fsum(terms)
 
 
@@ -188,8 +190,7 @@ def tef_fixed(
     """
     check_positive_finite(u, "u")
     check_positive_finite(s, "s")
-    if not 0 < fbar_u <= 1:
-        raise ValueError("fbar_u must lie in (0, 1]")
+    fbar_u = check_real(fbar_u, "fbar_u", "(0, 1]")
     total = _weighted_sum(sample.x, sample.y, spec, scale=s * u, denom=u)
     return total / (sample.n * fbar_u)
 

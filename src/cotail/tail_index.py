@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import OrderedView, check_level
-from .errors import NonPositiveThreshold, ZeroSpread, unwrap
+from .errors import NonFiniteEstimate, NonPositiveThreshold, ZeroSpread, unwrap
 
 
 @dataclass(frozen=True)
@@ -33,14 +33,14 @@ def hill_alphas(x: np.ndarray, k_alpha: int) -> list:
 
     alpha_hat = k_alpha / sum_{i=0..k_alpha-1} log(X_{n:n-i} / X_{n:n-k_alpha}).
     A row whose X_{n:n-k_alpha} is not positive, or whose log-ratios sum to
-    0, gets the ``CotailError`` instead.
+    0 or past the double range, gets the ``CotailError`` instead.
     """
     x = np.atleast_2d(x)
     n = x.shape[1]
-    k_alpha = check_level(k_alpha, n, "k_alpha")
+    k_alpha = check_level(k_alpha, "k_alpha", 1, n - 1)
     part = np.partition(x, n - k_alpha - 1, axis=1)
     base, above = part[:, n - k_alpha - 1], part[:, n - k_alpha:]
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         logs = np.log(above / base[:, None]).tolist()
     out = []
     for b, row in zip(base.tolist(), logs):
@@ -51,6 +51,8 @@ def hill_alphas(x: np.ndarray, k_alpha: int) -> list:
         log_sum = math.fsum(row)
         if log_sum <= 0:
             out.append(ZeroSpread(f"top {k_alpha + 1} order statistics are all equal to {b}"))
+        elif log_sum == math.inf:  # alpha would be 0
+            out.append(NonFiniteEstimate(f"X_(n) / X_({n - k_alpha}) is beyond the double range"))
         else:
             out.append(k_alpha / log_sum)
     return out
@@ -58,6 +60,6 @@ def hill_alphas(x: np.ndarray, k_alpha: int) -> list:
 
 def hill_estimate(view: OrderedView, k_alpha: int) -> HillEstimate:
     """Reciprocal mean log-ratio of the top k_alpha order statistics of the view's sample."""
-    k_alpha = check_level(k_alpha, view.sample.n, "k_alpha")
+    k_alpha = check_level(k_alpha, "k_alpha", 1, view.sample.n - 1)
     alpha = unwrap(hill_alphas(view.sample.x, k_alpha)[0])
     return HillEstimate(alpha_hat=alpha, k_alpha=k_alpha)

@@ -1,6 +1,8 @@
+import json
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +12,6 @@ from cotail import (
     ESTIMATORS,
     AlphaNotAboveOne,
     BivariateSample,
-    BivariateTModel,
     CondTailCurve,
     InvalidP,
     LevelSweep,
@@ -20,7 +21,6 @@ from cotail import (
     NonFiniteEstimate,
     NonPositiveThreshold,
     TailEstimate,
-    capped_ratio_power,
     cond_tail_curve,
     confidence_interval,
     cte_aleph3,
@@ -28,23 +28,19 @@ from cotail import (
     edm_estimate,
     estimate,
     hill_estimate,
-    joint_exceedance,
     level_reader,
     margin_exceedance,
     normalized_product,
     order_view,
-    run_mc,
     sample_dataset,
     tdc_empirical,
     tdc_quasispectral,
     tdc_quasispectral_estimated,
-    tef_fixed,
     tef_random,
     theta_hat,
 )
 from cotail import rng as crng
 from cotail.cli import ingest_text, main
-from cotail.estimators import check_y_grid
 from cotail.tail_function import norm_values, squared_norm
 
 
@@ -478,82 +474,179 @@ def test_negative_variance_rejected():
         TailEstimate(value=0.1, k=2, estimator_id="x", plugin_variance=-1e-9)
 
 
-NAN = float("nan")
 _S = BivariateSample([1.0, 2.0, 3.0, 4.0, 5.0], [5.0, 4.0, 3.0, 2.0, 1.0])
-_LP = ModelConfig(LinearParetoModel(0.8, 0.1, 4.0), 50, 1)
-NAN_INPUTS = {
-    "tdc_empirical_y": (lambda: tdc_empirical(_S, 2, y=NAN), ValueError),
-    "tdc_quasispectral_y": (lambda: tdc_quasispectral(_S, 2, y=NAN, alpha=4.0), ValueError),
-    "tdc_quasispectral_alpha": (lambda: tdc_quasispectral(_S, 2, alpha=NAN), ValueError),
-    "cte_aleph4_alpha": (lambda: cte_aleph4(_S, 2, alpha=NAN), AlphaNotAboveOne),
-    "theta_hat_alpha": (lambda: theta_hat(_S, 2, 0.1, 1.0, NAN), ValueError),
-    "check_y_grid": (lambda: check_y_grid([1.0, NAN]), ValueError),
-    "check_y_grid_first": (lambda: check_y_grid([NAN, 1.0]), ValueError),
-    "run_mc_y": (lambda: run_mc(_LP, 2, [0.1], y=NAN), ValueError),
-    "linear_pareto_sigma": (lambda: LinearParetoModel(0.8, NAN, 4.0), ValueError),
-    "linear_pareto_alpha": (lambda: LinearParetoModel(0.8, 0.1, NAN), ValueError),
-    "bivariate_t_nu": (lambda: BivariateTModel(NAN, 0.5), ValueError),
-    "tef_random_s": (lambda: tef_random(_S, margin_exceedance(), 2, s=NAN), ValueError),
-    "tef_random_u": (lambda: tef_random(_S, margin_exceedance(), 2, u=NAN), ValueError),
-    "tef_fixed_u": (lambda: tef_fixed(_S, margin_exceedance(), NAN, 1.0, 0.5), ValueError),
-    "tef_fixed_s": (lambda: tef_fixed(_S, margin_exceedance(), 1.0, NAN, 0.5), ValueError),
-    "capped_ratio_power_alpha": (lambda: capped_ratio_power(NAN), ValueError),
-    "capped_ratio_power_y_cut": (lambda: capped_ratio_power(4.0, NAN), ValueError),
-    "joint_exceedance_y_cut": (lambda: joint_exceedance(NAN), ValueError),
-    "rng_pareto_alpha": (lambda: crng.pareto(crng.generator(1), NAN, 3), ValueError),
-    "rng_gamma_shape": (lambda: crng.standard_gamma(crng.generator(1), NAN, 3), ValueError),
+
+# The guard matrix: every numeric parameter of the public API crossed with the
+# same 15 values. Each call must give a value or reject the value with its
+# row's exact exception type, and nothing may warn. All cells run in one
+# interpreter with every warning an error, under a timeout, so a sampler that
+# stalls on a value fails the test instead of hanging the suite.
+_MATRIX_SETUP = """
+import json, math, sys, warnings
+import numpy as np
+import cotail as c
+from cotail import estimators as e, rng
+warnings.simplefilter("error")
+NAN, INF = math.nan, math.inf
+s = c.BivariateSample([1.0, 2.0, 3.0, 4.0, 5.0], [5.0, 4.0, 3.0, 2.0, 1.0])
+lp = c.ModelConfig(c.LinearParetoModel(), 50, 1)
+est = c.tdc_empirical(s, 2)
+"""
+MATRIX_VALUES = {
+    "none": "None",
+    "bool": "True",
+    "half": "2.5",
+    "int_0d": "np.array(2)",
+    "float_0d": "np.array(2.0)",
+    "nan": "NAN",
+    "inf": "INF",
+    "minus_one": "-1",
+    "zero": "0",
+    "huge": "1e308",
+    "tiny": "5e-324",
+    "int64": "np.int64(3)",
+    "float64": "np.float64(3.0)",
+    "string": "'2'",
+    "vector": "np.array([2])",
+}
+# row -> (call of the value V, the exact type of every rejection)
+_LP_WITH = "c.sample_dataset(c.ModelConfig(c.LinearParetoModel({}), 20, 1))"
+_BT_WITH = "c.sample_dataset(c.ModelConfig(c.BivariateTModel({}), 20, 1))"
+MATRIX_ROWS = {
+    "tdc_empirical_k": ("c.tdc_empirical(s, V)", "ValueError"),
+    "tdc_empirical_y": ("c.tdc_empirical(s, 2, y=V)", "ValueError"),
+    "tdc_quasispectral_k": ("c.tdc_quasispectral(s, V, alpha=4.0)", "ValueError"),
+    "tdc_quasispectral_y": ("c.tdc_quasispectral(s, 2, y=V, alpha=4.0)", "ValueError"),
+    "tdc_quasispectral_alpha": ("c.tdc_quasispectral(s, 2, alpha=V)", "ValueError"),
+    "tdc_estimated_k": ("c.tdc_quasispectral_estimated(s, V, 3)", "ValueError"),
+    "tdc_estimated_k_alpha": ("c.tdc_quasispectral_estimated(s, 2, V)", "ValueError"),
+    "tdc_estimated_y": ("c.tdc_quasispectral_estimated(s, 2, 3, y=V)", "ValueError"),
+    "cte_aleph3_k": ("c.cte_aleph3(s, V)", "ValueError"),
+    "cte_aleph4_k": ("c.cte_aleph4(s, V, 2.0)", "ValueError"),
+    "cte_aleph4_alpha": ("c.cte_aleph4(s, 2, V)", "AlphaNotAboveOne"),
+    "edm_estimate_k": ("c.edm_estimate(s, V)", "ValueError"),
+    "estimate_k": ("c.estimate('cte_aleph3', s, V)", "ValueError"),
+    "level_reader_k": ("c.level_reader('cte_aleph3', c.LevelSweep(s, (1, 2))).estimate(V)",
+                       "ValueError"),
+    "level_sweep_ks": ("c.LevelSweep(s, (V,)).x", "ValueError"),
+    "level_sweep_k": ("c.LevelSweep(s, (1, 2)).threshold(V)", "ValueError"),
+    "cond_tail_curve_k": ("c.cond_tail_curve(s, V, [1.0, 2.0], 'empirical')", "ValueError"),
+    "cond_tail_curve_alpha": (
+        "c.cond_tail_curve(s, 2, [1.0, 2.0], 'quasispectral', V)", "ValueError"),
+    "check_y_grid": ("e.check_y_grid([1.0, V])", "ValueError"),
+    "check_y_grid_first": ("e.check_y_grid([V, 1.0])", "ValueError"),
+    "confidence_interval_level": ("c.confidence_interval(est, V)", "ValueError"),
+    "tail_estimate_variance": ("c.TailEstimate(0.5, 2, 'x', V)", "ValueError"),
+    "theta_hat_k": ("c.theta_hat(s, V, 0.1, 1.0, 2.0)", "ValueError"),
+    "theta_hat_p": ("c.theta_hat(s, 2, V, 1.0, 2.0)", "InvalidP"),
+    "theta_hat_aleph": ("c.theta_hat(s, 2, 0.1, V, 2.0)", "ValueError"),
+    "theta_hat_alpha": ("c.theta_hat(s, 2, 0.1, 1.0, V)", "ValueError"),
+    "hill_estimate_k_alpha": ("c.hill_estimate(c.order_view(s), V)", "ValueError"),
+    "order_statistic_m": ("c.order_view(s).order_statistic(V)", "ValueError"),
+    "order_view_threshold_k": ("c.order_view(s).threshold(V)", "ValueError"),
+    "exceedance_indices_k": ("c.exceedance_indices(c.order_view(s), V)", "ValueError"),
+    "tef_fixed_u": ("c.tef_fixed(s, c.margin_exceedance(), V, 1.0, 0.5)", "ValueError"),
+    "tef_fixed_s": ("c.tef_fixed(s, c.margin_exceedance(), 1.0, V, 0.5)", "ValueError"),
+    "tef_fixed_fbar": ("c.tef_fixed(s, c.margin_exceedance(), 1.0, 1.0, V)", "ValueError"),
+    "tef_random_k": ("c.tef_random(s, c.margin_exceedance(), V)", "ValueError"),
+    "tef_random_s": ("c.tef_random(s, c.second_coordinate(), 2, s=V)", "ValueError"),
+    "tef_random_u": ("c.tef_random(s, c.second_coordinate(), 2, u=V)", "ValueError"),
+    "joint_exceedance_y_cut": ("c.tef_random(s, c.joint_exceedance(V), 2)", "ValueError"),
+    "capped_ratio_power_alpha": ("c.tef_random(s, c.capped_ratio_power(V), 2)", "ValueError"),
+    "capped_ratio_power_y_cut": (
+        "c.tef_random(s, c.capped_ratio_power(4.0, V), 2)", "ValueError"),
+    "linear_pareto_phi": (_LP_WITH.format("phi=V"), "ValueError"),
+    "linear_pareto_sigma": (_LP_WITH.format("sigma=V"), "ValueError"),
+    "linear_pareto_alpha": (_LP_WITH.format("alpha=V"), "ValueError"),
+    "bivariate_t_nu": (_BT_WITH.format("nu=V"), "ValueError"),
+    "bivariate_t_rho": (_BT_WITH.format("rho=V"), "ValueError"),
+    "model_config_n": ("c.sample_dataset(c.ModelConfig(c.LinearParetoModel(), V, 1))",
+                       "ValueError"),
+    "model_config_seed": ("c.sample_dataset(c.ModelConfig(c.LinearParetoModel(), 20, V))",
+                          "ValueError"),
+    "sample_dataset_rep": ("c.sample_dataset(lp, V)", "ValueError"),
+    "run_mc_reps": ("c.run_mc(lp, V, [0.1])", "ValueError"),
+    "run_mc_k_fraction": ("c.run_mc(lp, 3, [V])", "ValueError"),
+    "run_mc_k_alpha_fraction": (
+        "c.run_mc(lp, 3, [0.1], [V], ['tdc_quasispectral_estimated'])", "ValueError"),
+    "run_mc_y": ("c.run_mc(lp, 3, [0.1], y=V)", "ValueError"),
+    "rng_pareto_alpha": ("rng.pareto(rng.generator(1), V, 3)", "ValueError"),
+    "rng_gamma_shape": ("rng.standard_gamma(rng.generator(1), V, 3)", "ValueError"),
+}
+# values no numeric parameter accepts
+MATRIX_NOT_NUMBERS = ("none", "bool", "nan", "inf", "string", "vector")
+# cells where a TypeError is acceptable: none, every numeric parameter names
+# what it rejects
+MATRIX_TYPE_ERRORS: frozenset = frozenset()
+# non-numbers that are values where they stand
+MATRIX_ACCEPTS = {
+    ("check_y_grid", "string"),  # a y grid is a sequence numpy reads as floats
+    ("tail_estimate_variance", "none"),  # an estimate without a variance
+    ("tef_random_u", "none"),  # the default: scale psi by the threshold
+}
+# rejections of another exact type than their row's
+MATRIX_ERRORS = {
+    ("cte_aleph4_alpha", "none"): "ValueError",  # "cte_aleph4 requires alpha"
+    ("theta_hat_p", "tiny"): "ValueError",  # its extrapolation factor overflows
 }
 
 
-@pytest.mark.parametrize("case", sorted(NAN_INPUTS))
-def test_nan_parameters_rejected(case):
-    call, error = NAN_INPUTS[case]
-    with pytest.raises(error):
-        call()
-
-
-# an infinite gamma shape used to stall the rejection sampler, so each case
-# runs in its own interpreter under a timeout and prints the type it raised
-_SETUP = (
-    "import cotail as c; from cotail import rng, estimators as e; INF = float('inf'); "
-    "s = c.BivariateSample([1.0, 2.0, 3.0, 4.0, 5.0], [5.0, 4.0, 3.0, 2.0, 1.0]); "
-    "lp = c.ModelConfig(c.LinearParetoModel(), 50, 1)"
-)
-INF_INPUTS = {
-    "bivariate_t_nu": ("c.BivariateTModel(INF, 0.5)", "ValueError"),
-    "rng_gamma_shape": ("rng.standard_gamma(rng.generator(1), INF, 3)", "ValueError"),
-    "check_y": ("c.tdc_empirical(s, 2, y=INF)", "ValueError"),
-    "check_y_grid": ("e.check_y_grid([1.0, INF])", "ValueError"),
-    "tdc_quasispectral_alpha": ("c.tdc_quasispectral(s, 2, alpha=INF)", "ValueError"),
-    "cte_aleph4_alpha": ("c.cte_aleph4(s, 2, alpha=INF)", "AlphaNotAboveOne"),
-    "theta_hat_alpha": ("c.theta_hat(s, 2, 0.1, 1.0, INF)", "ValueError"),
-    "run_mc_y": ("c.run_mc(lp, 2, [0.1], y=INF)", "ValueError"),
-    "linear_pareto_alpha": ("c.LinearParetoModel(0.8, 0.1, INF)", "ValueError"),
-    "rng_pareto_alpha": ("rng.pareto(rng.generator(1), INF, 3)", "ValueError"),
-    "capped_ratio_power_alpha": ("c.capped_ratio_power(INF)", "ValueError"),
-    "capped_ratio_power_y_cut": ("c.capped_ratio_power(4.0, INF)", "ValueError"),
-    "joint_exceedance_y_cut": ("c.joint_exceedance(INF)", "ValueError"),
-    "tef_random_s": ("c.tef_random(s, c.margin_exceedance(), 2, s=INF)", "ValueError"),
-    "tef_random_u": ("c.tef_random(s, c.second_coordinate(), 2, u=INF)", "ValueError"),
-    "tef_fixed_u": ("c.tef_fixed(s, c.margin_exceedance(), INF, 1.0, 0.5)", "ValueError"),
-    "tef_fixed_s": ("c.tef_fixed(s, c.margin_exceedance(), 1.0, INF, 0.5)", "ValueError"),
-}
-
-
-@pytest.mark.parametrize("case", sorted(INF_INPUTS))
-def test_infinite_parameters_rejected(case):
-    call, error = INF_INPUTS[case]
-    script = (
-        f"{_SETUP}\ntry:\n    {call}\n"
-        "except Exception as exc:\n    print(type(exc).__name__)\n"
+@pytest.fixture(scope="module")
+def guard_matrix():
+    """Each cell's outcome: "value", or the name of the type it raised."""
+    script = _MATRIX_SETUP + (
+        "out = {}\n"
+        "rows, values = json.load(sys.stdin)\n"
+        "for row, call in rows.items():\n"
+        "    for name, expr in values.items():\n"
+        "        env = {**globals(), 'V': eval(expr)}\n"
+        "        try:\n"
+        "            eval(call, env)\n"
+        "            out[row + ' ' + name] = 'value'\n"
+        "        except Exception as exc:\n"
+        "            out[row + ' ' + name] = type(exc).__name__\n"
+        "print(json.dumps(out))\n"
     )
+    calls = {row: call for row, (call, _) in MATRIX_ROWS.items()}
     proc = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, timeout=60
+        [sys.executable, "-c", script], input=json.dumps([calls, MATRIX_VALUES]),
+        capture_output=True, text=True, timeout=300,
     )
-    assert proc.stdout.strip() == error, proc.stderr
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    return {row: {v: out[f"{row} {v}"] for v in MATRIX_VALUES} for row in MATRIX_ROWS}
 
 
-# guard clauses no other test reaches: each call must raise the pinned type
+def _rejects(guard_matrix, row, value):
+    error = MATRIX_ERRORS.get((row, value), MATRIX_ROWS[row][1])
+    assert guard_matrix[row][value] == error, (row, value)
+
+
+@pytest.mark.parametrize("row", sorted(MATRIX_ROWS))
+def test_guard_matrix(guard_matrix, row):
+    for value, outcome in guard_matrix[row].items():
+        cell = (row, value)
+        if value in ("nan", "inf"):
+            continue  # taken column by column below
+        if value in MATRIX_NOT_NUMBERS and cell not in MATRIX_ACCEPTS:
+            _rejects(guard_matrix, row, value)
+        elif not (outcome == "TypeError" and cell in MATRIX_TYPE_ERRORS):
+            assert outcome in ("value", MATRIX_ERRORS.get(cell, MATRIX_ROWS[row][1])), cell
+
+
+# NaN and infinity column by column: every row rejects both
+@pytest.mark.parametrize("row", sorted(MATRIX_ROWS))
+def test_nan_parameters_rejected(guard_matrix, row):
+    _rejects(guard_matrix, row, "nan")
+
+
+@pytest.mark.parametrize("row", sorted(MATRIX_ROWS))
+def test_infinite_parameters_rejected(guard_matrix, row):
+    _rejects(guard_matrix, row, "inf")
+
+
+# guard clauses on non-numeric input no matrix row reaches: each call must
+# raise the pinned type
 _GRID = [1.0, 2.0, 3.0]
 GUARD_INPUTS = {
     "ingest_unknown_transform": (lambda: ingest_text("1,2\n", "bogus"), ValueError),
@@ -573,30 +666,31 @@ GUARD_INPUTS = {
     "squared_norm_l3": (lambda: squared_norm(_S.x, _S.y, "l3"), ValueError),
     "normalized_product_l3": (lambda: normalized_product("l3"), ValueError),
     "edm_estimate_l3": (lambda: edm_estimate(_S, 2, "l3"), ValueError),
-    "tef_fixed_fbar_zero": (
-        lambda: tef_fixed(_S, margin_exceedance(), 1.0, 1.0, 0.0), ValueError),
-    "tef_fixed_fbar_above_one": (
-        lambda: tef_fixed(_S, margin_exceedance(), 1.0, 1.0, 1.5), ValueError),
     # (0.4 / 1e-300)^2 is past the double range; so is 1e10 * 3 * 4e299
     "theta_hat_factor_overflow": (lambda: theta_hat(_S, 2, 1e-300, 1.0, 0.5), ValueError),
     "theta_hat_value_overflow": (lambda: theta_hat(_S, 2, 1e-300, 1e10, 1.0), ValueError),
-    # a level is an integer; a positive parameter is not None
-    "tdc_empirical_k_fraction": (lambda: tdc_empirical(_S, 2.5), ValueError),
-    "tdc_empirical_k_float": (lambda: tdc_empirical(_S, 2.0), ValueError),
-    "tdc_empirical_k_bool": (lambda: tdc_empirical(_S, True), ValueError),
-    "tdc_estimated_k_alpha_fraction": (
-        lambda: tdc_quasispectral_estimated(_S, 2, 3.5), ValueError),
-    "tef_random_k_fraction": (lambda: tef_random(_S, margin_exceedance(), 2.5), ValueError),
-    "hill_estimate_k_alpha_none": (lambda: hill_estimate(order_view(_S), None), ValueError),
-    "theta_hat_alpha_none": (lambda: theta_hat(_S, 2, 0.1, 1.0, None), ValueError),
-    "run_mc_y_none": (lambda: run_mc(_LP, 3, [0.1], y=None), ValueError),
-    # an infinite sigma would fail every draw as "y contains non-finite values"
-    "linear_pareto_sigma_inf": (lambda: LinearParetoModel(0.8, math.inf, 4.0), ValueError),
+}
+# numeric inputs pinned to a rejection, each a cell of the matrix: (row, value)
+GUARD_CASES = {
+    "tef_fixed_fbar_zero": ("tef_fixed_fbar", "zero"),
+    "tef_fixed_fbar_above_one": ("tef_fixed_fbar", "half"),
+    "tdc_empirical_k_fraction": ("tdc_empirical_k", "half"),
+    "tdc_empirical_k_float": ("tdc_empirical_k", "float64"),
+    "tdc_empirical_k_bool": ("tdc_empirical_k", "bool"),
+    "tdc_estimated_k_alpha_fraction": ("tdc_estimated_k_alpha", "half"),
+    "tef_random_k_fraction": ("tef_random_k", "half"),
+    "hill_estimate_k_alpha_none": ("hill_estimate_k_alpha", "none"),
+    "theta_hat_alpha_none": ("theta_hat_alpha", "none"),
+    "run_mc_y_none": ("run_mc_y", "none"),
+    "linear_pareto_sigma_inf": ("linear_pareto_sigma", "inf"),
 }
 
 
-@pytest.mark.parametrize("case", sorted(GUARD_INPUTS))
-def test_guard_rejects_input(case):
+@pytest.mark.parametrize("case", sorted({**GUARD_INPUTS, **GUARD_CASES}))
+def test_guard_rejects_input(case, guard_matrix):
+    if case in GUARD_CASES:
+        _rejects(guard_matrix, *GUARD_CASES[case])
+        return
     call, error = GUARD_INPUTS[case]
     with pytest.raises(error) as info:
         call()
@@ -620,6 +714,16 @@ def test_a_level_is_any_integer_and_a_named_error_otherwise():
     assert type(hill.k_alpha) is int and hill.k_alpha == 2
     with pytest.raises(ValueError, match=r"^k = 2\.5 is not a level of this sweep$"):
         LevelSweep(_S, (2,)).threshold(2.5)
+    with pytest.raises(ValueError, match="^k = True is not a level of this sweep$"):
+        LevelSweep(_S, (1, 2)).threshold(True)
+    # the estimators go on with the int the rule returns
+    estimated = tdc_quasispectral_estimated(_S, 2, np.array(3))
+    assert type(estimated.metadata["k_alpha"]) is int and estimated.metadata["k_alpha"] == 3
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k in (2, level):
+            with pytest.raises(ValueError, match="^the extrapolation factor overflows"):
+                theta_hat(_S, k, 1e-300, 1.0, 0.5)
 
 
 # y near the double maximum: at k = 3 every ratio y / x is finite but their

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -73,6 +74,24 @@ def test_random_level_matches_bruteforce():
         xs, ys, psi=lambda u, v: v, region=lambda u, v: u > 1.0, k=3
     )
     assert got == want
+
+
+def test_a_region_scaled_past_the_double_range_takes_its_limit():
+    # s X_(n-k) is subnormal, so x / (s X_(n-k)) overflows to inf, its exact
+    # limit: every pair is inside the region, and nothing may warn
+    gen = crng.generator(34)
+    xs, ys = crng.pareto(gen, 2.0, 30).tolist(), crng.pareto(gen, 2.0, 30).tolist()
+    sample = BivariateSample(xs, ys)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for s in (5e-324, 1e-320):
+            got = tef_random(sample, second_coordinate(), 10, s=s)
+            want = reference.tef_random(
+                xs, ys, psi=lambda u, v: v, region=lambda u, v: u > 1.0, k=10, s=s
+            )
+            assert got == want
+        fixed = tef_fixed(sample, second_coordinate(), u=1.0, s=5e-324, fbar_u=0.5)
+    assert fixed == math.fsum(ys) / (30 * 0.5)
 
 
 def test_random_level_deterministic_psi_scale():

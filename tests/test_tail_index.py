@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 import reference
-from cotail import BivariateSample, ZeroSpread, hill_estimate, order_view
+from cotail import (
+    BivariateSample,
+    NonFiniteEstimate,
+    ZeroSpread,
+    hill_estimate,
+    order_view,
+    tdc_quasispectral_estimated,
+)
 from cotail import rng as crng
 
 
@@ -18,6 +25,15 @@ def test_hand_evaluated_powers_of_two():
     # mean log-ratio is (log 8 + log 4 + log 2) / 3 = 2 log 2
     assert est.alpha_hat == pytest.approx(1.0 / (2.0 * math.log(2.0)), rel=1e-12)
     assert est.k_alpha == 3
+
+
+def test_a_ratio_beyond_the_double_range_fails_the_row():
+    # X_(n) / X_(n-k_alpha) = 1e300 / 1e-300 overflows, so alpha_hat would be 0
+    x = [1e-300, 1e-300, 1e10, 1e20, 1e300]
+    with pytest.raises(NonFiniteEstimate):
+        hill_estimate(view_of(x), 3)
+    with pytest.raises(NonFiniteEstimate):
+        tdc_quasispectral_estimated(BivariateSample(x, [1.0] * 5), 2, 3)
 
 
 def test_all_equal_raises_zero_spread():
