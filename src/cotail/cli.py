@@ -13,8 +13,9 @@ Floats are written with repr-level precision, so a simulated file re-ingests
 to bit-identical values. The default seed is 0, overridable per command with
 --seed or globally with the COTAIL_SEED environment variable.
 
-On failure a JSON object {"error": {"type": ..., "message": ...}} goes to
-stderr and the exit code is nonzero.
+Every failure, a command line that argparse rejects included, writes one JSON
+object {"error": {"type": ..., "message": ...}} to stderr and exits 1; a
+rejected command line fails before any input is read. --help exits 0.
 """
 from __future__ import annotations
 
@@ -258,39 +259,31 @@ def _report_row(args, sweep: LevelSweep, name: str, k: int, y: float):
 def _cmd_estimate(args) -> None:
     sample = _load_sample(args)
     k = _resolve_count(args.k, args.k_frac, sample.n, "k")
+    sweep = LevelSweep(sample, (k,))
     if args.estimator == "theta":
-        row = _theta_report(args, sample, k)
+        row = _theta_report(args, sweep, k)
     else:
-        sweep = LevelSweep(sample, (k,))
         est, row = _report_row(args, sweep, _registry_id(args.estimator), k, args.y)
         lo, hi = confidence_interval(est, args.ci_level)
         row.update(ci_level=args.ci_level, ci_lo=lo, ci_hi=hi)
     _emit(args, REPORT_COLUMNS, [{"n": sample.n, **row}])
 
 
-def _theta_report(args, sample: BivariateSample, k: int) -> dict:
+def _theta_report(args, sweep: LevelSweep, k: int) -> dict:
     """theta_hat composes a Hill or supplied alpha, a CTE coefficient and k."""
     if args.p is None:
         raise ValueError("theta requires --p")
-    sweep = LevelSweep(sample, (k,))
-    k_alpha = None
-    if args.alpha is not None:
-        alpha, source = args.alpha, "supplied"
-    else:
-        k_alpha = _k_alpha(args, k, sample.n)
-        alpha, source = unwrap(hill_alphas(sample.x, k_alpha)[0]), "hill"
+    k_alpha = None if args.alpha is not None else _k_alpha(args, k, sweep.n)
+    alpha = args.alpha if k_alpha is None else unwrap(hill_alphas(sweep.sample.x, k_alpha)[0])
     aleph = level_reader(_registry_id(args.aleph_from), sweep, alpha=alpha).value(k)
-    ext = theta_hat(sample, k, args.p, aleph, alpha)
+    ext = theta_hat(sweep.sample, k, args.p, aleph, alpha)
     return {
         "estimator_id": "theta_hat",
         "k": k,
         "k_alpha": k_alpha,
         "value": ext.theta_hat,
-        "alpha_used": ext.alpha_used,
-        "alpha_source": source,
-        "p": ext.p,
-        "extrapolation_factor": ext.extrapolation_factor,
-        "aleph_used": ext.aleph_used,
+        "alpha_source": "supplied" if k_alpha is None else "hill",
+        **asdict(ext),  # alpha_used, p, extrapolation_factor, aleph_used
     }
 
 
@@ -299,20 +292,17 @@ _CURVE_COLUMNS = ("estimator_id", "k", "y", "value", "plugin_variance")
 
 def _cmd_curve(args) -> None:
     sample = _load_sample(args)
-    n = sample.n
-    if (args.y_grid is None) == (args.k_grid is None):
-        raise ValueError("pass exactly one of --y-grid or --k-grid")
     if args.y_grid is not None:
         if args.y is not None:
             raise ValueError("--y sets the y of a --k-grid sweep only")
-        k = _resolve_count(args.k, args.k_frac, n, "k")
+        k = _resolve_count(args.k, args.k_frac, sample.n, "k")
         points = [(k, y) for y in check_y_grid(_float_list(args.y_grid)).tolist()]
     else:
         if args.k is not None or args.k_frac is not None:
             raise ValueError("--k/--k-frac set the level of a --y-grid sweep only")
         y = 1.0 if args.y is None else args.y
         points = [
-            (fraction_to_count(frac, n, "--k-grid fractions"), y)
+            (fraction_to_count(frac, sample.n, "--k-grid fractions"), y)
             for frac in _float_list(args.k_grid)
         ]
         if not points:
@@ -332,9 +322,8 @@ def _cmd_curve(args) -> None:
 
 
 def _cmd_mc(args) -> None:
-    config = _model_config(args)
     summary = run_mc(
-        config,
+        _model_config(args),
         reps=args.reps,
         k_fractions=_float_list(args.k_fracs),
         k_alpha_fractions=_float_list(args.k_alpha_fracs),
@@ -359,88 +348,76 @@ def _cmd_mc(args) -> None:
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_output_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--out", default="-", help="output path, '-' for stdout")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose rejections are ``ValueError``s, so they take the JSON path."""
+
+    def error(self, message):
+        raise ValueError(message)
 
 
-def _add_input_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--input", required=True, help="input path, '-' for stdin")
-    p.add_argument(
+def _build_parser() -> argparse.ArgumentParser:
+    # the flags several subcommands share, each group declared once as a parent
+    table, model, levels, output = (_Parser(add_help=False) for _ in range(4))
+    table.add_argument("--input", required=True, help="input path, '-' for stdin")
+    table.add_argument(
         "--transform",
         choices=TRANSFORMS,
         default="none",
         help="apply to the input table before estimating",
     )
-
-
-def _add_model_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--model", choices=tuple(MODELS), required=True)
-    p.add_argument("--n", type=int, default=1000)
+    model.add_argument("--model", choices=tuple(MODELS), required=True)
+    model.add_argument("--n", type=int, default=1000)
     for name, cls in MODELS.items():
         for f in fields(cls):
-            p.add_argument(f"--{f.name}", type=float, help=f"{name} only; default {f.default}")
-    p.add_argument("--seed", type=int, help="default: COTAIL_SEED, else 0")
+            model.add_argument(f"--{f.name}", type=float, help=f"{name} only; default {f.default}")
+    model.add_argument("--seed", type=int, help="default: COTAIL_SEED, else 0")
+    levels.add_argument("--k", type=int, help="number of upper order statistics")
+    levels.add_argument("--k-frac", type=float, help="fraction of n instead of --k")
+    levels.add_argument("--k-alpha", type=int, help="order statistics for the Hill step")
+    levels.add_argument("--k-alpha-frac", type=float)
+    output.add_argument("--out", default="-", help="output path, '-' for stdout")
+    output.add_argument("--format", choices=("csv", "json"), default="csv")
 
-
-def _add_k_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--k", type=int, help="number of upper order statistics")
-    p.add_argument("--k-frac", type=float, help="fraction of n instead of --k")
-    p.add_argument("--k-alpha", type=int, help="order statistics for the Hill step")
-    p.add_argument("--k-alpha-frac", type=float)
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cotail",
         description="Conditional-on-extreme-event estimation for bivariate heavy tails",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True)  # sub-parsers are _Parsers
 
-    p = sub.add_parser("simulate", help="draw a synthetic dataset")
-    _add_model_options(p)
-    _add_output_options(p)
-    p.set_defaults(func=_cmd_simulate)
+    def command(name, func, help, *parents):
+        p = sub.add_parser(name, help=help, parents=[*parents, output])
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("ingest", help="normalize a two-column table")
-    _add_input_options(p)
-    _add_output_options(p)
-    p.set_defaults(func=_cmd_ingest)
+    command("simulate", _cmd_simulate, "draw a synthetic dataset", model)
+    command("ingest", _cmd_ingest, "normalize a two-column table", table)
 
-    p = sub.add_parser("estimate", help="run one estimator and report it")
-    _add_input_options(p)
+    p = command("estimate", _cmd_estimate, "run one estimator and report it", table, levels)
     p.add_argument(
         "--estimator",
         required=True,
         choices=(*(name.replace("_", "-") for name in ESTIMATORS), "theta"),
     )
-    _add_k_options(p)
     p.add_argument("--y", type=float, default=1.0)
     p.add_argument("--alpha", type=float, help="tail index when known")
     p.add_argument("--p", type=float, help="exceedance probability for theta")
     p.add_argument("--aleph-from", choices=("cte-aleph3", "cte-aleph4"), default="cte-aleph3")
     p.add_argument("--norm", choices=NORMS, default="l2")
     p.add_argument("--ci-level", type=float, default=0.95)
-    _add_output_options(p)
-    p.set_defaults(func=_cmd_estimate)
 
-    p = sub.add_parser("curve", help="sweep estimators over a y grid or a k grid")
-    _add_input_options(p)
+    p = command("curve", _cmd_curve, "sweep estimators over a y grid or a k grid", table, levels)
     p.add_argument(
         "--methods",
         default="empirical,quasispectral",
         help="comma list of empirical, quasispectral, quasispectral-estimated",
     )
-    _add_k_options(p)
     p.add_argument("--y", type=float, help="fixed y for --k-grid sweeps (default 1)")
-    p.add_argument("--y-grid", help="comma list of y values (needs --k or --k-frac)")
-    p.add_argument("--k-grid", help="comma list of k fractions, at --y")
+    grid = p.add_mutually_exclusive_group(required=True)
+    grid.add_argument("--y-grid", help="comma list of y values (needs --k or --k-frac)")
+    grid.add_argument("--k-grid", help="comma list of k fractions, at --y")
     p.add_argument("--alpha", type=float, help="tail index for quasispectral")
-    _add_output_options(p)
-    p.set_defaults(func=_cmd_curve)
 
-    p = sub.add_parser("mc", help="Monte Carlo study over replications")
-    _add_model_options(p)
+    p = command("mc", _cmd_mc, "Monte Carlo study over replications", model)
     p.add_argument("--reps", type=int, default=1000)
     p.add_argument("--k-fracs", default="0.05,0.1,0.2,0.3,0.4")
     p.add_argument("--k-alpha-fracs", default="0.2")
@@ -449,15 +426,13 @@ def _build_parser() -> argparse.ArgumentParser:
         default="tdc-empirical,tdc-quasispectral,tdc-quasispectral-estimated",
     )
     p.add_argument("--y", type=float, default=1.0)
-    _add_output_options(p)
-    p.set_defaults(func=_cmd_mc)
 
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         args.func(args)
     except (CotailError, ValueError, OSError, MemoryError) as exc:
         payload = {"error": {"type": type(exc).__name__, "message": str(exc)}}

@@ -104,6 +104,8 @@ class SampleRows:
     y: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "x", np.asarray(self.x, dtype=float))  # no copy of a float array
+        object.__setattr__(self, "y", np.asarray(self.y, dtype=float))
         if self.x.ndim != 2 or self.x.shape != self.y.shape or self.x.shape[1] == 0:
             raise ValueError("x and y must be equal nonempty (rows, n) arrays")
         _check_values(self.x, "x")
@@ -281,5 +283,7 @@ class TailEstimate:
     metadata: Mapping[str, object] = field(default_factory=dict)
 
     def __post_init__(self):
+        object.__setattr__(self, "k", check_level(self.k, "k"))
+        object.__setattr__(self, "value", check_real(self.value, "value", "(-inf, inf)"))
         if self.plugin_variance is not None:
             check_real(self.plugin_variance, "plugin_variance", "[0, inf)")

@@ -91,7 +91,7 @@ class CondTailCurve:
         vals = np.asarray(self.values, dtype=float)
         if grid.size != vals.size:
             raise ValueError("y_grid and values must have equal length")
-        if np.any(vals < 0) or np.any(vals > 1):
+        if not np.all((0 <= vals) & (vals <= 1)):  # NaN fails it too
             raise ValueError("conditional tail values must lie in [0, 1]")
         if np.any(np.diff(vals) > 0):
             raise ValueError("conditional tail values must be nonincreasing in y")
@@ -444,5 +444,8 @@ def confidence_interval(est: TailEstimate, level: float) -> tuple[float, float]:
     entry = ESTIMATORS.get(est.estimator_id)
     upper = math.inf if entry is None else entry.upper
     if isinstance(upper, Mapping):
-        upper = upper[est.metadata["norm"]]
+        norm = est.metadata.get("norm")
+        if norm not in upper:
+            raise ValueError(f"{est.estimator_id} needs a norm in {tuple(upper)}, got {norm!r}")
+        upper = upper[norm]
     return max(lo, 0.0), min(hi, upper)

@@ -172,8 +172,16 @@ def _weighted_sum(
         mask = np.asarray(spec.region(x / scale, y / scale), dtype=bool)
         if not mask.any():
             return 0.0
-        terms = np.asarray(spec.psi(x[mask] / denom, y[mask] / denom), dtype=float)
-    return math.fsum(terms)
+        x, y = x[mask], y[mask]
+        u, v = x / denom, y / denom
+        over = np.isinf(u) | np.isinf(v)
+        if not over.any():
+            return math.fsum(np.asarray(spec.psi(u, v), dtype=float))
+        # psi is not evaluated at inf: the weight's homogeneity gives
+        # psi(x / d, y / d) = psi(x, y) / d^gamma for the pairs that overflow
+        terms = np.asarray(spec.psi(u[~over], v[~over]), dtype=float)
+        past = np.asarray(spec.psi(x[over], y[over]), dtype=float) / denom ** spec.gamma
+    return math.fsum(np.concatenate([terms, past]))
 
 
 def tef_fixed(

@@ -307,6 +307,65 @@ def test_error_is_machine_readable(tmp_path, capsys):
     assert "row 2" in payload["error"]["message"]
 
 
+# command lines argparse rejects; each names a missing input file, so a
+# command line it accepted would fail on the read instead
+_MISSING = str(Path(__file__).parent / "golden" / "missing.csv")
+_EST = ["estimate", "--input", _MISSING, "--estimator", "cte-aleph3", "--k", "10"]
+_CURVE = ["curve", "--input", _MISSING, "--k", "10", "--y-grid", "1"]
+_SIM = ["simulate", "--model", "linear-pareto", "--n", "10"]
+_MC = ["mc", "--model", "linear-pareto", "--n", "20", "--reps", "2"]
+_INGEST = ["ingest", "--input", _MISSING]
+REJECTED_COMMAND_LINES = {
+    "no_subcommand": [],
+    "unknown_subcommand": ["frobnicate"],
+    "estimate_unknown_flag": [*_EST, "--bogus"],
+    "curve_unknown_flag": [*_CURVE, "--bogus", "1"],
+    "simulate_unknown_flag": [*_SIM, "--bogus"],
+    "mc_unknown_flag": [*_MC, "--bogus"],
+    "ingest_unknown_flag": [*_INGEST, "--bogus"],
+    "estimate_unknown_estimator": [*_EST, "--estimator", "nope"],
+    "simulate_unknown_model": ["simulate", "--model", "nope"],
+    "mc_unknown_model": ["mc", "--model", "nope"],
+    "ingest_unknown_format": [*_INGEST, "--format", "xml"],
+    "curve_unknown_transform": [*_CURVE, "--transform", "log"],
+    "estimate_unknown_norm": [*_EST, "--norm", "l3"],
+    "estimate_unknown_aleph_from": [*_EST, "--aleph-from", "cte-aleph5"],
+    "estimate_k_not_integer": [*_EST, "--k", "2.5"],
+    "curve_k_not_integer": [*_CURVE, "--k", "ten"],
+    "simulate_n_not_integer": [*_SIM, "--n", "1e3"],
+    "mc_reps_not_integer": [*_MC, "--reps", "2.0"],
+    "mc_seed_not_integer": [*_MC, "--seed", "x"],
+    "curve_alpha_not_number": [*_CURVE, "--alpha", "four"],
+    "estimate_y_not_number": [*_EST, "--y", "one"],
+    "estimate_p_not_number": [*_EST, "--p", "1%"],
+    "estimate_k_frac_not_number": [*_EST, "--k-frac", "tenth"],
+    "simulate_phi_not_number": [*_SIM, "--phi", "0,8"],
+    "ingest_missing_input": ["ingest"],
+    "mc_missing_model": ["mc", "--reps", "2"],
+    "estimate_missing_estimator": ["estimate", "--input", _MISSING, "--k", "10"],
+    "estimate_flag_missing_value": [*_EST, "--k"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(REJECTED_COMMAND_LINES))
+def test_a_rejected_command_line_is_one_json_error(capsys, case):
+    code, out, err = run_cli(capsys, *REJECTED_COMMAND_LINES[case])
+    assert (code, out) == (1, "")
+    assert err.endswith("\n") and err.count("\n") == 1
+    error = json.loads(err)["error"]
+    assert set(error) == {"type", "message"}
+    assert error["type"] == "ValueError" and error["message"]
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["estimate", "--help"]])
+def test_help_prints_usage_and_exits_zero(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: cotail") and captured.err == ""
+
+
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_mc_block_process_that_dies_is_a_json_error(capsys, monkeypatch):
     # two blocks of 100 replications; the forked one exits without a result

@@ -209,7 +209,8 @@ ERRORS = {
     "y_inf": (
         [*ESTIMATE_LP, "--estimator", "tdc-empirical", "--k", "10", "--y", "inf"],
         1, "ValueError"),
-    "unknown_estimator": ([*ESTIMATE_LP, "--estimator", "nope", "--k", "10"], 2, None),
+    "unknown_estimator": (
+        [*ESTIMATE_LP, "--estimator", "nope", "--k", "10"], 1, "ValueError"),
     "curve_unknown_method": (
         [*CURVE_LP, "--k", "10", "--y-grid", "1,2", "--methods", "empirical,nope"],
         1, "ValueError"),
@@ -271,10 +272,7 @@ def run(argv) -> tuple[int, str, str]:
     """Exit code, stdout and stderr of one in-process CLI call."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(list(argv))
-        except SystemExit as exc:  # argparse rejects the command line
-            code = exc.code
+        code = main(list(argv))
     return code, out.getvalue(), err.getvalue()
 
 
@@ -294,8 +292,7 @@ def test_golden_error_type(case, monkeypatch):
     code, out, err = run(argv)
     assert code == expected_code
     assert out == ""
-    if expected_type is not None:
-        assert json.loads(err)["error"]["type"] == expected_type
+    assert json.loads(err)["error"]["type"] == expected_type
 
 
 def test_all_failed_mc_cell_is_strict_json():

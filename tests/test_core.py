@@ -5,7 +5,7 @@ import weakref
 import numpy as np
 import pytest
 
-from cotail import BivariateSample, NegativeValue, exceedance_indices, order_view
+from cotail import BivariateSample, NegativeValue, SampleRows, exceedance_indices, order_view
 from cotail.core import fraction_to_count
 
 
@@ -175,3 +175,13 @@ def test_fraction_to_count_clamps_and_needs_two_observations():
     for n in (1, 0):
         with pytest.raises(ValueError, match=f"n = {n}"):
             fraction_to_count(0.5, n)
+
+
+def test_sample_rows_reads_nested_lists_as_float_arrays():
+    rows = SampleRows([[1.0, 2.0], [3.0, 4.0]], [[5, 6], [7, 8]])
+    assert rows.x.dtype == rows.y.dtype == np.float64
+    assert rows.y.tolist() == [[5.0, 6.0], [7.0, 8.0]]
+    buffer = np.ones((2, 3))
+    assert SampleRows(buffer, buffer).x is buffer  # a float array is taken as it is
+    with pytest.raises(ValueError, match="equal nonempty"):
+        SampleRows([1.0, 2.0], [3.0, 4.0])

@@ -20,6 +20,7 @@ from cotail import (
     ModelConfig,
     NonFiniteEstimate,
     NonPositiveThreshold,
+    SampleRows,
     TailEstimate,
     cond_tail_curve,
     confidence_interval,
@@ -537,6 +538,8 @@ MATRIX_ROWS = {
     "check_y_grid_first": ("e.check_y_grid([V, 1.0])", "ValueError"),
     "confidence_interval_level": ("c.confidence_interval(est, V)", "ValueError"),
     "tail_estimate_variance": ("c.TailEstimate(0.5, 2, 'x', V)", "ValueError"),
+    "tail_estimate_k": ("c.TailEstimate(0.5, V, 'x', 0.25)", "ValueError"),
+    "tail_estimate_value": ("c.TailEstimate(V, 2, 'x', 0.25)", "ValueError"),
     "theta_hat_k": ("c.theta_hat(s, V, 0.1, 1.0, 2.0)", "ValueError"),
     "theta_hat_p": ("c.theta_hat(s, 2, V, 1.0, 2.0)", "InvalidP"),
     "theta_hat_aleph": ("c.theta_hat(s, 2, 0.1, V, 2.0)", "ValueError"),
@@ -548,6 +551,8 @@ MATRIX_ROWS = {
     "tef_fixed_u": ("c.tef_fixed(s, c.margin_exceedance(), V, 1.0, 0.5)", "ValueError"),
     "tef_fixed_s": ("c.tef_fixed(s, c.margin_exceedance(), 1.0, V, 0.5)", "ValueError"),
     "tef_fixed_fbar": ("c.tef_fixed(s, c.margin_exceedance(), 1.0, 1.0, V)", "ValueError"),
+    # a tiny u overflows x / u, where psi = y / x must take its homogeneous limit
+    "tef_fixed_u_ratio": ("c.tef_fixed(s, c.coordinate_ratio(), V, 1.0, 0.5)", "ValueError"),
     "tef_random_k": ("c.tef_random(s, c.margin_exceedance(), V)", "ValueError"),
     "tef_random_s": ("c.tef_random(s, c.second_coordinate(), 2, s=V)", "ValueError"),
     "tef_random_u": ("c.tef_random(s, c.second_coordinate(), 2, u=V)", "ValueError"),
@@ -659,6 +664,13 @@ GUARD_INPUTS = {
         lambda: CondTailCurve(_GRID, [1.5, 0.4, 0.3], "x", 2), ValueError),
     "curve_increasing_values": (
         lambda: CondTailCurve(_GRID, [0.3, 0.4, 0.5], "x", 2), ValueError),
+    "curve_value_nan": (lambda: CondTailCurve([1.0, 2.0], [math.nan, 0.1], "x", 3), ValueError),
+    "confidence_interval_edm_without_norm": (
+        lambda: confidence_interval(TailEstimate(0.2, 2, "edm", 0.1), 0.95), ValueError),
+    "confidence_interval_edm_unknown_norm": (
+        lambda: confidence_interval(TailEstimate(0.2, 2, "edm", 0.1, metadata={"norm": "l3"}),
+                                    0.95), ValueError),
+    "sample_rows_ragged": (lambda: SampleRows([[1.0], [1.0, 2.0]], [[1.0], [2.0]]), ValueError),
     "sample_dataset_unknown_model": (
         lambda: sample_dataset(ModelConfig(object(), 10, 0)), TypeError),
     "model_config_unknown_model": (lambda: ModelConfig(object(), 10, 0), TypeError),
@@ -683,6 +695,8 @@ GUARD_CASES = {
     "theta_hat_alpha_none": ("theta_hat_alpha", "none"),
     "run_mc_y_none": ("run_mc_y", "none"),
     "linear_pareto_sigma_inf": ("linear_pareto_sigma", "inf"),
+    "tail_estimate_k_zero": ("tail_estimate_k", "zero"),
+    "tail_estimate_k_fraction": ("tail_estimate_k", "half"),
 }
 
 
