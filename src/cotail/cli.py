@@ -13,6 +13,11 @@ Floats are written with repr-level precision, so a simulated file re-ingests
 to bit-identical values. The default seed is 0, overridable per command with
 --seed or globally with the COTAIL_SEED environment variable.
 
+Parsing a table and writing a sample as CSV run in contiguous row blocks, one
+per usable CPU, through the fork-join that runs ``mc``'s replications. The
+bytes written and every error's text are the same for any block count
+(``taskset -c 0`` gives the same bytes), and there is no option for it.
+
 Every failure, a command line that argparse rejects included, writes one JSON
 object {"error": {"type": ..., "message": ...}} to stderr and exits 1; a
 rejected command line fails before any input is read. --help exits 0.
@@ -38,11 +43,16 @@ from .estimators import (
     level_reader,
     theta_hat,
 )
-from .simulate import MODELS, McCell, ModelConfig, run_mc, sample_dataset
+from .simulate import MODELS, McCell, ModelConfig, _blocks, _run_blocks, run_mc, sample_dataset
 from .tail_function import NORMS
 from .tail_index import hill_alphas
 
 TRANSFORMS = ("none", "abs-log-returns")
+
+# CSV rows are parsed and written in blocks of at least this many, one per
+# usable CPU: a fork and join from a CLI-sized heap costs about 6-12 ms,
+# 50000 rows take about 50 ms to parse and 100 ms to write.
+_MIN_ROWS = 50_000
 
 # rows spread an McCell between the cell key and the truth
 MC_COLUMNS = (
@@ -72,7 +82,7 @@ REPORT_COLUMNS = (
 # ingestion
 # ---------------------------------------------------------------------------
 
-def _parse_table(text: str) -> tuple[list[float], list[float]]:
+def _parse_table(text: str) -> tuple[np.ndarray, np.ndarray]:
     text = text.removeprefix("\ufeff")  # else a byte order mark makes row 1 a header
     # float() ignores the same surrounding whitespace as str.strip(), except
     # U+001F; mapping it to a space keeps cells stripped without a per-cell strip
@@ -85,9 +95,18 @@ def _parse_table(text: str) -> tuple[list[float], list[float]]:
             float(cell)
     except ValueError:
         start = 1  # non-numeric first row is a header
+    if start == len(lines):
+        raise ParseError("input contains no data rows")
+    blocks = [(start + lo, start + hi) for lo, hi in _blocks(len(lines) - start, _MIN_ROWS)]
+    parts = _run_blocks(blocks, lambda lo, hi: _parse_rows(lines, lo, hi))
+    return tuple(np.concatenate(column) for column in zip(*parts))
+
+
+def _parse_rows(lines: list[str], lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lines lo..hi-1 as two float columns; line i is row i + 1 in a ``ParseError``."""
     first: list[float] = []
     second: list[float] = []
-    for lineno, line in enumerate(lines[start:], start=start + 1):
+    for lineno, line in enumerate(lines[lo:hi], start=lo + 1):
         parts = line.split(",")
         if len(parts) != 2:
             raise ParseError(f"row {lineno}: expected 2 columns, got {len(parts)}")
@@ -96,9 +115,7 @@ def _parse_table(text: str) -> tuple[list[float], list[float]]:
             second.append(float(parts[1]))
         except ValueError:
             raise ParseError(f"row {lineno}: non-numeric cell") from None
-    if not first:
-        raise ParseError("input contains no data rows")
-    return first, second
+    return np.array(first, dtype=float), np.array(second, dtype=float)
 
 
 def ingest_text(text: str, transform: str = "none") -> BivariateSample:
@@ -106,7 +123,7 @@ def ingest_text(text: str, transform: str = "none") -> BivariateSample:
     transform = transform.replace("_", "-")
     if transform not in TRANSFORMS:
         raise ValueError(f"unknown transform {transform!r}, expected {TRANSFORMS}")
-    first, second = map(np.asarray, _parse_table(text))
+    first, second = _parse_table(text)
     if transform == "none":
         return BivariateSample(first, second)
     if first.size < 2:
@@ -135,10 +152,10 @@ def _write_text(path: str, text: str) -> None:
         Path(path).write_text(text, encoding="utf-8")
 
 
-def _rows_to_csv(columns, rows) -> str:
-    """The one CSV writer; a cell is str(value), for a float its exact repr."""
-    line = ",".join(["{}"] * len(columns)).format
-    return "\n".join([",".join(columns), *starmap(line, rows)]) + "\n"
+def _csv_lines(rows, width: int) -> str:
+    """The one CSV row writer: a line per row; a cell is str(value), for a float its exact repr."""
+    line = (",".join(["{}"] * width) + "\n").format
+    return "".join(starmap(line, rows))
 
 
 def _emit(args, columns, rows, extra: dict | None = None) -> None:
@@ -146,7 +163,7 @@ def _emit(args, columns, rows, extra: dict | None = None) -> None:
     rows = [{c: row.get(c) for c in columns} for row in rows]
     if args.format == "csv":
         values = (["" if v is None else v for v in row.values()] for row in rows)
-        _write_text(args.out, _rows_to_csv(columns, values))
+        _write_text(args.out, ",".join(columns) + "\n" + _csv_lines(values, len(columns)))
     else:
         payload = {**(extra or {}), "rows": rows}
         _write_text(args.out, json.dumps(payload, indent=2) + "\n")
@@ -161,11 +178,15 @@ def _default_seed() -> int:
 
 
 def _sample_payload(args, sample: BivariateSample) -> None:
-    x, y = sample.x.tolist(), sample.y.tolist()
+    x, y = sample.x, sample.y
     if args.format == "csv":
-        _write_text(args.out, _rows_to_csv(("x", "y"), zip(x, y)))
+        blocks = _run_blocks(
+            _blocks(sample.n, _MIN_ROWS),
+            lambda lo, hi: _csv_lines(zip(x[lo:hi].tolist(), y[lo:hi].tolist()), 2),
+        )
+        _write_text(args.out, "".join(["x,y\n", *blocks]))
     else:
-        _write_text(args.out, json.dumps({"x": x, "y": y}) + "\n")
+        _write_text(args.out, json.dumps({"x": x.tolist(), "y": y.tolist()}) + "\n")
 
 
 def _load_sample(args) -> BivariateSample:

@@ -48,9 +48,10 @@ blocks' values are joined in replication order before any statistic is
 taken, so summaries are bit-identical whatever the block count and chunk
 size. An error in a block is raised in block order, the one a single process
 would meet first; a child that dies without a result is a
-``ChildProcessError``. A replication whose estimator raises a
-``CotailError`` is left out of that cell's values and counted in its
-failures instead of aborting the run.
+``ChildProcessError``. ``_blocks`` and ``_run_blocks`` are the package's one
+fork-join: the CLI parses and writes CSV rows through them too. A
+replication whose estimator raises a ``CotailError`` is left out of that
+cell's values and counted in its failures instead of aborting the run.
 """
 from __future__ import annotations
 
@@ -377,16 +378,16 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _blocks(reps: int) -> list[tuple[int, int]]:
-    """Contiguous [lo, hi) replication blocks, one per usable CPU, each >= _MIN_BLOCK.
+def _blocks(size: int, minimum: int = _MIN_BLOCK) -> list[tuple[int, int]]:
+    """Contiguous [lo, hi) blocks of range(size), one per usable CPU, each >= ``minimum``.
 
     Forking a process with a second live thread could copy a lock that thread
     holds, so then, as without ``os.fork``, there is one block.
     """
-    count = min(_usable_cpus(), reps // _MIN_BLOCK)
+    count = min(_usable_cpus(), size // minimum)
     if count < 2 or not hasattr(os, "fork") or threading.active_count() != 1:
-        return [(0, reps)]
-    bounds = [reps * i // count for i in range(count + 1)]
+        return [(0, size)]
+    bounds = [size * i // count for i in range(count + 1)]
     return list(zip(bounds, bounds[1:]))
 
 
@@ -433,8 +434,7 @@ def _run_blocks(blocks: Sequence[tuple[int, int]], work: Callable[[int, int], ob
             finally:
                 _stop(pid)
             if not data:
-                raise ChildProcessError(
-                    f"Monte Carlo block process {pid} exited without a result")
+                raise ChildProcessError(f"forked block process {pid} exited without a result")
             ok, result = pickle.loads(data)
             if not ok:
                 raise result

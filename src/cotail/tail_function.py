@@ -165,11 +165,18 @@ def builtin_specs() -> list[TailFunctionSpec]:
 # ---------------------------------------------------------------------------
 
 def _weighted_sum(
-    x: np.ndarray, y: np.ndarray, spec: TailFunctionSpec, scale: float, denom: float
+    x: np.ndarray, y: np.ndarray, spec: TailFunctionSpec, s: float, level: float, denom: float
 ) -> float:
     # a ratio past the double range is inf, its exact limit (inside the region)
     with np.errstate(over="ignore"):
-        mask = np.asarray(spec.region(x / scale, y / scale), dtype=bool)
+        scale = s * level
+        if scale > 0:
+            mask = np.asarray(spec.region(x / scale, y / scale), dtype=bool)
+        else:
+            # s * level underflows to 0 only if both are at most 1/2, so each
+            # division below only grows a value: none underflows, and one that
+            # overflows is past the double range at the exact scale too
+            mask = np.asarray(spec.region(x / level / s, y / level / s), dtype=bool)
         if not mask.any():
             return 0.0
         x, y = x[mask], y[mask]
@@ -199,7 +206,7 @@ def tef_fixed(
     check_positive_finite(u, "u")
     check_positive_finite(s, "s")
     fbar_u = check_real(fbar_u, "fbar_u", "(0, 1]")
-    total = _weighted_sum(sample.x, sample.y, spec, scale=s * u, denom=u)
+    total = _weighted_sum(sample.x, sample.y, spec, s, level=u, denom=u)
     return total / (sample.n * fbar_u)
 
 
@@ -223,4 +230,4 @@ def tef_random(
     if thr <= 0:
         raise NonPositiveThreshold(f"X_(n-k) = {thr} is not positive")
     denom = thr if u is None else u
-    return _weighted_sum(sample.x, sample.y, spec, scale=s * thr, denom=denom) / k
+    return _weighted_sum(sample.x, sample.y, spec, s, level=thr, denom=denom) / k

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import cotail.cli as cli
 import cotail.simulate as simulate
 from cotail import BivariateSample, tdc_quasispectral
 from cotail.cli import ingest_text, main
@@ -387,6 +388,74 @@ def test_mc_block_process_that_dies_is_a_json_error(capsys, monkeypatch):
     payload = json.loads(err)["error"]
     assert payload["type"] == "ChildProcessError"
     assert "without a result" in payload["message"]
+
+
+# CSV rows in blocks: three minimum blocks of data rows behind blank lines and
+# a header (row 1), so data row i is row i + 2 in a ParseError
+_ROWS = 3 * cli._MIN_ROWS
+_BLOCKED_TABLE = ["", "  ", "x,y", "", *(f"{i}.5,{i}.25" for i in range(_ROWS))]
+
+
+def _blocked(monkeypatch, cpus: int) -> None:
+    monkeypatch.setattr(simulate, "_usable_cpus", lambda: cpus)
+    assert len(simulate._blocks(_ROWS, cli._MIN_ROWS)) == cpus
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+@pytest.mark.parametrize("bad, message", [
+    ("1.0,2.0,3.0", "expected 2 columns, got 3"), ("1.0,x", "non-numeric cell"),
+])
+def test_parse_blocks_report_the_first_bad_row(monkeypatch, bad, message):
+    # bad rows in the second and third block of three
+    lines = list(_BLOCKED_TABLE)
+    first, second = 4 + cli._MIN_ROWS + 7, 4 + 2 * cli._MIN_ROWS + 11
+    lines[first] = lines[second] = bad
+    text = "\n".join(lines) + "\n"
+    for cpus in (1, 2, 3):
+        _blocked(monkeypatch, cpus)
+        with pytest.raises(ParseError) as info:
+            ingest_text(text)
+        assert str(info.value) == f"row {cli._MIN_ROWS + 9}: {message}", cpus
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_parse_block_process_that_dies_is_a_json_error(tmp_path, capsys, monkeypatch):
+    parent = os.getpid()
+    real = cli._parse_rows
+
+    def child_exits(lines, lo, hi):
+        if os.getpid() != parent:
+            os._exit(3)
+        return real(lines, lo, hi)
+
+    table = tmp_path / "table.csv"
+    table.write_text("\n".join(_BLOCKED_TABLE) + "\n")
+    monkeypatch.setattr(cli, "_parse_rows", child_exits)
+    _blocked(monkeypatch, 2)
+    code, out, err = run_cli(capsys, "ingest", "--input", str(table))
+    assert (code, out) == (1, "")
+    payload = json.loads(err)["error"]
+    assert payload["type"] == "ChildProcessError"
+    assert "without a result" in payload["message"]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_csv_bytes_do_not_depend_on_the_cpu_count(tmp_path, capsys, monkeypatch):
+    outputs = set()
+    for cpus in (1, 2, 3):
+        _blocked(monkeypatch, cpus)
+        simulated, ingested = tmp_path / f"sim{cpus}.csv", tmp_path / f"ing{cpus}.csv"
+        assert run_cli(
+            capsys, "simulate", "--model", "linear-pareto", "--n", str(_ROWS),
+            "--seed", "5", "--out", str(simulated),
+        ) == (0, "", "")
+        assert run_cli(
+            capsys, "ingest", "--input", str(simulated), "--out", str(ingested)
+        ) == (0, "", "")
+        outputs.add((simulated.read_bytes(), ingested.read_bytes()))
+    assert len(outputs) == 1
+    data, reread = outputs.pop()
+    assert data == reread and data.count(b"\n") == _ROWS + 1
 
 
 def test_memory_error_is_a_json_error(capsys, monkeypatch):

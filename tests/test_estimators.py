@@ -490,6 +490,7 @@ from cotail import estimators as e, rng
 warnings.simplefilter("error")
 NAN, INF = math.nan, math.inf
 s = c.BivariateSample([1.0, 2.0, 3.0, 4.0, 5.0], [5.0, 4.0, 3.0, 2.0, 1.0])
+small = c.BivariateSample([0.1, 0.2, 0.3, 0.4, 0.5], [1.0] * 5)  # X_(n-2) = 0.3
 lp = c.ModelConfig(c.LinearParetoModel(), 50, 1)
 est = c.tdc_empirical(s, 2)
 """
@@ -553,8 +554,12 @@ MATRIX_ROWS = {
     "tef_fixed_fbar": ("c.tef_fixed(s, c.margin_exceedance(), 1.0, 1.0, V)", "ValueError"),
     # a tiny u overflows x / u, where psi = y / x must take its homogeneous limit
     "tef_fixed_u_ratio": ("c.tef_fixed(s, c.coordinate_ratio(), V, 1.0, 0.5)", "ValueError"),
+    # below 1, a tiny u or s makes the region's scale s * u underflow to 0
+    "tef_fixed_u_half_s": ("c.tef_fixed(s, c.margin_exceedance(), V, 0.5, 0.5)", "ValueError"),
     "tef_random_k": ("c.tef_random(s, c.margin_exceedance(), V)", "ValueError"),
     "tef_random_s": ("c.tef_random(s, c.second_coordinate(), 2, s=V)", "ValueError"),
+    "tef_random_s_small_level": (
+        "c.tef_random(small, c.margin_exceedance(), 2, s=V)", "ValueError"),
     "tef_random_u": ("c.tef_random(s, c.second_coordinate(), 2, u=V)", "ValueError"),
     "joint_exceedance_y_cut": ("c.tef_random(s, c.joint_exceedance(V), 2)", "ValueError"),
     "capped_ratio_power_alpha": ("c.tef_random(s, c.capped_ratio_power(V), 2)", "ValueError"),
