@@ -43,7 +43,7 @@ from .estimators import (
     level_reader,
     theta_hat,
 )
-from .simulate import MODELS, McCell, ModelConfig, _blocks, _run_blocks, run_mc, sample_dataset
+from .simulate import MODELS, McCell, ModelConfig, _run_blocks, run_mc, sample_dataset
 from .tail_function import NORMS
 from .tail_index import hill_alphas
 
@@ -97,8 +97,9 @@ def _parse_table(text: str) -> tuple[np.ndarray, np.ndarray]:
         start = 1  # non-numeric first row is a header
     if start == len(lines):
         raise ParseError("input contains no data rows")
-    blocks = [(start + lo, start + hi) for lo, hi in _blocks(len(lines) - start, _MIN_ROWS)]
-    parts = _run_blocks(blocks, lambda lo, hi: _parse_rows(lines, lo, hi))
+    parts = _run_blocks(
+        len(lines) - start, lambda lo, hi: _parse_rows(lines, start + lo, start + hi), _MIN_ROWS
+    )
     return tuple(np.concatenate(column) for column in zip(*parts))
 
 
@@ -130,9 +131,17 @@ def ingest_text(text: str, transform: str = "none") -> BivariateSample:
         raise ParseError("abs-log-returns needs at least 2 rows of prices")
     if np.any(first <= 0) or np.any(second <= 0):
         raise NonPositivePrice("all price levels must be strictly positive")
-    x = np.abs(np.log(first[1:] / first[:-1]))
-    y = np.abs(np.log(second[1:] / second[:-1]))
-    return BivariateSample(x, y)
+    return BivariateSample(_abs_log_returns(first), _abs_log_returns(second))
+
+
+def _abs_log_returns(p: np.ndarray) -> np.ndarray:
+    """|log(p_t / p_(t-1))|, or |log p_t - log p_(t-1)| where the ratio leaves the double range."""
+    with np.errstate(all="ignore"):  # a non-finite price stays so, for the sample to reject
+        returns = np.log(p[1:] / p[:-1])
+        bad = ~np.isfinite(returns)
+        if bad.any():
+            returns[bad] = np.log(p[1:][bad]) - np.log(p[:-1][bad])
+    return np.abs(returns)
 
 
 # ---------------------------------------------------------------------------
@@ -169,20 +178,13 @@ def _emit(args, columns, rows, extra: dict | None = None) -> None:
         _write_text(args.out, json.dumps(payload, indent=2) + "\n")
 
 
-def _default_seed() -> int:
-    text = os.environ.get("COTAIL_SEED", "0")
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError(f"COTAIL_SEED must be an integer, got {text!r}") from None
-
-
 def _sample_payload(args, sample: BivariateSample) -> None:
     x, y = sample.x, sample.y
     if args.format == "csv":
         blocks = _run_blocks(
-            _blocks(sample.n, _MIN_ROWS),
+            sample.n,
             lambda lo, hi: _csv_lines(zip(x[lo:hi].tolist(), y[lo:hi].tolist()), 2),
+            _MIN_ROWS,
         )
         _write_text(args.out, "".join(["x,y\n", *blocks]))
     else:
@@ -206,25 +208,23 @@ def _model_config(args) -> ModelConfig:
         if name not in own:
             raise ValueError(f"--{name} is not a parameter of {args.model}")
     model = cls(**given)  # unset fields take the model's defaults
-    seed = _default_seed() if args.seed is None else args.seed
-    return ModelConfig(model=model, n=args.n, seed=seed)
+    return ModelConfig(model=model, n=args.n, seed=args.seed)
 
 
-def _resolve_count(absolute, fraction, n: int, what: str) -> int:
-    if absolute is not None and fraction is not None:
-        raise ValueError(f"pass either --{what} or --{what}-frac, not both")
+def _resolve_count(absolute, fraction, n: int, what: str, default: int | None = None) -> int:
+    """--<what> or --<what>-frac (argparse admits one of them), else ``default`` if given."""
     if absolute is not None:
-        return int(absolute)
+        return absolute
     if fraction is not None:
         return fraction_to_count(fraction, n, f"--{what}-frac")
-    raise ValueError(f"one of --{what} or --{what}-frac is required")
+    if default is None:
+        raise ValueError(f"one of --{what} or --{what}-frac is required")
+    return default
 
 
 def _k_alpha(args, k: int, n: int) -> int:
     """--k-alpha or --k-alpha-frac when given, else the documented 2k heuristic."""
-    if args.k_alpha is None and args.k_alpha_frac is None:
-        return min(max(2 * k, 1), n - 1)
-    return _resolve_count(args.k_alpha, args.k_alpha_frac, n, "k-alpha")
+    return _resolve_count(args.k_alpha, args.k_alpha_frac, n, "k-alpha", min(max(2 * k, 1), n - 1))
 
 
 def _comma_list(text: str) -> list[str]:
@@ -257,24 +257,12 @@ def _cmd_ingest(args) -> None:
 
 
 def _report_row(args, sweep: LevelSweep, name: str, k: int, y: float):
-    """Read the ``ESTIMATORS`` entry ``name`` off a sweep at (k, y), with its report fields."""
-    params = ESTIMATORS[name].params
-    k_alpha = _k_alpha(args, k, sweep.n) if "k_alpha" in params else None
+    """The ``ESTIMATORS`` entry ``name`` read off a sweep at (k, y), and its report row."""
+    k_alpha = _k_alpha(args, k, sweep.n) if "k_alpha" in ESTIMATORS[name].params else None
     # curve has no --norm: none of its tdc methods takes one
     norm = getattr(args, "norm", None)
-    reader = level_reader(name, sweep, y=y, alpha=args.alpha, k_alpha=k_alpha, norm=norm)
-    est = reader.estimate(k)
-    source = "hill" if k_alpha is not None else "supplied" if "alpha" in params else None
-    return est, {
-        "estimator_id": est.estimator_id,
-        "k": k,
-        "k_alpha": k_alpha,
-        "y": y if "y" in params else None,
-        "value": est.value,
-        "plugin_variance": est.plugin_variance,
-        "alpha_used": est.alpha_used,
-        "alpha_source": source,
-    }
+    est = level_reader(name, sweep, y=y, alpha=args.alpha, k_alpha=k_alpha, norm=norm).estimate(k)
+    return est, {**asdict(est), **est.metadata}
 
 
 def _cmd_estimate(args) -> None:
@@ -391,11 +379,14 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, cls in MODELS.items():
         for f in fields(cls):
             model.add_argument(f"--{f.name}", type=float, help=f"{name} only; default {f.default}")
-    model.add_argument("--seed", type=int, help="default: COTAIL_SEED, else 0")
-    levels.add_argument("--k", type=int, help="number of upper order statistics")
-    levels.add_argument("--k-frac", type=float, help="fraction of n instead of --k")
-    levels.add_argument("--k-alpha", type=int, help="order statistics for the Hill step")
-    levels.add_argument("--k-alpha-frac", type=float)
+    # argparse passes a string default through type=int as it does a given value
+    seed = os.environ.get("COTAIL_SEED", "0")
+    model.add_argument("--seed", type=int, default=seed, help="default: COTAIL_SEED, else 0")
+    k, k_alpha = levels.add_mutually_exclusive_group(), levels.add_mutually_exclusive_group()
+    k.add_argument("--k", type=int, help="number of upper order statistics")
+    k.add_argument("--k-frac", type=float, help="fraction of n instead of --k")
+    k_alpha.add_argument("--k-alpha", type=int, help="order statistics for the Hill step")
+    k_alpha.add_argument("--k-alpha-frac", type=float)
     output.add_argument("--out", default="-", help="output path, '-' for stdout")
     output.add_argument("--format", choices=("csv", "json"), default="csv")
 

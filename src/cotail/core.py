@@ -158,8 +158,9 @@ class LevelSweep:
     strict exceedance count follow from them, and ``x``/``y`` receive the
     pairs behind the largest max(ks) keys, so the exceedances of a row at
     level k are the first ``count(k)[row]`` entries of that row. The key is
-    x unless another per-pair ``key`` of the same shape is given (the norm of
-    the dependence measure).
+    x unless another per-pair ``key`` is given (the norm of the dependence
+    measure); it must have x's shape and no NaN (inf is a key), or the first
+    read is a ``ValueError`` naming it.
     """
 
     sample: BivariateSample | SampleRows
@@ -180,6 +181,9 @@ class LevelSweep:
         key = x if self.key is None else np.atleast_2d(self.key)
         n = self.n
         ks = [check_level(k, "k", 1, n - 1) for k in self.ks]
+        shape = self.sample.x.shape
+        if self.key is not None and (np.shape(self.key) != shape or np.isnan(key).any()):
+            raise ValueError(f"key must have the shape of x, {shape}, and no NaN")
         width = max(ks, default=0)
         # the largest width + 1 keys of each row; which of several tied keys
         # make the cut changes no threshold, count or sum

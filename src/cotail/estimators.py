@@ -22,8 +22,9 @@ Conditional tail expectation coefficients:
 High-quantile extrapolation ``theta_hat`` multiplies a CTE coefficient by the
 threshold and the power-law factor (k/(n p))^(1/alpha). ``edm_estimate`` is
 the extremal dependence measure, thresholded on norm order statistics rather
-than the x margin; a row with a squared norm beyond the double range fails
-with ``NonFiniteEstimate``. ``confidence_interval`` turns a plug-in variance
+than the x margin; a row with a squared norm beyond the double range, or a
+nonzero pair's squared norm below the normal range, fails with
+``NonFiniteEstimate``. ``confidence_interval`` turns a plug-in variance
 into a normal interval; its quantile comes from the standard library's
 ``statistics.NormalDist``.
 
@@ -41,6 +42,9 @@ estimate alone (the Monte Carlo harness discards the variance);
 ``estimate`` runs a reader on a one-level sweep of one sample, and each
 function above is one ``estimate`` call; the CLI's ``estimate`` and ``curve``
 read their rows from one sweep per sample, as the Monte Carlo harness does.
+A reader's ``metadata``, copied into each ``TailEstimate``, names the report
+fields it fills (``y``, ``k_alpha``, ``alpha_source``); a CLI row is the
+estimate's fields plus that metadata.
 
 Plug-in variances are second moments of the same weights (the fixed-level
 approximation at s = 1); they omit random-threshold corrections, so treat the
@@ -178,7 +182,7 @@ def _prefixes(sweep: LevelSweep, rows: list) -> Callable[[int], list]:
 
 
 def _empirical(sweep: LevelSweep, y: float) -> LevelReader:
-    check_positive_finite(y, "y")
+    y = check_positive_finite(y, "y")
     with _quiet():  # a y X_(n-k) past the double range is inf, its exact limit
         cuts = {check_level(k, "k", 1, sweep.n - 1): y * sweep.threshold(k) for k in sweep.ks}
 
@@ -188,24 +192,28 @@ def _empirical(sweep: LevelSweep, y: float) -> LevelReader:
         hits = (sweep.x[:, :k] > thr) & (sweep.y[:, :k] > cuts[operator.index(k)][:, None])
         return [[1.0] * c for c in np.count_nonzero(hits, axis=1).tolist()]
 
-    return LevelReader("tdc_empirical", joint)
+    return LevelReader("tdc_empirical", joint, metadata={"y": y})
 
 
 def _ratio_power(sweep: LevelSweep, name: str, y: float, alphas: list, **metadata) -> LevelReader:
     """Weights min(y_j / (y x_j), 1)^alpha; each row's alpha is positive and finite, or an error."""
-    check_positive_finite(y, "y")
+    y = check_positive_finite(y, "y")
     with _quiet():
         capped = np.minimum(sweep.y / (y * sweep.x), 1.0)
         weights = [
             a if isinstance(a, CotailError) else (row ** a).tolist()
             for row, a in zip(capped, alphas)
         ]
-    return LevelReader(name, _prefixes(sweep, weights), alpha_used=alphas, metadata=metadata)
+    return LevelReader(
+        name, _prefixes(sweep, weights), alpha_used=alphas, metadata={"y": y, **metadata}
+    )
 
 
 def _quasispectral(sweep: LevelSweep, y: float, alpha: float) -> LevelReader:
     alpha = check_positive_finite(alpha, "alpha")
-    return _ratio_power(sweep, "tdc_quasispectral", y, [alpha] * sweep.rows)
+    return _ratio_power(
+        sweep, "tdc_quasispectral", y, [alpha] * sweep.rows, alpha_source="supplied"
+    )
 
 
 def _quasispectral_estimated(sweep: LevelSweep, k_alpha: int, y: float) -> LevelReader:
@@ -238,7 +246,7 @@ def _aleph4(sweep: LevelSweep, alpha: float) -> LevelReader:
         ratios = (sweep.y / sweep.x).tolist()
     return LevelReader(
         "cte_aleph4", _prefixes(sweep, ratios), alpha / (alpha - 1.0),
-        alpha_used=[alpha] * sweep.rows,
+        alpha_used=[alpha] * sweep.rows, metadata={"alpha_source": "supplied"},
     )
 
 
@@ -252,10 +260,15 @@ def _edm(sweep: LevelSweep, norm: str) -> LevelReader:
         weights = ((xe * ye) / squares).tolist()
     # a square beyond the double range ties keys at inf and turns weights into 0
     # or NaN; the largest norms are the ones gathered, so their squares tell
-    # whether any pair of the row has one
+    # whether any pair of the row has one. A nonzero pair's square below the
+    # normal range has lost digits, or all of them, and fails its row as well
+    over = (~np.isfinite(squares)).any(axis=1).tolist()
+    under = ((squares < np.finfo(float).tiny) & ((xe > 0) | (ye > 0))).any(axis=1).tolist()
     weights = [
-        w if ok else NonFiniteEstimate(f"edm: a squared {norm} norm is beyond the double range")
-        for w, ok in zip(weights, np.isfinite(squares).all(axis=1).tolist())
+        NonFiniteEstimate(f"edm: a squared {norm} norm is beyond the double range") if o
+        else NonFiniteEstimate(f"edm: a squared {norm} norm is below the normal range") if u
+        else w
+        for w, o, u in zip(weights, over, under)
     ]
     return LevelReader(
         "edm", _prefixes(by_norm, weights),
@@ -438,7 +451,9 @@ def confidence_interval(est: TailEstimate, level: float) -> tuple[float, float]:
     if est.plugin_variance is None:
         raise MissingVariance(f"{est.estimator_id} carries no plug-in variance")
     level = check_real(level, "level", "(0, 1)")
-    z = NormalDist().inv_cdf(0.5 * (1.0 + level))
+    q = 0.5 * (1.0 + level)
+    # at the largest levels below 1 that sum rounds to 1, while 1 - level is exact
+    z = NormalDist().inv_cdf(q) if q < 1.0 else -NormalDist().inv_cdf(0.5 * (1.0 - level))
     half = z * math.sqrt(est.plugin_variance / est.k)
     lo, hi = est.value - half, est.value + half
     entry = ESTIMATORS.get(est.estimator_id)

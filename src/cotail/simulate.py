@@ -48,10 +48,11 @@ blocks' values are joined in replication order before any statistic is
 taken, so summaries are bit-identical whatever the block count and chunk
 size. An error in a block is raised in block order, the one a single process
 would meet first; a child that dies without a result is a
-``ChildProcessError``. ``_blocks`` and ``_run_blocks`` are the package's one
-fork-join: the CLI parses and writes CSV rows through them too. A
-replication whose estimator raises a ``CotailError`` is left out of that
-cell's values and counted in its failures instead of aborting the run.
+``ChildProcessError``. ``_run_blocks``, which splits its own blocks with
+``_blocks``, is the package's one fork-join: the CLI parses and writes CSV
+rows through it too, with a block floor of its own. A replication whose
+estimator raises a ``CotailError`` is left out of that cell's values and
+counted in its failures instead of aborting the run.
 """
 from __future__ import annotations
 
@@ -295,7 +296,7 @@ def run_mc(
 
     params = {"alpha": config.model.tail_index, "y": y, "norm": "l2"}
     parts = _run_blocks(
-        _blocks(reps), lambda lo, hi: _sweep_replications(config, lo, hi, ks, readers, params)
+        reps, lambda lo, hi: _sweep_replications(config, lo, hi, ks, readers, params)
     )
     # a failed replication is simply missing from its cell's list
     values = {key: [v for part in parts for v in part[i]] for i, key in enumerate(keys)}
@@ -391,14 +392,15 @@ def _blocks(size: int, minimum: int = _MIN_BLOCK) -> list[tuple[int, int]]:
     return list(zip(bounds, bounds[1:]))
 
 
-def _run_blocks(blocks: Sequence[tuple[int, int]], work: Callable[[int, int], object]) -> list:
-    """``work(lo, hi)`` of every block, in block order.
+def _run_blocks(size: int, work: Callable[[int, int], object], minimum: int = _MIN_BLOCK) -> list:
+    """``work(lo, hi)`` of every block of ``_blocks(size, minimum)``, in block order.
 
     The caller runs the first block; a forked child runs each other one,
     pickles ``(ok, result or exception)`` into a pipe and leaves with
     ``os._exit``. Results and errors are taken in block order. Every child
     is killed, if still running, and reaped before this returns or raises.
     """
+    blocks = _blocks(size, minimum)
     children: list[tuple[int, int]] = []  # (pid, read end of its pipe), not yet reaped
     try:
         for lo, hi in blocks[1:]:

@@ -43,6 +43,33 @@ def test_ingest_four_row_price_table():
     assert np.allclose(sample.y, expected_y, rtol=1e-15, atol=0.0)
 
 
+# price ratios beyond the double range, each log-return finite: 1e300 / 1e-300
+# overflows and 1e-300 / 1e300 underflows to 0, as do 1e308 / 0.5 and 1e-308 / 1e308
+_WIDE_PRICES = {
+    "1e-300,1\n1e300,1\n1,1\n": [600 * math.log(10), 300 * math.log(10)],
+    "0.5,1\n1e308,1\n1e-308,1\n": [
+        math.log(1e308) - math.log(0.5), math.log(1e308) - math.log(1e-308),
+    ],
+}
+
+
+@pytest.mark.parametrize("text", sorted(_WIDE_PRICES))
+def test_ingest_log_returns_of_ratios_beyond_the_double_range(capsys, monkeypatch, text):
+    import io
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sample = ingest_text(text, "abs-log-returns")
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        code, out, err = run_cli(
+            capsys, "ingest", "--input", "-", "--transform", "abs-log-returns"
+        )
+    assert sample.y.tolist() == [0.0, 0.0]
+    assert sample.x.tolist() == pytest.approx(_WIDE_PRICES[text], rel=1e-15)
+    assert (code, err) == (0, "")
+    assert out == "x,y\n" + "".join(f"{x},0.0\n" for x in sample.x.tolist())
+
+
 def test_ingest_single_row_rejected():
     with pytest.raises(ParseError):
         ingest_text("5.0,6.0\n", "abs-log-returns")
@@ -345,6 +372,15 @@ REJECTED_COMMAND_LINES = {
     "mc_missing_model": ["mc", "--reps", "2"],
     "estimate_missing_estimator": ["estimate", "--input", _MISSING, "--k", "10"],
     "estimate_flag_missing_value": [*_EST, "--k"],
+    # each pair of level flags is one argparse group, whether or not a Hill step runs
+    "estimate_k_and_k_frac": [*_EST, "--k-frac", "0.1"],
+    "curve_k_and_k_frac": [*_CURVE, "--k-frac", "0.1"],
+    "estimate_k_alpha_and_k_alpha_frac": [
+        *_EST, "--estimator", "tdc-empirical", "--k-alpha", "2", "--k-alpha-frac", "0.1",
+    ],
+    "curve_k_alpha_and_k_alpha_frac": [
+        *_CURVE, "--methods", "empirical", "--k-alpha", "2", "--k-alpha-frac", "0.1",
+    ],
 }
 
 
@@ -506,6 +542,36 @@ def test_edm_on_infinite_norm_keys_is_one_json_error(tmp_path, capsys):
     assert json.loads(err)["error"]["type"] == "NonFiniteEstimate"
 
 
+def test_edm_on_squared_norms_below_the_normal_range_is_one_json_error(tmp_path, capsys):
+    # every l2 square here underflows to 0, which made the estimate 0.0
+    data = tmp_path / "tiny.csv"
+    rows = zip(range(1, 9), (2, 1, 4, 3, 6, 5, 8, 7))
+    data.write_text("".join(f"{a}e-200,{b}e-200\n" for a, b in rows))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run_cli(
+            capsys, "estimate", "--input", str(data), "--estimator", "edm", "--k", "3"
+        )
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"] == {
+        "type": "NonFiniteEstimate",
+        "message": "edm: a squared l2 norm is below the normal range",
+    }
+
+
+def test_ci_level_whose_upper_tail_rounds_to_one(tmp_path, capsys):
+    data = tmp_path / "xy.csv"
+    data.write_text("\n".join(f"{v}.0,{v}.0" for v in range(1, 61)) + "\n")
+    code, out, err = run_cli(
+        capsys, "estimate", "--input", str(data), "--estimator", "tdc-empirical", "--k", "10",
+        "--ci-level", "0.9999999999999999", "--format", "json",
+    )
+    assert (code, err) == (0, "")
+    row = json.loads(out)["rows"][0]
+    # z is about 8.2, so the interval is clipped to the whole of [0, 1]
+    assert (row["value"], row["ci_lo"], row["ci_hi"]) == (1.0, 0.0, 1.0)
+
+
 def test_theta_reads_the_coefficient_without_its_variance(tmp_path, capsys):
     # cte_aleph4's mean ratio is finite here but its mean square is not
     data = tmp_path / "wide.csv"
@@ -564,7 +630,14 @@ def test_seed_env_override(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("COTAIL_SEED", "abc")
     code, out, err = run_cli(capsys, "simulate", "--model", "linear-pareto", "--n", "5")
     assert (code, out) == (1, "")
-    assert json.loads(err)["error"]["type"] == "ValueError"
+    assert json.loads(err)["error"] == {
+        "type": "ValueError", "message": "argument --seed: invalid int value: 'abc'",
+    }
+    # COTAIL_SEED is only --seed's default: a given --seed never reads it
+    code, out, _ = run_cli(
+        capsys, "simulate", "--model", "linear-pareto", "--n", "5", "--seed", "91",
+    )
+    assert (code, out) == (0, out_explicit)
 
 
 @pytest.mark.parametrize("command", ["simulate", "mc"])

@@ -3,6 +3,7 @@ import math
 import subprocess
 import sys
 import warnings
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -367,6 +368,18 @@ def test_ci_z_matches_normal_quantile():
         assert abs(z - want) <= 4 * math.ulp(want), level
 
 
+def test_ci_at_the_largest_level_below_one():
+    # there 0.5 * (1 + level) rounds to 1, while 0.5 * (1 - level) is exact
+    est = TailEstimate(value=0.0, k=1, estimator_id="none", plugin_variance=1.0)
+    level = math.nextafter(1.0, 0.0)
+    assert level == 0.9999999999999999 and 0.5 * (1.0 + level) == 1.0
+    z = confidence_interval(est, level)[1]
+    assert z == -NormalDist().inv_cdf(0.5 * (1.0 - level)) == pytest.approx(8.2924, abs=1e-4)
+    # the next level down keeps the upper-tail quantile
+    level = 1 - 2 ** -52
+    assert confidence_interval(est, level)[1] == NormalDist().inv_cdf(0.5 * (1.0 + level))
+
+
 def test_ci_requires_variance():
     est = TailEstimate(value=0.5, k=10, estimator_id="tdc_empirical")
     with pytest.raises(MissingVariance):
@@ -442,6 +455,30 @@ def test_estimate_dispatches_by_id():
         estimate("tdc_quasispectral", s, 8, y=1.0)
     with pytest.raises(ValueError):
         estimate("cte_aleph4", s, 8, alpha=None)
+
+
+# the report fields each reader records in its estimate's metadata; the CLI's
+# estimate and curve rows take them from there
+REPORT_METADATA = {
+    "tdc_empirical": {"y": 0.9},
+    "tdc_quasispectral": {"y": 0.9, "alpha_source": "supplied"},
+    "tdc_quasispectral_estimated": {"y": 0.9, "k_alpha": 20, "alpha_source": "hill"},
+    "cte_aleph3": {},
+    "cte_aleph4": {"alpha_source": "supplied"},
+    "edm": {},
+}
+
+
+def test_each_estimator_names_its_report_fields_in_its_metadata():
+    from cotail.cli import REPORT_COLUMNS
+
+    assert set(REPORT_METADATA) == set(ESTIMATORS)
+    s = pareto_sample(26, 60, ratio=0.7)
+    params = {"y": 0.9, "alpha": 3.0, "k_alpha": np.int64(20), "norm": "l1"}
+    for name, fields in REPORT_METADATA.items():
+        metadata = estimate(name, s, 8, **params).metadata
+        assert {key: metadata[key] for key in REPORT_COLUMNS if key in metadata} == fields
+        assert all(type(metadata[key]) is type(value) for key, value in fields.items())
 
 
 # each public estimator function is one ``estimate`` call, so a parameter
@@ -686,6 +723,13 @@ GUARD_INPUTS = {
     # (0.4 / 1e-300)^2 is past the double range; so is 1e10 * 3 * 4e299
     "theta_hat_factor_overflow": (lambda: theta_hat(_S, 2, 1e-300, 1.0, 0.5), ValueError),
     "theta_hat_value_overflow": (lambda: theta_hat(_S, 2, 1e-300, 1e10, 1.0), ValueError),
+    # a sweep key must be per pair and NaN-free; each row's third entry matches the message
+    "level_sweep_key_rows": (
+        lambda: LevelSweep(_S, (2,), np.array([_S.x, _S.x])).threshold(2), ValueError, "^key "),
+    "level_sweep_key_short": (lambda: LevelSweep(_S, (2,), np.ones(1)).x, ValueError, "^key "),
+    "level_sweep_key_long": (lambda: LevelSweep(_S, (2,), np.ones(6)).x, ValueError, "^key "),
+    "level_sweep_key_nan": (
+        lambda: LevelSweep(_S, (2,), np.array([1, 2, 3, 4, math.nan])).x, ValueError, "^key "),
 }
 # numeric inputs pinned to a rejection, each a cell of the matrix: (row, value)
 GUARD_CASES = {
@@ -710,8 +754,8 @@ def test_guard_rejects_input(case, guard_matrix):
     if case in GUARD_CASES:
         _rejects(guard_matrix, *GUARD_CASES[case])
         return
-    call, error = GUARD_INPUTS[case]
-    with pytest.raises(error) as info:
+    call, error, *match = GUARD_INPUTS[case]
+    with pytest.raises(error, match=match[0] if match else None) as info:
         call()
     assert type(info.value) is error
 
@@ -773,6 +817,25 @@ _WIDE = BivariateSample([1e200] * 4 + [2e200], [1e200, 2e200, 3e200, 4e200, 1e20
 def test_edm_with_norms_beyond_the_double_range_is_a_non_finite_estimate(sample, norm):
     with pytest.raises(NonFiniteEstimate):
         edm_estimate(sample, 3, norm)
+
+
+# squares of these pairs times 1e-150 are normal, times 1e-160 subnormal, times 1e-200 0
+_EDM_SMALL = BivariateSample(np.arange(1.0, 9.0), [2.0, 1.0, 4.0, 3.0, 6.0, 5.0, 8.0, 7.0])
+
+
+@pytest.mark.parametrize("norm", ["l2", "l1", "linf"])
+def test_edm_with_squared_norms_below_the_normal_range_is_a_non_finite_estimate(norm):
+    whole = edm_estimate(_EDM_SMALL, 3, norm).value
+    scaled = BivariateSample(_EDM_SMALL.x * 1e-150, _EDM_SMALL.y * 1e-150)
+    assert edm_estimate(scaled, 3, norm).value == pytest.approx(whole, rel=1e-15)
+    for scale in (1e-160, 1e-200):
+        tiny = BivariateSample(_EDM_SMALL.x * scale, _EDM_SMALL.y * scale)
+        with pytest.raises(NonFiniteEstimate, match="below the normal range"):
+            edm_estimate(tiny, 3, norm)
+    # a (0, 0) pair is gathered at k = 3 but is no exceedance, and no underflow either
+    zeros = BivariateSample([0.0, 0.0, 0.0, 1.0, 2.0], [0.0, 0.0, 0.0, 2.0, 1.0])
+    weight = 2.0 / squared_norm(np.array([1.0]), np.array([2.0]), norm)[0]
+    assert edm_estimate(zeros, 3, norm).value == math.fsum([weight, weight]) / 3
 
 
 def test_a_non_finite_variance_fails_the_estimate_not_the_value():
