@@ -19,8 +19,9 @@ bytes written and every error's text are the same for any block count
 (``taskset -c 0`` gives the same bytes), and there is no option for it.
 
 Every failure, a command line that argparse rejects included, writes one JSON
-object {"error": {"type": ..., "message": ...}} to stderr and exits 1; a
-rejected command line fails before any input is read. --help exits 0.
+object {"error": {"type": ..., "message": ...}} to stderr and exits 1. A
+rejected command line, and every rule that reads only the flags, fails before
+any input is read. --help exits 0.
 """
 from __future__ import annotations
 
@@ -212,14 +213,17 @@ def _model_config(args) -> ModelConfig:
 
 
 def _resolve_count(absolute, fraction, n: int, what: str, default: int | None = None) -> int:
-    """--<what> or --<what>-frac (argparse admits one of them), else ``default`` if given."""
+    """--<what> or --<what>-frac (argparse admits one of them), else ``default``."""
     if absolute is not None:
         return absolute
     if fraction is not None:
         return fraction_to_count(fraction, n, f"--{what}-frac")
-    if default is None:
-        raise ValueError(f"one of --{what} or --{what}-frac is required")
     return default
+
+
+def _require_k(args) -> None:
+    if args.k is None and args.k_frac is None:
+        raise ValueError("one of --k or --k-frac is required")
 
 
 def _k_alpha(args, k: int, n: int) -> int:
@@ -236,7 +240,8 @@ def _float_list(text: str) -> list[float]:
     try:
         return [float(tok) for tok in _comma_list(text)]
     except ValueError:
-        raise ValueError(f"expected a comma-separated list of numbers, got {text!r}")
+        message = f"expected a comma-separated list of numbers, got {text!r}"
+        raise argparse.ArgumentTypeError(message) from None
 
 
 def _registry_id(name: str) -> str:
@@ -266,6 +271,9 @@ def _report_row(args, sweep: LevelSweep, name: str, k: int, y: float):
 
 
 def _cmd_estimate(args) -> None:
+    _require_k(args)
+    if args.estimator == "theta" and args.p is None:
+        raise ValueError("theta requires --p")
     sample = _load_sample(args)
     k = _resolve_count(args.k, args.k_frac, sample.n, "k")
     sweep = LevelSweep(sample, (k,))
@@ -280,8 +288,6 @@ def _cmd_estimate(args) -> None:
 
 def _theta_report(args, sweep: LevelSweep, k: int) -> dict:
     """theta_hat composes a Hill or supplied alpha, a CTE coefficient and k."""
-    if args.p is None:
-        raise ValueError("theta requires --p")
     k_alpha = None if args.alpha is not None else _k_alpha(args, k, sweep.n)
     alpha = args.alpha if k_alpha is None else unwrap(hill_alphas(sweep.sample.x, k_alpha)[0])
     aleph = level_reader(_registry_id(args.aleph_from), sweep, alpha=alpha).value(k)
@@ -300,33 +306,31 @@ _CURVE_COLUMNS = ("estimator_id", "k", "y", "value", "plugin_variance")
 
 
 def _cmd_curve(args) -> None:
-    sample = _load_sample(args)
-    if args.y_grid is not None:
-        if args.y is not None:
-            raise ValueError("--y sets the y of a --k-grid sweep only")
-        k = _resolve_count(args.k, args.k_frac, sample.n, "k")
-        points = [(k, y) for y in check_y_grid(_float_list(args.y_grid)).tolist()]
-    else:
+    if args.y_grid is None:
         if args.k is not None or args.k_frac is not None:
             raise ValueError("--k/--k-frac set the level of a --y-grid sweep only")
-        y = 1.0 if args.y is None else args.y
-        points = [
-            (fraction_to_count(frac, sample.n, "--k-grid fractions"), y)
-            for frac in _float_list(args.k_grid)
-        ]
-        if not points:
+        if not args.k_grid:
             raise ValueError("--k-grid needs at least one fraction")
-    methods = _comma_list(args.methods)
-    if not methods:
+        ys = [1.0 if args.y is None else args.y]
+    else:
+        if args.y is not None:
+            raise ValueError("--y sets the y of a --k-grid sweep only")
+        _require_k(args)
+        ys = check_y_grid(args.y_grid).tolist()
+    if not args.methods:
         raise ValueError("at least one method is required")
-    # one sweep gathers the exceedances of every point's k for all methods
-    sweep = LevelSweep(sample, tuple(dict.fromkeys(k for k, _ in points)))
-    rows = []
-    for method in methods:
-        name = "tdc_" + _registry_id(method)
+    names = ["tdc_" + _registry_id(method) for method in args.methods]
+    for method, name in zip(args.methods, names):
         if name not in ESTIMATORS:
             raise ValueError(f"unknown method {method!r}")
-        rows += [_report_row(args, sweep, name, k, y)[1] for k, y in points]
+    sample = _load_sample(args)
+    if args.y_grid is None:
+        ks = [fraction_to_count(frac, sample.n, "--k-grid fractions") for frac in args.k_grid]
+    else:
+        ks = [_resolve_count(args.k, args.k_frac, sample.n, "k")]
+    # one sweep gathers the exceedances of every k for all methods
+    sweep = LevelSweep(sample, tuple(dict.fromkeys(ks)))
+    rows = [_report_row(args, sweep, name, k, y)[1] for name in names for k in ks for y in ys]
     _emit(args, _CURVE_COLUMNS, rows)
 
 
@@ -334,9 +338,9 @@ def _cmd_mc(args) -> None:
     summary = run_mc(
         _model_config(args),
         reps=args.reps,
-        k_fractions=_float_list(args.k_fracs),
-        k_alpha_fractions=_float_list(args.k_alpha_fracs),
-        estimators=[_registry_id(name) for name in _comma_list(args.estimators)],
+        k_fractions=args.k_fracs,
+        k_alpha_fractions=args.k_alpha_fracs,
+        estimators=[_registry_id(name) for name in args.estimators],
         y=args.y,
     )
     rows = [
@@ -420,21 +424,23 @@ def _build_parser() -> argparse.ArgumentParser:
     p = command("curve", _cmd_curve, "sweep estimators over a y grid or a k grid", table, levels)
     p.add_argument(
         "--methods",
+        type=_comma_list,
         default="empirical,quasispectral",
         help="comma list of empirical, quasispectral, quasispectral-estimated",
     )
     p.add_argument("--y", type=float, help="fixed y for --k-grid sweeps (default 1)")
     grid = p.add_mutually_exclusive_group(required=True)
-    grid.add_argument("--y-grid", help="comma list of y values (needs --k or --k-frac)")
-    grid.add_argument("--k-grid", help="comma list of k fractions, at --y")
+    grid.add_argument("--y-grid", type=_float_list, help="comma list of y values, at --k/--k-frac")
+    grid.add_argument("--k-grid", type=_float_list, help="comma list of k fractions, at --y")
     p.add_argument("--alpha", type=float, help="tail index for quasispectral")
 
     p = command("mc", _cmd_mc, "Monte Carlo study over replications", model)
     p.add_argument("--reps", type=int, default=1000)
-    p.add_argument("--k-fracs", default="0.05,0.1,0.2,0.3,0.4")
-    p.add_argument("--k-alpha-fracs", default="0.2")
+    p.add_argument("--k-fracs", type=_float_list, default="0.05,0.1,0.2,0.3,0.4")
+    p.add_argument("--k-alpha-fracs", type=_float_list, default="0.2")
     p.add_argument(
         "--estimators",
+        type=_comma_list,
         default="tdc-empirical,tdc-quasispectral,tdc-quasispectral-estimated",
     )
     p.add_argument("--y", type=float, default=1.0)

@@ -213,9 +213,9 @@ class LevelSweep:
 
     def _level(self, k: int) -> tuple[np.ndarray, list[int]]:
         levels = self._read[0]
-        try:  # a bool is no level, though True would find level 1
-            return levels[None if isinstance(k, bool) else operator.index(k)]
-        except (TypeError, KeyError):
+        try:
+            return levels[check_level(k, "k", -math.inf)]
+        except KeyError:
             raise ValueError(f"k = {k} is not a level of this sweep") from None
 
     def threshold(self, k: int) -> np.ndarray:

@@ -58,7 +58,6 @@ depend on evaluation order.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 from statistics import NormalDist
 from typing import Callable, Mapping, Sequence
@@ -156,7 +155,7 @@ class LevelReader:
         factor = self.factor
         return TailEstimate(
             value=unwrap(self._mean(terms, k, factor)),
-            k=operator.index(k),  # a level of the sweep, reported as an int
+            k=k,
             estimator_id=self.estimator_id,
             plugin_variance=unwrap(self._mean([t * t for t in terms], k, factor * factor)),
             alpha_used=None if self.alpha_used is None else self.alpha_used[0],
@@ -183,13 +182,13 @@ def _prefixes(sweep: LevelSweep, rows: list) -> Callable[[int], list]:
 
 def _empirical(sweep: LevelSweep, y: float) -> LevelReader:
     y = check_positive_finite(y, "y")
-    with _quiet():  # a y X_(n-k) past the double range is inf, its exact limit
-        cuts = {check_level(k, "k", 1, sweep.n - 1): y * sweep.threshold(k) for k in sweep.ks}
 
     def joint(k):
         # the indicator weights that are 1; the zeros add nothing to either sum
         thr = sweep.threshold(k)[:, None]
-        hits = (sweep.x[:, :k] > thr) & (sweep.y[:, :k] > cuts[operator.index(k)][:, None])
+        with _quiet():  # a y X_(n-k) past the double range is inf, its exact limit
+            cut = y * thr
+        hits = (sweep.x[:, :k] > thr) & (sweep.y[:, :k] > cut)
         return [[1.0] * c for c in np.count_nonzero(hits, axis=1).tolist()]
 
     return LevelReader("tdc_empirical", joint, metadata={"y": y})

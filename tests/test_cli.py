@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 import warnings
@@ -83,6 +84,12 @@ def test_ingest_header_autodetected():
 def test_ingest_ignores_a_leading_byte_order_mark():
     assert ingest_text("\ufeff1.0,2.0\n3.0,4.0\n").n == 2
     assert ingest_text("\ufeffx,y\n1.0,2.0\n3.0,4.0\n").pairs() == [(1.0, 2.0), (3.0, 4.0)]
+    # the UTF-8 bytes on the standard input of a process: the header plus both rows
+    proc = subprocess.run(
+        [sys.executable, "-m", "cotail.cli", "ingest", "--input", "-"],
+        input=b"\xef\xbb\xbf1.0,2.0\n3.0,4.0\n", capture_output=True, check=True,
+    )
+    assert proc.stdout == b"x,y\n1.0,2.0\n3.0,4.0\n"
 
 
 def test_ingest_cell_whitespace():
@@ -335,11 +342,12 @@ def test_error_is_machine_readable(tmp_path, capsys):
     assert "row 2" in payload["error"]["message"]
 
 
-# command lines argparse rejects; each names a missing input file, so a
-# command line it accepted would fail on the read instead
+# command lines rejected on their flags alone; each names a missing input
+# file, so a rule that ran after the read would fail on the read instead
 _MISSING = str(Path(__file__).parent / "golden" / "missing.csv")
 _EST = ["estimate", "--input", _MISSING, "--estimator", "cte-aleph3", "--k", "10"]
-_CURVE = ["curve", "--input", _MISSING, "--k", "10", "--y-grid", "1"]
+_CURVE_INPUT = ["curve", "--input", _MISSING]
+_CURVE = [*_CURVE_INPUT, "--k", "10", "--y-grid", "1"]
 _SIM = ["simulate", "--model", "linear-pareto", "--n", "10"]
 _MC = ["mc", "--model", "linear-pareto", "--n", "20", "--reps", "2"]
 _INGEST = ["ingest", "--input", _MISSING]
@@ -381,6 +389,17 @@ REJECTED_COMMAND_LINES = {
     "curve_k_alpha_and_k_alpha_frac": [
         *_CURVE, "--methods", "empirical", "--k-alpha", "2", "--k-alpha-frac", "0.1",
     ],
+    # the rules that read only the flags run before the input is read
+    "curve_y_grid_not_numbers": [*_CURVE_INPUT, "--k", "10", "--y-grid", "1,x"],
+    "curve_y_grid_inf": [*_CURVE_INPUT, "--k", "10", "--y-grid", "1,inf"],
+    "curve_k_grid_with_k": [*_CURVE_INPUT, "--k-grid", "0.1", "--k", "5"],
+    "curve_y_grid_with_y": [*_CURVE, "--y", "5"],
+    "curve_y_grid_without_k": [*_CURVE_INPUT, "--y-grid", "1,2"],
+    "curve_empty_k_grid": [*_CURVE_INPUT, "--k-grid", ","],
+    "curve_unknown_method": [*_CURVE, "--methods", "nope"],
+    "curve_no_methods": [*_CURVE, "--methods", ","],
+    "estimate_no_k": ["estimate", "--input", _MISSING, "--estimator", "tdc-empirical"],
+    "estimate_theta_without_p": [*_EST, "--estimator", "theta"],
 }
 
 
@@ -392,6 +411,16 @@ def test_a_rejected_command_line_is_one_json_error(capsys, case):
     error = json.loads(err)["error"]
     assert set(error) == {"type", "message"}
     assert error["type"] == "ValueError" and error["message"]
+
+
+@pytest.mark.parametrize(
+    "argv, flag", [(_CURVE, "--y-grid"), (_MC, "--k-fracs")], ids=["curve", "mc"]
+)
+def test_a_list_flag_that_is_no_list_is_an_argparse_rejection(capsys, argv, flag):
+    code, out, err = run_cli(capsys, *argv, flag, "0.1,x")
+    assert (code, out) == (1, "")
+    message = f"argument {flag}: expected a comma-separated list of numbers, got '0.1,x'"
+    assert json.loads(err)["error"] == {"type": "ValueError", "message": message}
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["estimate", "--help"]])
@@ -435,6 +464,22 @@ _BLOCKED_TABLE = ["", "  ", "x,y", "", *(f"{i}.5,{i}.25" for i in range(_ROWS))]
 def _blocked(monkeypatch, cpus: int) -> None:
     monkeypatch.setattr(simulate, "_usable_cpus", lambda: cpus)
     assert len(simulate._blocks(_ROWS, cli._MIN_ROWS)) == cpus
+
+
+@pytest.mark.skipif(
+    shutil.which("taskset") is None or not hasattr(os, "sched_getaffinity"),
+    reason="needs taskset and os.sched_getaffinity",
+)
+def test_a_process_pinned_to_one_cpu_runs_one_block():
+    # the other block tests patch the CPU count; the byte comparisons of CI's
+    # console script step pin real processes with taskset and rest on this
+    cpu = str(min(os.sched_getaffinity(0)))  # CPU 0 where this process may use it
+    script = "import cotail.simulate as s; print(s._usable_cpus(), s._blocks(4000))"
+    proc = subprocess.run(
+        ["taskset", "-c", cpu, sys.executable, "-c", script],
+        capture_output=True, text=True, check=True,
+    )
+    assert proc.stdout == "1 [(0, 4000)]\n"
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
@@ -545,18 +590,19 @@ def test_edm_on_infinite_norm_keys_is_one_json_error(tmp_path, capsys):
 def test_edm_on_squared_norms_below_the_normal_range_is_one_json_error(tmp_path, capsys):
     # every l2 square here underflows to 0, which made the estimate 0.0
     data = tmp_path / "tiny.csv"
-    rows = zip(range(1, 9), (2, 1, 4, 3, 6, 5, 8, 7))
-    data.write_text("".join(f"{a}e-200,{b}e-200\n" for a, b in rows))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        code, out, err = run_cli(
-            capsys, "estimate", "--input", str(data), "--estimator", "edm", "--k", "3"
-        )
-    assert (code, out) == (1, "")
-    assert json.loads(err)["error"] == {
-        "type": "NonFiniteEstimate",
-        "message": "edm: a squared l2 norm is below the normal range",
-    }
+    for second in ((2, 1, 4, 3, 6, 5, 8, 7), (2, 1, 4, 3, 6)):
+        rows = zip(range(1, 9), second)
+        data.write_text("".join(f"{a}e-200,{b}e-200\n" for a, b in rows))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = run_cli(
+                capsys, "estimate", "--input", str(data), "--estimator", "edm", "--k", "3"
+            )
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"] == {
+            "type": "NonFiniteEstimate",
+            "message": "edm: a squared l2 norm is below the normal range",
+        }
 
 
 def test_ci_level_whose_upper_tail_rounds_to_one(tmp_path, capsys):

@@ -775,10 +775,12 @@ def test_a_level_is_any_integer_and_a_named_error_otherwise():
     hill = hill_estimate(order_view(_S), level)
     assert hill == hill_estimate(order_view(_S), 2)
     assert type(hill.k_alpha) is int and hill.k_alpha == 2
-    with pytest.raises(ValueError, match=r"^k = 2\.5 is not a level of this sweep$"):
+    with pytest.raises(ValueError, match=r"^k must be an integer, got 2\.5$"):
         LevelSweep(_S, (2,)).threshold(2.5)
-    with pytest.raises(ValueError, match="^k = True is not a level of this sweep$"):
+    with pytest.raises(ValueError, match="^k must be an integer, got True$"):
         LevelSweep(_S, (1, 2)).threshold(True)
+    with pytest.raises(ValueError, match="^k = 7 is not a level of this sweep$"):
+        LevelSweep(_S, (2,)).threshold(np.int64(7))
     # the estimators go on with the int the rule returns
     estimated = tdc_quasispectral_estimated(_S, 2, np.array(3))
     assert type(estimated.metadata["k_alpha"]) is int and estimated.metadata["k_alpha"] == 3
