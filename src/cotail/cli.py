@@ -13,15 +13,19 @@ Floats are written with repr-level precision, so a simulated file re-ingests
 to bit-identical values. The default seed is 0, overridable per command with
 --seed or globally with the COTAIL_SEED environment variable.
 
-Parsing a table and writing a sample as CSV run in contiguous row blocks, one
-per usable CPU, through the fork-join that runs ``mc``'s replications. The
-bytes written and every error's text are the same for any block count
-(``taskset -c 0`` gives the same bytes), and there is no option for it.
+Parsing a table and writing a sample, as CSV or JSON, run in contiguous row
+blocks, one per usable CPU, through the fork-join that runs ``mc``'s
+replications. The bytes written and every error's text are the same for any
+block count (``taskset -c 0`` gives the same bytes), and there is no option
+for it.
 
 Every failure, a command line that argparse rejects included, writes one JSON
 object {"error": {"type": ..., "message": ...}} to stderr and exits 1. A
-rejected command line, and every rule that reads only the flags, fails before
-any input is read. --help exits 0.
+rejected command line, and each rule on the flags that a subcommand below
+checks first (--y with --y-grid, a missing --k, the --y-grid order, theta
+without --p, ...), fails before any input is read. Every other parameter
+value, a parameter an estimator requires included, is judged by the
+library's rules after the read. --help exits 0.
 """
 from __future__ import annotations
 
@@ -55,10 +59,8 @@ TRANSFORMS = ("none", "abs-log-returns")
 # 50000 rows take about 50 ms to parse and 100 ms to write.
 _MIN_ROWS = 50_000
 
-# rows spread an McCell between the cell key and the truth
-MC_COLUMNS = (
-    "estimator_id", "k_frac", "k_alpha_frac", *(f.name for f in fields(McCell)), "truth"
-)
+# a row is the cell key, then the McCell as it is
+MC_COLUMNS = ("estimator_id", "k_frac", "k_alpha_frac", *(f.name for f in fields(McCell)))
 
 REPORT_COLUMNS = (
     "estimator_id",
@@ -180,16 +182,20 @@ def _emit(args, columns, rows, extra: dict | None = None) -> None:
 
 
 def _sample_payload(args, sample: BivariateSample) -> None:
-    x, y = sample.x, sample.y
+    """The sample as CSV rows or a JSON object, its rows formatted in blocks by ``_run_blocks``."""
+
+    def rows(lo: int, hi: int):
+        x, y = sample.x[lo:hi].tolist(), sample.y[lo:hi].tolist()
+        if args.format == "csv":
+            return _csv_lines(zip(x, y), 2)
+        return [json.dumps(x)[1:-1], json.dumps(y)[1:-1]]  # each column's items, unbracketed
+
+    blocks = _run_blocks(sample.n, rows, _MIN_ROWS)
     if args.format == "csv":
-        blocks = _run_blocks(
-            sample.n,
-            lambda lo, hi: _csv_lines(zip(x[lo:hi].tolist(), y[lo:hi].tolist()), 2),
-            _MIN_ROWS,
-        )
         _write_text(args.out, "".join(["x,y\n", *blocks]))
-    else:
-        _write_text(args.out, json.dumps({"x": x.tolist(), "y": y.tolist()}) + "\n")
+    else:  # json.dumps separates list items with ", " as the blocks are joined
+        x, y = (", ".join(parts) for parts in zip(*blocks))
+        _write_text(args.out, f'{{"x": [{x}], "y": [{y}]}}\n')
 
 
 def _load_sample(args) -> BivariateSample:
@@ -344,13 +350,7 @@ def _cmd_mc(args) -> None:
         y=args.y,
     )
     rows = [
-        {
-            "estimator_id": name,
-            "k_frac": kf,
-            "k_alpha_frac": kaf,
-            **asdict(cell),
-            "truth": summary.truth if "y" in ESTIMATORS[name].params else None,
-        }
+        {"estimator_id": name, "k_frac": kf, "k_alpha_frac": kaf, **asdict(cell)}
         for (name, kf, kaf), cell in summary.cells.items()
     ]
     extra = {"truth": summary.truth, "y": summary.y, "reps": summary.reps}

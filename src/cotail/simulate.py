@@ -218,7 +218,11 @@ CellKey = tuple[str, float, Union[float, None]]
 
 @dataclass(frozen=True)
 class McCell:
-    """One cell's summary; the statistics are None when every replication failed."""
+    """One cell's summary; the statistics are None when every replication failed.
+
+    ``truth`` is the model's tail dependence coefficient on a cell whose
+    estimator takes y, run at y = 1, and None on every other cell.
+    """
 
     mean: float | None
     sd: float | None
@@ -229,6 +233,7 @@ class McCell:
     q95: float | None
     rep_count: int
     failures: int
+    truth: float | None = None
 
 
 @dataclass(frozen=True)
@@ -253,9 +258,10 @@ def run_mc(
 
     ``estimators`` are ids from ``ESTIMATORS``; those that take k_alpha get
     one cell per k_alpha fraction. Known-alpha estimators receive the model's
-    true tail index and ``edm`` uses the l2 norm. The truth field carries the
-    model's tail dependence coefficient when a TDC estimator (one that takes
-    y) is evaluated at y = 1.
+    true tail index and ``edm`` uses the l2 norm. At y = 1 each cell of a TDC
+    estimator (one that takes y) carries the model's tail dependence
+    coefficient as its ``truth``; the summary's ``truth`` is that value when
+    some cell carries it, else None.
 
     Each chunk of replications is swept once: one ``LevelSweep`` covers
     every k of every row, and one reader per (estimator, k_alpha) gives each
@@ -301,6 +307,9 @@ def run_mc(
     # a failed replication is simply missing from its cell's list
     values = {key: [v for part in parts for v in part[i]] for i, key in enumerate(keys)}
 
+    truth = None
+    if y == 1.0 and any("y" in ESTIMATORS[name].params for name in names):
+        truth = config.model.tail_dependence
     cells: dict[CellKey, McCell] = {}
     for key, vals in values.items():
         stats = [None] * 7
@@ -309,11 +318,8 @@ def run_mc(
             sd = _finite_stat(lambda a: np.std(a, ddof=1), arr) if arr.size > 1 else 0.0
             quantiles = np.quantile(arr, [0.05, 0.25, 0.5, 0.75, 0.95])
             stats = [_finite_stat(np.mean, arr), sd, *(float(q) for q in quantiles)]
-        cells[key] = McCell(*stats, rep_count=reps, failures=reps - len(vals))
-
-    truth = None
-    if y == 1.0 and any("y" in ESTIMATORS[name].params for name in names):
-        truth = config.model.tail_dependence
+        cell_truth = truth if "y" in ESTIMATORS[key[0]].params else None
+        cells[key] = McCell(*stats, rep_count=reps, failures=reps - len(vals), truth=cell_truth)
     return McSummary(cells=cells, truth=truth, y=y, reps=reps)
 
 

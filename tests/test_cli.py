@@ -12,7 +12,7 @@ import pytest
 
 import cotail.cli as cli
 import cotail.simulate as simulate
-from cotail import BivariateSample, tdc_quasispectral
+from cotail import BivariateSample, BivariateTModel, LinearParetoModel, tdc_quasispectral
 from cotail.cli import ingest_text, main
 from cotail.errors import NegativeValue, NonPositivePrice, ParseError
 
@@ -220,6 +220,26 @@ def test_mc_csv_columns_and_truth(tmp_path, capsys):
     assert names == {
         "tdc_empirical", "tdc_quasispectral", "tdc_quasispectral_estimated"
     }
+    # each row prints its cell's truth: the model's coefficient on a tdc_* cell
+    # at y = 1, an empty cell elsewhere
+    for model, tdc_truth in (
+        ("linear-pareto", LinearParetoModel().tail_dependence),
+        ("bivariate-t", BivariateTModel().tail_dependence),
+    ):
+        for y, want in (("1", tdc_truth), ("2", None)):
+            code, out, _ = run_cli(
+                capsys, "mc", "--model", model, "--n", "200", "--reps", "4",
+                "--k-fracs", "0.1", "--y", y,
+                "--estimators", "tdc-empirical,cte-aleph3,edm,tdc-quasispectral-estimated",
+            )
+            assert code == 0
+            truths = {line.split(",")[0]: line.split(",")[12] for line in out.splitlines()[1:]}
+            assert truths == {
+                "tdc_empirical": "" if want is None else repr(want),
+                "cte_aleph3": "",
+                "edm": "",
+                "tdc_quasispectral_estimated": "" if want is None else repr(want),
+            }, (model, y)
 
 
 def test_mc_json_schema(capsys):
@@ -455,6 +475,26 @@ def test_mc_block_process_that_dies_is_a_json_error(capsys, monkeypatch):
     assert "without a result" in payload["message"]
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts fds in /proc/self/fd")
+def test_mc_fork_failure_is_a_json_error_and_closes_the_pipe(capsys, monkeypatch):
+    # two blocks of 100 replications; the fork of the second fails, so no
+    # process starts and both ends of its pipe must be closed
+    def no_fork():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    monkeypatch.setattr(simulate, "_usable_cpus", lambda: 2)
+    fds = len(os.listdir("/proc/self/fd"))
+    code, out, err = run_cli(
+        capsys, "mc", "--model", "linear-pareto", "--n", "50", "--reps", "200",
+        "--k-fracs", "0.1", "--estimators", "tdc-empirical",
+    )
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"]["type"] == "BlockingIOError"
+    assert len(os.listdir("/proc/self/fd")) == fds
+
+
 # CSV rows in blocks: three minimum blocks of data rows behind blank lines and
 # a header (row 1), so data row i is row i + 2 in a ParseError
 _ROWS = 3 * cli._MIN_ROWS
@@ -533,10 +573,22 @@ def test_csv_bytes_do_not_depend_on_the_cpu_count(tmp_path, capsys, monkeypatch)
         assert run_cli(
             capsys, "ingest", "--input", str(simulated), "--out", str(ingested)
         ) == (0, "", "")
-        outputs.add((simulated.read_bytes(), ingested.read_bytes()))
+        as_json = []
+        for argv in (
+            ("simulate", "--model", "linear-pareto", "--n", str(_ROWS), "--seed", "5"),
+            ("ingest", "--input", str(simulated)),
+        ):
+            code, out, err = run_cli(capsys, *argv, "--format", "json")
+            assert (code, err) == (0, "")
+            as_json.append(out)
+        outputs.add((simulated.read_bytes(), ingested.read_bytes(), *as_json))
     assert len(outputs) == 1
-    data, reread = outputs.pop()
+    data, reread, simulated_json, ingested_json = outputs.pop()
     assert data == reread and data.count(b"\n") == _ROWS + 1
+    # the blocks' JSON items join to the text of one json.dumps of the sample
+    sample = ingest_text(data.decode())
+    whole = json.dumps({"x": sample.x.tolist(), "y": sample.y.tolist()}) + "\n"
+    assert simulated_json == ingested_json == whole
 
 
 def test_memory_error_is_a_json_error(capsys, monkeypatch):

@@ -240,14 +240,14 @@ def test_block_rows_match_oracle(case):
         assert sweep.threshold(k).tolist() == [reference.kth_threshold(x, k) for x in xs]
 
 
-def _summary_cell(values, reps):
+def _summary_cell(values, reps, truth):
     stats = [None] * 7
     if values:
         arr = np.asarray(values, dtype=float)
         sd = float(np.std(arr, ddof=1)) if arr.size > 1 else 0.0
         qs = np.quantile(arr, [0.05, 0.25, 0.5, 0.75, 0.95])
         stats = [float(np.mean(arr)), sd, *(float(v) for v in qs)]
-    return McCell(*stats, rep_count=reps, failures=reps - len(values))
+    return McCell(*stats, rep_count=reps, failures=reps - len(values), truth=truth)
 
 
 @settings(max_examples=60, deadline=None, database=None)
@@ -275,7 +275,10 @@ def test_run_mc_chunks_match_oracle(case, chunk, alpha):
             for x, y in zip(xs, ys)
         ]
         values = [v for v in outcomes if not isinstance(v, type)]
-        assert cell == _summary_cell(values, reps), (name, kf, kaf)
+        # a tdc_* cell at y = 1 estimates the model's tail dependence coefficient
+        tdc = name.startswith("tdc_")
+        truth = config.model.tail_dependence if q["y"] == 1.0 and tdc else None
+        assert cell == _summary_cell(values, reps, truth), (name, kf, kaf)
 
 
 def test_strided_2d_transcendentals_match_1d():

@@ -374,7 +374,10 @@ def _mc_by_estimate(config, reps, k_fracs, ka_fracs, names, y):
             sd = float(np.std(arr, ddof=1)) if arr.size > 1 else 0.0
             qs = np.quantile(arr, [0.05, 0.25, 0.5, 0.75, 0.95])
             stats = [float(np.mean(arr)), sd, *(float(q) for q in qs)]
-        cells[key] = McCell(*stats, rep_count=reps, failures=reps - len(vals))
+        # a tdc_* cell at y = 1 estimates the model's tail dependence coefficient
+        tdc = key[0].startswith("tdc_")
+        truth = config.model.tail_dependence if y == 1.0 and tdc else None
+        cells[key] = McCell(*stats, rep_count=reps, failures=reps - len(vals), truth=truth)
     return cells
 
 
@@ -570,6 +573,13 @@ def test_blocks_split_by_cpu_count_and_block_floor(monkeypatch):
     assert simulate._blocks(4000) == [(0, 4000)]
 
 
+def test_usable_cpus_without_an_affinity_mask(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert simulate._usable_cpus() == (os.cpu_count() or 1)
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert simulate._usable_cpus() == 1
+
+
 @needs_fork
 def test_run_mc_blocks_leave_the_summary_unchanged(monkeypatch):
     pids = _recorded_forks(monkeypatch)
@@ -683,10 +693,24 @@ def test_truth_absent_for_non_tdc_runs():
         config, reps=2, k_fractions=[0.1], estimators=("cte_aleph3", "edm")
     )
     assert summary.truth is None
+    assert [cell.truth for cell in summary.cells.values()] == [None, None]
     off_level = run_mc(
         config, reps=2, k_fractions=[0.1], estimators=("tdc_empirical",), y=2.0
     )
     assert off_level.truth is None
+    assert off_level.cells[("tdc_empirical", 0.1, None)].truth is None
+    # mixed runs: at y = 1 the truth sits on each tdc_* cell and on no other,
+    # at y = 2 on none
+    for model in (LinearParetoModel(0.8, 0.1, 4.0), BivariateTModel(4.0, 0.9)):
+        config = ModelConfig(model, n=200, seed=2)
+        mixed = run_mc(config, 2, (0.1, 0.2), (0.2, 0.3), tuple(ESTIMATORS))
+        assert mixed.truth == model.tail_dependence
+        for (name, kf, kaf), cell in mixed.cells.items():
+            want = model.tail_dependence if name.startswith("tdc_") else None
+            assert cell.truth == want, (model, name, kf, kaf)
+        at_two = run_mc(config, 2, (0.1, 0.2), (0.2, 0.3), tuple(ESTIMATORS), y=2.0)
+        assert at_two.truth is None
+        assert {cell.truth for cell in at_two.cells.values()} == {None}
 
 
 def test_bivariate_t_tail_dependence_value():
