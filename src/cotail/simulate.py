@@ -27,8 +27,10 @@ The harness ``run_mc`` evaluates a set of estimators over replications,
 held as the rows of 2-D arrays. Each model draws a chunk of replications
 into rows with ``sample_rows``, row r equal to ``sample_dataset(config, r)``
 bit for bit: linear-Pareto fills each row with two uniform draws and runs the
-Pareto power and Box-Muller once per chunk, while bivariate-t, whose gamma
-rejection consumes a random count of draws, samples each row on its own. One
+Pareto power and Box-Muller once per chunk. Bivariate-t runs its gamma
+rejection in rounds over the chunk, each round one Box-Muller and one
+acceptance test over every row's pending candidates, then draws each row's
+Z1 and Z2' uniforms into a buffer and runs Box-Muller once more. One
 ``core.LevelSweep`` then covers the chunk: one partition and one sort of each
 row's top keys, one Hill step per k_alpha and one set of weights per
 estimator, after which every (row, cell) is an exactly rounded sum over a
@@ -99,12 +101,10 @@ class LinearParetoModel:
         the Pareto x, then 2 * ceil(n / 2) for the Box-Muller normals Z, each
         into its row of a buffer; the transforms then run once over all rows.
         """
-        ux, uz = np.empty((len(reps), n)), np.empty((len(reps), 2 * ((n + 1) // 2)))
-        for i, gen in enumerate(rng.streams(seed, reps)):
-            rng.open_uniform(gen, n, out=ux[i])
-            rng.open_uniform(gen, uz.shape[1], out=uz[i])
-        x = rng.pareto_of(ux, self.alpha)
-        return x, self.phi * x + self.sigma * np.abs(rng.box_muller(uz, n))
+        gens = rng.streams(seed, reps)
+        x = rng.pareto_of(rng.open_uniform_rows(gens, n), self.alpha)
+        z = rng.box_muller(rng.open_uniform_rows(gens, 2 * ((n + 1) // 2)), n)
+        return x, self.phi * x + self.sigma * np.abs(z)
 
 
 @dataclass(frozen=True)
@@ -113,7 +113,9 @@ class BivariateTModel:
     rho: float = 0.9
 
     def __post_init__(self):
-        check_positive_finite(self.nu, "nu")
+        nu = check_positive_finite(self.nu, "nu")
+        if nu / 2.0 == 0.0:  # the chi-square draw is 2 * gamma(nu / 2)
+            raise ValueError(f"nu must be a number whose half is positive, got {self.nu!r}")
         check_real(self.rho, "rho", "(-1, 1)")
 
     @property
@@ -130,17 +132,19 @@ class BivariateTModel:
         """Replications ``reps`` of ``seed`` as the rows of x and y.
 
         Row i draws from ``rng.generator(seed, reps[i])`` n chi-square variates
-        for W, then n normals Z1, then n normals Z2'. The gamma rejection
-        consumes a random count of draws, so each row is drawn on its own.
+        for W, then n normals Z1, then n normals Z2'. The chi-square rejection
+        runs in rounds over all rows (``rng.chi_square_rows``); each row's Z1
+        and Z2' uniforms then go into its row of a buffer, and Box-Muller runs
+        once over all rows.
         """
-        pairs = []
-        for gen in rng.streams(seed, reps):
-            root_w = np.sqrt(self.nu / rng.chi_square(gen, self.nu, n))
-            z1 = rng.standard_normal(gen, n)
-            z2 = self.rho * z1 + math.sqrt(1.0 - self.rho ** 2) * rng.standard_normal(gen, n)
-            pairs.append((root_w * np.abs(z1), root_w * np.abs(z2)))
-        x, y = zip(*pairs)
-        return np.array(x), np.array(y)
+        gens = rng.streams(seed, reps)
+        root_w = np.sqrt(self.nu / rng.chi_square_rows(gens, self.nu, n))
+        half = (n + 1) // 2
+        z = rng.box_muller(rng.open_uniform_rows(gens, 4 * half).reshape(len(reps), 2, 2 * half), n)
+        z1, z2 = z[:, 0], z[:, 1]
+        z2 *= math.sqrt(1.0 - self.rho ** 2)
+        z2 += self.rho * z1  # Z2 = rho Z1 + sqrt(1 - rho^2) Z2', in place to save a buffer
+        return root_w * np.abs(z1), root_w * np.abs(z2)
 
 
 def _betainc(a: float, b: float, x: float, y: float) -> float:
@@ -334,9 +338,10 @@ def _finite_stat(stat: Callable[[np.ndarray], float], arr: np.ndarray) -> float:
 
 
 # Replications are swept a chunk of rows at a time. A row costs roughly 64 n
-# bytes of buffers, so at n = 1000 a chunk holds 8 rows; larger chunks are
-# no faster and grow the peak memory.
-_CHUNK_BYTES = 1 << 19
+# bytes of buffers, so at n = 1000 a chunk holds 10 rows. Memory is the limit:
+# larger chunks are faster, as each call covers more rows, but each row adds
+# its buffers to the peak memory.
+_CHUNK_BYTES = 5 << 17
 
 
 def _chunk_rows(n: int) -> int:

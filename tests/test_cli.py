@@ -396,6 +396,9 @@ REJECTED_COMMAND_LINES = {
     "estimate_p_not_number": [*_EST, "--p", "1%"],
     "estimate_k_frac_not_number": [*_EST, "--k-frac", "tenth"],
     "simulate_phi_not_number": [*_SIM, "--phi", "0,8"],
+    # nu / 2 underflows to 0; the model names nu, not the gamma shape it halves to
+    "simulate_nu_half_underflows": [
+        "simulate", "--model", "bivariate-t", "--n", "3", "--nu", "5e-324"],
     "ingest_missing_input": ["ingest"],
     "mc_missing_model": ["mc", "--reps", "2"],
     "estimate_missing_estimator": ["estimate", "--input", _MISSING, "--k", "10"],
@@ -431,6 +434,8 @@ def test_a_rejected_command_line_is_one_json_error(capsys, case):
     error = json.loads(err)["error"]
     assert set(error) == {"type", "message"}
     assert error["type"] == "ValueError" and error["message"]
+    if case == "simulate_nu_half_underflows":
+        assert error["message"] == "nu must be a number whose half is positive, got 5e-324"
 
 
 @pytest.mark.parametrize(

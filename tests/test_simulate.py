@@ -7,6 +7,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 from scipy.special import stdtr
 
@@ -39,6 +41,10 @@ def test_model_validation():
         BivariateTModel(nu=0.0, rho=0.5)
     with pytest.raises(ValueError):
         BivariateTModel(nu=4.0, rho=1.0)
+    # nu / 2 underflows to 0: the message names nu, not the gamma shape
+    with pytest.raises(ValueError, match="^nu must be"):
+        BivariateTModel(nu=5e-324, rho=0.5)
+    assert BivariateTModel(nu=1e-323, rho=0.5).nu == 1e-323
     with pytest.raises(ValueError):
         ModelConfig(LinearParetoModel(0.5, 0.1, 4.0), n=0, seed=1)
 
@@ -192,6 +198,23 @@ SAMPLER_DRAWS = {
 }
 
 
+# draw id -> the rows form of SAMPLER_DRAWS[id]'s rng draw, called as f(gens, size)
+ROWS_DRAWS = {
+    "uniform": crng.open_uniform_rows,
+    "normal": lambda gens, size: crng.standard_normal_rows(gens, [size] * len(gens)).reshape(
+        len(gens), size),
+    **{
+        f"gamma_{shape}": lambda gens, size, shape=shape: crng.standard_gamma_rows(gens, shape, size)
+        for shape in (0.3, 0.5, 1.0, 2.0, 7.5)
+    },
+    **{
+        f"chi_square_{df}": lambda gens, size, df=df: crng.chi_square_rows(gens, df, size)
+        for df in (1.0, 4.0)
+    },
+}
+SAMPLER_KEYS = [0, 1, 2, 3, 303, 2**32 - 1, 2**32, 2**63, 2**64 - 1, 0x9E3779B97F4A7C15]
+
+
 def _state(gen):
     return json.dumps(gen.bit_generator.state, default=lambda a: a.tolist(), sort_keys=True)
 
@@ -201,8 +224,7 @@ def test_sampler_matches_its_reference_formulas_bit_for_bit(draw):
     # shape 1.0 at size 1000 meets candidates with v <= 0 (about 0.7% of them);
     # a partial draw first leaves Philox mid-way through its four-word buffer
     new, reference = SAMPLER_DRAWS[draw]
-    keys = [0, 1, 2, 3, 303, 2**32 - 1, 2**32, 2**63, 2**64 - 1, 0x9E3779B97F4A7C15]
-    for key in keys:
+    for key in SAMPLER_KEYS:
         for size in (1, 2, 3, 17, 1000, 1001):
             for before in (0, 1, 3):
                 a, b = crng.generator(key), crng.generator(key)
@@ -215,6 +237,48 @@ def test_sampler_matches_its_reference_formulas_bit_for_bit(draw):
                 assert _state(a) == _state(b), (key, size, before)
                 # the next draw starts at the same place
                 assert new(a, 5).tobytes() == reference(b, 5).tobytes()
+
+
+@pytest.mark.parametrize("draw", sorted(ROWS_DRAWS))
+def test_rows_draws_match_their_reference_formulas_row_by_row(draw):
+    # one row per key, each generator first left at its own place in Philox's
+    # four-word buffer; every row must equal its own reference draw, and every
+    # generator must end where that draw leaves it
+    rows, reference = ROWS_DRAWS[draw], SAMPLER_DRAWS[draw][1]
+    for size in (1, 2, 3, 17, 1000, 1001):
+        gens = [crng.generator(key) for key in SAMPLER_KEYS]
+        refs = [crng.generator(key) for key in SAMPLER_KEYS]
+        for before, (a, b) in enumerate(zip(gens, refs)):
+            crng.standard_normal(a, before % 4)
+            _reference_standard_normal(b, before % 4)
+        got = rows(gens, size)
+        assert got.shape == (len(SAMPLER_KEYS), size)
+        for i, (a, b) in enumerate(zip(gens, refs)):
+            assert got[i].tobytes() == reference(b, size).tobytes(), (size, i)
+            assert _state(a) == _state(b), (size, i)
+
+
+def test_normal_rows_of_different_sizes_match_the_reference():
+    # one Box-Muller over rows of odd, even and zero sizes, then a second draw
+    sizes = [0, 1, 2, 5, 17, 64, 1001, 3]
+    gens = [crng.generator(7, rep) for rep in range(len(sizes))]
+    refs = [crng.generator(7, rep) for rep in range(len(sizes))]
+    got = crng.standard_normal_rows(gens, sizes)
+    want = np.concatenate([_reference_standard_normal(b, k) for b, k in zip(refs, sizes)])
+    assert got.tobytes() == want.tobytes()
+    assert [_state(a) for a in gens] == [_state(b) for b in refs]
+    for a, b in zip(gens, refs):
+        assert crng.open_uniform(a, 3).tobytes() == _reference_open_uniform(b, 3).tobytes()
+
+
+def test_streams_rekey_one_pool_of_generators():
+    first = crng.streams(5, range(3))
+    assert [_state(gen) for gen in first] == [_state(crng.generator(5, rep)) for rep in range(3)]
+    draws = [gen.random() for gen in first]
+    again = crng.streams(5, [2, 0])
+    assert again == first[:2]  # the same objects, re-keyed from counter 0
+    assert [gen.random() for gen in again] == [draws[2], draws[0]]
+    assert crng.streams(5, []) == []
 
 
 def test_seed_mixing_distinct_streams():
@@ -395,14 +459,17 @@ def test_run_mc_equals_one_estimate_per_cell(model):
 
 
 def _reference_draw(model, seed, rep, n):
-    """Replication rep of seed, drawn in the order the model's ``sample_rows`` documents."""
+    """Replication rep of seed, drawn in the order the model's ``sample_rows`` documents.
+
+    Every draw is one of the reference formulas above, one row at a time.
+    """
     gen = crng.generator(seed, rep)
     if isinstance(model, LinearParetoModel):
-        x = crng.pareto(gen, model.alpha, n)
-        return x, model.phi * x + model.sigma * np.abs(crng.standard_normal(gen, n))
-    root_w = np.sqrt(model.nu / crng.chi_square(gen, model.nu, n))
-    z1 = crng.standard_normal(gen, n)
-    z2 = model.rho * z1 + math.sqrt(1.0 - model.rho ** 2) * crng.standard_normal(gen, n)
+        x = _reference_open_uniform(gen, n) ** (-1.0 / model.alpha)
+        return x, model.phi * x + model.sigma * np.abs(_reference_standard_normal(gen, n))
+    root_w = np.sqrt(model.nu / (2.0 * _reference_standard_gamma(gen, model.nu / 2.0, n)))
+    z1 = _reference_standard_normal(gen, n)
+    z2 = model.rho * z1 + math.sqrt(1.0 - model.rho ** 2) * _reference_standard_normal(gen, n)
     return root_w * np.abs(z1), root_w * np.abs(z2)
 
 
@@ -418,6 +485,27 @@ def test_sample_rows_equal_one_sample_per_replication(model, n):
         sample = sample_dataset(config, rep)
         for got_x, got_y in ((x[i], y[i]), (sample.x, sample.y)):
             assert got_x.tobytes() == want_x.tobytes() and got_y.tobytes() == want_y.tobytes()
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(
+    seed=st.integers(-(2**80), 2**80),
+    start=st.integers(0, 2**64 - 9),
+    rows=st.integers(1, 9),
+    n=st.integers(1, 64),
+    nu=st.one_of(st.just(2.0), st.floats(0.05, 60.0, exclude_min=True, exclude_max=True)),
+    rho=st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True),
+)
+def test_bivariate_t_rows_equal_the_reference_draw(seed, start, rows, n, nu, rho):
+    # nu = 2 is gamma shape 1, where candidates with v <= 0 occur; below it
+    # the shape < 1 boost runs. Rows of one chunk finish their rounds apart.
+    model = BivariateTModel(nu, rho)
+    reps = range(start, start + rows)
+    with np.errstate(over="ignore", divide="ignore"):  # as in simulate._sample_rows
+        x, y = model.sample_rows(seed, reps, n)
+        for i, rep in enumerate(reps):
+            want_x, want_y = _reference_draw(model, seed, rep, n)
+            assert x[i].tobytes() == want_x.tobytes() and y[i].tobytes() == want_y.tobytes()
 
 
 @dataclasses.dataclass(frozen=True)
@@ -491,9 +579,9 @@ def test_run_mc_chunks_leave_the_summary_unchanged(monkeypatch):
 
 
 def test_chunk_rows_follow_a_byte_budget():
-    assert simulate._chunk_rows(1000) == 8
+    assert simulate._chunk_rows(1000) == 10
     assert simulate._chunk_rows(10**7) == 1
-    assert simulate._chunk_rows(100) == 81
+    assert simulate._chunk_rows(100) == 102
 
 
 def test_run_mc_cell_with_every_replication_failed():
