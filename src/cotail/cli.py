@@ -13,11 +13,19 @@ Floats are written with repr-level precision, so a simulated file re-ingests
 to bit-identical values. The default seed is 0, overridable per command with
 --seed or globally with the COTAIL_SEED environment variable.
 
-Parsing a table and writing a sample, as CSV or JSON, run in contiguous row
+Parsing a table and writing a sample, as CSV or JSON, run in contiguous
 blocks, one per usable CPU, through the fork-join that runs ``mc``'s
-replications. The bytes written and every error's text are the same for any
-block count (``taskset -c 0`` gives the same bytes), and there is no option
-for it.
+replications. A named --input file is read as bytes and cut just after a
+newline into byte blocks, which numpy's C text reader converts with the
+routine ``float()`` uses. It takes a table whose rows hold only digits,
+``.,eE+-`` and LF newlines, without blank lines; a header line and a leading
+byte order mark are judged first, as below. Every other table (CRLF,
+spaces, U+001F, non-ASCII, ``1_0``, ``nan``, a wrong column count, an empty
+cell, invalid UTF-8) and stdin go whole through the per-line reader, which
+gives every value and every error text. Each sample's blocks are written in
+order, never joined. The bytes written and every error's text are the same
+for either reader and any block count (``taskset -c 0`` gives the same
+bytes), and there is no option for it.
 
 Every failure, a command line that argparse rejects included, writes one JSON
 object {"error": {"type": ..., "message": ...}} to stderr and exits 1. A
@@ -30,9 +38,12 @@ library's rules after the read. --help exits 0.
 from __future__ import annotations
 
 import argparse
+import codecs
+import io
 import json
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict, fields
 from itertools import starmap
 from pathlib import Path
@@ -54,10 +65,16 @@ from .tail_index import hill_alphas
 
 TRANSFORMS = ("none", "abs-log-returns")
 
-# CSV rows are parsed and written in blocks of at least this many, one per
-# usable CPU: a fork and join from a CLI-sized heap costs about 6-12 ms,
-# 50000 rows take about 50 ms to parse and 100 ms to write.
+# Per-line CSV rows are parsed and written in blocks of at least this many,
+# one per usable CPU: a fork and join from a CLI-sized heap costs about 6-12
+# ms, 50000 rows take about 50 ms to parse and 100 ms to write.
 _MIN_ROWS = 50_000
+# A named file's byte blocks hold at least this many bytes: numpy's reader
+# takes about 30 ms a MiB of repr floats (about 28000 rows) on a 2-vCPU
+# host, where a fork and join holding the table's bytes takes 6-11 ms.
+_MIN_BYTES = 1 << 20
+# the only bytes a byte block may hold
+_ROW_BYTES = b"0123456789.,eE+-\n"
 
 # a row is the cell key, then the McCell as it is
 MC_COLUMNS = ("estimator_id", "k_frac", "k_alpha_frac", *(f.name for f in fields(McCell)))
@@ -92,18 +109,23 @@ def _parse_table(text: str) -> tuple[np.ndarray, np.ndarray]:
     lines = [line for line in text.replace("\x1f", " ").splitlines() if line.strip()]
     if not lines:
         raise ParseError("input contains no rows")
-    start = 0
-    try:
-        for cell in lines[0].split(","):
-            float(cell)
-    except ValueError:
-        start = 1  # non-numeric first row is a header
+    start = int(_is_header(lines[0]))
     if start == len(lines):
         raise ParseError("input contains no data rows")
     parts = _run_blocks(
         len(lines) - start, lambda lo, hi: _parse_rows(lines, start + lo, start + hi), _MIN_ROWS
     )
     return tuple(np.concatenate(column) for column in zip(*parts))
+
+
+def _is_header(line: str) -> bool:
+    """The first non-blank line is a header unless every cell passes ``float()``."""
+    try:
+        for cell in line.split(","):
+            float(cell)
+    except ValueError:
+        return True
+    return False
 
 
 def _parse_rows(lines: list[str], lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
@@ -122,12 +144,81 @@ def _parse_rows(lines: list[str], lo: int, hi: int) -> tuple[np.ndarray, np.ndar
     return np.array(first, dtype=float), np.array(second, dtype=float)
 
 
-def ingest_text(text: str, transform: str = "none") -> BivariateSample:
-    """Parse a two-column table, optionally mapping prices to |log-returns|."""
+def _parse_bytes(data: bytes) -> tuple[np.ndarray, np.ndarray] | None:
+    """A file's two float columns parsed in C in byte blocks, or None if a block refuses.
+
+    The first line keeps ``_parse_table``'s rules: a byte order mark is
+    dropped, and the line is a header unless every cell passes ``float()``.
+    A first line that is blank, or more than one line to ``str.splitlines``,
+    refuses. The rows after it run through ``_run_blocks`` in blocks of at
+    least ``_MIN_BYTES``, each cut just after a newline byte.
+    """
+    body = len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0
+    head_end = data.find(b"\n", body) + 1 or len(data)
+    try:
+        head = data[body:head_end].decode("utf-8").replace("\x1f", " ").splitlines()
+    except UnicodeDecodeError:
+        return None
+    if len(head) != 1 or not head[0].strip():
+        return None
+    if _is_header(head[0]):
+        body = head_end
+    if body == len(data):
+        return None
+    parts = _run_blocks(
+        len(data) - body, lambda lo, hi: _parse_block(data, body, lo, hi), _MIN_BYTES
+    )
+    if any(part is None for part in parts):
+        return None
+    table = np.concatenate(parts)
+    return table[:, 0], table[:, 1]
+
+
+def _parse_block(data: bytes, body: int, lo: int, hi: int) -> np.ndarray | None:
+    """The rows that start in bytes body+lo..body+hi-1 as an (r, 2) array, None if refused.
+
+    numpy's text reader converts each cell with ``PyOS_string_to_double``,
+    the routine ``float()`` uses (tests/test_cli.py pins the two together).
+    It takes only blocks of digits, ``.,eE+-`` and newline bytes without a
+    blank line. Any other byte (CR, spaces, U+001F, non-ASCII, ``_``,
+    ``nan``), a wrong column count and an empty cell refuse, and
+    ``_parse_table`` decides those tables.
+    """
+    start = body if lo == 0 else _line_start(data, body + lo)
+    block = data[start:_line_start(data, body + hi)]
+    if not block:  # no line starts in this block
+        return np.empty((0, 2))
+    if block.translate(None, _ROW_BYTES) or block.startswith(b"\n") or b"\n\n" in block:
+        return None
+    try:
+        table = np.loadtxt(io.BytesIO(block), delimiter=",", comments=None, ndmin=2, dtype=float)
+    except ValueError:
+        return None
+    return table if table.shape[1] == 2 else None
+
+
+def _line_start(data: bytes, i: int) -> int:
+    """The first line start at or after byte i > 0: just after a newline byte, else the end."""
+    return data.find(b"\n", i - 1) + 1 or len(data)
+
+
+def ingest_text(text: str | bytes, transform: str = "none") -> BivariateSample:
+    """Parse a two-column table, optionally mapping prices to |log-returns|.
+
+    Bytes, a file as read, take the byte blocks of ``_parse_bytes``. Where
+    those refuse, the bytes are decoded as ``Path.read_text(encoding="utf-8")``
+    decodes a file and parsed line by line, as text is.
+    """
     transform = transform.replace("_", "-")
     if transform not in TRANSFORMS:
         raise ValueError(f"unknown transform {transform!r}, expected {TRANSFORMS}")
-    first, second = _parse_table(text)
+    if isinstance(text, bytes):
+        columns = _parse_bytes(text) or _parse_table(
+            io.TextIOWrapper(io.BytesIO(text), encoding="utf-8").read()
+        )
+    else:
+        columns = _parse_table(text)
+    first, second = columns
     if transform == "none":
         return BivariateSample(first, second)
     if first.size < 2:
@@ -151,17 +242,26 @@ def _abs_log_returns(p: np.ndarray) -> np.ndarray:
 # io helpers
 # ---------------------------------------------------------------------------
 
-def _read_text(path: str) -> str:
+def _read_text(path: str) -> str | bytes:
+    """The table at --input: stdin's text, or a named file's bytes for ``ingest_text``."""
     if path == "-":
         return sys.stdin.read()
-    return Path(path).read_text(encoding="utf-8")
+    return Path(path).read_bytes()
 
 
-def _write_text(path: str, text: str) -> None:
+@contextmanager
+def _output(path: str):
+    """stdout for '-', else the file, created or truncated, as UTF-8 text."""
     if path == "-":
-        sys.stdout.write(text)
+        yield sys.stdout
     else:
-        Path(path).write_text(text, encoding="utf-8")
+        with open(path, "w", encoding="utf-8") as out:
+            yield out
+
+
+def _write_text(out, text: str) -> None:
+    """Every piece of text the CLI writes passes here (perfbench times and counts it)."""
+    out.write(text)
 
 
 def _csv_lines(rows, width: int) -> str:
@@ -175,27 +275,36 @@ def _emit(args, columns, rows, extra: dict | None = None) -> None:
     rows = [{c: row.get(c) for c in columns} for row in rows]
     if args.format == "csv":
         values = (["" if v is None else v for v in row.values()] for row in rows)
-        _write_text(args.out, ",".join(columns) + "\n" + _csv_lines(values, len(columns)))
+        text = ",".join(columns) + "\n" + _csv_lines(values, len(columns))
     else:
-        payload = {**(extra or {}), "rows": rows}
-        _write_text(args.out, json.dumps(payload, indent=2) + "\n")
+        text = json.dumps({**(extra or {}), "rows": rows}, indent=2) + "\n"
+    with _output(args.out) as out:
+        _write_text(out, text)
 
 
 def _sample_payload(args, sample: BivariateSample) -> None:
-    """The sample as CSV rows or a JSON object, its rows formatted in blocks by ``_run_blocks``."""
+    """The sample as CSV rows or a JSON object, formatted in blocks by ``_run_blocks``.
+
+    Each block's text is written as it is, in block order, never joined.
+    """
 
     def rows(lo: int, hi: int):
         x, y = sample.x[lo:hi].tolist(), sample.y[lo:hi].tolist()
         if args.format == "csv":
             return _csv_lines(zip(x, y), 2)
-        return [json.dumps(x)[1:-1], json.dumps(y)[1:-1]]  # each column's items, unbracketed
+        # each column's items, unbracketed; json.dumps separates items with ", "
+        sep = ", " if lo else ""
+        return [sep + json.dumps(x)[1:-1], sep + json.dumps(y)[1:-1]]
 
     blocks = _run_blocks(sample.n, rows, _MIN_ROWS)
     if args.format == "csv":
-        _write_text(args.out, "".join(["x,y\n", *blocks]))
-    else:  # json.dumps separates list items with ", " as the blocks are joined
-        x, y = (", ".join(parts) for parts in zip(*blocks))
-        _write_text(args.out, f'{{"x": [{x}], "y": [{y}]}}\n')
+        pieces = ["x,y\n", *blocks]
+    else:
+        xs, ys = zip(*blocks)
+        pieces = ['{"x": [', *xs, '], "y": [', *ys, "]}\n"]
+    with _output(args.out) as out:
+        for piece in pieces:
+            _write_text(out, piece)
 
 
 def _load_sample(args) -> BivariateSample:

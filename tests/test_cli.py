@@ -596,6 +596,112 @@ def test_csv_bytes_do_not_depend_on_the_cpu_count(tmp_path, capsys, monkeypatch)
     assert simulated_json == ingested_json == whole
 
 
+# strings on which a converter other than float()'s would differ: half the
+# least subnormal and the overflow threshold from both sides, a tie at 2**53 + 1,
+# a 40-digit mantissa, the normal range's edge, and forms float() rejects
+_HARD_CELLS = [
+    "2.4703282292062327e-324", "2.4703282292062328e-324", "4.9406564584124654e-324",
+    "1.7976931348623158e308", "1.7976931348623159e308", "1e400", "-1e400", "1e-400",
+    "9007199254740993", "9007199254740993.0000000000000000001", "-9007199254740995",
+    "1234567890123456789012345678901234567890", "0.1234567890123456789012345678901234567890",
+    "2.2250738585072011e-308", "2.2250738585072014e-308", "0.1", "-0", "-0.0", "000.5e+0001",
+    "1.", ".5", "-.5E-3", "+1e+2", "1e", "+-1", "1e+", "1e-", ".", "-", "+", "e5", "E",
+    ".e1", "1..2", "1.2.3", "1e5.5", "--1", "1-1", "1e+-3", "1ee3", "",
+]
+
+
+def test_numpy_reader_converts_each_cell_as_float_does():
+    # the byte blocks rest on numpy's text reader calling float()'s routine:
+    # a numpy whose reader differs on one of these strings fails here
+    for cell in _HARD_CELLS:
+        data = f"{cell},{cell}\n".encode()
+        assert not data.translate(None, cli._ROW_BYTES), cell
+        table = cli._parse_block(data, 0, 0, len(data))
+        try:
+            want = float(cell)
+        except ValueError:
+            assert table is None, cell
+            continue
+        assert table is not None, cell
+        assert table.tobytes() == np.array([[want, want]]).tobytes(), cell
+
+
+# 2000 rows of subnormals and sevenths, 80 KB: with the byte floor patched to
+# 4 KiB they split into one block per CPU
+_SMALL_BYTES = 4096
+_LF_TABLE = "x,y\n" + "".join(f"{i / 7!r},{i * 1e-310!r}\n" for i in range(2000))
+
+
+def _byte_blocked(monkeypatch, cpus: int, data: bytes) -> None:
+    monkeypatch.setattr(simulate, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(cli, "_MIN_BYTES", _SMALL_BYTES)
+    assert len(simulate._blocks(len(data), cli._MIN_BYTES)) == cpus
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_byte_blocks_report_the_line_reader_s_errors(tmp_path, capsys, monkeypatch, cpus):
+    table = tmp_path / "table.csv"
+    data = _LF_TABLE.encode()
+    _byte_blocked(monkeypatch, cpus, data)
+    cases = {
+        # an invalid UTF-8 byte deep in the file, in the last block
+        "utf8": data[:70_000] + b"\xff" + data[70_000:],
+        # a bad cell in the last row, so in the last block
+        "cell": data + b"1.0,x\n",
+        "columns": data + b"1.0,2.0,3.0\n",
+    }
+    for name, bad in cases.items():
+        table.write_bytes(bad)
+        with pytest.raises((ParseError, UnicodeDecodeError)) as info:
+            ingest_text(table.read_text(encoding="utf-8"))  # the reader before byte blocks
+        want = {"type": info.type.__name__, "message": str(info.value)}
+        code, out, err = run_cli(capsys, "ingest", "--input", str(table))
+        assert (code, out) == (1, ""), name
+        assert json.loads(err) == {"error": want}, name
+    assert want["message"] == "row 2002: expected 2 columns, got 3"
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_crlf_and_bom_copies_ingest_as_the_lf_table(tmp_path, capsys, monkeypatch, cpus):
+    data = _LF_TABLE.encode()
+    _byte_blocked(monkeypatch, cpus, data)
+    outputs = set()
+    copies = {
+        "lf": data,  # byte blocks
+        "crlf": data.replace(b"\n", b"\r\n"),  # refused: the line reader
+        "bom": b"\xef\xbb\xbf" + data,  # byte blocks after the header
+    }
+    for name, copy in copies.items():
+        table = tmp_path / f"{name}.csv"
+        table.write_bytes(copy)
+        assert (cli._parse_bytes(copy) is None) == (name == "crlf"), name
+        code, out, err = run_cli(capsys, "ingest", "--input", str(table))
+        assert (code, err) == (0, ""), name
+        outputs.add(out)
+    assert outputs == {_LF_TABLE}
+
+
+def test_byte_blocks_take_clean_tables_and_refuse_the_rest():
+    taken = [
+        b"x,y\n1,2\n", b"1,2\n3,4", b"\xef\xbb\xbf1,2\n", b"\xef\xbb\xbfx,y\n1,2\n",
+        b"1e,2\n3,4\n",  # a first line float() rejects is a header, whatever its bytes
+        b"x,y\r\n1,2\n", b"\xce\xb1,\xce\xb2\n-1e-320,+.5E3\n",
+    ]
+    refused = [
+        b"", b"x,y\n", b"\n1,2\n", b"x,y\n\n1,2\n", b"1,2\n\n3,4\n", b"1,2\r\n3,4\r\n",
+        b"x\ry\n1,2\n", b"1,2\n3, 4\n", b"1,2\n3,4\x1f\n", b"1,2\n1_0,4\n", b"1,2\nnan,4\n",
+        b"1,2\n3,4,5\n", b"1\n2\n", b"1,2\n3,\n", b"\xff,y\n1,2\n", b"1,2\n3,\xd9\xa1\n",
+    ]
+    for data in taken:
+        first, second = cli._parse_bytes(data)
+        want = cli._parse_table(data.decode())
+        assert (first.tobytes(), second.tobytes()) == tuple(c.tobytes() for c in want), data
+    for data in refused:
+        assert cli._parse_bytes(data) is None, data
+
+
 def test_memory_error_is_a_json_error(capsys, monkeypatch):
     # the draw is replaced, so nothing is allocated
     def no_memory(config, lo, hi):
