@@ -18,14 +18,15 @@ blocks, one per usable CPU, through the fork-join that runs ``mc``'s
 replications. A named --input file is read as bytes and cut just after a
 newline into byte blocks, which numpy's C text reader converts with the
 routine ``float()`` uses. It takes a table whose rows hold only digits,
-``.,eE+-`` and LF newlines, without blank lines; a header line and a leading
-byte order mark are judged first, as below. Every other table (CRLF,
-spaces, U+001F, non-ASCII, ``1_0``, ``nan``, a wrong column count, an empty
-cell, invalid UTF-8) and stdin go whole through the per-line reader, which
-gives every value and every error text. Each sample's blocks are written in
-order, never joined. The bytes written and every error's text are the same
-for either reader and any block count (``taskset -c 0`` gives the same
-bytes), and there is no option for it.
+``.,eE+-`` and LF newlines, and skips blank lines as the per-line reader
+does; a header line and a leading byte order mark are judged first, as
+below. Every other table (CRLF, spaces, U+001F, non-ASCII, ``1_0``,
+``nan``, a wrong column count, an empty cell, invalid UTF-8) and stdin go
+whole through the per-line reader, which gives every value and every error
+text. Each sample's blocks are written in order, never joined. The bytes
+written and every error's text are the same for either reader and any
+block count (``taskset -c 0`` gives the same bytes), and there is no option
+for it.
 
 Every failure, a command line that argparse rejects included, writes one JSON
 object {"error": {"type": ..., "message": ...}} to stderr and exits 1. A
@@ -171,6 +172,8 @@ def _parse_bytes(data: bytes) -> tuple[np.ndarray, np.ndarray] | None:
     if any(part is None for part in parts):
         return None
     table = np.concatenate(parts)
+    if not table.size:  # blank lines alone: the per-line reader names the fault
+        return None
     return table[:, 0], table[:, 1]
 
 
@@ -179,16 +182,18 @@ def _parse_block(data: bytes, body: int, lo: int, hi: int) -> np.ndarray | None:
 
     numpy's text reader converts each cell with ``PyOS_string_to_double``,
     the routine ``float()`` uses (tests/test_cli.py pins the two together).
-    It takes only blocks of digits, ``.,eE+-`` and newline bytes without a
-    blank line. Any other byte (CR, spaces, U+001F, non-ASCII, ``_``,
-    ``nan``), a wrong column count and an empty cell refuse, and
-    ``_parse_table`` decides those tables.
+    It takes only blocks of digits, ``.,eE+-`` and newline bytes, and skips
+    blank lines as ``_parse_table`` does; a block of blank lines alone is no
+    rows, without calling numpy (which warns on a block with no data). Any
+    other byte (CR, spaces, U+001F, non-ASCII, ``_``, ``nan``), a wrong
+    column count and an empty cell refuse, and ``_parse_table`` decides
+    those tables.
     """
     start = body if lo == 0 else _line_start(data, body + lo)
     block = data[start:_line_start(data, body + hi)]
-    if not block:  # no line starts in this block
+    if not block.strip(b"\n"):  # no line starts in this block, or only blank ones
         return np.empty((0, 2))
-    if block.translate(None, _ROW_BYTES) or block.startswith(b"\n") or b"\n\n" in block:
+    if block.translate(None, _ROW_BYTES):
         return None
     try:
         table = np.loadtxt(io.BytesIO(block), delimiter=",", comments=None, ndmin=2, dtype=float)

@@ -15,6 +15,11 @@ row. No sort needs to be stable: every count is strict and every sum exact,
 so the order among tied keys changes no value. The Hill step selects its own
 order statistics.
 
+``level_sums`` is the one exact reduction: for each row of a weight array it
+returns ``math.fsum`` of the row's prefix at each of a set of counts, bit for
+bit, from a few ``np.cumsum`` runs over pieces of the weights cut at fixed
+power-of-two boundaries. The estimators and the Hill step sum through it.
+
 Every numeric argument passes one of three rules, which return it as an
 ``int`` or a float and reject anything else (None, NaN, bools and strings
 too) with an error naming the argument and its range, a ``ValueError`` unless
@@ -193,38 +198,101 @@ class LevelSweep:
         top = _take(part_keys, order)
         # X_(n-k) is each row's (k+1)-th largest key; ties at it make the
         # strict count fall below k (estimators still divide by the nominal k)
-        levels = {
-            k: (top[:, k], np.count_nonzero(top[:, :k] > top[:, k, None], axis=1).tolist())
-            for k in ks
-        }
+        columns = {k: i for i, k in enumerate(dict.fromkeys(ks))}
+        thresholds = top[:, list(columns)]
+        counts = np.empty(thresholds.shape, dtype=np.intp)
+        for i, k in enumerate(columns):
+            counts[:, i] = np.count_nonzero(top[:, :k] > top[:, k, None], axis=1)
         gather = _take(part, order[:, :width])
         xs = top[:, :width] if self.key is None else _take(x, gather)
-        return levels, xs, _take(y, gather)
+        return columns, thresholds, counts, xs, _take(y, gather)
 
     @property
     def x(self) -> np.ndarray:
         """Per row, the x of the pairs with the largest max(ks) keys, in descending key order."""
-        return self._read[1]
+        return self._read[3]
 
     @property
     def y(self) -> np.ndarray:
         """The y of the same pairs as ``x``."""
+        return self._read[4]
+
+    @property
+    def counts(self) -> np.ndarray:
+        """Each row's strict exceedance counts, one column per distinct level in ``ks``' order."""
         return self._read[2]
 
-    def _level(self, k: int) -> tuple[np.ndarray, list[int]]:
-        levels = self._read[0]
+    def column(self, k: int) -> int:
+        """The column of level k in ``counts``."""
+        columns = self._read[0]
         try:
-            return levels[check_level(k, "k", -math.inf)]
+            return columns[check_level(k, "k", -math.inf)]
         except KeyError:
             raise ValueError(f"k = {k} is not a level of this sweep") from None
 
     def threshold(self, k: int) -> np.ndarray:
         """Each row's threshold X_(n-k)."""
-        return self._level(k)[0]
+        return self._read[1][:, self.column(k)]
 
-    def count(self, k: int) -> list[int]:
+    def count(self, k: int) -> np.ndarray:
         """Each row's count of strict exceedances at level k."""
-        return self._level(k)[1]
+        return self.counts[:, self.column(k)]
+
+
+def level_sums(w: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``math.fsum(w[r, :counts[r, i]])`` for every row r and level i, bit for bit, as an array.
+
+    ``w`` is (rows, width) and ``counts`` (rows, levels), each count in
+    [0, width]. Each row is cut at fixed power-of-two boundaries (Demmel &
+    Hida, SIAM J. Sci. Comput. 25(4), 2003) into pieces of b = 53 -
+    m.bit_length() bits, m the largest count. With 2^e the power of two
+    above the row's largest |w| and sigma = 2^(e + m.bit_length()) from
+    ``np.ldexp``, (w + sigma) - sigma is w rounded to a multiple of
+    2^(e - b), exactly, and w minus it is exact too (Rump, Ogita & Oishi,
+    SIAM J. Sci. Comput. 31(1), 2008); that is the first piece, and the
+    next is cut from the rest with sigma * 2^-b. A piece is 2^(e - b) times
+    an integer of at most 2^b in magnitude, so ``np.cumsum`` adds up to m of
+    them exactly; pieces are taken until nothing is left, two on the Monte
+    Carlo studies. A prefix sum is then the exact sum of its pieces' running
+    sums, and rounding that once gives fsum's bits: one add of at most two
+    of them, else one ``math.fsum`` of them. No piece is -0.0, so an exact 0
+    is +0.0, as in fsum. A row with a non-finite weight, or one of magnitude
+    2^(1023 - m.bit_length()) or more, is summed by ``math.fsum`` prefix by
+    prefix, and where fsum raises (an intermediate overflow, inf - inf) the
+    sum is NaN.
+    """
+    rows, levels = counts.shape
+    width = int(counts.max())
+    w = w[:, :width]
+    bits = width.bit_length()
+    top = np.abs(w).max(axis=1, initial=0.0)
+    fast = top < math.ldexp(1.0, 1023 - bits)  # NaN fails it too; the others are summed apart
+    sigma = np.ldexp(1.0, np.frexp(np.where(fast, top, 0.0))[1] + bits)[:, None]
+    rest = np.where(fast[:, None], w, 0.0)
+    # running[r, c] sums a piece of row r's first c weights; ``at`` indexes it flat
+    running = np.zeros((rows, width + 1))
+    at = counts + np.arange(0, running.size, width + 1)[:, None]
+    parts = []
+    while np.count_nonzero(rest):
+        piece = rest + sigma
+        piece -= sigma
+        rest -= piece
+        np.cumsum(piece, axis=1, out=running[:, 1:])
+        parts.append(running.take(at))
+        sigma = np.ldexp(sigma, bits - 53)
+    if len(parts) <= 2:  # 0 + the first part is exact, adding the second rounds once
+        sums = sum(parts, np.zeros((rows, levels)))
+    else:
+        exact = np.stack(parts, axis=2).reshape(-1, len(parts)).tolist()
+        sums = np.array([math.fsum(terms) for terms in exact]).reshape(rows, levels)
+    for r in np.flatnonzero(~fast).tolist():
+        row = w[r].tolist()
+        for i, count in enumerate(counts[r].tolist()):
+            try:
+                sums[r, i] = math.fsum(row[:count])
+            except (OverflowError, ValueError):
+                sums[r, i] = math.nan
+    return sums
 
 
 def check_level(value, what: str, lo: float = 1, hi: float = math.inf) -> int:

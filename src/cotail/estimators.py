@@ -36,8 +36,10 @@ of one sample, or of each row of a block of replications, at a whole set of
 levels k. ``level_reader`` binds an estimator and its parameters to a sweep:
 the Hill step and every weight that does not depend on k are computed once
 for all rows, and each (row, level) is then one exactly rounded sum over a
-prefix of that row's weights. ``LevelReader.values`` gives every row's
-estimate alone (the Monte Carlo harness discards the variance);
+prefix of that row's weights, from one ``core.level_sums`` call per reader
+(per level for ``cte_aleph3``, none for ``tdc_empirical``'s joint counts).
+``LevelReader.values`` gives every row's estimate alone (the Monte Carlo
+harness discards the variance);
 ``LevelReader.estimate`` gives a one-row sweep's full ``TailEstimate``.
 ``estimate`` runs a reader on a one-level sweep of one sample, and each
 function above is one ``estimate`` call; the CLI's ``estimate`` and ``curve``
@@ -52,20 +54,22 @@ derived intervals as approximate. Ties are handled by the nominal-k
 convention: exceedances are strict and sums always divide by k.
 
 All estimators are scale invariant under (x, y) -> (c x, c y), permutation
-invariant, and pure; sums use exactly rounded accumulation, so results do not
-depend on evaluation order.
+invariant, and pure; sums are correctly rounded (``math.fsum``'s bits), so
+results do not depend on evaluation order.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache
+from itertools import repeat
 from statistics import NormalDist
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .core import (BivariateSample, LevelSweep, TailEstimate, check_level, check_positive_finite,
-                   check_real)
+                   check_real, level_sums)
 from .errors import (
     AlphaNotAboveOne,
     CotailError,
@@ -123,27 +127,28 @@ def _quiet():
 
 @dataclass(frozen=True)
 class LevelReader:
-    """One estimator with its parameters bound to a sweep, read row by row at any of its levels.
+    """One estimator with its parameters bound to a sweep, read for all rows at any of its levels.
 
-    ``terms(k)`` gives, for each row of the sweep, the weights of its
-    exceedances at level k, or the ``CotailError`` that fails the row there.
-    A row's value is factor * (1/k) sum w and its plug-in variance
-    factor^2 * (1/k) sum w^2; one that is beyond the double range fails the
+    ``sums(k, power)`` gives each row's exactly rounded sum (``core.level_sums``)
+    of its exceedances' weights at level k, raised to ``power`` (1 or 2), and
+    ``failed(k)`` each row's ``CotailError`` at level k, or None where the row
+    has a value (None for every row if not given). A row's value is
+    factor * (1/k) sum w and its plug-in variance factor^2 * (1/k) sum w^2,
+    taken for all rows at once; one that is beyond the double range fails the
     row with ``NonFiniteEstimate``. ``alpha_used`` holds each row's alpha.
     """
 
     estimator_id: str
-    terms: Callable[[int], list]
+    sums: Callable[[int, int], np.ndarray]
+    failed: Callable[[int], Iterable] = lambda k: repeat(None)
     factor: float = 1.0
     alpha_used: Sequence | None = None
     metadata: Mapping[str, object] = field(default_factory=dict)
 
     def values(self, k: int) -> list:
         """Each row's estimate at level k without its variance, or the error that fails the row."""
-        return [
-            t if isinstance(t, CotailError) else self._mean(t, k, self.factor)
-            for t in self.terms(k)
-        ]
+        means = self._means(self.sums(k, 1), k, self.factor)
+        return [m if f is None else f for m, f in zip(means, self.failed(k))]
 
     def value(self, k: int) -> float:
         """The estimate of a one-row sweep at level k, without its variance."""
@@ -151,45 +156,44 @@ class LevelReader:
 
     def estimate(self, k: int) -> TailEstimate:
         """The estimate of a one-row sweep at level k with its plug-in variance."""
-        terms = unwrap(self.terms(k)[0])
         factor = self.factor
         return TailEstimate(
-            value=unwrap(self._mean(terms, k, factor)),
+            value=self.value(k),
             k=k,
             estimator_id=self.estimator_id,
-            plugin_variance=unwrap(self._mean([t * t for t in terms], k, factor * factor)),
+            plugin_variance=unwrap(self._means(self.sums(k, 2), k, factor * factor)[0]),
             alpha_used=None if self.alpha_used is None else self.alpha_used[0],
             metadata=dict(self.metadata),
         )
 
-    def _mean(self, weights: list, k: int, scale: float):
-        """scale * (1/k) sum of ``weights``, or a ``NonFiniteEstimate`` if that is not finite."""
-        try:
-            mean = scale * (math.fsum(weights) / k)
-        except OverflowError:
-            mean = math.inf
-        if math.isfinite(mean):
-            return mean
-        return NonFiniteEstimate(f"{self.estimator_id} at k = {k} is beyond the double range")
+    def _means(self, sums: np.ndarray, k: int, scale: float) -> list:
+        """scale * (1/k) times each row's sum, or a ``NonFiniteEstimate`` where that is not finite."""
+        with _quiet():
+            means = (scale * (sums / k)).tolist()  # the same IEEE bits as on floats
+        beyond = f"{self.estimator_id} at k = {k} is beyond the double range"
+        return [m if math.isfinite(m) else NonFiniteEstimate(beyond) for m in means]
 
 
-def _prefixes(sweep: LevelSweep, rows: list) -> Callable[[int], list]:
-    """Terms at level k: a prefix of each row's weights, or the error that fails the row."""
-    return lambda k: [
-        w if isinstance(w, CotailError) else w[:m] for w, m in zip(rows, sweep.count(k))
-    ]
+def _prefix_sums(sweep: LevelSweep, weights: np.ndarray) -> Callable[[int, int], np.ndarray]:
+    """``LevelReader.sums`` of weights free of k: a power's first read sums every level at once."""
+    @cache
+    def every_level(power):
+        with _quiet():
+            return level_sums(weights if power == 1 else weights * weights, sweep.counts)
+
+    return lambda k, power: every_level(power)[:, sweep.column(k)]
 
 
 def _empirical(sweep: LevelSweep, y: float) -> LevelReader:
     y = check_positive_finite(y, "y")
 
-    def joint(k):
-        # the indicator weights that are 1; the zeros add nothing to either sum
+    def joint(k, power):
+        # the indicator weights that are 1, and their squares, add up to the joint count
         thr = sweep.threshold(k)[:, None]
         with _quiet():  # a y X_(n-k) past the double range is inf, its exact limit
             cut = y * thr
         hits = (sweep.x[:, :k] > thr) & (sweep.y[:, :k] > cut)
-        return [[1.0] * c for c in np.count_nonzero(hits, axis=1).tolist()]
+        return np.count_nonzero(hits, axis=1).astype(float)
 
     return LevelReader("tdc_empirical", joint, metadata={"y": y})
 
@@ -197,14 +201,16 @@ def _empirical(sweep: LevelSweep, y: float) -> LevelReader:
 def _ratio_power(sweep: LevelSweep, name: str, y: float, alphas: list, **metadata) -> LevelReader:
     """Weights min(y_j / (y x_j), 1)^alpha; each row's alpha is positive and finite, or an error."""
     y = check_positive_finite(y, "y")
+    failed = [a if isinstance(a, CotailError) else None for a in alphas]
+    weights = np.zeros(sweep.x.shape)  # a failed row sums its zeros
     with _quiet():
         capped = np.minimum(sweep.y / (y * sweep.x), 1.0)
-        weights = [
-            a if isinstance(a, CotailError) else (row ** a).tolist()
-            for row, a in zip(capped, alphas)
-        ]
+        for row, a in enumerate(alphas):
+            if failed[row] is None:
+                weights[row] = capped[row] ** a
     return LevelReader(
-        name, _prefixes(sweep, weights), alpha_used=alphas, metadata={"y": y, **metadata}
+        name, _prefix_sums(sweep, weights), lambda k: failed, alpha_used=alphas,
+        metadata={"y": y, **metadata},
     )
 
 
@@ -224,17 +230,20 @@ def _quasispectral_estimated(sweep: LevelSweep, k_alpha: int, y: float) -> Level
 
 
 def _aleph3(sweep: LevelSweep) -> LevelReader:
-    def scaled(k):
-        thr = sweep.threshold(k)
+    def scaled(k, power):
+        thr = sweep.threshold(k)[:, None]
         with _quiet():
-            terms = (sweep.y[:, :k] / thr[:, None]).tolist()
+            terms = sweep.y[:, :k] / thr
+            return level_sums(terms if power == 1 else terms * terms, sweep.count(k)[:, None])[:, 0]
+
+    def failed(k):
         return [
-            NonPositiveThreshold(f"X_(n-k) = {t} is not positive") if t <= 0 else row[:m]
-            for t, row, m in zip(thr.tolist(), terms, sweep.count(k))
+            NonPositiveThreshold(f"X_(n-k) = {t} is not positive") if t <= 0 else None
+            for t in sweep.threshold(k).tolist()
         ]
 
     return LevelReader(
-        "cte_aleph3", scaled,
+        "cte_aleph3", scaled, failed,
         metadata={"variance_note": "second-moment proxy, valid for tail index > 2"},
     )
 
@@ -242,9 +251,9 @@ def _aleph3(sweep: LevelSweep) -> LevelReader:
 def _aleph4(sweep: LevelSweep, alpha: float) -> LevelReader:
     alpha = check_real(alpha, "alpha", "(1, inf)", AlphaNotAboveOne)
     with _quiet():
-        ratios = (sweep.y / sweep.x).tolist()
+        ratios = sweep.y / sweep.x
     return LevelReader(
-        "cte_aleph4", _prefixes(sweep, ratios), alpha / (alpha - 1.0),
+        "cte_aleph4", _prefix_sums(sweep, ratios), factor=alpha / (alpha - 1.0),
         alpha_used=[alpha] * sweep.rows, metadata={"alpha_source": "supplied"},
     )
 
@@ -256,21 +265,21 @@ def _edm(sweep: LevelSweep, norm: str) -> LevelReader:
         by_norm = LevelSweep(sample, sweep.ks, radii)
         xe, ye = by_norm.x, by_norm.y
         squares = squared_norm(xe, ye, norm)
-        weights = ((xe * ye) / squares).tolist()
+        weights = (xe * ye) / squares
     # a square beyond the double range ties keys at inf and turns weights into 0
     # or NaN; the largest norms are the ones gathered, so their squares tell
     # whether any pair of the row has one. A nonzero pair's square below the
     # normal range has lost digits, or all of them, and fails its row as well
     over = (~np.isfinite(squares)).any(axis=1).tolist()
     under = ((squares < np.finfo(float).tiny) & ((xe > 0) | (ye > 0))).any(axis=1).tolist()
-    weights = [
+    failed = [
         NonFiniteEstimate(f"edm: a squared {norm} norm is beyond the double range") if o
         else NonFiniteEstimate(f"edm: a squared {norm} norm is below the normal range") if u
-        else w
-        for w, o, u in zip(weights, over, under)
+        else None
+        for o, u in zip(over, under)
     ]
     return LevelReader(
-        "edm", _prefixes(by_norm, weights),
+        "edm", _prefix_sums(by_norm, weights), lambda k: failed,
         metadata={"norm": norm, "threshold_scale": "norm order statistic"},
     )
 

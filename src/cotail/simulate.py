@@ -378,7 +378,9 @@ def _sweep_replications(
     return values
 
 
-# A fork and join costs about 5-7 ms, 100 replications at n = 1000 about 40 ms.
+# From a small heap a fork and join costs about 2-3 ms; 100 replications of
+# the criterion-1 study at n = 1000 take about 17-24 ms on one CPU of a
+# 2-vCPU host.
 _MIN_BLOCK = 100
 
 

@@ -7,7 +7,9 @@ larger than the exceedance level k of the downstream estimator. A common
 heuristic default is k_alpha = 2k, documented as a heuristic only.
 
 ``hill_alphas`` runs the Hill step on one sample's x or on every row of a
-block of x, partitioning it for the top k_alpha + 1 order statistics;
+block of x, partitioning it for the top k_alpha + 1 order statistics and
+summing every row's log-ratios in one ``core.level_sums`` call, one level
+of k_alpha, exactly rounded as ``math.fsum`` rounds them;
 ``hill_estimate`` is its one-sample form. k_alpha passes ``core.check_level``
 like any other level, so it is reported as an ``int``.
 """
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import OrderedView, check_level
+from .core import OrderedView, check_level, level_sums
 from .errors import NonFiniteEstimate, NonPositiveThreshold, ZeroSpread, unwrap
 
 
@@ -41,15 +43,14 @@ def hill_alphas(x: np.ndarray, k_alpha: int) -> list:
     part = np.partition(x, n - k_alpha - 1, axis=1)
     base, above = part[:, n - k_alpha - 1], part[:, n - k_alpha:]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        logs = np.log(above / base[:, None]).tolist()
+        logs = np.log(above / base[:, None])
+    log_sums = level_sums(logs, np.full((len(base), 1), k_alpha))[:, 0].tolist()
     out = []
-    for b, row in zip(base.tolist(), logs):
+    for b, log_sum in zip(base.tolist(), log_sums):
         if b <= 0:
             out.append(NonPositiveThreshold(
                 f"order statistic X_({n - k_alpha}) = {b} is not positive"))
-            continue
-        log_sum = math.fsum(row)
-        if log_sum <= 0:
+        elif log_sum <= 0:
             out.append(ZeroSpread(f"top {k_alpha + 1} order statistics are all equal to {b}"))
         elif log_sum == math.inf:  # alpha would be 0
             out.append(NonFiniteEstimate(f"X_(n) / X_({n - k_alpha}) is beyond the double range"))

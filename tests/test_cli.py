@@ -683,14 +683,41 @@ def test_crlf_and_bom_copies_ingest_as_the_lf_table(tmp_path, capsys, monkeypatc
     assert outputs == {_LF_TABLE}
 
 
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_blank_lines_take_the_byte_blocks(tmp_path, capsys, monkeypatch, cpus):
+    # blank lines after the header and among the rows, and a trailing run long
+    # enough that the second of two blocks holds nothing else
+    header, *rows = _LF_TABLE.splitlines(keepends=True)
+    text = "".join([header, "\n\n", *rows[:700], "\n", *rows[700:], "\n" * 100_000])
+    data = text.encode()
+    _byte_blocked(monkeypatch, cpus, data)
+    want = ingest_text(text)  # the per-line reader
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_parse_table", lambda text: pytest.fail("the per-line reader ran"))
+        got = ingest_text(data)
+    assert (got.x.tobytes(), got.y.tobytes()) == (want.x.tobytes(), want.y.tobytes())
+    assert cli._parse_block(b"1,2\n\n\n\n", 0, 4, 8).shape == (0, 2)  # numpy never sees it
+    # a bad row after them is the per-line reader's error, rows counted without blank lines
+    table = tmp_path / "table.csv"
+    table.write_bytes(data + b"1.0,x\n")
+    with pytest.raises(ParseError) as info:
+        ingest_text(text + "1.0,x\n")
+    code, out, err = run_cli(capsys, "ingest", "--input", str(table))
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": {"type": "ParseError", "message": str(info.value)}}
+    assert str(info.value) == "row 2002: non-numeric cell"
+
+
 def test_byte_blocks_take_clean_tables_and_refuse_the_rest():
     taken = [
         b"x,y\n1,2\n", b"1,2\n3,4", b"\xef\xbb\xbf1,2\n", b"\xef\xbb\xbfx,y\n1,2\n",
         b"1e,2\n3,4\n",  # a first line float() rejects is a header, whatever its bytes
         b"x,y\r\n1,2\n", b"\xce\xb1,\xce\xb2\n-1e-320,+.5E3\n",
+        b"x,y\n\n1,2\n", b"1,2\n\n3,4\n", b"1,2\n3,4\n\n\n",  # blank lines are skipped
     ]
     refused = [
-        b"", b"x,y\n", b"\n1,2\n", b"x,y\n\n1,2\n", b"1,2\n\n3,4\n", b"1,2\r\n3,4\r\n",
+        b"", b"x,y\n", b"x,y\n\n\n", b"\n1,2\n", b"1,2\r\n3,4\r\n",
         b"x\ry\n1,2\n", b"1,2\n3, 4\n", b"1,2\n3,4\x1f\n", b"1,2\n1_0,4\n", b"1,2\nnan,4\n",
         b"1,2\n3,4,5\n", b"1\n2\n", b"1,2\n3,\n", b"\xff,y\n1,2\n", b"1,2\n3,\xd9\xa1\n",
     ]

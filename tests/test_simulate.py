@@ -359,11 +359,10 @@ def test_run_mc_tallies_failures(monkeypatch):
             raise ZeroSpread("forced failure")
         reader = real(name, sweep, **params)
 
-        def terms(k):
-            rows = reader.terms(k)
-            return [ZeroSpread("forced") if i == 2 else t for i, t in enumerate(rows)]
+        def failed(k):
+            return [ZeroSpread("forced") if i == 2 else None for i in range(sweep.rows)]
 
-        return dataclasses.replace(reader, terms=terms)
+        return dataclasses.replace(reader, failed=failed)
 
     monkeypatch.setattr(simulate, "level_reader", flaky)
     monkeypatch.setattr(simulate, "_chunk_rows", lambda n: 4)
