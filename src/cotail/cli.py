@@ -15,18 +15,17 @@ to bit-identical values. The default seed is 0, overridable per command with
 
 Parsing a table and writing a sample, as CSV or JSON, run in contiguous
 blocks, one per usable CPU, through the fork-join that runs ``mc``'s
-replications. A named --input file is read as bytes and cut just after a
-newline into byte blocks, which numpy's C text reader converts with the
-routine ``float()`` uses. It takes a table whose rows hold only digits,
-``.,eE+-`` and LF newlines, and skips blank lines as the per-line reader
-does; a header line and a leading byte order mark are judged first, as
-below. Every other table (CRLF, spaces, U+001F, non-ASCII, ``1_0``,
-``nan``, a wrong column count, an empty cell, invalid UTF-8) and stdin go
-whole through the per-line reader, which gives every value and every error
-text. Each sample's blocks are written in order, never joined. The bytes
-written and every error's text are the same for either reader and any
-block count (``taskset -c 0`` gives the same bytes), and there is no option
-for it.
+replications. A table is read as bytes, stdin's text as the bytes it was
+decoded from, and cut just after a newline into byte blocks. numpy's C text
+reader converts a block whose rows hold only digits, ``.,eE+-`` and LF
+newlines with the routine ``float()`` uses, skipping blank lines; the header
+line and a leading byte order mark are judged first. A block with any other
+byte (CR, spaces, U+001F, non-ASCII, ``1_0``, ``nan``, invalid UTF-8), or
+one numpy refuses (a wrong column count, an empty cell), is decoded and read
+line by line on its own. Each sample's blocks are written in order, never
+joined. The values, the bytes written and every error's text are the same
+for any block count (``taskset -c 0`` gives the same bytes), and there is
+no option for it.
 
 Every failure, a command line that argparse rejects included, writes one JSON
 object {"error": {"type": ..., "message": ...}} to stderr and exits 1. A
@@ -44,7 +43,7 @@ import io
 import json
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import asdict, fields
 from itertools import starmap
 from pathlib import Path
@@ -66,11 +65,11 @@ from .tail_index import hill_alphas
 
 TRANSFORMS = ("none", "abs-log-returns")
 
-# Per-line CSV rows are parsed and written in blocks of at least this many,
-# one per usable CPU: a fork and join from a CLI-sized heap costs about 6-12
-# ms, 50000 rows take about 50 ms to parse and 100 ms to write.
+# Sample rows are written in blocks of at least this many, one per usable
+# CPU: a fork and join from a CLI-sized heap costs about 6-12 ms, 50000 rows
+# take about 100 ms to write.
 _MIN_ROWS = 50_000
-# A named file's byte blocks hold at least this many bytes: numpy's reader
+# A table's byte blocks hold at least this many bytes: numpy's reader
 # takes about 30 ms a MiB of repr floats (about 28000 rows) on a 2-vCPU
 # host, where a fork and join holding the table's bytes takes 6-11 ms.
 _MIN_BYTES = 1 << 20
@@ -103,20 +102,37 @@ REPORT_COLUMNS = (
 # ingestion
 # ---------------------------------------------------------------------------
 
-def _parse_table(text: str) -> tuple[np.ndarray, np.ndarray]:
-    text = text.removeprefix("\ufeff")  # else a byte order mark makes row 1 a header
-    # float() ignores the same surrounding whitespace as str.strip(), except
-    # U+001F; mapping it to a space keeps cells stripped without a per-cell strip
-    lines = [line for line in text.replace("\x1f", " ").splitlines() if line.strip()]
+def _parse_table(data: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """A table's two float columns, read in byte blocks by ``_run_blocks``.
+
+    After a leading byte order mark, ``\\n``-lines are read up to the first
+    that holds a non-blank line. That line is a header unless every cell
+    passes ``float()``; the rest of its ``\\n``-line (all of a file of CR
+    newlines) takes the per-line rules. The bytes after it are cut into
+    blocks of at least ``_MIN_BYTES`` bytes, each just after a newline byte.
+    Rows are numbered among non-blank lines, the header included.
+    """
+    body = len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0
+    lines: list[str] = []
+    while not lines and body < len(data):
+        head_end = _line_start(data, body + 1)
+        lines, body = _lines(data, body, head_end), head_end
     if not lines:
         raise ParseError("input contains no rows")
-    start = int(_is_header(lines[0]))
-    if start == len(lines):
-        raise ParseError("input contains no data rows")
-    parts = _run_blocks(
-        len(lines) - start, lambda lo, hi: _parse_rows(lines, start + lo, start + hi), _MIN_ROWS
+    header = int(_is_header(lines[0]))
+    parts = [_parse_rows(lines[header:])]
+    parts += _run_blocks(
+        len(data) - body, lambda lo, hi: _parse_block(data, body, lo, hi), _MIN_BYTES
     )
-    return tuple(np.concatenate(column) for column in zip(*parts))
+    row = header
+    for _, count, fault in parts:  # no block raised: an invalid byte wins over a bad row
+        if fault is not None:
+            raise ParseError(f"row {row + count + 1}: {fault}")
+        row += count
+    if row == header:
+        raise ParseError("input contains no data rows")
+    table = np.concatenate([rows for rows, _, _ in parts])
+    return table[:, 0], table[:, 1]
 
 
 def _is_header(line: str) -> bool:
@@ -129,77 +145,29 @@ def _is_header(line: str) -> bool:
     return False
 
 
-def _parse_rows(lines: list[str], lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """Lines lo..hi-1 as two float columns; line i is row i + 1 in a ``ParseError``."""
-    first: list[float] = []
-    second: list[float] = []
-    for lineno, line in enumerate(lines[lo:hi], start=lo + 1):
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise ParseError(f"row {lineno}: expected 2 columns, got {len(parts)}")
-        try:
-            first.append(float(parts[0]))
-            second.append(float(parts[1]))
-        except ValueError:
-            raise ParseError(f"row {lineno}: non-numeric cell") from None
-    return np.array(first, dtype=float), np.array(second, dtype=float)
-
-
-def _parse_bytes(data: bytes) -> tuple[np.ndarray, np.ndarray] | None:
-    """A file's two float columns parsed in C in byte blocks, or None if a block refuses.
-
-    The first line keeps ``_parse_table``'s rules: a byte order mark is
-    dropped, and the line is a header unless every cell passes ``float()``.
-    A first line that is blank, or more than one line to ``str.splitlines``,
-    refuses. The rows after it run through ``_run_blocks`` in blocks of at
-    least ``_MIN_BYTES``, each cut just after a newline byte.
-    """
-    body = len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0
-    head_end = data.find(b"\n", body) + 1 or len(data)
-    try:
-        head = data[body:head_end].decode("utf-8").replace("\x1f", " ").splitlines()
-    except UnicodeDecodeError:
-        return None
-    if len(head) != 1 or not head[0].strip():
-        return None
-    if _is_header(head[0]):
-        body = head_end
-    if body == len(data):
-        return None
-    parts = _run_blocks(
-        len(data) - body, lambda lo, hi: _parse_block(data, body, lo, hi), _MIN_BYTES
-    )
-    if any(part is None for part in parts):
-        return None
-    table = np.concatenate(parts)
-    if not table.size:  # blank lines alone: the per-line reader names the fault
-        return None
-    return table[:, 0], table[:, 1]
-
-
-def _parse_block(data: bytes, body: int, lo: int, hi: int) -> np.ndarray | None:
-    """The rows that start in bytes body+lo..body+hi-1 as an (r, 2) array, None if refused.
+def _parse_block(data: bytes, body: int, lo: int, hi: int) -> tuple[np.ndarray, int, str | None]:
+    """The rows that start in bytes body+lo..body+hi-1, as ``_parse_rows`` returns them.
 
     numpy's text reader converts each cell with ``PyOS_string_to_double``,
     the routine ``float()`` uses (tests/test_cli.py pins the two together).
-    It takes only blocks of digits, ``.,eE+-`` and newline bytes, and skips
-    blank lines as ``_parse_table`` does; a block of blank lines alone is no
-    rows, without calling numpy (which warns on a block with no data). Any
-    other byte (CR, spaces, U+001F, non-ASCII, ``_``, ``nan``), a wrong
-    column count and an empty cell refuse, and ``_parse_table`` decides
-    those tables.
+    It is given a block of digits, ``.,eE+-`` and newline bytes only, and
+    skips blank lines as the per-line rules do; a block of blank lines alone
+    is no rows, without calling numpy (which warns on a block with no data).
+    A block with any other byte (CR, spaces, U+001F, non-ASCII, ``_``,
+    ``nan``), or one numpy refuses (a wrong column count, an empty cell),
+    takes the per-line rules.
     """
     start = body if lo == 0 else _line_start(data, body + lo)
-    block = data[start:_line_start(data, body + hi)]
+    end = _line_start(data, body + hi)
+    block = data[start:end]
     if not block.strip(b"\n"):  # no line starts in this block, or only blank ones
-        return np.empty((0, 2))
-    if block.translate(None, _ROW_BYTES):
-        return None
-    try:
-        table = np.loadtxt(io.BytesIO(block), delimiter=",", comments=None, ndmin=2, dtype=float)
-    except ValueError:
-        return None
-    return table if table.shape[1] == 2 else None
+        return np.empty((0, 2)), 0, None
+    if not block.translate(None, _ROW_BYTES):
+        with suppress(ValueError):  # numpy refuses the block
+            table = np.loadtxt(io.BytesIO(block), delimiter=",", comments=None, ndmin=2)
+            if table.shape[1] == 2:
+                return table, len(table), None
+    return _parse_rows(_lines(data, start, end))
 
 
 def _line_start(data: bytes, i: int) -> int:
@@ -207,23 +175,52 @@ def _line_start(data: bytes, i: int) -> int:
     return data.find(b"\n", i - 1) + 1 or len(data)
 
 
+def _lines(data: bytes, start: int, end: int) -> list[str]:
+    """The non-blank lines of bytes start..end-1 as ``str.splitlines`` cuts the UTF-8 text.
+
+    An invalid byte is a ``UnicodeDecodeError`` at its position in data.
+    """
+    try:
+        text = str(memoryview(data)[start:end], "utf-8")
+    except UnicodeDecodeError as exc:
+        raise UnicodeDecodeError(
+            exc.encoding, data, start + exc.start, start + exc.end, exc.reason
+        ) from None
+    # float() ignores the same surrounding whitespace as str.strip(), except
+    # U+001F; mapping it to a space keeps cells stripped without a per-cell strip
+    return [line for line in text.replace("\x1f", " ").splitlines() if line.strip()]
+
+
+def _parse_rows(lines: list[str]) -> tuple[np.ndarray, int, str | None]:
+    """The per-line rules: the lines' ``float()`` values as an (r, 2) array, r, None.
+
+    At the first bad line, i lines in: no rows, i, and the fault's text.
+    """
+    values: list[float] = []
+    for i, line in enumerate(lines):
+        cells = line.split(",")
+        if len(cells) != 2:
+            return np.empty((0, 2)), i, f"expected 2 columns, got {len(cells)}"
+        try:
+            values += (float(cells[0]), float(cells[1]))
+        except ValueError:
+            return np.empty((0, 2)), i, "non-numeric cell"
+    return np.array(values, dtype=float).reshape(-1, 2), len(lines), None
+
+
 def ingest_text(text: str | bytes, transform: str = "none") -> BivariateSample:
     """Parse a two-column table, optionally mapping prices to |log-returns|.
 
-    Bytes, a file as read, take the byte blocks of ``_parse_bytes``. Where
-    those refuse, the bytes are decoded as ``Path.read_text(encoding="utf-8")``
-    decodes a file and parsed line by line, as text is.
+    Bytes are a file as read. Text is read as the bytes it was decoded from:
+    stdin's undecodable bytes, escaped as lone surrogates, are invalid UTF-8
+    again, as in the file.
     """
     transform = transform.replace("_", "-")
     if transform not in TRANSFORMS:
         raise ValueError(f"unknown transform {transform!r}, expected {TRANSFORMS}")
-    if isinstance(text, bytes):
-        columns = _parse_bytes(text) or _parse_table(
-            io.TextIOWrapper(io.BytesIO(text), encoding="utf-8").read()
-        )
-    else:
-        columns = _parse_table(text)
-    first, second = columns
+    if isinstance(text, str):
+        text = text.encode("utf-8", "surrogateescape")
+    first, second = _parse_table(text)
     if transform == "none":
         return BivariateSample(first, second)
     if first.size < 2:

@@ -500,10 +500,8 @@ def test_mc_fork_failure_is_a_json_error_and_closes_the_pipe(capsys, monkeypatch
     assert len(os.listdir("/proc/self/fd")) == fds
 
 
-# CSV rows in blocks: three minimum blocks of data rows behind blank lines and
-# a header (row 1), so data row i is row i + 2 in a ParseError
+# samples are written in row blocks of at least _MIN_ROWS rows: three of them
 _ROWS = 3 * cli._MIN_ROWS
-_BLOCKED_TABLE = ["", "  ", "x,y", "", *(f"{i}.5,{i}.25" for i in range(_ROWS))]
 
 
 def _blocked(monkeypatch, cpus: int) -> None:
@@ -525,44 +523,6 @@ def test_a_process_pinned_to_one_cpu_runs_one_block():
         capture_output=True, text=True, check=True,
     )
     assert proc.stdout == "1 [(0, 4000)]\n"
-
-
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-@pytest.mark.parametrize("bad, message", [
-    ("1.0,2.0,3.0", "expected 2 columns, got 3"), ("1.0,x", "non-numeric cell"),
-])
-def test_parse_blocks_report_the_first_bad_row(monkeypatch, bad, message):
-    # bad rows in the second and third block of three
-    lines = list(_BLOCKED_TABLE)
-    first, second = 4 + cli._MIN_ROWS + 7, 4 + 2 * cli._MIN_ROWS + 11
-    lines[first] = lines[second] = bad
-    text = "\n".join(lines) + "\n"
-    for cpus in (1, 2, 3):
-        _blocked(monkeypatch, cpus)
-        with pytest.raises(ParseError) as info:
-            ingest_text(text)
-        assert str(info.value) == f"row {cli._MIN_ROWS + 9}: {message}", cpus
-
-
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-def test_parse_block_process_that_dies_is_a_json_error(tmp_path, capsys, monkeypatch):
-    parent = os.getpid()
-    real = cli._parse_rows
-
-    def child_exits(lines, lo, hi):
-        if os.getpid() != parent:
-            os._exit(3)
-        return real(lines, lo, hi)
-
-    table = tmp_path / "table.csv"
-    table.write_text("\n".join(_BLOCKED_TABLE) + "\n")
-    monkeypatch.setattr(cli, "_parse_rows", child_exits)
-    _blocked(monkeypatch, 2)
-    code, out, err = run_cli(capsys, "ingest", "--input", str(table))
-    assert (code, out) == (1, "")
-    payload = json.loads(err)["error"]
-    assert payload["type"] == "ChildProcessError"
-    assert "without a result" in payload["message"]
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
@@ -610,26 +570,14 @@ _HARD_CELLS = [
 ]
 
 
-def test_numpy_reader_converts_each_cell_as_float_does():
-    # the byte blocks rest on numpy's text reader calling float()'s routine:
-    # a numpy whose reader differs on one of these strings fails here
-    for cell in _HARD_CELLS:
-        data = f"{cell},{cell}\n".encode()
-        assert not data.translate(None, cli._ROW_BYTES), cell
-        table = cli._parse_block(data, 0, 0, len(data))
-        try:
-            want = float(cell)
-        except ValueError:
-            assert table is None, cell
-            continue
-        assert table is not None, cell
-        assert table.tobytes() == np.array([[want, want]]).tobytes(), cell
-
-
 # 2000 rows of subnormals and sevenths, 80 KB: with the byte floor patched to
 # 4 KiB they split into one block per CPU
 _SMALL_BYTES = 4096
 _LF_TABLE = "x,y\n" + "".join(f"{i / 7!r},{i * 1e-310!r}\n" for i in range(2000))
+_LF_COLUMNS = (
+    np.array([i / 7 for i in range(2000)]).tobytes(),
+    np.array([i * 1e-310 for i in range(2000)]).tobytes(),
+)
 
 
 def _byte_blocked(monkeypatch, cpus: int, data: bytes) -> None:
@@ -638,28 +586,147 @@ def _byte_blocked(monkeypatch, cpus: int, data: bytes) -> None:
     assert len(simulate._blocks(len(data), cli._MIN_BYTES)) == cpus
 
 
+def _spy_on_per_line_rules(monkeypatch, tmp_path):
+    """Log the line count of each ``_parse_rows`` call, in this process or a block's.
+
+    The function returned reads the counts and empties the log. The first is
+    that of the call on the rest of the header's line, made before the blocks.
+    """
+    log = tmp_path / "per_line_calls.log"
+    log.write_text("")
+    real = cli._parse_rows
+
+    def spy(lines):
+        with open(log, "a") as out:
+            out.write(f"{len(lines)}\n")
+        return real(lines)
+
+    def calls() -> list[int]:
+        counts = [int(count) for count in log.read_text().split()]
+        log.write_text("")
+        return counts
+
+    monkeypatch.setattr(cli, "_parse_rows", spy)
+    return calls
+
+
+def test_numpy_reader_converts_each_cell_as_float_does(tmp_path, monkeypatch):
+    # the byte blocks rest on numpy's text reader calling float()'s routine:
+    # a numpy whose reader differs on one of these strings fails here
+    calls = _spy_on_per_line_rules(monkeypatch, tmp_path)
+    for cell in _HARD_CELLS:
+        data = f"{cell},{cell}\n".encode()
+        assert not data.translate(None, cli._ROW_BYTES), cell
+        table, count, fault = cli._parse_block(data, 0, 0, len(data))
+        try:
+            want = float(cell)
+        except ValueError:
+            # numpy refused the block, and the per-line rules named the fault
+            assert (count, fault, calls()) == (0, "non-numeric cell", [1]), cell
+            continue
+        assert (count, fault, calls()) == (1, None, []), cell  # numpy's values alone
+        assert table.tobytes() == np.array([[want, want]]).tobytes(), cell
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+@pytest.mark.parametrize("bad, message", [
+    ("1.0,2.0,3.0", "expected 2 columns, got 3"), ("1.0,x", "non-numeric cell"),
+])
+def test_parse_blocks_report_the_first_bad_row(monkeypatch, bad, message):
+    # blank lines, the header (row 1), then data row i as row i + 2; bad rows
+    # in the second and the third of three blocks
+    lines = ["", "  ", *_LF_TABLE.splitlines()]
+    lines[3 + 1000] = lines[3 + 1800] = bad
+    data = ("\n".join(lines) + "\n").encode()
+    for cpus in (1, 2, 3):
+        _byte_blocked(monkeypatch, cpus, data)
+        with pytest.raises(ParseError) as info:
+            ingest_text(data)
+        assert str(info.value) == f"row 1002: {message}", cpus
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_decode_error_in_a_later_block_beats_an_earlier_bad_row(tmp_path, capsys, monkeypatch):
+    # as when the whole file is decoded before any row is read
+    header, *rows = _LF_TABLE.splitlines(keepends=True)
+    text = "".join([header, *rows[:10], "1.0,x\n", *rows[10:]])
+    at = len(text) - 2000  # in the last block, 50 rows from the end
+    data = text[:at].encode() + b"\xff" + text[at:].encode()
+    with pytest.raises(UnicodeDecodeError) as info:
+        data.decode("utf-8")
+    want = {"type": "UnicodeDecodeError", "message": str(info.value)}
+    assert f"position {at}:" in want["message"]
+    table = tmp_path / "table.csv"
+    table.write_bytes(data)
+    for cpus in (1, 2, 3):
+        _byte_blocked(monkeypatch, cpus, data)
+        code, out, err = run_cli(capsys, "ingest", "--input", str(table))
+        assert (code, out, json.loads(err)) == (1, "", {"error": want}), cpus
+        with pytest.raises(UnicodeDecodeError) as info:
+            ingest_text(data.decode("utf-8", "surrogateescape"))  # stdin's text
+        assert str(info.value) == want["message"], cpus
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_only_a_block_numpy_refuses_takes_the_per_line_rules(tmp_path, monkeypatch, cpus):
+    data = _LF_TABLE.encode()
+    calls = _spy_on_per_line_rules(monkeypatch, tmp_path)
+    # a space in the last row, or CRLF in the last row only
+    for last in (b"1.5, 2.5\n", b"1.5,2.5\r\n"):
+        _byte_blocked(monkeypatch, cpus, data + last)
+        sample = ingest_text(data + last)
+        assert (sample.n, sample.x[-1], sample.y[-1]) == (2001, 1.5, 2.5), last
+        assert (sample.x[:-1].tobytes(), sample.y[:-1].tobytes()) == _LF_COLUMNS, last
+        # the rest of the header's line (no rows), then the last block's rows alone
+        head, *blocks = calls()
+        assert (head, len(blocks)) == (0, 1), last
+        assert (blocks[0] == 2001) == (cpus == 1), last
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_parse_block_process_that_dies_is_a_json_error(tmp_path, capsys, monkeypatch):
+    parent = os.getpid()
+    real = cli._parse_block
+
+    def child_exits(data, body, lo, hi):
+        if os.getpid() != parent:
+            os._exit(3)
+        return real(data, body, lo, hi)
+
+    table = tmp_path / "table.csv"
+    table.write_text(_LF_TABLE)
+    monkeypatch.setattr(cli, "_parse_block", child_exits)
+    _byte_blocked(monkeypatch, 2, _LF_TABLE.encode())
+    code, out, err = run_cli(capsys, "ingest", "--input", str(table))
+    assert (code, out) == (1, "")
+    payload = json.loads(err)["error"]
+    assert payload["type"] == "ChildProcessError"
+    assert "without a result" in payload["message"]
+
+
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_byte_blocks_report_the_line_reader_s_errors(tmp_path, capsys, monkeypatch, cpus):
     table = tmp_path / "table.csv"
     data = _LF_TABLE.encode()
     _byte_blocked(monkeypatch, cpus, data)
+    utf8 = data[:70_000] + b"\xff" + data[70_000:]
+    with pytest.raises(UnicodeDecodeError) as info:
+        utf8.decode("utf-8")  # the whole file's decode
     cases = {
         # an invalid UTF-8 byte deep in the file, in the last block
-        "utf8": data[:70_000] + b"\xff" + data[70_000:],
+        "utf8": (utf8, "UnicodeDecodeError", str(info.value)),
         # a bad cell in the last row, so in the last block
-        "cell": data + b"1.0,x\n",
-        "columns": data + b"1.0,2.0,3.0\n",
+        "cell": (data + b"1.0,x\n", "ParseError", "row 2002: non-numeric cell"),
+        "columns": (data + b"1.0,2.0,3.0\n", "ParseError", "row 2002: expected 2 columns, got 3"),
     }
-    for name, bad in cases.items():
+    assert "position 70000:" in cases["utf8"][2]
+    for name, (bad, kind, message) in cases.items():
         table.write_bytes(bad)
-        with pytest.raises((ParseError, UnicodeDecodeError)) as info:
-            ingest_text(table.read_text(encoding="utf-8"))  # the reader before byte blocks
-        want = {"type": info.type.__name__, "message": str(info.value)}
         code, out, err = run_cli(capsys, "ingest", "--input", str(table))
         assert (code, out) == (1, ""), name
-        assert json.loads(err) == {"error": want}, name
-    assert want["message"] == "row 2002: expected 2 columns, got 3"
+        assert json.loads(err) == {"error": {"type": kind, "message": message}}, name
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
@@ -667,19 +734,22 @@ def test_byte_blocks_report_the_line_reader_s_errors(tmp_path, capsys, monkeypat
 def test_crlf_and_bom_copies_ingest_as_the_lf_table(tmp_path, capsys, monkeypatch, cpus):
     data = _LF_TABLE.encode()
     _byte_blocked(monkeypatch, cpus, data)
+    calls = _spy_on_per_line_rules(monkeypatch, tmp_path)
     outputs = set()
     copies = {
-        "lf": data,  # byte blocks
-        "crlf": data.replace(b"\n", b"\r\n"),  # refused: the line reader
-        "bom": b"\xef\xbb\xbf" + data,  # byte blocks after the header
+        "lf": data,  # numpy's blocks
+        "crlf": data.replace(b"\n", b"\r\n"),  # every block read by the per-line rules
+        "bom": b"\xef\xbb\xbf" + data,  # numpy's blocks after the header
     }
     for name, copy in copies.items():
         table = tmp_path / f"{name}.csv"
         table.write_bytes(copy)
-        assert (cli._parse_bytes(copy) is None) == (name == "crlf"), name
         code, out, err = run_cli(capsys, "ingest", "--input", str(table))
         assert (code, err) == (0, ""), name
         outputs.add(out)
+        head, *blocks = calls()
+        assert head == 0, name  # the header's line holds no rows
+        assert (len(blocks), sum(blocks)) == ((cpus, 2000) if name == "crlf" else (0, 0)), name
     assert outputs == {_LF_TABLE}
 
 
@@ -692,41 +762,76 @@ def test_blank_lines_take_the_byte_blocks(tmp_path, capsys, monkeypatch, cpus):
     text = "".join([header, "\n\n", *rows[:700], "\n", *rows[700:], "\n" * 100_000])
     data = text.encode()
     _byte_blocked(monkeypatch, cpus, data)
-    want = ingest_text(text)  # the per-line reader
-    with monkeypatch.context() as patch:
-        patch.setattr(cli, "_parse_table", lambda text: pytest.fail("the per-line reader ran"))
-        got = ingest_text(data)
-    assert (got.x.tobytes(), got.y.tobytes()) == (want.x.tobytes(), want.y.tobytes())
-    assert cli._parse_block(b"1,2\n\n\n\n", 0, 4, 8).shape == (0, 2)  # numpy never sees it
-    # a bad row after them is the per-line reader's error, rows counted without blank lines
+    calls = _spy_on_per_line_rules(monkeypatch, tmp_path)
+    got = ingest_text(data)
+    assert (got.x.tobytes(), got.y.tobytes()) == _LF_COLUMNS
+    assert calls() == [0]  # the header's line; numpy read every block
+    table, count, fault = cli._parse_block(b"1,2\n\n\n\n", 0, 4, 8)  # numpy never sees it
+    assert (table.shape, count, fault) == ((0, 2), 0, None)
+    # a bad row after them is numbered without the blank lines
     table = tmp_path / "table.csv"
     table.write_bytes(data + b"1.0,x\n")
-    with pytest.raises(ParseError) as info:
-        ingest_text(text + "1.0,x\n")
     code, out, err = run_cli(capsys, "ingest", "--input", str(table))
     assert (code, out) == (1, "")
-    assert json.loads(err) == {"error": {"type": "ParseError", "message": str(info.value)}}
-    assert str(info.value) == "row 2002: non-numeric cell"
+    want = {"type": "ParseError", "message": "row 2002: non-numeric cell"}
+    assert json.loads(err) == {"error": want}
 
 
-def test_byte_blocks_take_clean_tables_and_refuse_the_rest():
-    taken = [
-        b"x,y\n1,2\n", b"1,2\n3,4", b"\xef\xbb\xbf1,2\n", b"\xef\xbb\xbfx,y\n1,2\n",
-        b"1e,2\n3,4\n",  # a first line float() rejects is a header, whatever its bytes
-        b"x,y\r\n1,2\n", b"\xce\xb1,\xce\xb2\n-1e-320,+.5E3\n",
-        b"x,y\n\n1,2\n", b"1,2\n\n3,4\n", b"1,2\n3,4\n\n\n",  # blank lines are skipped
-    ]
-    refused = [
-        b"", b"x,y\n", b"x,y\n\n\n", b"\n1,2\n", b"1,2\r\n3,4\r\n",
-        b"x\ry\n1,2\n", b"1,2\n3, 4\n", b"1,2\n3,4\x1f\n", b"1,2\n1_0,4\n", b"1,2\nnan,4\n",
-        b"1,2\n3,4,5\n", b"1\n2\n", b"1,2\n3,\n", b"\xff,y\n1,2\n", b"1,2\n3,\xd9\xa1\n",
-    ]
-    for data in taken:
-        first, second = cli._parse_bytes(data)
-        want = cli._parse_table(data.decode())
-        assert (first.tobytes(), second.tobytes()) == tuple(c.tobytes() for c in want), data
-    for data in refused:
-        assert cli._parse_bytes(data) is None, data
+# each table's rows and the count of its blocks read by the per-line rules
+# (besides the rest of the first non-blank line's \n-line), or its error's
+# type and text; first the tables numpy's blocks read whole
+_READS = {
+    b"x,y\n1,2\n": ([(1.0, 2.0)], 0),
+    b"1,2\n3,4": ([(1.0, 2.0), (3.0, 4.0)], 0),
+    b"\xef\xbb\xbf1,2\n": ([(1.0, 2.0)], 0),
+    b"\xef\xbb\xbfx,y\n1,2\n": ([(1.0, 2.0)], 0),
+    b"1e,2\n3,4\n": ([(3.0, 4.0)], 0),  # a first line float() rejects is a header
+    b"x,y\r\n1,2\n": ([(1.0, 2.0)], 0),
+    b"\xce\xb1,\xce\xb2\n-1e-320,+.5E3\n": ([(-1e-320, 500.0)], 0),
+    b"x,y\n\n1,2\n": ([(1.0, 2.0)], 0),  # blank lines are skipped
+    b"1,2\n\n3,4\n": ([(1.0, 2.0), (3.0, 4.0)], 0),
+    b"1,2\n3,4\n\n\n": ([(1.0, 2.0), (3.0, 4.0)], 0),
+    b"\n\n1,2\n3,4\n": ([(1.0, 2.0), (3.0, 4.0)], 0),
+    # a block numpy refuses is read by the per-line rules
+    b"1,2\r\n3,4\r\n": ([(1.0, 2.0), (3.0, 4.0)], 1),
+    b"x\ry\n1,2\n": (ParseError, "row 2: expected 2 columns, got 1"),
+    b"1,2\n3, 4\n": ([(1.0, 2.0), (3.0, 4.0)], 1),
+    b"1,2\n3,4\x1f\n": ([(1.0, 2.0), (3.0, 4.0)], 1),
+    b"1,2\n1_0,4\n": ([(1.0, 2.0), (10.0, 4.0)], 1),
+    b"1,2\nnan,4\n": ([(1.0, 2.0), (math.nan, 4.0)], 1),
+    b"1,2\n3,\xd9\xa1\n": ([(1.0, 2.0), (3.0, 1.0)], 1),
+    b"1,2\n3,4,5\n": (ParseError, "row 2: expected 2 columns, got 3"),
+    b"1,2\n3,\n": (ParseError, "row 2: non-numeric cell"),
+    b"1\n2\n": (ParseError, "row 1: expected 2 columns, got 1"),
+    b"\xff,y\n1,2\n": (
+        UnicodeDecodeError, "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+    ),
+    # an invalid byte after a bad first row, in a block or on the same CR line
+    b"1\n3,4\xff\n": (
+        UnicodeDecodeError, "'utf-8' codec can't decode byte 0xff in position 5: invalid start byte"
+    ),
+    b"x,y\r1\r\xff": (
+        UnicodeDecodeError, "'utf-8' codec can't decode byte 0xff in position 6: invalid start byte"
+    ),
+    b"": (ParseError, "input contains no rows"),
+    b"\n \r\n": (ParseError, "input contains no rows"),
+    b"x,y\n": (ParseError, "input contains no data rows"),
+    b"x,y\n\n\n": (ParseError, "input contains no data rows"),
+}
+
+
+def test_byte_blocks_take_clean_tables_and_refuse_the_rest(tmp_path, monkeypatch):
+    calls = _spy_on_per_line_rules(monkeypatch, tmp_path)
+    for data, (want, detail) in _READS.items():
+        if isinstance(want, type):
+            with pytest.raises(want) as info:
+                cli._parse_table(data)
+            assert str(info.value) == detail, data
+            calls()
+            continue
+        first, second = cli._parse_table(data)
+        assert np.array_equal(np.column_stack([first, second]), want, equal_nan=True), data
+        assert len(calls()) == 1 + detail, data
 
 
 def test_memory_error_is_a_json_error(capsys, monkeypatch):
@@ -947,6 +1052,30 @@ def test_stdin_input(capsys, monkeypatch):
     assert code == 0
     assert out.splitlines()[0] == "x,y"
     assert len(out.strip().splitlines()) == 3
+
+
+# invalid UTF-8 in the first row, in row 2's cell, and a truncated sequence at the end
+_INVALID_UTF8 = [b"\xff1,2\n3,4\n", b"1,2\n3\xff,4\n", b"x,y\n1,2\n3,4\xc3"]
+
+
+@pytest.mark.parametrize("data", _INVALID_UTF8)
+def test_stdin_and_a_named_file_give_the_same_error(tmp_path, data):
+    # real stdin, whatever its decoder: escaped bytes (the default here and
+    # under LC_ALL=C), or a strict decoder that raises itself
+    table = tmp_path / "table.csv"
+    table.write_bytes(data)
+    env = {k: v for k, v in os.environ.items() if k not in ("LC_ALL", "PYTHONIOENCODING")}
+    errors = set()
+    for extra in ({}, {"LC_ALL": "C"}, {"PYTHONIOENCODING": "utf-8:strict"}):
+        for path, stdin in (("-", data), (str(table), b"")):
+            proc = subprocess.run(
+                [sys.executable, "-m", "cotail.cli", "ingest", "--input", path],
+                input=stdin, capture_output=True, env={**env, **extra},
+            )
+            assert (proc.returncode, proc.stdout) == (1, b""), (extra, path)
+            errors.add(proc.stderr)
+    assert len(errors) == 1
+    assert json.loads(errors.pop())["error"]["type"] == "UnicodeDecodeError"
 
 
 def test_cli_import_skips_scipy_stats():

@@ -1,12 +1,23 @@
-"""The byte-block reader of a named CSV file against the per-line reader.
+"""The CLI's table reader against an independent serial reference.
+
+The reference below is the per-line reader the byte blocks replaced, kept
+here whole and serial: the file decoded as one text with universal newlines,
+one leading byte order mark dropped, U+001F mapped to a space,
+``str.splitlines``, blank lines dropped, the first line a header unless
+every cell passes ``float()``, then ``float()`` of each cell of two-column
+rows numbered among non-blank lines.
 
 Generated tables mix clean cells (float reprs, integers, exponents,
-subnormals) with the cases either reader may meet: a header or none, a byte
-order mark, blank lines, CRLF, U+001F, non-ASCII digits, ``1_0``, a missing
-or extra column, an empty cell, strings of float punctuation and no final
-newline. Whatever the CPU count and block floor, the reader must give the
-per-line reader's float64 bits, or its exception type and text.
+subnormals) with the cases a reader may meet: a header or none, a byte order
+mark at the start or inside, leading and inner blank lines, LF, CRLF, lone
+CR, NEL, U+2028 and vertical-tab line ends, U+001F, non-ASCII digits,
+``1_0``, a missing or extra column, an empty cell, strings of float
+punctuation, invalid UTF-8 and no final newline. Whatever the CPU count and
+block floor, the reader must give the reference's float64 bits, or its
+exception type and text, for the file's bytes and for the text stdin
+decodes from them.
 """
+import io
 import os
 
 import numpy as np
@@ -17,7 +28,7 @@ from hypothesis import strategies as st
 import cotail.cli as cli
 import cotail.simulate as simulate
 from cotail import BivariateSample
-from cotail.errors import CotailError
+from cotail.errors import CotailError, ParseError
 
 _DIGITS = "0123456789"
 
@@ -40,18 +51,24 @@ clean_cells = st.one_of(
 
 odd_cells = st.one_of(
     st.sampled_from([
-        "", " 1", "1 ", "\t2", "1\x1f", "\xa02", "1_0", "١٢", "nan", "-inf",
+        "", " 1", "1 ", "\t2", "1\x1f", "\xa02", "1_0", "١٢", "nan", "-inf", "\ufeff1",
         "1e", "+-1", ".", "-", "1.", ".5", "1e400", "2.4703282292062328e-324", "0x10",
     ]),
-    st.text("0123456789.eE+-", max_size=12),  # bytes the blocks take, parsed or not
+    st.text("0123456789.eE+-", max_size=12),  # bytes numpy's blocks take, parsed or not
 )
+
+line_ends = st.sampled_from(["\n", "\n", "\r\n", "\r", "\x85", "\u2028", "\x0b"])
+
+# invalid UTF-8: a stray continuation byte, bytes never valid, a truncated
+# sequence, an encoded surrogate and an overlong form
+bad_bytes = st.sampled_from([b"\x80", b"\xff", b"\xc3", b"\xe2\x82", b"\xed\xa0\x80", b"\xc0\xaf"])
 
 
 @st.composite
 def tables(draw) -> bytes:
     rows = draw(st.lists(st.lists(clean_cells, min_size=2, max_size=2), min_size=1, max_size=30))
     for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
-        row = rows[draw(st.integers(0, len(rows) - 1))]
+        row = rows[draw(st.one_of(st.just(0), st.integers(0, len(rows) - 1)))]
         defect = draw(st.sampled_from(["cell", "missing", "extra"]))
         if defect == "cell" and row:
             row[draw(st.integers(0, len(row) - 1))] = draw(odd_cells)
@@ -65,43 +82,73 @@ def tables(draw) -> bytes:
         lines.insert(0, header)
     for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):  # blank and whitespace-only lines
         lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", "  ", "\x1f"])))
-    end = draw(st.sampled_from(["\n", "\n", "\r\n", None]))  # None: each line draws its own
-    text = "".join(line + (end or draw(st.sampled_from(["\n", "\r\n"]))) for line in lines)
+    lines[:0] = [""] * draw(st.sampled_from([0, 0, 0, 1, 3]))  # leading blank lines
+    # one line end for the table, or None: each line draws its own
+    end = draw(st.one_of(st.sampled_from(["\n", "\n", "\r\n"]), st.none()))
+    text = "".join(line + (end or draw(line_ends)) for line in lines)
     if draw(st.booleans()):
         text = text.rstrip("\r\n")  # no final newline
+    if draw(st.sampled_from([False, False, False, True])):  # a byte order mark inside
+        at = draw(st.integers(1, max(len(text), 1)))
+        text = text[:at] + "\ufeff" + text[at:]
     if draw(st.booleans()):
         text = "\ufeff" + text
-    return text.encode("utf-8")
+    data = text.encode("utf-8")
+    if draw(st.sampled_from([False, False, False, True])):
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(bad_bytes) + data[at:]
+    return data
 
 
-def _outcome(read):
+def _is_number(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
+def reference_reader(data: bytes) -> BivariateSample:
+    """The per-line rules on the file's whole text, in one process."""
+    text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
+    text = text.removeprefix("\ufeff")
+    lines = [line for line in text.replace("\x1f", " ").splitlines() if line.strip()]
+    if not lines:
+        raise ParseError("input contains no rows")
+    start = 0 if all(_is_number(cell) for cell in lines[0].split(",")) else 1
+    if start == len(lines):
+        raise ParseError("input contains no data rows")
+    first, second = [], []
+    for row, line in enumerate(lines[start:], start=start + 1):
+        cells = line.split(",")
+        if len(cells) != 2:
+            raise ParseError(f"row {row}: expected 2 columns, got {len(cells)}")
+        if not (_is_number(cells[0]) and _is_number(cells[1])):
+            raise ParseError(f"row {row}: non-numeric cell")
+        first.append(float(cells[0]))
+        second.append(float(cells[1]))
+    return BivariateSample(np.array(first, dtype=float), np.array(second, dtype=float))
+
+
+def outcome(read):
     """The float64 bits of each column, or the exception's type and text."""
     try:
-        result = read()
+        sample = read()
     except (CotailError, ValueError) as exc:  # a UnicodeDecodeError is a ValueError
         return type(exc), str(exc)
-    columns = (result.x, result.y) if isinstance(result, BivariateSample) else result
-    return tuple(np.asarray(column, dtype=float).tobytes() for column in columns)
-
-
-@pytest.fixture(scope="module")
-def table_path(tmp_path_factory):
-    return tmp_path_factory.mktemp("tables") / "table.csv"
+    return sample.x.tobytes(), sample.y.tobytes()
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 @settings(max_examples=250, deadline=None, database=None)
 @given(tables(), st.sampled_from([1, 2, 3]), st.integers(1, 64))
-def test_byte_blocks_equal_the_line_reader(table_path, data, cpus, floor):
-    table_path.write_bytes(data)
+def test_byte_blocks_equal_the_line_reader(data, cpus, floor):
+    want = outcome(lambda: reference_reader(data))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(simulate, "_usable_cpus", lambda: cpus)
         patch.setattr(cli, "_MIN_BYTES", floor)
-        blocks = cli._parse_bytes(data)
-        got = _outcome(lambda: cli.ingest_text(table_path.read_bytes()))
-    # the reader before byte blocks: the file's text, parsed line by line
-    text = table_path.read_text(encoding="utf-8")  # tables() encodes str, so valid UTF-8
-    assert got == _outcome(lambda: cli.ingest_text(text))
-    event("byte blocks" if blocks is not None else "line reader")
-    if blocks is not None:  # the same bits, also where the sample rejects a value
-        assert _outcome(lambda: blocks) == _outcome(lambda: cli._parse_table(text))
+        assert outcome(lambda: cli.ingest_text(data)) == want
+        # stdin's text: the file's bytes, undecodable ones escaped
+        text = data.decode("utf-8", "surrogateescape")
+        assert outcome(lambda: cli.ingest_text(text)) == want
+    event(want[0].__name__ if isinstance(want[0], type) else "rows")
