@@ -15,17 +15,18 @@ to bit-identical values. The default seed is 0, overridable per command with
 
 Parsing a table and writing a sample, as CSV or JSON, run in contiguous
 blocks, one per usable CPU, through the fork-join that runs ``mc``'s
-replications. A table is read as bytes, stdin's text as the bytes it was
-decoded from, and cut just after a newline into byte blocks. numpy's C text
-reader converts a block whose rows hold only digits, ``.,eE+-`` and LF
-newlines with the routine ``float()`` uses, skipping blank lines; the header
-line and a leading byte order mark are judged first. A block with any other
-byte (CR, spaces, U+001F, non-ASCII, ``1_0``, ``nan``, invalid UTF-8), or
-one numpy refuses (a wrong column count, an empty cell), is decoded and read
-line by line on its own. Each sample's blocks are written in order, never
-joined. The values, the bytes written and every error's text are the same
-for any block count (``taskset -c 0`` gives the same bytes), and there is
-no option for it.
+replications. A table, named file or stdin, is read as bytes and cut into
+byte blocks at line ends, wherever ``str.splitlines`` breaks the UTF-8 text
+(never inside CRLF). A leading byte order mark and the first non-blank line,
+a header or not, are judged first; every row is read in a block. numpy's C
+text reader converts a block whose rows hold only digits, ``.,eE+-`` and LF
+newlines with the routine ``float()`` uses, skipping blank lines. A block
+with any other byte (CR, spaces, U+001F, non-ASCII, ``1_0``, ``nan``,
+invalid UTF-8), or one numpy refuses (a wrong column count, an empty cell),
+is decoded and read line by line on its own. Each sample's blocks are
+written in order, never joined. The values, the bytes written and every
+error's text are the same for any block count (``taskset -c 0`` gives the
+same bytes), and there is no option for it.
 
 Every failure, a command line that argparse rejects included, writes one JSON
 object {"error": {"type": ..., "message": ...}} to stderr and exits 1. A
@@ -39,9 +40,11 @@ from __future__ import annotations
 
 import argparse
 import codecs
+import errno
 import io
 import json
 import os
+import re
 import sys
 from contextlib import contextmanager, suppress
 from dataclasses import asdict, fields
@@ -75,6 +78,8 @@ _MIN_ROWS = 50_000
 _MIN_BYTES = 1 << 20
 # the only bytes a byte block may hold
 _ROW_BYTES = b"0123456789.,eE+-\n"
+# the UTF-8 of every line end str.splitlines breaks at, CRLF as one
+_LINE_END = re.compile(rb"\r\n?|[\n\x0b\x0c\x1c-\x1e]|\xc2\x85|\xe2\x80[\xa8\xa9]")
 
 # a row is the cell key, then the McCell as it is
 MC_COLUMNS = ("estimator_id", "k_frac", "k_alpha_frac", *(f.name for f in fields(McCell)))
@@ -103,25 +108,24 @@ REPORT_COLUMNS = (
 # ---------------------------------------------------------------------------
 
 def _parse_table(data: bytes) -> tuple[np.ndarray, np.ndarray]:
-    """A table's two float columns, read in byte blocks by ``_run_blocks``.
+    """A table's two float columns, every row read in byte blocks by ``_run_blocks``.
 
-    After a leading byte order mark, ``\\n``-lines are read up to the first
-    that holds a non-blank line. That line is a header unless every cell
-    passes ``float()``; the rest of its ``\\n``-line (all of a file of CR
-    newlines) takes the per-line rules. The bytes after it are cut into
-    blocks of at least ``_MIN_BYTES`` bytes, each just after a newline byte.
+    After a leading byte order mark, lines are decoded one at a time up to
+    the first non-blank one. That line is a header unless every cell passes
+    ``float()``. The blocks start after it if it is a header, else at it;
+    each holds at least ``_MIN_BYTES`` bytes and is cut at a ``_line_start``.
     Rows are numbered among non-blank lines, the header included.
     """
-    body = len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0
+    start = len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0
     lines: list[str] = []
-    while not lines and body < len(data):
-        head_end = _line_start(data, body + 1)
-        lines, body = _lines(data, body, head_end), head_end
+    while not lines and start < len(data):
+        head, start = start, _line_start(data, start + 1)
+        lines = _lines(data, head, start)
     if not lines:
         raise ParseError("input contains no rows")
     header = int(_is_header(lines[0]))
-    parts = [_parse_rows(lines[header:])]
-    parts += _run_blocks(
+    body = start if header else head
+    parts = _run_blocks(
         len(data) - body, lambda lo, hi: _parse_block(data, body, lo, hi), _MIN_BYTES
     )
     row = header
@@ -171,8 +175,9 @@ def _parse_block(data: bytes, body: int, lo: int, hi: int) -> tuple[np.ndarray, 
 
 
 def _line_start(data: bytes, i: int) -> int:
-    """The first line start at or after byte i > 0: just after a newline byte, else the end."""
-    return data.find(b"\n", i - 1) + 1 or len(data)
+    """Just after the first ``_LINE_END`` found from byte i - 1 on (i > 0), else the end."""
+    found = _LINE_END.search(data, i - 1)
+    return found.end() if found else len(data)
 
 
 def _lines(data: bytes, start: int, end: int) -> list[str]:
@@ -208,19 +213,12 @@ def _parse_rows(lines: list[str]) -> tuple[np.ndarray, int, str | None]:
     return np.array(values, dtype=float).reshape(-1, 2), len(lines), None
 
 
-def ingest_text(text: str | bytes, transform: str = "none") -> BivariateSample:
-    """Parse a two-column table, optionally mapping prices to |log-returns|.
-
-    Bytes are a file as read. Text is read as the bytes it was decoded from:
-    stdin's undecodable bytes, escaped as lone surrogates, are invalid UTF-8
-    again, as in the file.
-    """
+def ingest_text(data: bytes, transform: str = "none") -> BivariateSample:
+    """Parse a two-column table's bytes, optionally mapping prices to |log-returns|."""
     transform = transform.replace("_", "-")
     if transform not in TRANSFORMS:
         raise ValueError(f"unknown transform {transform!r}, expected {TRANSFORMS}")
-    if isinstance(text, str):
-        text = text.encode("utf-8", "surrogateescape")
-    first, second = _parse_table(text)
+    first, second = _parse_table(data)
     if transform == "none":
         return BivariateSample(first, second)
     if first.size < 2:
@@ -244,10 +242,18 @@ def _abs_log_returns(p: np.ndarray) -> np.ndarray:
 # io helpers
 # ---------------------------------------------------------------------------
 
-def _read_text(path: str) -> str | bytes:
-    """The table at --input: stdin's text, or a named file's bytes for ``ingest_text``."""
+def _std(name: str):
+    """``sys.stdin`` or ``sys.stdout``; one closed when Python started (None) is an OSError."""
+    stream = getattr(sys, name)
+    if stream is None:
+        raise OSError(errno.EBADF, f"{name} is closed")
+    return stream
+
+
+def _read_text(path: str) -> bytes:
+    """The bytes of the table at --input, stdin's for '-', for ``ingest_text``."""
     if path == "-":
-        return sys.stdin.read()
+        return _std("stdin").buffer.read()
     return Path(path).read_bytes()
 
 
@@ -255,7 +261,7 @@ def _read_text(path: str) -> str | bytes:
 def _output(path: str):
     """stdout for '-', else the file, created or truncated, as UTF-8 text."""
     if path == "-":
-        yield sys.stdout
+        yield _std("stdout")
     else:
         with open(path, "w", encoding="utf-8") as out:
             yield out

@@ -154,14 +154,26 @@ def _betainc(a: float, b: float, x: float, y: float) -> float:
     converges fast (under 150 terms at b = 1/2 over a sweep of a up to 5e5);
     above it, I_x(a, b) = 1 - I_y(b, a). y is passed rather than formed as
     1 - x, which would lose the digits of a small complement (rho near 1).
+    Where the front x^a y^b / (a B(a, b)) underflows, so does I_x(a, b).
     """
-    flip = x > (a + 1.0) / (a + b + 2.0)
+    # at rho an ulp below 1, x rounds to 1; past a = 1e16 so does
+    # (a + 1) / (a + b + 2), and unflipped, log1p(-x) would be a domain error
+    flip = x > (a + 1.0) / (a + b + 2.0) or x == 1.0
     if flip:  # no second test on the swapped side: x + y may exceed 1 by an ulp
         a, b, x = b, a, y
-    log_front = (
-        a * math.log(x) + b * math.log1p(-x)
-        + math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-    )
+    log_front = a * math.log(x) + b * math.log1p(-x)
+    if max(a, b) < 2.0**52:  # summed left to right, not as +=, for the goldens' bits
+        log_front = log_front + math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+    else:
+        small, big = sorted((a, b))
+        # from 2^52 on, lgamma(big) is past 1e17 (an ulp of 16) and big + 1/2
+        # rounds, so log(Gamma(big + small) / Gamma(big)) is taken from
+        # Stirling's series; the terms it drops are below small / (12 big^2)
+        ratio = (big + small - 0.5) * math.log1p(small / big) - small
+        log_front += small * math.log(big) + ratio - math.lgamma(small)
+    front = math.exp(log_front)
+    if front == 0.0:  # past a = 1e154 the fraction's terms would overflow
+        return 1.0 if flip else 0.0
     # modified Lentz evaluation of 1 + d_1 / (1 + d_2 / (1 + ...))
     f = c = 1.0
     d = 0.0
@@ -176,7 +188,7 @@ def _betainc(a: float, b: float, x: float, y: float) -> float:
         f *= c * d
         if abs(c * d - 1.0) < 1e-16:
             break
-    value = math.exp(log_front) / (a * f)
+    value = front / (a * f)
     return 1.0 - value if flip else value
 
 

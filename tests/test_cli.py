@@ -1,6 +1,9 @@
+import errno
+import io
 import json
 import math
 import os
+import shlex
 import shutil
 import subprocess
 import sys
@@ -30,14 +33,14 @@ def run_cli(capsys, *argv):
 def test_ingest_abs_log_returns_hand_values():
     e = repr(math.e)
     text = f"1.0,1.0\n{e},1.0\n{e},{e}\n"
-    sample = ingest_text(text, "abs-log-returns")
+    sample = ingest_text(text.encode(), "abs-log-returns")
     assert sample.pairs() == [(1.0, 0.0), (0.0, 1.0)]
 
 
 def test_ingest_four_row_price_table():
     prices = [(1.0, 2.0), (2.0, 2.0), (1.0, 4.0), (4.0, 1.0)]
     text = "\n".join(f"{repr(a)},{repr(b)}" for a, b in prices)
-    sample = ingest_text(text, "abs-log-returns")
+    sample = ingest_text(text.encode(), "abs-log-returns")
     expected_x = [abs(math.log(2.0 / 1.0)), abs(math.log(1.0 / 2.0)), abs(math.log(4.0 / 1.0))]
     expected_y = [abs(math.log(2.0 / 2.0)), abs(math.log(4.0 / 2.0)), abs(math.log(1.0 / 4.0))]
     assert np.allclose(sample.x, expected_x, rtol=1e-15, atol=0.0)
@@ -56,12 +59,10 @@ _WIDE_PRICES = {
 
 @pytest.mark.parametrize("text", sorted(_WIDE_PRICES))
 def test_ingest_log_returns_of_ratios_beyond_the_double_range(capsys, monkeypatch, text):
-    import io
-
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        sample = ingest_text(text, "abs-log-returns")
-        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        sample = ingest_text(text.encode(), "abs-log-returns")
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(text.encode())))
         code, out, err = run_cli(
             capsys, "ingest", "--input", "-", "--transform", "abs-log-returns"
         )
@@ -73,17 +74,17 @@ def test_ingest_log_returns_of_ratios_beyond_the_double_range(capsys, monkeypatc
 
 def test_ingest_single_row_rejected():
     with pytest.raises(ParseError):
-        ingest_text("5.0,6.0\n", "abs-log-returns")
+        ingest_text(b"5.0,6.0\n", "abs-log-returns")
 
 
 def test_ingest_header_autodetected():
-    sample = ingest_text("x,y\n1.0,2.0\n3.0,4.0\n", "none")
+    sample = ingest_text(b"x,y\n1.0,2.0\n3.0,4.0\n", "none")
     assert sample.pairs() == [(1.0, 2.0), (3.0, 4.0)]
 
 
 def test_ingest_ignores_a_leading_byte_order_mark():
-    assert ingest_text("\ufeff1.0,2.0\n3.0,4.0\n").n == 2
-    assert ingest_text("\ufeffx,y\n1.0,2.0\n3.0,4.0\n").pairs() == [(1.0, 2.0), (3.0, 4.0)]
+    assert ingest_text(b"\xef\xbb\xbf1.0,2.0\n3.0,4.0\n").n == 2
+    assert ingest_text(b"\xef\xbb\xbfx,y\n1.0,2.0\n3.0,4.0\n").pairs() == [(1.0, 2.0), (3.0, 4.0)]
     # the UTF-8 bytes on the standard input of a process: the header plus both rows
     proc = subprocess.run(
         [sys.executable, "-m", "cotail.cli", "ingest", "--input", "-"],
@@ -97,20 +98,20 @@ def test_ingest_cell_whitespace():
     # and str.splitlines() does not split on
     for space in (" ", "\t", "\xa0", "\u2003", "\x1f"):
         text = f"{space}1.5{space},{space}2{space}\n3,{space}4\n"
-        assert ingest_text(text, "none").pairs() == [(1.5, 2.0), (3.0, 4.0)], repr(space)
+        assert ingest_text(text.encode(), "none").pairs() == [(1.5, 2.0), (3.0, 4.0)], repr(space)
 
 
 def test_ingest_parse_errors():
     with pytest.raises(ParseError):
-        ingest_text("", "none")
+        ingest_text(b"", "none")
     with pytest.raises(ParseError):
-        ingest_text("1.0,2.0,3.0\n", "none")
+        ingest_text(b"1.0,2.0,3.0\n", "none")
     with pytest.raises(ParseError):
-        ingest_text("1.0,abc\n", "none")
+        ingest_text(b"1.0,abc\n", "none")
     with pytest.raises(NonPositivePrice):
-        ingest_text("1.0,0.0\n2.0,1.0\n", "abs-log-returns")
+        ingest_text(b"1.0,0.0\n2.0,1.0\n", "abs-log-returns")
     with pytest.raises(NegativeValue):
-        ingest_text("1.0,-2.0\n", "none")
+        ingest_text(b"1.0,-2.0\n", "none")
     # rows are numbered among non-blank lines, the header counting as row 1
     messages = {
         "x,y\n1.0,2.0\n3.0\n": "row 3: expected 2 columns, got 1",
@@ -124,7 +125,7 @@ def test_ingest_parse_errors():
     }
     for text, message in messages.items():
         with pytest.raises(ParseError) as info:
-            ingest_text(text, "none")
+            ingest_text(text.encode(), "none")
         assert str(info.value) == message, text
 
 
@@ -142,7 +143,7 @@ def test_simulate_then_ingest_roundtrip_bit_exact(tmp_path, capsys):
     from cotail import LinearParetoModel, ModelConfig, sample_dataset
 
     direct = sample_dataset(ModelConfig(LinearParetoModel(0.8, 0.1, 4.0), 200, 9))
-    reread = ingest_text(out.read_text(), "none")
+    reread = ingest_text(out.read_bytes(), "none")
     assert np.array_equal(direct.x, reread.x)
     assert np.array_equal(direct.y, reread.y)
 
@@ -551,7 +552,7 @@ def test_csv_bytes_do_not_depend_on_the_cpu_count(tmp_path, capsys, monkeypatch)
     data, reread, simulated_json, ingested_json = outputs.pop()
     assert data == reread and data.count(b"\n") == _ROWS + 1
     # the blocks' JSON items join to the text of one json.dumps of the sample
-    sample = ingest_text(data.decode())
+    sample = ingest_text(data)
     whole = json.dumps({"x": sample.x.tolist(), "y": sample.y.tolist()}) + "\n"
     assert simulated_json == ingested_json == whole
 
@@ -589,8 +590,7 @@ def _byte_blocked(monkeypatch, cpus: int, data: bytes) -> None:
 def _spy_on_per_line_rules(monkeypatch, tmp_path):
     """Log the line count of each ``_parse_rows`` call, in this process or a block's.
 
-    The function returned reads the counts and empties the log. The first is
-    that of the call on the rest of the header's line, made before the blocks.
+    The function returned reads the counts and empties the log.
     """
     log = tmp_path / "per_line_calls.log"
     log.write_text("")
@@ -660,11 +660,10 @@ def test_a_decode_error_in_a_later_block_beats_an_earlier_bad_row(tmp_path, caps
     table.write_bytes(data)
     for cpus in (1, 2, 3):
         _byte_blocked(monkeypatch, cpus, data)
-        code, out, err = run_cli(capsys, "ingest", "--input", str(table))
-        assert (code, out, json.loads(err)) == (1, "", {"error": want}), cpus
-        with pytest.raises(UnicodeDecodeError) as info:
-            ingest_text(data.decode("utf-8", "surrogateescape"))  # stdin's text
-        assert str(info.value) == want["message"], cpus
+        for path in (str(table), "-"):
+            monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
+            code, out, err = run_cli(capsys, "ingest", "--input", path)
+            assert (code, out, json.loads(err)) == (1, "", {"error": want}), (cpus, path)
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
@@ -678,9 +677,9 @@ def test_only_a_block_numpy_refuses_takes_the_per_line_rules(tmp_path, monkeypat
         sample = ingest_text(data + last)
         assert (sample.n, sample.x[-1], sample.y[-1]) == (2001, 1.5, 2.5), last
         assert (sample.x[:-1].tobytes(), sample.y[:-1].tobytes()) == _LF_COLUMNS, last
-        # the rest of the header's line (no rows), then the last block's rows alone
-        head, *blocks = calls()
-        assert (head, len(blocks)) == (0, 1), last
+        # the last block's rows alone
+        blocks = calls()
+        assert len(blocks) == 1, last
         assert (blocks[0] == 2001) == (cpus == 1), last
 
 
@@ -747,10 +746,61 @@ def test_crlf_and_bom_copies_ingest_as_the_lf_table(tmp_path, capsys, monkeypatc
         code, out, err = run_cli(capsys, "ingest", "--input", str(table))
         assert (code, err) == (0, ""), name
         outputs.add(out)
-        head, *blocks = calls()
-        assert head == 0, name  # the header's line holds no rows
+        blocks = calls()
         assert (len(blocks), sum(blocks)) == ((cpus, 2000) if name == "crlf" else (0, 0)), name
     assert outputs == {_LF_TABLE}
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+@pytest.mark.parametrize("header", [True, False])
+def test_every_line_end_cuts_blocks_and_rows_are_read_only_in_them(tmp_path, monkeypatch, header):
+    # a copy with any line end str.splitlines breaks at (CR, NEL and U+2028
+    # among them) splits into the LF table's count of blocks, each holding
+    # rows, and the first data row (with or without a header before it) is
+    # read in a block: the log starts with the fork-join
+    log = tmp_path / "calls.log"
+    real_run_blocks, real_parse_block, real_parse_rows = (
+        cli._run_blocks, cli._parse_block, cli._parse_rows,
+    )
+
+    def note(entry: str) -> None:
+        with open(log, "a") as out:
+            out.write(f"{entry}\n")
+
+    def run_blocks(size, work, minimum):
+        note("blocks")
+        return real_run_blocks(size, work, minimum)
+
+    def parse_block(data, body, lo, hi):
+        rows, count, fault = real_parse_block(data, body, lo, hi)
+        note(f"rows {count}")
+        return rows, count, fault
+
+    def parse_rows(lines):
+        note("per-line")
+        return real_parse_rows(lines)
+
+    monkeypatch.setattr(cli, "_run_blocks", run_blocks)
+    monkeypatch.setattr(cli, "_parse_block", parse_block)
+    monkeypatch.setattr(cli, "_parse_rows", parse_rows)
+    text = _LF_TABLE if header else _LF_TABLE.split("\n", 1)[1]
+    counts = {}
+    ends = ("\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+    for end in ends:
+        data = text.replace("\n", end).encode()
+        _byte_blocked(monkeypatch, 3, data)
+        log.write_text("")
+        sample = ingest_text(data)
+        assert (sample.x.tobytes(), sample.y.tobytes()) == _LF_COLUMNS, repr(end)
+        first, *entries = log.read_text().splitlines()
+        assert first == "blocks", repr(end)
+        counts[end] = [int(e.split()[1]) for e in entries if e.startswith("rows")]
+        assert all(counts[end]) and sum(counts[end]) == 2000, repr(end)
+        assert ("per-line" in entries) == (end != "\n"), repr(end)
+    assert {len(blocks) for blocks in counts.values()} == {3}
+    # and no cut falls inside CRLF
+    crlf = b"1,2\r\n3,4\r\n"
+    assert {cli._line_start(crlf, i) for i in range(1, len(crlf) + 1)} == {5, 10}
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
@@ -765,7 +815,7 @@ def test_blank_lines_take_the_byte_blocks(tmp_path, capsys, monkeypatch, cpus):
     calls = _spy_on_per_line_rules(monkeypatch, tmp_path)
     got = ingest_text(data)
     assert (got.x.tobytes(), got.y.tobytes()) == _LF_COLUMNS
-    assert calls() == [0]  # the header's line; numpy read every block
+    assert calls() == []  # numpy read every block
     table, count, fault = cli._parse_block(b"1,2\n\n\n\n", 0, 4, 8)  # numpy never sees it
     assert (table.shape, count, fault) == ((0, 2), 0, None)
     # a bad row after them is numbered without the blank lines
@@ -777,9 +827,8 @@ def test_blank_lines_take_the_byte_blocks(tmp_path, capsys, monkeypatch, cpus):
     assert json.loads(err) == {"error": want}
 
 
-# each table's rows and the count of its blocks read by the per-line rules
-# (besides the rest of the first non-blank line's \n-line), or its error's
-# type and text; first the tables numpy's blocks read whole
+# each table's rows and the count of its blocks read by the per-line rules,
+# or its error's type and text; first the tables numpy's blocks read whole
 _READS = {
     b"x,y\n1,2\n": ([(1.0, 2.0)], 0),
     b"1,2\n3,4": ([(1.0, 2.0), (3.0, 4.0)], 0),
@@ -831,7 +880,7 @@ def test_byte_blocks_take_clean_tables_and_refuse_the_rest(tmp_path, monkeypatch
             continue
         first, second = cli._parse_table(data)
         assert np.array_equal(np.column_stack([first, second]), want, equal_nan=True), data
-        assert len(calls()) == 1 + detail, data
+        assert len(calls()) == detail, data
 
 
 def test_memory_error_is_a_json_error(capsys, monkeypatch):
@@ -1045,9 +1094,7 @@ def test_estimated_alpha_defaults_to_twice_k(tmp_path, capsys):
 
 
 def test_stdin_input(capsys, monkeypatch):
-    import io
-
-    monkeypatch.setattr(sys, "stdin", io.StringIO("1.0,2.0\n3.0,4.0\n"))
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"1.0,2.0\n3.0,4.0\n")))
     code, out, _ = run_cli(capsys, "ingest", "--input", "-")
     assert code == 0
     assert out.splitlines()[0] == "x,y"
@@ -1060,13 +1107,14 @@ _INVALID_UTF8 = [b"\xff1,2\n3,4\n", b"1,2\n3\xff,4\n", b"x,y\n1,2\n3,4\xc3"]
 
 @pytest.mark.parametrize("data", _INVALID_UTF8)
 def test_stdin_and_a_named_file_give_the_same_error(tmp_path, data):
-    # real stdin, whatever its decoder: escaped bytes (the default here and
-    # under LC_ALL=C), or a strict decoder that raises itself
+    # real stdin, whatever its decoder: its bytes are read, never its text
     table = tmp_path / "table.csv"
     table.write_bytes(data)
     env = {k: v for k, v in os.environ.items() if k not in ("LC_ALL", "PYTHONIOENCODING")}
     errors = set()
-    for extra in ({}, {"LC_ALL": "C"}, {"PYTHONIOENCODING": "utf-8:strict"}):
+    for extra in (
+        {}, {"LC_ALL": "C"}, {"PYTHONIOENCODING": "utf-8:strict"}, {"PYTHONIOENCODING": "latin-1"},
+    ):
         for path, stdin in (("-", data), (str(table), b"")):
             proc = subprocess.run(
                 [sys.executable, "-m", "cotail.cli", "ingest", "--input", path],
@@ -1076,6 +1124,20 @@ def test_stdin_and_a_named_file_give_the_same_error(tmp_path, data):
             errors.add(proc.stderr)
     assert len(errors) == 1
     assert json.loads(errors.pop())["error"]["type"] == "UnicodeDecodeError"
+
+
+@pytest.mark.parametrize("argv, redirect", [
+    (["ingest", "--input", "-"], "<&-"),
+    (["simulate", "--model", "linear-pareto", "--n", "3"], ">&-"),
+])
+def test_a_closed_standard_stream_is_a_json_error(argv, redirect):
+    # a stream closed before Python starts is None in sys, not a file
+    command = shlex.join([sys.executable, "-m", "cotail.cli", *argv])
+    proc = subprocess.run(["sh", "-c", f"{command} {redirect}"], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    name = "stdin" if redirect == "<&-" else "stdout"
+    want = {"type": "OSError", "message": f"[Errno {errno.EBADF}] {name} is closed"}
+    assert json.loads(proc.stderr) == {"error": want}
 
 
 def test_cli_import_skips_scipy_stats():

@@ -9,16 +9,17 @@ rows numbered among non-blank lines.
 
 Generated tables mix clean cells (float reprs, integers, exponents,
 subnormals) with the cases a reader may meet: a header or none, a byte order
-mark at the start or inside, leading and inner blank lines, LF, CRLF, lone
-CR, NEL, U+2028 and vertical-tab line ends, U+001F, non-ASCII digits,
-``1_0``, a missing or extra column, an empty cell, strings of float
-punctuation, invalid UTF-8 and no final newline. Whatever the CPU count and
-block floor, the reader must give the reference's float64 bits, or its
-exception type and text, for the file's bytes and for the text stdin
-decodes from them.
+mark at the start or inside, leading and inner blank lines, every line end
+``str.splitlines`` breaks at (LF, CRLF, lone CR, vertical tab, form feed,
+U+001C-U+001E, NEL, U+2028, U+2029), U+001F, non-ASCII digits, ``1_0``, a
+missing or extra column, an empty cell, strings of float punctuation,
+invalid UTF-8 and no final newline. Whatever the CPU count and block floor,
+the reader must give the reference's float64 bits, or its exception type and
+text, for the file's bytes, passed in or read from stdin.
 """
 import io
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -57,7 +58,9 @@ odd_cells = st.one_of(
     st.text("0123456789.eE+-", max_size=12),  # bytes numpy's blocks take, parsed or not
 )
 
-line_ends = st.sampled_from(["\n", "\n", "\r\n", "\r", "\x85", "\u2028", "\x0b"])
+line_ends = st.sampled_from([
+    "\n", "\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029",
+])
 
 # invalid UTF-8: a stray continuation byte, bytes never valid, a truncated
 # sequence, an encoded surrogate and an overlong form
@@ -148,7 +151,7 @@ def test_byte_blocks_equal_the_line_reader(data, cpus, floor):
         patch.setattr(simulate, "_usable_cpus", lambda: cpus)
         patch.setattr(cli, "_MIN_BYTES", floor)
         assert outcome(lambda: cli.ingest_text(data)) == want
-        # stdin's text: the file's bytes, undecodable ones escaped
-        text = data.decode("utf-8", "surrogateescape")
-        assert outcome(lambda: cli.ingest_text(text)) == want
+        # stdin: the same bytes, read past its decoder
+        patch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
+        assert outcome(lambda: cli.ingest_text(cli._read_text("-"))) == want
     event(want[0].__name__ if isinstance(want[0], type) else "rows")

@@ -696,7 +696,7 @@ def test_infinite_parameters_rejected(guard_matrix, row):
 # raise the pinned type
 _GRID = [1.0, 2.0, 3.0]
 GUARD_INPUTS = {
-    "ingest_unknown_transform": (lambda: ingest_text("1,2\n", "bogus"), ValueError),
+    "ingest_unknown_transform": (lambda: ingest_text(b"1,2\n", "bogus"), ValueError),
     "sample_two_dimensional": (
         lambda: BivariateSample(np.ones((2, 2)), np.ones((2, 2))), ValueError),
     "sample_from_no_pairs": (lambda: BivariateSample.from_pairs([]), ValueError),

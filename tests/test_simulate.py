@@ -541,7 +541,7 @@ def test_a_model_with_only_sample_rows_runs_everywhere(monkeypatch, capsys):
 
     argv = ["simulate", "--model", "scaled-pareto", "--n", "60", "--seed", "5", "--scale", "0.5"]
     assert main(argv) == 0
-    printed = ingest_text(capsys.readouterr().out)
+    printed = ingest_text(capsys.readouterr().out.encode())
     first = sample_dataset(config)
     assert np.array_equal(printed.x, first.x) and np.array_equal(printed.y, first.y)
 
@@ -824,3 +824,51 @@ def test_bivariate_t_tail_dependence_cauchy_hand_values():
     rho = math.nextafter(1.0, 0.0)
     want = 1.0 - math.sqrt((1.0 - rho) / 2.0)
     assert BivariateTModel(1.0, rho).tail_dependence == pytest.approx(want, rel=1e-15)
+
+
+# nu from 0.1 to 1e308 in steps of 10^(1/8), then the double maximum
+_NU_GRID = [10.0 ** (e / 8) for e in range(-8, 308 * 8 + 1)] + [1.7976931348623157e308]
+
+
+@pytest.mark.parametrize("rho", [-0.9, 0.0, 0.9])
+def test_bivariate_t_tail_dependence_does_not_increase_in_nu(rho):
+    # past nu = 1e5 the value underflows: 0.0 on, never NaN or an OverflowError
+    truths = [BivariateTModel(nu, rho).tail_dependence for nu in _NU_GRID]
+    assert all(0.0 <= t <= 1.0 for t in truths)
+    assert all(t >= u for t, u in zip(truths, truths[1:]))
+    assert truths[-1] == 0.0 < truths[0]
+
+
+def test_bivariate_t_tail_dependence_limits():
+    # nu -> inf: the Gaussian copula's tail independence, for every rho below 1
+    for rho in (-0.9, 0.0, 0.9, 0.999999, 1 - 1e-12):
+        assert BivariateTModel(1e308, rho).tail_dependence == 0.0, rho
+    # rho -> -1 and rho -> 1, to an ulp from each: lambda rises from 0 to 1
+    # as 2 t_(nu+1)(-sqrt((nu + 1)(1 - rho) / (1 + rho))) does
+    near = [10.0 ** -k for k in range(1, 16)]
+    rhos = [math.nextafter(-1.0, 0.0), *(h - 1.0 for h in near[::-1]), *(1.0 - h for h in near)]
+    rhos.append(math.nextafter(1.0, 0.0))
+    for nu in (0.5, 4.0, 1000.0):
+        truths = [BivariateTModel(nu, rho).tail_dependence for rho in rhos]
+        assert all(t <= u for t, u in zip(truths, truths[1:])), nu
+        assert truths[0] < 1e-12 and 1.0 - 1e-6 < truths[-1] < 1.0, nu
+        for rho in (rhos[0], rhos[-1]):
+            arg = math.sqrt((nu + 1.0) * (1.0 - rho) / (1.0 + rho))
+            want = float(2.0 * stdtr(nu + 1.0, -arg))
+            assert BivariateTModel(nu, rho).tail_dependence == pytest.approx(want, rel=1e-13)
+
+
+@pytest.mark.parametrize("nu", ["1e200", "1e308", "1.7976931348623157e308"])
+def test_mc_truth_at_a_huge_nu_is_json(capsys, nu):
+    argv = [
+        "mc", "--model", "bivariate-t", "--nu", nu, "--n", "50", "--reps", "2",
+        "--k-fracs", "0.1", "--format", "json",
+    ]
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+
+    def no_constant(name):
+        raise ValueError(f"{name} is not JSON")
+
+    assert err == ""
+    assert json.loads(out, parse_constant=no_constant)["truth"] == 0.0
