@@ -124,9 +124,17 @@ class BivariateTModel:
 
     @property
     def tail_dependence(self) -> float:
-        return _betainc(
-            (self.nu + 1.0) / 2.0, 0.5, (1.0 + self.rho) / 2.0, (1.0 - self.rho) / 2.0
-        )
+        """2 t_(nu+1)(-t) at t^2 = (nu + 1)(1 - rho) / (1 + rho).
+
+        That is I_x((nu + 1) / 2, 1/2) at x = (1 + rho) / 2, t_df being the t distribution function.
+        """
+        a, x, y = (self.nu + 1.0) / 2.0, (1.0 + self.rho) / 2.0, (1.0 - self.rho) / 2.0
+        if a < 2.0**52:
+            return _betainc(a, 0.5, x, y)
+        # from 2^52 on, lgamma(a + 1/2) - lgamma(a) cancels to noise; past
+        # 2.7e16, x = 1 (rho an ulp below 1) leaves the fraction converging on
+        # neither side; past 1e154 its terms overflow. The normal limit holds.
+        return _twice_t_tail(self.nu + 1.0, y / x)
 
     def sample_rows(self, seed: int, reps: range, n: int) -> tuple[np.ndarray, np.ndarray]:
         """Replications ``reps`` of ``seed`` as the rows of x and y.
@@ -154,26 +162,15 @@ def _betainc(a: float, b: float, x: float, y: float) -> float:
     converges fast (under 150 terms at b = 1/2 over a sweep of a up to 5e5);
     above it, I_x(a, b) = 1 - I_y(b, a). y is passed rather than formed as
     1 - x, which would lose the digits of a small complement (rho near 1).
-    Where the front x^a y^b / (a B(a, b)) underflows, so does I_x(a, b).
+    ``BivariateTModel`` calls it only below a = 2^52.
     """
-    # at rho an ulp below 1, x rounds to 1; past a = 1e16 so does
-    # (a + 1) / (a + b + 2), and unflipped, log1p(-x) would be a domain error
-    flip = x > (a + 1.0) / (a + b + 2.0) or x == 1.0
+    flip = x > (a + 1.0) / (a + b + 2.0)
     if flip:  # no second test on the swapped side: x + y may exceed 1 by an ulp
         a, b, x = b, a, y
-    log_front = a * math.log(x) + b * math.log1p(-x)
-    if max(a, b) < 2.0**52:  # summed left to right, not as +=, for the goldens' bits
-        log_front = log_front + math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-    else:
-        small, big = sorted((a, b))
-        # from 2^52 on, lgamma(big) is past 1e17 (an ulp of 16) and big + 1/2
-        # rounds, so log(Gamma(big + small) / Gamma(big)) is taken from
-        # Stirling's series; the terms it drops are below small / (12 big^2)
-        ratio = (big + small - 0.5) * math.log1p(small / big) - small
-        log_front += small * math.log(big) + ratio - math.lgamma(small)
-    front = math.exp(log_front)
-    if front == 0.0:  # past a = 1e154 the fraction's terms would overflow
-        return 1.0 if flip else 0.0
+    log_front = (
+        a * math.log(x) + b * math.log1p(-x)
+        + math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+    )
     # modified Lentz evaluation of 1 + d_1 / (1 + d_2 / (1 + ...))
     f = c = 1.0
     d = 0.0
@@ -188,8 +185,24 @@ def _betainc(a: float, b: float, x: float, y: float) -> float:
         f *= c * d
         if abs(c * d - 1.0) < 1e-16:
             break
-    value = front / (a * f)
+    value = math.exp(log_front) / (a * f)
     return 1.0 - value if flip else value
+
+
+def _twice_t_tail(df: float, ratio: float) -> float:
+    """2 t_df(-t) at t^2 = df * ratio, for df >= 2^53, from the normal limit and its 1/df term.
+
+    2 t_df(-t) = erfc(t / sqrt 2) + phi(t) (t^3 + t) / (2 df) + O(phi(t) t^5 / df^2)
+    (Abramowitz and Stegun 26.7.5); from df = 2^53 on, the dropped term is
+    below 1e-20 of the value wherever that is above the least double.
+    """
+    t2 = df * ratio
+    if t2 > 1500.0:  # erfc and phi are below e^-750 there, past the least double
+        return 0.0
+    t = math.sqrt(t2)
+    return math.erfc(math.sqrt(t2 / 2.0)) + math.exp(-t2 / 2.0) * t * (t2 + 1.0) / (
+        2.0 * math.sqrt(2.0 * math.pi) * df
+    )
 
 
 Model = Union[LinearParetoModel, BivariateTModel]

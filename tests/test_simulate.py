@@ -858,10 +858,38 @@ def test_bivariate_t_tail_dependence_limits():
             assert BivariateTModel(nu, rho).tail_dependence == pytest.approx(want, rel=1e-13)
 
 
-@pytest.mark.parametrize("nu", ["1e200", "1e308", "1.7976931348623157e308"])
-def test_mc_truth_at_a_huge_nu_is_json(capsys, nu):
+def _t_tail_truth(nu, rho):
+    arg = math.sqrt((nu + 1.0) * (1.0 - rho) / (1.0 + rho))
+    return float(2.0 * stdtr(nu + 1.0, -arg))
+
+
+@pytest.mark.parametrize("nu", [1e17, 1e20, 1e308])
+def test_bivariate_t_tail_dependence_an_ulp_below_one_at_a_huge_nu(nu):
+    # (1 + rho) / 2 rounds to 1 there; at nu = 1e20 the value is 2 Phi(-105)
+    rho = math.nextafter(1.0, 0.0)
+    want = _t_tail_truth(nu, rho)
+    assert BivariateTModel(nu, rho).tail_dependence == pytest.approx(want, rel=1e-13)
+    assert (want > 0.01) == (nu == 1e17)
+
+
+def test_bivariate_t_tail_dependence_past_the_normal_limit_switch():
+    # from (nu + 1) / 2 = 2^52 on, the normal limit with its 1/df term
+    nus = [2.0**53 - 1.0, 2.0**53, *(10.0 ** (e / 4) for e in range(64, 80)), 2.7e19, 2.8e19]
+    rhos = [1.0 - 2.0**-53, 1.0 - 2.0**-52, 1.0 - 1e-15, 1.0 - 1e-14, 0.9, -0.9]
+    for nu in nus:
+        for rho in rhos:
+            got, want = BivariateTModel(nu, rho).tail_dependence, _t_tail_truth(nu, rho)
+            if want > 1e-200:
+                assert got == pytest.approx(want, rel=1e-12), (nu, rho)
+            else:
+                assert got == pytest.approx(want, abs=1e-200), (nu, rho)
+
+
+@pytest.mark.parametrize("nu", ["1e20", "1e200", "1e308", "1.7976931348623157e308"])
+@pytest.mark.parametrize("rho", ["0.9", "0.9999999999999999"])
+def test_mc_truth_at_a_huge_nu_is_json(capsys, nu, rho):
     argv = [
-        "mc", "--model", "bivariate-t", "--nu", nu, "--n", "50", "--reps", "2",
+        "mc", "--model", "bivariate-t", "--nu", nu, "--rho", rho, "--n", "50", "--reps", "2",
         "--k-fracs", "0.1", "--format", "json",
     ]
     assert main(argv) == 0
