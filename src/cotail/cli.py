@@ -20,10 +20,10 @@ byte blocks at line ends, wherever ``str.splitlines`` breaks the UTF-8 text
 (never inside CRLF). A leading byte order mark and the first non-blank line,
 a header or not, are judged first; every row is read in a block. numpy's C
 text reader converts a block whose rows hold only digits, ``.,eE+-`` and LF
-newlines with the routine ``float()`` uses, skipping blank lines. A block
-with any other byte (CR, spaces, U+001F, non-ASCII, ``1_0``, ``nan``,
-invalid UTF-8), or one numpy refuses (a wrong column count, an empty cell),
-is decoded and read line by line on its own. Each sample's blocks are
+or CRLF newlines with the routine ``float()`` uses, skipping blank lines. A
+block with any other byte (spaces, U+001F, non-ASCII, ``1_0``, ``nan``,
+invalid UTF-8), or one numpy refuses (a lone CR, a wrong column count, an
+empty cell), is decoded and read line by line on its own. Each sample's blocks are
 written in order, never joined. The values, the bytes written and every
 error's text are the same for any block count (``taskset -c 0`` gives the
 same bytes), and there is no option for it.
@@ -64,7 +64,7 @@ from .estimators import (
 )
 from .simulate import MODELS, McCell, ModelConfig, _run_blocks, run_mc, sample_dataset
 from .tail_function import NORMS
-from .tail_index import hill_alphas
+from .tail_index import sweep_alphas
 
 TRANSFORMS = ("none", "abs-log-returns")
 
@@ -77,7 +77,7 @@ _MIN_ROWS = 50_000
 # host, where a fork and join holding the table's bytes takes 6-11 ms.
 _MIN_BYTES = 1 << 20
 # the only bytes a byte block may hold
-_ROW_BYTES = b"0123456789.,eE+-\n"
+_ROW_BYTES = b"0123456789.,eE+-\r\n"
 # the UTF-8 of every line end str.splitlines breaks at, CRLF as one
 _LINE_END = re.compile(rb"\r\n?|[\n\x0b\x0c\x1c-\x1e]|\xc2\x85|\xe2\x80[\xa8\xa9]")
 
@@ -154,17 +154,19 @@ def _parse_block(data: bytes, body: int, lo: int, hi: int) -> tuple[np.ndarray, 
 
     numpy's text reader converts each cell with ``PyOS_string_to_double``,
     the routine ``float()`` uses (tests/test_cli.py pins the two together).
-    It is given a block of digits, ``.,eE+-`` and newline bytes only, and
+    It is given a block of digits, ``.,eE+-``, CR and LF bytes only, and
     skips blank lines as the per-line rules do; a block of blank lines alone
     is no rows, without calling numpy (which warns on a block with no data).
-    A block with any other byte (CR, spaces, U+001F, non-ASCII, ``_``,
-    ``nan``), or one numpy refuses (a wrong column count, an empty cell),
-    takes the per-line rules.
+    numpy ends a line at LF or CRLF and refuses a lone CR with data after
+    it, so a block it reads gives the per-line rules' rows. A block with
+    any other byte (spaces, U+001F, non-ASCII, ``_``, ``nan``), or one numpy
+    refuses (a lone CR, a wrong column count, an empty cell), takes the
+    per-line rules.
     """
     start = body if lo == 0 else _line_start(data, body + lo)
     end = _line_start(data, body + hi)
     block = data[start:end]
-    if not block.strip(b"\n"):  # no line starts in this block, or only blank ones
+    if not block.strip(b"\r\n"):  # no line starts in this block, or only blank ones
         return np.empty((0, 2)), 0, None
     if not block.translate(None, _ROW_BYTES):
         with suppress(ValueError):  # numpy refuses the block
@@ -393,17 +395,33 @@ def _report_row(args, sweep: LevelSweep, name: str, k: int, y: float):
     return est, {**asdict(est), **est.metadata}
 
 
+def _sweep(args, sample: BivariateSample, ks: list, hill: bool) -> LevelSweep:
+    """One sweep at every k and, if ``hill``, at each k's k_alpha.
+
+    Each Hill step then reads this sweep, sorted once, rather than a one-level
+    sweep of its own (``tail_index.sweep_alphas``). A k_alpha outside [1, n - 1] is no level: the reader that takes it names
+    it in its error, after the rows read before it.
+    """
+    n = sample.n
+    k_alphas = [_k_alpha(args, k, n) for k in ks] if hill else []
+    levels = [*ks, *(ka for ka in k_alphas if 1 <= ka <= n - 1)]
+    return LevelSweep(sample, tuple(dict.fromkeys(levels)))
+
+
 def _cmd_estimate(args) -> None:
     _require_k(args)
     if args.estimator == "theta" and args.p is None:
         raise ValueError("theta requires --p")
     sample = _load_sample(args)
     k = _resolve_count(args.k, args.k_frac, sample.n, "k")
-    sweep = LevelSweep(sample, (k,))
-    if args.estimator == "theta":
+    name = _registry_id(args.estimator)
+    theta = name == "theta"
+    hill = args.alpha is None if theta else "k_alpha" in ESTIMATORS[name].params
+    sweep = _sweep(args, sample, [k], hill)
+    if theta:
         row = _theta_report(args, sweep, k)
     else:
-        est, row = _report_row(args, sweep, _registry_id(args.estimator), k, args.y)
+        est, row = _report_row(args, sweep, name, k, args.y)
         lo, hi = confidence_interval(est, args.ci_level)
         row.update(ci_level=args.ci_level, ci_lo=lo, ci_hi=hi)
     _emit(args, REPORT_COLUMNS, [{"n": sample.n, **row}])
@@ -412,7 +430,7 @@ def _cmd_estimate(args) -> None:
 def _theta_report(args, sweep: LevelSweep, k: int) -> dict:
     """theta_hat composes a Hill or supplied alpha, a CTE coefficient and k."""
     k_alpha = None if args.alpha is not None else _k_alpha(args, k, sweep.n)
-    alpha = args.alpha if k_alpha is None else unwrap(hill_alphas(sweep.sample.x, k_alpha)[0])
+    alpha = args.alpha if k_alpha is None else unwrap(sweep_alphas(sweep, k_alpha)[0])
     aleph = level_reader(_registry_id(args.aleph_from), sweep, alpha=alpha).value(k)
     ext = theta_hat(sweep.sample, k, args.p, aleph, alpha)
     return {
@@ -452,7 +470,7 @@ def _cmd_curve(args) -> None:
     else:
         ks = [_resolve_count(args.k, args.k_frac, sample.n, "k")]
     # one sweep gathers the exceedances of every k for all methods
-    sweep = LevelSweep(sample, tuple(dict.fromkeys(ks)))
+    sweep = _sweep(args, sample, ks, any("k_alpha" in ESTIMATORS[name].params for name in names))
     rows = [_report_row(args, sweep, name, k, y)[1] for name in names for k in ks for y in ys]
     _emit(args, _CURVE_COLUMNS, rows)
 

@@ -12,8 +12,11 @@ once, for a single sample or a block of replications held as rows
 keys and only those are sorted, and the pairs behind them are gathered in
 descending key order, so the exceedances at each level are a prefix of every
 row. No sort needs to be stable: every count is strict and every sum exact,
-so the order among tied keys changes no value. The Hill step selects its own
-order statistics.
+so the order among tied keys changes no value. Since a sweep reads no more
+of a row than those max(k) + 1 pairs, its rows may be cut to them first
+(``top_pairs``), with the samples' n given: the Monte Carlo harness sweeps
+many replications at once that way. The Hill step reads a sweep too, at
+k_alpha.
 
 ``level_sums`` is the one exact reduction: for each row of a weight array it
 returns ``math.fsum`` of the row's prefix at each of a set of counts, bit for
@@ -157,24 +160,29 @@ def _take(a: np.ndarray, cols: np.ndarray) -> np.ndarray:
 class LevelSweep:
     """The strict exceedances of one sample, or of every row of a block, at a set of levels k.
 
-    ``sample`` is a ``BivariateSample`` (one row) or ``SampleRows``. Nothing
-    is read until first use. Then each row's largest max(ks) + 1 keys are
-    selected and sorted in descending order, each level's threshold and
-    strict exceedance count follow from them, and ``x``/``y`` receive the
-    pairs behind the largest max(ks) keys, so the exceedances of a row at
-    level k are the first ``count(k)[row]`` entries of that row. The key is
-    x unless another per-pair ``key`` is given (the norm of the dependence
-    measure); it must have x's shape and no NaN (inf is a key), or the first
-    read is a ``ValueError`` naming it.
+    ``sample`` is a ``BivariateSample`` (one row) or ``SampleRows``. Its rows
+    are whole samples, or samples of ``n`` pairs cut to the pairs of their
+    largest max(ks) + 1 keys or more (``top_pairs``): the levels run up to
+    n - 1 and everything read depends on those keys alone. Nothing is read
+    until first use. Then each row's largest max(ks) + 1 keys are selected and
+    sorted in descending order, each level's threshold and strict exceedance
+    count follow from them, and ``x``/``y`` receive the pairs behind the
+    largest max(ks) keys, so the exceedances of a row at level k are the first
+    ``count(k)[row]`` entries of that row. The key is x unless another
+    per-pair ``key`` is given (the norm of the dependence measure); it must
+    have x's shape and no NaN (inf is a key), or the first read is a
+    ``ValueError`` naming it.
     """
 
     sample: BivariateSample | SampleRows
     ks: tuple[int, ...]
     key: np.ndarray | None = None
+    n: int | None = None
 
-    @property
-    def n(self) -> int:
-        return self.sample.x.shape[-1]
+    def __post_init__(self):
+        pairs = self.sample.x.shape[-1]
+        n = pairs if self.n is None else check_level(self.n, "n", pairs)
+        object.__setattr__(self, "n", n)
 
     @property
     def rows(self) -> int:
@@ -184,16 +192,19 @@ class LevelSweep:
     def _read(self):
         x, y = np.atleast_2d(self.sample.x), np.atleast_2d(self.sample.y)
         key = x if self.key is None else np.atleast_2d(self.key)
-        n = self.n
-        ks = [check_level(k, "k", 1, n - 1) for k in self.ks]
+        ks = [check_level(k, "k", 1, self.n - 1) for k in self.ks]
         shape = self.sample.x.shape
         if self.key is not None and (np.shape(self.key) != shape or np.isnan(key).any()):
             raise ValueError(f"key must have the shape of x, {shape}, and no NaN")
-        width = max(ks, default=0)
-        # the largest width + 1 keys of each row; which of several tied keys
-        # make the cut changes no threshold, count or sum
-        part = np.argpartition(key, n - width - 1, axis=1)[:, n - width - 1:]
-        part_keys = _take(key, part)
+        width, pairs = max(ks, default=0), x.shape[1]
+        if width >= pairs:
+            raise ValueError(f"level {width} needs {width + 1} pairs a row, the rows hold {pairs}")
+        # the largest width + 1 keys of each row, unless the rows hold just
+        # those; which of several tied keys make the cut changes no threshold,
+        # count or sum
+        cut = pairs - width - 1
+        part = np.argpartition(key, cut, axis=1)[:, cut:] if cut else None
+        part_keys = key if part is None else _take(key, part)
         order = np.argsort(part_keys, axis=1)[:, ::-1]
         top = _take(part_keys, order)
         # X_(n-k) is each row's (k+1)-th largest key; ties at it make the
@@ -203,7 +214,7 @@ class LevelSweep:
         counts = np.empty(thresholds.shape, dtype=np.intp)
         for i, k in enumerate(columns):
             counts[:, i] = np.count_nonzero(top[:, :k] > top[:, k, None], axis=1)
-        gather = _take(part, order[:, :width])
+        gather = order[:, :width] if part is None else _take(part, order[:, :width])
         xs = top[:, :width] if self.key is None else _take(x, gather)
         return columns, thresholds, counts, xs, _take(y, gather)
 
@@ -239,6 +250,21 @@ class LevelSweep:
         return self.counts[:, self.column(k)]
 
 
+def top_pairs(rows: SampleRows, width: int, key: np.ndarray | None = None):
+    """x and y of each row's width + 1 pairs of largest key (x unless ``key``), in no order.
+
+    A ``LevelSweep`` of these rows, given the rows' n and keyed alike, reads
+    the thresholds, counts and exceedances of the whole rows at every level
+    up to width.
+    """
+    key = rows.x if key is None else key
+    cut = rows.x.shape[1] - width - 1
+    if cut <= 0:
+        return rows.x, rows.y
+    part = np.argpartition(key, cut, axis=1)[:, cut:]
+    return _take(rows.x, part), _take(rows.y, part)
+
+
 def level_sums(w: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """``math.fsum(w[r, :counts[r, i]])`` for every row r and level i, bit for bit, as an array.
 
@@ -269,16 +295,18 @@ def level_sums(w: np.ndarray, counts: np.ndarray) -> np.ndarray:
     fast = top < math.ldexp(1.0, 1023 - bits)  # NaN fails it too; the others are summed apart
     sigma = np.ldexp(1.0, np.frexp(np.where(fast, top, 0.0))[1] + bits)[:, None]
     rest = np.where(fast[:, None], w, 0.0)
-    # running[r, c] sums a piece of row r's first c weights; ``at`` indexes it flat
-    running = np.zeros((rows, width + 1))
-    at = counts + np.arange(0, running.size, width + 1)[:, None]
+    # each piece is cut into ``piece`` and summed there in place, so that
+    # piece[r, c - 1] sums row r's first c; ``at`` indexes it flat
+    piece = np.empty(w.shape)
+    empty = counts == 0
+    at = np.maximum(counts - 1, 0) + np.arange(rows)[:, None] * width
     parts = []
     while np.count_nonzero(rest):
-        piece = rest + sigma
+        np.add(rest, sigma, out=piece)
         piece -= sigma
         rest -= piece
-        np.cumsum(piece, axis=1, out=running[:, 1:])
-        parts.append(running.take(at))
+        np.cumsum(piece, axis=1, out=piece)
+        parts.append(np.where(empty, 0.0, piece.take(at)))
         sigma = np.ldexp(sigma, bits - 53)
     if len(parts) <= 2:  # 0 + the first part is exact, adding the second rounds once
         sums = sum(parts, np.zeros((rows, levels)))

@@ -34,10 +34,11 @@ y / alpha / k_alpha / norm, and the upper end of its natural range. Every
 estimator is read off a ``core.LevelSweep``, which gathers the exceedances
 of one sample, or of each row of a block of replications, at a whole set of
 levels k. ``level_reader`` binds an estimator and its parameters to a sweep:
-the Hill step and every weight that does not depend on k are computed once
-for all rows, and each (row, level) is then one exactly rounded sum over a
-prefix of that row's weights, from one ``core.level_sums`` call per reader
-(per level for ``cte_aleph3``, none for ``tdc_empirical``'s joint counts).
+the Hill step (which reads the sweep at k_alpha, a level of it or not) and
+every weight that does not depend on k are computed once for all rows, and
+each (row, level) is then one exactly rounded sum over a prefix of that
+row's weights, from one ``core.level_sums`` call per reader (per level for
+``cte_aleph3``, none for ``tdc_empirical``'s joint counts).
 ``LevelReader.values`` gives every row's estimate alone (the Monte Carlo
 harness discards the variance);
 ``LevelReader.estimate`` gives a one-row sweep's full ``TailEstimate``.
@@ -80,7 +81,7 @@ from .errors import (
     unwrap,
 )
 from .tail_function import norm_values, squared_norm
-from .tail_index import hill_alphas
+from .tail_index import sweep_alphas
 
 
 @dataclass(frozen=True)
@@ -224,7 +225,7 @@ def _quasispectral(sweep: LevelSweep, y: float, alpha: float) -> LevelReader:
 def _quasispectral_estimated(sweep: LevelSweep, k_alpha: int, y: float) -> LevelReader:
     k_alpha = check_level(k_alpha, "k_alpha", 1, sweep.n - 1)
     return _ratio_power(
-        sweep, "tdc_quasispectral_estimated", y, hill_alphas(sweep.sample.x, k_alpha),
+        sweep, "tdc_quasispectral_estimated", y, sweep_alphas(sweep, k_alpha),
         k_alpha=k_alpha, alpha_source="hill",
     )
 
@@ -262,7 +263,7 @@ def _edm(sweep: LevelSweep, norm: str) -> LevelReader:
     sample = sweep.sample
     with _quiet():
         radii = norm_values(sample.x, sample.y, norm)  # rejects an unknown norm
-        by_norm = LevelSweep(sample, sweep.ks, radii)
+        by_norm = LevelSweep(sample, sweep.ks, radii, sweep.n)
         xe, ye = by_norm.x, by_norm.y
         squares = squared_norm(xe, ye, norm)
         weights = (xe * ye) / squares

@@ -30,13 +30,17 @@ bit for bit: linear-Pareto fills each row with two uniform draws and runs the
 Pareto power and Box-Muller once per chunk. Bivariate-t runs its gamma
 rejection in rounds over the chunk, each round one Box-Muller and one
 acceptance test over every row's pending candidates, then draws each row's
-Z1 and Z2' uniforms into a buffer and runs Box-Muller once more. One
-``core.LevelSweep`` then covers the chunk: one partition and one sort of each
-row's top keys, one Hill step per k_alpha and one set of weights per
-estimator, after which every (row, cell) is an exactly rounded sum over a
-prefix of that row's weights. A chunk's row count comes from a fixed byte
-budget and n. Only values are computed: the plug-in variance is not part of
-a summary.
+Z1 and Z2' uniforms into a buffer and runs Box-Muller once more. Each
+drawn row is then cut to its top max(k, k_alpha) + 1 pairs by x, the only
+pairs the estimators and the Hill step read (``core.top_pairs``), and by the
+norm as well when ``edm`` is asked for. One ``core.LevelSweep`` with the
+true n covers a stack of such cut rows from several chunks: one sort of each
+row's kept keys, one Hill step per k_alpha (a level of the sweep) and one
+set of weights per estimator, after which every (row, cell) is an exactly
+rounded sum over a prefix of that row's weights. A chunk's row count comes
+from a fixed byte budget and n, a stack's from another budget and the width
+it keeps. Only values are computed: the plug-in variance is not part of a
+summary.
 
 Replication r of seed s draws from the Philox stream keyed by the pair
 (s, r) (``rng.stream_key``), so streams are distinct across replications and
@@ -70,9 +74,10 @@ import numpy as np
 
 from . import rng
 from .core import (BivariateSample, LevelSweep, SampleRows, check_level, check_positive_finite,
-                   check_real, fraction_to_count)
+                   check_real, fraction_to_count, top_pairs)
 from .errors import CotailError
 from .estimators import ESTIMATORS, level_reader
+from .tail_function import norm_values
 
 
 @dataclass(frozen=True)
@@ -292,13 +297,14 @@ def run_mc(
     coefficient as its ``truth``; the summary's ``truth`` is that value when
     some cell carries it, else None.
 
-    Each chunk of replications is swept once: one ``LevelSweep`` covers
-    every k of every row, and one reader per (estimator, k_alpha) gives each
-    of its cells a value per row. A ``CotailError`` while binding a reader
-    fails all of its cells; one in a row fails that row's cells of the
-    reader (a Hill step) or that row's cell at one level. The replications
-    run in blocks across processes as the module docstring describes; the
-    summary depends on neither the block count nor the chunk size.
+    Each stack of replications is swept once: one ``LevelSweep`` of the rows
+    cut to their top pairs covers every k and k_alpha of every row, and one
+    reader per (estimator, k_alpha) gives each of its cells a value per row.
+    A ``CotailError`` while binding a reader fails all of its cells in the
+    stack; one in a row fails that row's cells of the reader (a Hill step)
+    or that row's cell at one level. The replications run in blocks across
+    processes as the module docstring describes; the summary depends on
+    neither the block count nor the chunk or stack size.
     """
     reps = check_level(reps, "reps")
     check_positive_finite(y, "y")
@@ -327,11 +333,16 @@ def run_mc(
                 ka = None if kaf is None else fraction_to_count(kaf, n)
                 readers.setdefault((name, ka), []).append((len(keys), k))
                 keys.append((name, kf, kaf))
-    ks = tuple(sorted({fraction_to_count(kf, n) for kf in k_fracs}))
+    # the levels of the sweep by x: every k, and every Hill step's k_alpha;
+    # the norm's sweep, when an estimator takes the norm, needs the ks alone
+    ks = {fraction_to_count(kf, n) for kf in k_fracs}
+    levels = {"x": tuple(sorted(ks | {ka for _, ka in readers if ka is not None}))}
+    if any("norm" in ESTIMATORS[name].params for name in names):
+        levels["norm"] = tuple(sorted(ks))
 
     params = {"alpha": config.model.tail_index, "y": y, "norm": "l2"}
     parts = _run_blocks(
-        reps, lambda lo, hi: _sweep_replications(config, lo, hi, ks, readers, params)
+        reps, lambda lo, hi: _sweep_replications(config, lo, hi, levels, readers, params)
     )
     # a failed replication is simply missing from its cell's list
     values = {key: [v for part in parts for v in part[i]] for i, key in enumerate(keys)}
@@ -362,45 +373,88 @@ def _finite_stat(stat: Callable[[np.ndarray], float], arr: np.ndarray) -> float:
     return value
 
 
-# Replications are swept a chunk of rows at a time. A row costs roughly 64 n
+# Replications are drawn a chunk of rows at a time. A row costs roughly 64 n
 # bytes of buffers, so at n = 1000 a chunk holds 10 rows. Memory is the limit:
 # larger chunks are faster, as each call covers more rows, but each row adds
 # its buffers to the peak memory.
 _CHUNK_BYTES = 5 << 17
+# Each drawn row is cut to its top width + 1 pairs, and the cut rows of whole
+# chunks are swept together, about 64 (width + 1) bytes of sweep a row: 50
+# rows of the criterion-1 study (width 400) and 200 of a width of 100. Each
+# bind and read then covers more rows, which the estimators pay per call.
+_STACK_BYTES = 5 << 18
 
 
 def _chunk_rows(n: int) -> int:
     return max(1, _CHUNK_BYTES // (64 * n))
 
 
+def _stack_rows(n: int, width: int) -> int:
+    """Rows a sweep covers: as many whole chunks as ``_STACK_BYTES`` holds at the width, or one."""
+    chunk = _chunk_rows(n)
+    return chunk * max(1, _STACK_BYTES // (64 * (width + 1)) // chunk)
+
+
 def _sweep_replications(
     config: ModelConfig,
     lo: int,
     hi: int,
-    ks: tuple[int, ...],
+    levels: Mapping[str, tuple[int, ...]],
     readers: Mapping[tuple[str, int | None], Sequence[tuple[int, int]]],
     params: Mapping[str, object],
 ) -> list[list[float]]:
     """Each cell's values over replications lo..hi-1, in replication order.
 
-    Each chunk of replications is drawn as rows and swept once over every k
-    in ``ks``; ``readers`` maps (estimator, k_alpha) to the (cell index, k)
-    of its cells. A row's error fails that row's cell only.
+    ``levels`` holds the levels of the sweep by x and, if an estimator takes
+    the norm, of the sweep by it; ``readers`` maps (estimator, k_alpha) to the
+    (cell index, k) of its cells. Each stack of replications is swept once
+    (``_stack_sweeps``). A row's error fails that row's cell only.
     """
     values: list[list[float]] = [[] for cells in readers.values() for _ in cells]
-    step = _chunk_rows(config.n)
-    for start in range(lo, hi, step):
-        sweep = LevelSweep(_sample_rows(config, start, min(start + step, hi)), ks)
+    depth = _stack_rows(config.n, max(levels["x"]))
+    for stack in range(lo, hi, depth):
+        sweeps = _stack_sweeps(config, stack, min(stack + depth, hi), levels, params["norm"])
         for (name, ka), cells in readers.items():
-            try:
-                reader = level_reader(name, sweep, k_alpha=ka, **params)
-            except CotailError:  # a parameter failed: all its cells, in every row
-                continue
-            for index, k in cells:
-                values[index] += [
-                    v for v in reader.values(k) if not isinstance(v, CotailError)
-                ]
+            sweep = sweeps["norm" if "norm" in ESTIMATORS[name].params else "x"]
+            for (index, _), got in zip(cells, _cell_values(sweep, name, ka, cells, params)):
+                values[index] += got
+        del sweeps, sweep  # the stack's arrays go before the next stack is drawn
     return values
+
+
+def _cell_values(sweep: LevelSweep, name: str, ka: int | None, cells, params) -> list[list[float]]:
+    """The values of each (cell index, k) of ``cells`` over the sweep's rows, bar failed rows."""
+    try:
+        reader = level_reader(name, sweep, k_alpha=ka, **params)
+    except CotailError:  # a parameter failed: all its cells, in every row
+        return [[] for _ in cells]
+    return [[v for v in reader.values(k) if not isinstance(v, CotailError)] for _, k in cells]
+
+
+def _stack_sweeps(
+    config: ModelConfig, lo: int, hi: int, levels: Mapping[str, tuple[int, ...]], norm: str
+) -> dict[str, LevelSweep]:
+    """The sweeps of replications lo..hi-1 at ``levels["x"]`` and, if given, ``levels["norm"]``.
+
+    The rows are drawn a chunk at a time, and each row is cut to its top
+    pairs, max(levels) + 1 by x for the one and by the norm for the other:
+    all that a sweep at those levels reads of it (``core.top_pairs``). The
+    sweep of the norm's pairs is only their carrier: it is keyed by x, so its
+    thresholds and counts mean nothing for them and are never read. The one
+    reader that takes the norm (``edm``) takes its rows, levels and n and
+    ranks the pairs by the norm in a sweep of its own.
+    """
+    n, step = config.n, _chunk_rows(config.n)
+    cut = {key: (np.empty((hi - lo, max(ks) + 1)), np.empty((hi - lo, max(ks) + 1)))
+           for key, ks in levels.items()}
+    for start in range(lo, hi, step):
+        rows = _sample_rows(config, start, min(start + step, hi))
+        at = slice(start - lo, start - lo + len(rows.x))
+        for key, (x, y) in cut.items():
+            with np.errstate(over="ignore"):  # an infinite norm is a key; its reader fails it
+                rank = None if key == "x" else norm_values(rows.x, rows.y, norm)
+            x[at], y[at] = top_pairs(rows, max(levels[key]), rank)
+    return {key: LevelSweep(SampleRows(x, y), levels[key], n=n) for key, (x, y) in cut.items()}
 
 
 # From a small heap a fork and join costs about 2-3 ms; 100 replications of

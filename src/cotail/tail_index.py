@@ -6,12 +6,16 @@ yields alpha_hat close to alpha. The number of upper order statistics used
 larger than the exceedance level k of the downstream estimator. A common
 heuristic default is k_alpha = 2k, documented as a heuristic only.
 
-``hill_alphas`` runs the Hill step on one sample's x or on every row of a
-block of x, partitioning it for the top k_alpha + 1 order statistics and
-summing every row's log-ratios in one ``core.level_sums`` call, one level
-of k_alpha, exactly rounded as ``math.fsum`` rounds them;
-``hill_estimate`` is its one-sample form. k_alpha passes ``core.check_level``
-like any other level, so it is reported as an ``int``.
+``sweep_alphas`` is the one Hill step: it reads every row of a
+``core.LevelSweep`` at k_alpha, taking X_(n-k_alpha) as the sweep's
+threshold at k_alpha and the top k_alpha order statistics as the first
+k_alpha entries of its x (a sweep without that level, or keyed by another
+value than x, is read through a one-level sweep of its rows), and sums every
+row's log-ratios in one ``core.level_sums`` call, exactly rounded as
+``math.fsum`` rounds them.
+``hill_alphas`` runs it on one sample's x or a block of x over a one-level
+sweep, and ``hill_estimate`` is its one-sample form. k_alpha passes
+``core.check_level`` like any other level, so it is reported as an ``int``.
 """
 from __future__ import annotations
 
@@ -20,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import OrderedView, check_level, level_sums
+from .core import LevelSweep, OrderedView, SampleRows, check_level, level_sums
 from .errors import NonFiniteEstimate, NonPositiveThreshold, ZeroSpread, unwrap
 
 
@@ -30,20 +34,24 @@ class HillEstimate:
     k_alpha: int
 
 
-def hill_alphas(x: np.ndarray, k_alpha: int) -> list:
-    """Each row's Hill alpha on its top k_alpha order statistics (one sample's x is one row).
+def sweep_alphas(sweep: LevelSweep, k_alpha: int) -> list:
+    """Each row's Hill alpha on its top k_alpha order statistics of x, read off the sweep.
 
     alpha_hat = k_alpha / sum_{i=0..k_alpha-1} log(X_{n:n-i} / X_{n:n-k_alpha}).
-    A row whose X_{n:n-k_alpha} is not positive, or whose log-ratios sum to
-    0 or past the double range, gets the ``CotailError`` instead.
+    An x-keyed sweep with k_alpha among its levels is read as it is; any other
+    is read through a one-level sweep of its rows at k_alpha (which fails, as
+    a sweep does, on rows cut below k_alpha + 1 pairs). A row whose
+    X_{n:n-k_alpha} is not positive, or whose log-ratios sum to 0 or past the
+    double range, gets the ``CotailError`` instead.
     """
-    x = np.atleast_2d(x)
-    n = x.shape[1]
+    n = sweep.n
     k_alpha = check_level(k_alpha, "k_alpha", 1, n - 1)
-    part = np.partition(x, n - k_alpha - 1, axis=1)
-    base, above = part[:, n - k_alpha - 1], part[:, n - k_alpha:]
+    if sweep.key is not None or k_alpha not in sweep.ks:
+        sweep = LevelSweep(sweep.sample, (k_alpha,), n=n)
+    base = sweep.threshold(k_alpha)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        logs = np.log(above / base[:, None])
+        logs = sweep.x[:, :k_alpha] / base[:, None]
+        np.log(logs, out=logs)
     log_sums = level_sums(logs, np.full((len(base), 1), k_alpha))[:, 0].tolist()
     out = []
     for b, log_sum in zip(base.tolist(), log_sums):
@@ -57,6 +65,13 @@ def hill_alphas(x: np.ndarray, k_alpha: int) -> list:
         else:
             out.append(k_alpha / log_sum)
     return out
+
+
+def hill_alphas(x: np.ndarray, k_alpha: int) -> list:
+    """``sweep_alphas`` of one sample's x, or of each row of a block of x, at k_alpha."""
+    x = np.atleast_2d(x)
+    k_alpha = check_level(k_alpha, "k_alpha", 1, x.shape[1] - 1)
+    return sweep_alphas(LevelSweep(SampleRows(x, x), (k_alpha,)), k_alpha)
 
 
 def hill_estimate(view: OrderedView, k_alpha: int) -> HillEstimate:

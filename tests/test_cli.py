@@ -671,8 +671,8 @@ def test_a_decode_error_in_a_later_block_beats_an_earlier_bad_row(tmp_path, caps
 def test_only_a_block_numpy_refuses_takes_the_per_line_rules(tmp_path, monkeypatch, cpus):
     data = _LF_TABLE.encode()
     calls = _spy_on_per_line_rules(monkeypatch, tmp_path)
-    # a space in the last row, or CRLF in the last row only
-    for last in (b"1.5, 2.5\n", b"1.5,2.5\r\n"):
+    # a space in the last row, or a lone CR before its CRLF (a blank line)
+    for last in (b"1.5, 2.5\n", b"1.5,2.5\r\r\n"):
         _byte_blocked(monkeypatch, cpus, data + last)
         sample = ingest_text(data + last)
         assert (sample.n, sample.x[-1], sample.y[-1]) == (2001, 1.5, 2.5), last
@@ -737,7 +737,7 @@ def test_crlf_and_bom_copies_ingest_as_the_lf_table(tmp_path, capsys, monkeypatc
     outputs = set()
     copies = {
         "lf": data,  # numpy's blocks
-        "crlf": data.replace(b"\n", b"\r\n"),  # every block read by the per-line rules
+        "crlf": data.replace(b"\n", b"\r\n"),  # numpy's blocks too
         "bom": b"\xef\xbb\xbf" + data,  # numpy's blocks after the header
     }
     for name, copy in copies.items():
@@ -746,9 +746,27 @@ def test_crlf_and_bom_copies_ingest_as_the_lf_table(tmp_path, capsys, monkeypatc
         code, out, err = run_cli(capsys, "ingest", "--input", str(table))
         assert (code, err) == (0, ""), name
         outputs.add(out)
-        blocks = calls()
-        assert (len(blocks), sum(blocks)) == ((cpus, 2000) if name == "crlf" else (0, 0)), name
+        assert calls() == [], name
     assert outputs == {_LF_TABLE}
+
+
+def test_a_clean_crlf_block_is_read_by_numpy(tmp_path, monkeypatch):
+    calls = _spy_on_per_line_rules(monkeypatch, tmp_path)
+    reads = []
+    real = np.loadtxt
+
+    def loadtxt(*args, **kwargs):
+        reads.append(args[0].getvalue())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", loadtxt)
+    block = b"1.5,2\r\n\r\n-3e1,.25\r\n"
+    table, count, fault = cli._parse_block(block, 0, 0, len(block))
+    assert (table.tolist(), count, fault) == ([[1.5, 2.0], [-30.0, 0.25]], 2, None)
+    assert reads == [block] and calls() == []
+    # a block of CR and LF alone is no rows, and numpy never sees it
+    assert cli._parse_block(b"\r\n\r\n", 0, 0, 4)[1:] == (0, None)
+    assert reads == [block]
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
@@ -796,7 +814,7 @@ def test_every_line_end_cuts_blocks_and_rows_are_read_only_in_them(tmp_path, mon
         assert first == "blocks", repr(end)
         counts[end] = [int(e.split()[1]) for e in entries if e.startswith("rows")]
         assert all(counts[end]) and sum(counts[end]) == 2000, repr(end)
-        assert ("per-line" in entries) == (end != "\n"), repr(end)
+        assert ("per-line" in entries) == (end not in ("\n", "\r\n")), repr(end)
     assert {len(blocks) for blocks in counts.values()} == {3}
     # and no cut falls inside CRLF
     crlf = b"1,2\r\n3,4\r\n"
@@ -841,8 +859,12 @@ _READS = {
     b"1,2\n\n3,4\n": ([(1.0, 2.0), (3.0, 4.0)], 0),
     b"1,2\n3,4\n\n\n": ([(1.0, 2.0), (3.0, 4.0)], 0),
     b"\n\n1,2\n3,4\n": ([(1.0, 2.0), (3.0, 4.0)], 0),
+    b"1,2\r\n3,4\r\n": ([(1.0, 2.0), (3.0, 4.0)], 0),  # CRLF
+    b"1,2\r\n\r\n3,4\r\n\r\n": ([(1.0, 2.0), (3.0, 4.0)], 0),
+    b"1,2\r\n3,4\r": ([(1.0, 2.0), (3.0, 4.0)], 0),  # a last lone CR
     # a block numpy refuses is read by the per-line rules
-    b"1,2\r\n3,4\r\n": ([(1.0, 2.0), (3.0, 4.0)], 1),
+    b"1,2\r3,4\n": ([(1.0, 2.0), (3.0, 4.0)], 1),  # a lone CR before data
+    b"1,2\r\r\n3,4\r\n": ([(1.0, 2.0), (3.0, 4.0)], 1),
     b"x\ry\n1,2\n": (ParseError, "row 2: expected 2 columns, got 1"),
     b"1,2\n3, 4\n": ([(1.0, 2.0), (3.0, 4.0)], 1),
     b"1,2\n3,4\x1f\n": ([(1.0, 2.0), (3.0, 4.0)], 1),

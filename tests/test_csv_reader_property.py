@@ -13,7 +13,9 @@ mark at the start or inside, leading and inner blank lines, every line end
 ``str.splitlines`` breaks at (LF, CRLF, lone CR, vertical tab, form feed,
 U+001C-U+001E, NEL, U+2028, U+2029), U+001F, non-ASCII digits, ``1_0``, a
 missing or extra column, an empty cell, strings of float punctuation,
-invalid UTF-8 and no final newline. Whatever the CPU count and block floor,
+invalid UTF-8 and no final newline. A CR, which numpy's blocks take, is drawn
+wherever a block can hold one: ending a line, alone or before LF, in blank
+lines, inside a row and last in the file. Whatever the CPU count and block floor,
 the reader must give the reference's float64 bits, or its exception type and
 text, for the file's bytes, passed in or read from stdin.
 """
@@ -54,6 +56,7 @@ odd_cells = st.one_of(
     st.sampled_from([
         "", " 1", "1 ", "\t2", "1\x1f", "\xa02", "1_0", "١٢", "nan", "-inf", "\ufeff1",
         "1e", "+-1", ".", "-", "1.", ".5", "1e400", "2.4703282292062328e-324", "0x10",
+        "1\r", "\r2", "1\r\n", "\r\n2", "1\r\r\n",  # a CR or CRLF inside a row
     ]),
     st.text("0123456789.eE+-", max_size=12),  # bytes numpy's blocks take, parsed or not
 )
@@ -84,13 +87,15 @@ def tables(draw) -> bytes:
     if header is not None:
         lines.insert(0, header)
     for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):  # blank and whitespace-only lines
-        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", "  ", "\x1f"])))
+        blank = draw(st.sampled_from(["", "  ", "\x1f", "\r", "\r\r"]))
+        lines.insert(draw(st.integers(0, len(lines))), blank)
     lines[:0] = [""] * draw(st.sampled_from([0, 0, 0, 1, 3]))  # leading blank lines
     # one line end for the table, or None: each line draws its own
-    end = draw(st.one_of(st.sampled_from(["\n", "\n", "\r\n"]), st.none()))
+    end = draw(st.one_of(st.sampled_from(["\n", "\n", "\r\n", "\r\n", "\r"]), st.none()))
     text = "".join(line + (end or draw(line_ends)) for line in lines)
-    if draw(st.booleans()):
-        text = text.rstrip("\r\n")  # no final newline
+    last = draw(st.sampled_from(["keep", "none", "cr"]))
+    if last != "keep":
+        text = text.rstrip("\r\n") + ("\r" if last == "cr" else "")  # no final newline, or CR
     if draw(st.sampled_from([False, False, False, True])):  # a byte order mark inside
         at = draw(st.integers(1, max(len(text), 1)))
         text = text[:at] + "\ufeff" + text[at:]

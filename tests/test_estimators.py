@@ -43,7 +43,9 @@ from cotail import (
 )
 from cotail import rng as crng
 from cotail.cli import ingest_text, main
+from cotail.core import top_pairs
 from cotail.tail_function import norm_values, squared_norm
+from cotail.tail_index import sweep_alphas
 
 
 def pareto_sample(seed, n, alpha=4.0, ratio=None):
@@ -106,6 +108,26 @@ def test_tdc_quasispectral_bruteforce():
     want_value, want_var = reference.tdc_quasispectral(xs, ys, 4, 1.5, 2.0)
     assert est.value == want_value
     assert est.plugin_variance == want_var
+
+
+def test_the_hill_step_reads_any_sweep_at_k_alpha():
+    # k_alpha need not be a level of the sweep, and a sweep keyed by another
+    # value still gives the Hill step of x; rows cut below k_alpha + 1 pairs
+    # refuse it
+    gen = crng.generator(12)
+    x = crng.pareto(gen, 3.0, 200)
+    sample = BivariateSample(x, x * crng.open_uniform(gen, 200))
+    want = [reference.hill_alpha(x.tolist(), 40)]
+    direct = tdc_quasispectral_estimated(sample, 20, 40, 1.0)
+    for sweep in (LevelSweep(sample, (20,)), LevelSweep(sample, (20, 40))):
+        assert sweep_alphas(sweep, 40) == want
+        reader = level_reader("tdc_quasispectral_estimated", sweep, k_alpha=40, y=1.0)
+        assert reader.estimate(20) == direct
+    assert sweep_alphas(LevelSweep(sample, (20, 40), key=sample.y), 40) == want
+    rows = SampleRows(x[None], sample.y[None])
+    cut = LevelSweep(SampleRows(*top_pairs(rows, 20)), (20,), n=200)
+    with pytest.raises(ValueError, match="needs 41 pairs"):
+        sweep_alphas(cut, 40)
 
 
 def test_tdc_quasispectral_variance_below_value():
@@ -410,30 +432,35 @@ def test_estimates_carry_k_and_id():
 
 def test_estimator_paths_sort_only_the_selected_keys(monkeypatch, tmp_path, capsys):
     # every estimator, theta_hat, the curve, tef_random and the CLI's Hill step
-    # select their top keys with argpartition; nothing sorts the whole sample
+    # select their top keys with argpartition; nothing sorts the whole sample.
+    # Only a Hill step, at k_alpha = 2k, sorts more than k + 1 keys
     n, k = 300, 20
     sample = sample_dataset(ModelConfig(LinearParetoModel(0.8, 0.1, 4.0), n=n, seed=5))
-    sorts = []
+    sorts = {"plain": [], "hill": []}
+    phase = "plain"
     real = np.argsort
 
     def recording(a, *args, **kwargs):
-        sorts.append((np.shape(a)[-1], kwargs.get("kind")))
+        sorts[phase].append((np.shape(a)[-1], kwargs.get("kind")))
         return real(a, *args, **kwargs)
 
     monkeypatch.setattr(np, "argsort", recording)
-    for name in ("tdc_empirical", "tdc_quasispectral", "tdc_quasispectral_estimated",
-                 "cte_aleph3", "cte_aleph4", "edm"):
-        estimate(name, sample, k, y=1.0, alpha=4.0, k_alpha=2 * k, norm="l1")
+    params = {"y": 1.0, "alpha": 4.0, "k_alpha": 2 * k, "norm": "l1"}
+    for name in ("tdc_empirical", "tdc_quasispectral", "cte_aleph3", "cte_aleph4", "edm"):
+        estimate(name, sample, k, **params)
     theta_hat(sample, k, 0.01, 1.2, 4.0)
     cond_tail_curve(sample, k, [0.5, 1.0], "quasispectral", alpha=4.0)
     tef_random(sample, margin_exceedance(), k)
+    phase = "hill"
+    estimate("tdc_quasispectral_estimated", sample, k, **params)
     data = tmp_path / "pairs.csv"
     data.write_text("".join(f"{a!r},{b!r}\n" for a, b in sample.pairs()))
     assert main(["estimate", "--input", str(data), "--estimator", "theta", "--k", str(k),
                  "--p", "0.01"]) == 0
     capsys.readouterr()
-    assert len(sorts) >= 10
-    assert all(size <= k + 1 and kind is None for size, kind in sorts), sorts
+    assert len(sorts["plain"]) >= 8 and len(sorts["hill"]) >= 2
+    assert all(size <= k + 1 and kind is None for size, kind in sorts["plain"]), sorts
+    assert all(size <= 2 * k + 1 and kind is None for size, kind in sorts["hill"]), sorts
 
 
 def test_estimate_dispatches_by_id():

@@ -346,12 +346,13 @@ def test_run_mc_quantiles_ordered():
 
 
 def test_run_mc_tallies_failures(monkeypatch):
-    # a CotailError in one row of a chunk fails that replication's cell only;
-    # one while binding a reader fails the cell in every row of the chunk.
-    # 10 replications in chunks of 4: rows 4-7 fail at the bind, and row 2
-    # of each chunk (replications 2 and 6) at its level
+    # a CotailError in one row of a stack fails that replication's cell only;
+    # one while binding a reader fails the cell in every row of the stack.
+    # 10 replications drawn in chunks of 2 and swept in stacks of 4 (the byte
+    # budget of 4 cut rows at width 20): rows 4-7 fail at the bind, and row 2
+    # of each stack (replications 2 and 6) at its level
     real = simulate.level_reader
-    binds = []
+    binds, draws = [], []
 
     def flaky(name, sweep, **params):
         binds.append(sweep.rows)
@@ -364,11 +365,20 @@ def test_run_mc_tallies_failures(monkeypatch):
 
         return dataclasses.replace(reader, failed=failed)
 
+    real_rows = simulate._sample_rows
+
+    def counted(config, lo, hi):
+        draws.append(hi - lo)
+        return real_rows(config, lo, hi)
+
     monkeypatch.setattr(simulate, "level_reader", flaky)
-    monkeypatch.setattr(simulate, "_chunk_rows", lambda n: 4)
+    monkeypatch.setattr(simulate, "_sample_rows", counted)
+    monkeypatch.setattr(simulate, "_chunk_rows", lambda n: 2)
+    monkeypatch.setattr(simulate, "_STACK_BYTES", 4 * 64 * 21)
     config = ModelConfig(LinearParetoModel(0.8, 0.1, 4.0), n=100, seed=1)
     summary = run_mc(config, reps=10, k_fractions=[0.2], estimators=("tdc_empirical",))
     cell = summary.cells[("tdc_empirical", 0.2, None)]
+    assert draws == [2] * 5
     assert binds == [4, 4, 2]
     assert cell.failures == 4 + 1
     assert cell.rep_count == 10
@@ -566,14 +576,18 @@ def test_run_mc_counts_non_finite_estimates_as_failures(monkeypatch):
 
 
 def test_run_mc_chunks_leave_the_summary_unchanged(monkeypatch):
-    # 13 replications in chunks of 1, 5 (5 + 5 + 3) and the default size
+    # 13 replications in chunks of 1, 5 (5 + 5 + 3) and the default size, each
+    # swept in stacks of one chunk, of up to 3 rows (the budget of 3 cut rows
+    # at width 20) and of the default size: edm's cells among them
     config = ModelConfig(LinearParetoModel(0.8, 0.1, 0.8), n=41, seed=77)
     args = (config, 13, (0.05, 0.2, 0.5), (0.1, 0.4), tuple(ESTIMATORS), 1.0)
     summaries = [run_mc(*args)]
     for rows in (1, 5):
-        monkeypatch.setattr(simulate, "_chunk_rows", lambda n: rows)
-        summaries.append(run_mc(*args))
-    assert summaries[0] == summaries[1] == summaries[2]
+        for stack_bytes in (0, 3 * 64 * 21, simulate._STACK_BYTES):
+            monkeypatch.setattr(simulate, "_chunk_rows", lambda n: rows)
+            monkeypatch.setattr(simulate, "_STACK_BYTES", stack_bytes)
+            summaries.append(run_mc(*args))
+    assert all(summary == summaries[0] for summary in summaries)
     assert summaries[0].cells == _mc_by_estimate(*args)
 
 
@@ -598,26 +612,32 @@ def test_run_mc_cell_with_every_replication_failed():
 
 
 def test_run_mc_sorts_each_sample_once(monkeypatch):
-    # the criterion-1 study: 15 cells and a Hill step; each chunk of rows is
-    # partitioned once and only its selected keys are sorted, never stably
+    # the criterion-1 study: 15 cells and a Hill step. Each chunk of rows is
+    # partitioned once, to its top pairs, and each stack of cut rows is
+    # sorted once, never stably; the Hill step reads the same sort
     calls = []
     for name in ("argsort", "argpartition"):
-        def counting(*args, _name=name, _real=getattr(np, name), **kwargs):
-            calls.append((_name, kwargs.get("kind")))
-            return _real(*args, **kwargs)
+        def counting(a, *args, _name=name, _real=getattr(np, name), **kwargs):
+            calls.append((_name, np.shape(a), kwargs.get("kind")))
+            return _real(a, *args, **kwargs)
 
         monkeypatch.setattr(np, name, counting)
     monkeypatch.setattr(simulate, "_chunk_rows", lambda n: 2)
+    monkeypatch.setattr(simulate, "_STACK_BYTES", 4 * 64 * 401)
     config = ModelConfig(LinearParetoModel(0.8, 0.1, 4.0), n=1000, seed=20_260_808)
     summary = run_mc(
         config,
-        reps=3,
+        reps=5,
         k_fractions=(0.05, 0.1, 0.2, 0.3, 0.4),
         k_alpha_fractions=(0.2,),
         estimators=("tdc_empirical", "tdc_quasispectral", "tdc_quasispectral_estimated"),
     )
     assert len(summary.cells) == 15
-    assert sorted(calls) == [("argpartition", None)] * 2 + [("argsort", None)] * 2
+    # chunks of 2, 2 and 1 rows; stacks of 4 and 1 rows, each cut to 401 pairs
+    assert calls == [
+        ("argpartition", (2, 1000), None), ("argpartition", (2, 1000), None),
+        ("argsort", (4, 401), None), ("argpartition", (1, 1000), None), ("argsort", (1, 401), None),
+    ]
 
 
 def _recorded_forks(monkeypatch):
