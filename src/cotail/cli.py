@@ -9,9 +9,13 @@ Subcommands::
     cotail mc --model linear-pareto --reps 1000 --k-fracs 0.05,0.1,0.2,0.3,0.4
 
 Datasets are two-column CSV (optional header, comma separated, dot decimal).
-Floats are written with repr-level precision, so a simulated file re-ingests
-to bit-identical values. The default seed is 0, overridable per command with
---seed or globally with the COTAIL_SEED environment variable.
+Floats are written as their repr, so a simulated file re-ingests to
+bit-identical values. A sample's values, CSV cells and JSON items alike,
+are formatted by one numpy kernel, ``_repr.repr_rows``, whose bytes are
+repr's and json.dumps's; a report's by ``str`` or ``json.dumps``, where a
+NaN makes a JSON report the JSON ValueError. The default seed is 0,
+overridable per command with --seed or globally with the COTAIL_SEED
+environment variable.
 
 Parsing a table and writing a sample, as CSV or JSON, run in contiguous
 blocks, one per usable CPU, through the fork-join that runs ``mc``'s
@@ -50,6 +54,7 @@ from contextlib import contextmanager, suppress
 from dataclasses import asdict, fields
 from itertools import starmap
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -69,8 +74,9 @@ from .tail_index import sweep_alphas
 TRANSFORMS = ("none", "abs-log-returns")
 
 # Sample rows are written in blocks of at least this many, one per usable
-# CPU: a fork and join from a CLI-sized heap costs about 6-12 ms, 50000 rows
-# take about 100 ms to write.
+# CPU: a fork and join from a CLI-sized heap costs about 6-12 ms, and
+# repr_rows formats 50000 rows of two columns in about 25-45 ms on a 2-vCPU
+# Xeon host.
 _MIN_ROWS = 50_000
 # A table's byte blocks hold at least this many bytes: numpy's reader
 # takes about 30 ms a MiB of repr floats (about 28000 rows) on a 2-vCPU
@@ -261,21 +267,27 @@ def _read_text(path: str) -> bytes:
 
 @contextmanager
 def _output(path: str):
-    """stdout for '-', else the file, created or truncated, as UTF-8 text."""
-    if path == "-":
-        yield _std("stdout")
-    else:
-        with open(path, "w", encoding="utf-8") as out:
+    """Where the CLI writes its bytes: stdout for '-', else the file, created or truncated."""
+    if path != "-":
+        with open(path, "wb") as out:
             yield out
+        return
+    stdout = _std("stdout")
+    if not hasattr(stdout, "buffer"):  # a text stream in stdout's place, an io.StringIO say
+        yield SimpleNamespace(write=lambda data: stdout.write(data.decode()))
+        return
+    stdout.flush()
+    yield stdout.buffer
+    stdout.buffer.flush()
 
 
-def _write_text(out, text: str) -> None:
-    """Every piece of text the CLI writes passes here (perfbench times and counts it)."""
-    out.write(text)
+def _write_text(out, data: bytes) -> None:
+    """Every byte the CLI writes passes here (perfbench times and counts it)."""
+    out.write(data)
 
 
 def _csv_lines(rows, width: int) -> str:
-    """The one CSV row writer: a line per row; a cell is str(value), for a float its exact repr."""
+    """The report row writer: a line per row; a cell is str(value), for a float its exact repr."""
     line = (",".join(["{}"] * width) + "\n").format
     return "".join(starmap(line, rows))
 
@@ -287,31 +299,35 @@ def _emit(args, columns, rows, extra: dict | None = None) -> None:
         values = (["" if v is None else v for v in row.values()] for row in rows)
         text = ",".join(columns) + "\n" + _csv_lines(values, len(columns))
     else:
-        text = json.dumps({**(extra or {}), "rows": rows}, indent=2) + "\n"
+        text = json.dumps({**(extra or {}), "rows": rows}, indent=2, allow_nan=False) + "\n"
     with _output(args.out) as out:
-        _write_text(out, text)
+        _write_text(out, text.encode())
 
 
 def _sample_payload(args, sample: BivariateSample) -> None:
     """The sample as CSV rows or a JSON object, formatted in blocks by ``_run_blocks``.
 
-    Each block's text is written as it is, in block order, never joined.
+    ``repr_rows`` writes every value, CSV and JSON alike, as its repr. Each
+    block's bytes are written as they are, in block order, never joined.
     """
+    # imported on use: estimate, curve and mc format no sample, and an
+    # import without cached bytecode compiles the module (about 3 ms)
+    from ._repr import repr_rows
 
-    def rows(lo: int, hi: int):
-        x, y = sample.x[lo:hi].tolist(), sample.y[lo:hi].tolist()
-        if args.format == "csv":
-            return _csv_lines(zip(x, y), 2)
-        # each column's items, unbracketed; json.dumps separates items with ", "
-        sep = ", " if lo else ""
-        return [sep + json.dumps(x)[1:-1], sep + json.dumps(y)[1:-1]]
-
-    blocks = _run_blocks(sample.n, rows, _MIN_ROWS)
+    columns = (sample.x, sample.y)
     if args.format == "csv":
-        pieces = ["x,y\n", *blocks]
+        blocks = _run_blocks(sample.n, lambda lo, hi: repr_rows(c[lo:hi] for c in columns),
+                             _MIN_ROWS)
+        pieces = [b"x,y\n", *blocks]
     else:
-        xs, ys = zip(*blocks)
-        pieces = ['{"x": [', *xs, '], "y": [', *ys, "]}\n"]
+        # each column's items as json.dumps separates them: all but the last
+        # in blocks, each with the ", " after it, then the last
+        def items(lo: int, hi: int) -> list[bytes]:
+            return [repr_rows([c[lo:hi]], end=b", ") for c in columns]
+
+        xs, ys = zip(*_run_blocks(sample.n - 1, items, _MIN_ROWS))
+        x_last, y_last = (repr_rows([c[-1:]], end=b"") for c in columns)
+        pieces = [b'{"x": [', *xs, x_last, b'], "y": [', *ys, y_last, b"]}\n"]
     with _output(args.out) as out:
         for piece in pieces:
             _write_text(out, piece)

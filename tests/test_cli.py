@@ -1,3 +1,4 @@
+import dataclasses
 import errno
 import io
 import json
@@ -16,7 +17,7 @@ import pytest
 import cotail.cli as cli
 import cotail.simulate as simulate
 from cotail import BivariateSample, BivariateTModel, LinearParetoModel, tdc_quasispectral
-from cotail.cli import ingest_text, main
+from cotail.cli import REPORT_COLUMNS, ingest_text, main
 from cotail.errors import NegativeValue, NonPositivePrice, ParseError
 
 
@@ -361,6 +362,28 @@ def test_error_is_machine_readable(tmp_path, capsys):
     payload = json.loads(err)
     assert payload["error"]["type"] == "ParseError"
     assert "row 2" in payload["error"]["message"]
+
+
+def test_a_nan_in_a_json_report_is_the_json_error(tmp_path, capsys, monkeypatch):
+    # a report that would hold NaN is no JSON: it takes the error path, and CSV prints nan
+    class NanReader:
+        def __init__(self, reader):
+            self.reader = reader
+
+        def estimate(self, k):
+            return dataclasses.replace(self.reader.estimate(k), alpha_used=math.nan)
+
+    real = cli.level_reader
+    monkeypatch.setattr(cli, "level_reader", lambda *a, **kw: NanReader(real(*a, **kw)))
+    data = tmp_path / "xy.csv"
+    data.write_text("\n".join(f"{v}.0,{v}.0" for v in range(1, 30)) + "\n")
+    argv = ["estimate", "--input", str(data), "--estimator", "tdc-empirical", "--k", "5"]
+    code, out, err = run_cli(capsys, *argv, "--format", "json")
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"]["type"] == "ValueError"
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1].split(",")[REPORT_COLUMNS.index("alpha_used")] == "nan"
 
 
 # command lines rejected on their flags alone; each names a missing input

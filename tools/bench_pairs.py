@@ -1,8 +1,9 @@
 """Run the benchmark on a parent commit and on a change in alternating pairs; write a BENCH file.
 
     python3 tools/bench_pairs.py --parent <rev> --out BENCH_<n>.json \
-        [--change <rev>] [--pairs 10] [--seconds 20] [--seed 23] [--workloads a,b]
-    python3 tools/bench_pairs.py --rejudge BENCH_<n>.json
+        [--change <rev>] [--pairs 10] [--seconds 20] [--seed 23] [--workloads a,b] \
+        [--previous BENCH_<m>.json]
+    python3 tools/bench_pairs.py --rejudge BENCH_<n>.json [--previous BENCH_<m>.json]
 
 Both sides are ``git archive`` copies in a scratch directory: the parent at
 ``--parent``, the change at ``--change`` or, by default, the working tree
@@ -28,6 +29,12 @@ the change read better, and a verdict against the metric's bound:
 
 ``--rejudge BENCH.json`` gives the verdicts again from the runs a BENCH file
 records, and rewrites it, without running anything.
+
+``--previous BENCH.json`` sets each workload's and metric's change median
+beside the previous file's change median, prints the two and their ratio,
+and names the host facts in which the files differ (usable CPUs, numpy's
+version, SIMD dispatch), as medians from other hosts do not compare. The
+comparison is recorded under ``previous``.
 
 It also records the operations attempted and failed, the usable CPUs, numpy's
 version and SIMD dispatch, and both revisions. The bounds are read, never
@@ -176,6 +183,48 @@ def show(report: dict) -> None:
                   f"{m['pairs']}, bound {m['bound']:.0%}: {m['verdict']}")
 
 
+def against_previous(out: dict, previous_path: Path) -> dict:
+    """This file's change medians beside those of a previous BENCH file, and how their hosts differ."""
+    previous = json.loads(previous_path.read_text(encoding="utf-8"))
+    host, before = out["host"], previous["host"]
+    differs = [
+        f"{name}: {before.get(key)} then {host.get(key)}"
+        for name, key in (("usable CPUs", "usable_cpus"), ("numpy", "numpy"),
+                          ("SIMD dispatch", "simd"))
+        if host.get(key) != before.get(key)
+    ]
+    metrics = {}
+    for workload, entry in out["workloads"].items():
+        old = previous["workloads"].get(workload, {}).get("metrics", {})
+        for name, m in entry["metrics"].items():
+            if name not in old:
+                continue
+            then, now = old[name]["change"]["median"], m["change"]["median"]
+            metrics.setdefault(workload, {})[name] = {
+                "previous": then, "now": now, "ratio": now / then if then else None}
+    return {"file": previous_path.name, "host_differs": differs, "metrics": metrics}
+
+
+def show_previous(comparison: dict) -> None:
+    print(f"change medians against {comparison['file']}'s change medians:")
+    for difference in comparison["host_differs"] or ["none"]:
+        print(f"  host differs: {difference}")
+    for workload, metrics in comparison["metrics"].items():
+        for name, m in metrics.items():
+            ratio = "" if m["ratio"] is None else f" ({m['ratio'] - 1:+.1%})"
+            print(f"  {workload:<14} {name:<14} {m['previous']:.4g} -> {m['now']:.4g}{ratio}")
+
+
+def write(out: dict, path: Path, previous: str | None) -> None:
+    """Write a BENCH file and print its verdicts, and its comparison with ``previous`` if given."""
+    if previous:
+        out["previous"] = against_previous(out, Path(previous))
+    path.write_text(json.dumps(out, indent=1) + "\n", encoding="utf-8")
+    show(out["workloads"])
+    if previous:
+        show_previous(out["previous"])
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent")
@@ -187,14 +236,13 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=23)
     parser.add_argument("--workloads", help="comma list; default: every workload")
     parser.add_argument("--work", help="scratch directory; default: a temporary one, removed")
+    parser.add_argument("--previous", help="a BENCH file to set this one's change medians beside")
     args = parser.parse_args(argv)
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     if args.rejudge:
         path = Path(args.rejudge)
-        out = rejudge(path, bench)
-        path.write_text(json.dumps(out, indent=1) + "\n", encoding="utf-8")
-        show(out["workloads"])
+        write(rejudge(path, bench), path, args.previous)
         return 0
     if not (args.parent and args.out):
         parser.error("--parent and --out are required to run the pairs")
@@ -241,8 +289,7 @@ def main(argv=None) -> int:
                  "numpy": np.__version__, "simd": simd()},
         "workloads": report,
     }
-    Path(args.out).write_text(json.dumps(out, indent=1) + "\n", encoding="utf-8")
-    show(report)
+    write(out, Path(args.out), args.previous)
     return 0
 
 
