@@ -58,7 +58,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .core import BivariateSample, LevelSweep, fraction_to_count
+from .core import NORMS, BivariateSample, LevelSweep, fraction_to_count
 from .errors import CotailError, NonPositivePrice, ParseError, unwrap
 from .estimators import (
     ESTIMATORS,
@@ -68,7 +68,6 @@ from .estimators import (
     theta_hat,
 )
 from .simulate import MODELS, McCell, ModelConfig, _run_blocks, run_mc, sample_dataset
-from .tail_function import NORMS
 from .tail_index import sweep_alphas
 
 TRANSFORMS = ("none", "abs-log-returns")

@@ -6,17 +6,18 @@ carries no meaning; every downstream estimator is permutation invariant.
 
 A ``LevelSweep`` holds the one level-k rule: the threshold X_(n-k)
 (1 <= k <= n-1) is the (k+1)-th largest key and the exceedances are the
-keys strictly above it. It applies the rule to a whole set of levels at
-once, for a single sample or a block of replications held as rows
+keys strictly above it; the key is x, or for the dependence measure a named
+norm of the pair (``norm_values``). It applies the rule to a whole set of
+levels at once, for a single sample or a block of replications held as rows
 (``SampleRows``): per row, ``argpartition`` selects the largest max(k) + 1
 keys and only those are sorted, and the pairs behind them are gathered in
 descending key order, so the exceedances at each level are a prefix of every
 row. No sort needs to be stable: every count is strict and every sum exact,
 so the order among tied keys changes no value. Since a sweep reads no more
 of a row than those max(k) + 1 pairs, its rows may be cut to them first
-(``top_pairs``), with the samples' n given: the Monte Carlo harness sweeps
-many replications at once that way. The Hill step reads a sweep too, at
-k_alpha.
+(``top_pairs``, ranked alike), with the samples' n given: the Monte Carlo
+harness sweeps many replications at once that way. The Hill step reads a
+sweep by x too, at k_alpha.
 
 ``level_sums`` is the one exact reduction: for each row of a weight array it
 returns ``math.fsum`` of the row's prefix at each of a set of counts, bit for
@@ -156,6 +157,49 @@ def _take(a: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return a.ravel()[cols + np.arange(0, a.size, a.shape[1])[:, None]]
 
 
+NORMS = ("l2", "l1", "linf")
+
+
+def check_norm(norm) -> str:
+    """The one rule for a norm: a name in ``NORMS``."""
+    if norm not in NORMS:
+        raise ValueError(f"unknown norm {norm!r}, expected one of {NORMS}")
+    return norm
+
+
+def norm_values(x: np.ndarray, y: np.ndarray, norm: str) -> np.ndarray:
+    """Each pair's norm, elementwise."""
+    norm = check_norm(norm)
+    if norm == "l2":
+        return np.sqrt(x * x + y * y)
+    if norm == "l1":
+        return x + y
+    return np.maximum(x, y)
+
+
+def squared_norm(x: np.ndarray, y: np.ndarray, norm: str) -> np.ndarray:
+    # l2 avoids the sqrt round-trip so x = y gives the ratio 1/2 exactly
+    if norm == "l2":
+        return x * x + y * y
+    r = norm_values(x, y, norm)
+    return r * r
+
+
+def _select(x: np.ndarray, y: np.ndarray, width: int, norm: str | None):
+    """The keys (x, or the pairs' norm), and each row's columns of its width + 1 largest.
+
+    The columns are None where the rows hold just those; which of several
+    keys tied at the cut make it changes no threshold, count or sum.
+    """
+    if norm is None:
+        key = x
+    else:
+        with np.errstate(over="ignore"):  # a norm past the double range is inf, a key
+            key = norm_values(x, y, norm)
+    cut = x.shape[1] - width - 1
+    return key, np.argpartition(key, cut, axis=1)[:, cut:] if cut > 0 else None
+
+
 @dataclass(frozen=True, eq=False)
 class LevelSweep:
     """The strict exceedances of one sample, or of every row of a block, at a set of levels k.
@@ -163,26 +207,27 @@ class LevelSweep:
     ``sample`` is a ``BivariateSample`` (one row) or ``SampleRows``. Its rows
     are whole samples, or samples of ``n`` pairs cut to the pairs of their
     largest max(ks) + 1 keys or more (``top_pairs``): the levels run up to
-    n - 1 and everything read depends on those keys alone. Nothing is read
-    until first use. Then each row's largest max(ks) + 1 keys are selected and
-    sorted in descending order, each level's threshold and strict exceedance
-    count follow from them, and ``x``/``y`` receive the pairs behind the
-    largest max(ks) keys, so the exceedances of a row at level k are the first
-    ``count(k)[row]`` entries of that row. The key is x unless another
-    per-pair ``key`` is given (the norm of the dependence measure); it must
-    have x's shape and no NaN (inf is a key), or the first read is a
-    ``ValueError`` naming it.
+    n - 1 and everything read depends on those keys alone. The key is x, or
+    the pairs' ``norm`` (one of ``NORMS``, the dependence measure's ranking;
+    another name is a ``ValueError`` at once). Nothing is read until first
+    use. Then each row's largest max(ks) + 1 keys are selected and sorted in
+    descending order, each level's threshold and strict exceedance count
+    follow from them, and ``x``/``y`` receive the pairs behind the largest
+    max(ks) keys, so the exceedances of a row at level k are the first
+    ``count(k)[row]`` entries of that row.
     """
 
     sample: BivariateSample | SampleRows
     ks: tuple[int, ...]
-    key: np.ndarray | None = None
+    norm: str | None = None
     n: int | None = None
 
     def __post_init__(self):
         pairs = self.sample.x.shape[-1]
         n = pairs if self.n is None else check_level(self.n, "n", pairs)
         object.__setattr__(self, "n", n)
+        if self.norm is not None:
+            check_norm(self.norm)
 
     @property
     def rows(self) -> int:
@@ -191,19 +236,11 @@ class LevelSweep:
     @cached_property
     def _read(self):
         x, y = np.atleast_2d(self.sample.x), np.atleast_2d(self.sample.y)
-        key = x if self.key is None else np.atleast_2d(self.key)
         ks = [check_level(k, "k", 1, self.n - 1) for k in self.ks]
-        shape = self.sample.x.shape
-        if self.key is not None and (np.shape(self.key) != shape or np.isnan(key).any()):
-            raise ValueError(f"key must have the shape of x, {shape}, and no NaN")
         width, pairs = max(ks, default=0), x.shape[1]
         if width >= pairs:
             raise ValueError(f"level {width} needs {width + 1} pairs a row, the rows hold {pairs}")
-        # the largest width + 1 keys of each row, unless the rows hold just
-        # those; which of several tied keys make the cut changes no threshold,
-        # count or sum
-        cut = pairs - width - 1
-        part = np.argpartition(key, cut, axis=1)[:, cut:] if cut else None
+        key, part = _select(x, y, width, self.norm)
         part_keys = key if part is None else _take(key, part)
         order = np.argsort(part_keys, axis=1)[:, ::-1]
         top = _take(part_keys, order)
@@ -215,7 +252,7 @@ class LevelSweep:
         for i, k in enumerate(columns):
             counts[:, i] = np.count_nonzero(top[:, :k] > top[:, k, None], axis=1)
         gather = order[:, :width] if part is None else _take(part, order[:, :width])
-        xs = top[:, :width] if self.key is None else _take(x, gather)
+        xs = top[:, :width] if self.norm is None else _take(x, gather)
         return columns, thresholds, counts, xs, _take(y, gather)
 
     @property
@@ -250,18 +287,16 @@ class LevelSweep:
         return self.counts[:, self.column(k)]
 
 
-def top_pairs(rows: SampleRows, width: int, key: np.ndarray | None = None):
-    """x and y of each row's width + 1 pairs of largest key (x unless ``key``), in no order.
+def top_pairs(rows: SampleRows, width: int, norm: str | None = None):
+    """x and y of each row's width + 1 pairs of largest key (x, or their ``norm``), in no order.
 
-    A ``LevelSweep`` of these rows, given the rows' n and keyed alike, reads
+    A ``LevelSweep`` of these rows, given the rows' n and ranked alike, reads
     the thresholds, counts and exceedances of the whole rows at every level
     up to width.
     """
-    key = rows.x if key is None else key
-    cut = rows.x.shape[1] - width - 1
-    if cut <= 0:
+    _, part = _select(rows.x, rows.y, width, norm)
+    if part is None:
         return rows.x, rows.y
-    part = np.argpartition(key, cut, axis=1)[:, cut:]
     return _take(rows.x, part), _take(rows.y, part)
 
 

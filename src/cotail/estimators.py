@@ -33,7 +33,8 @@ into a normal interval; its quantile comes from the standard library's
 y / alpha / k_alpha / norm, and the upper end of its natural range. Every
 estimator is read off a ``core.LevelSweep``, which gathers the exceedances
 of one sample, or of each row of a block of replications, at a whole set of
-levels k. ``level_reader`` binds an estimator and its parameters to a sweep:
+levels k, ranked by x or, for ``edm``, by its norm (``edm`` re-ranks a
+sweep by x). ``level_reader`` binds an estimator and its parameters to a sweep:
 the Hill step (which reads the sweep at k_alpha, a level of it or not) and
 every weight that does not depend on k are computed once for all rows, and
 each (row, level) is then one exactly rounded sum over a prefix of that
@@ -70,7 +71,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .core import (BivariateSample, LevelSweep, TailEstimate, check_level, check_positive_finite,
-                   check_real, level_sums)
+                   check_real, level_sums, squared_norm)
 from .errors import (
     AlphaNotAboveOne,
     CotailError,
@@ -80,7 +81,6 @@ from .errors import (
     NonPositiveThreshold,
     unwrap,
 )
-from .tail_function import norm_values, squared_norm
 from .tail_index import sweep_alphas
 
 
@@ -260,11 +260,10 @@ def _aleph4(sweep: LevelSweep, alpha: float) -> LevelReader:
 
 
 def _edm(sweep: LevelSweep, norm: str) -> LevelReader:
-    sample = sweep.sample
+    if sweep.norm != norm:  # a sweep of the same rows ranked by the norm; rejects an unknown one
+        sweep = LevelSweep(sweep.sample, sweep.ks, norm, sweep.n)
     with _quiet():
-        radii = norm_values(sample.x, sample.y, norm)  # rejects an unknown norm
-        by_norm = LevelSweep(sample, sweep.ks, radii, sweep.n)
-        xe, ye = by_norm.x, by_norm.y
+        xe, ye = sweep.x, sweep.y
         squares = squared_norm(xe, ye, norm)
         weights = (xe * ye) / squares
     # a square beyond the double range ties keys at inf and turns weights into 0
@@ -280,7 +279,7 @@ def _edm(sweep: LevelSweep, norm: str) -> LevelReader:
         for o, u in zip(over, under)
     ]
     return LevelReader(
-        "edm", _prefix_sums(by_norm, weights), lambda k: failed,
+        "edm", _prefix_sums(sweep, weights), lambda k: failed,
         metadata={"norm": norm, "threshold_scale": "norm order statistic"},
     )
 

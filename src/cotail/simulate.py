@@ -31,16 +31,17 @@ Pareto power and Box-Muller once per chunk. Bivariate-t runs its gamma
 rejection in rounds over the chunk, each round one Box-Muller and one
 acceptance test over every row's pending candidates, then draws each row's
 Z1 and Z2' uniforms into a buffer and runs Box-Muller once more. Each
-drawn row is then cut to its top max(k, k_alpha) + 1 pairs by x, the only
-pairs the estimators and the Hill step read (``core.top_pairs``), and by the
-norm as well when ``edm`` is asked for. One ``core.LevelSweep`` with the
-true n covers a stack of such cut rows from several chunks: one sort of each
-row's kept keys, one Hill step per k_alpha (a level of the sweep) and one
-set of weights per estimator, after which every (row, cell) is an exactly
-rounded sum over a prefix of that row's weights. A chunk's row count comes
-from a fixed byte budget and n, a stack's from another budget and the width
-it keeps. Only values are computed: the plug-in variance is not part of a
-summary.
+drawn row is then cut, for each ranking the estimators read, to its top
+pairs (``core.top_pairs``), the only ones they read: max(k, k_alpha) + 1
+by x for the Hill step and every estimator but ``edm``, max(k) + 1 by the
+l2 norm for ``edm``. One ``core.LevelSweep`` per ranking, with the true n,
+covers a stack of such cut rows from several chunks: one sort of each
+row's kept keys, one Hill step per k_alpha (a level of the sweep by x) and
+one set of weights per estimator, after which every (row, cell) is an
+exactly rounded sum over a prefix of that row's weights. A chunk's row
+count comes from a fixed byte budget and n, a stack's from another budget
+and the widest cut. Only values are computed: the plug-in variance is not
+part of a summary.
 
 Replication r of seed s draws from the Philox stream keyed by the pair
 (s, r) (``rng.stream_key``), so streams are distinct across replications and
@@ -77,7 +78,6 @@ from .core import (BivariateSample, LevelSweep, SampleRows, check_level, check_p
                    check_real, fraction_to_count, top_pairs)
 from .errors import CotailError
 from .estimators import ESTIMATORS, level_reader
-from .tail_function import norm_values
 
 
 @dataclass(frozen=True)
@@ -297,9 +297,10 @@ def run_mc(
     coefficient as its ``truth``; the summary's ``truth`` is that value when
     some cell carries it, else None.
 
-    Each stack of replications is swept once: one ``LevelSweep`` of the rows
-    cut to their top pairs covers every k and k_alpha of every row, and one
-    reader per (estimator, k_alpha) gives each of its cells a value per row.
+    Each stack of replications is swept once per ranking: one ``LevelSweep``
+    of the rows cut to their top pairs by x covers every k and k_alpha of
+    every row, one by the norm every k of ``edm``, and one reader per
+    (estimator, k_alpha) gives each of its cells a value per row.
     A ``CotailError`` while binding a reader fails all of its cells in the
     stack; one in a row fails that row's cells of the reader (a Hill step)
     or that row's cell at one level. The replications run in blocks across
@@ -320,27 +321,25 @@ def run_mc(
         raise ValueError("at least one k fraction is required")
 
     n = config.n
+    params = {"alpha": config.model.tail_index, "y": y, "norm": "l2"}
     keys: list[CellKey] = []  # in output order
-    # (estimator, k_alpha count) -> (cell index, k count) of each of its cells
-    readers: dict[tuple[str, int | None], list[tuple[int, int]]] = {}
+    # (estimator, k_alpha count, ranking) -> (cell index, k count) of each of
+    # its cells; the ranking is the norm for edm, else x (None)
+    readers: dict[tuple[str, int | None, str | None], list[tuple[int, int]]] = {}
+    wanted: dict[str | None, set[int]] = {}  # each ranking's levels, as its readers read them
     for name in names:
         takes_k_alpha = "k_alpha" in ESTIMATORS[name].params
         if takes_k_alpha and not ka_fracs:
             raise ValueError(f"{name} needs k_alpha fractions")
+        norm = params["norm"] if "norm" in ESTIMATORS[name].params else None
         for kf in k_fracs:
             k = fraction_to_count(kf, n)
             for kaf in ka_fracs if takes_k_alpha else (None,):
                 ka = None if kaf is None else fraction_to_count(kaf, n)
-                readers.setdefault((name, ka), []).append((len(keys), k))
+                readers.setdefault((name, ka, norm), []).append((len(keys), k))
                 keys.append((name, kf, kaf))
-    # the levels of the sweep by x: every k, and every Hill step's k_alpha;
-    # the norm's sweep, when an estimator takes the norm, needs the ks alone
-    ks = {fraction_to_count(kf, n) for kf in k_fracs}
-    levels = {"x": tuple(sorted(ks | {ka for _, ka in readers if ka is not None}))}
-    if any("norm" in ESTIMATORS[name].params for name in names):
-        levels["norm"] = tuple(sorted(ks))
-
-    params = {"alpha": config.model.tail_index, "y": y, "norm": "l2"}
+                wanted.setdefault(norm, set()).update([k] if ka is None else [k, ka])
+    levels = {norm: tuple(sorted(ks)) for norm, ks in wanted.items()}
     parts = _run_blocks(
         reps, lambda lo, hi: _sweep_replications(config, lo, hi, levels, readers, params)
     )
@@ -399,23 +398,23 @@ def _sweep_replications(
     config: ModelConfig,
     lo: int,
     hi: int,
-    levels: Mapping[str, tuple[int, ...]],
-    readers: Mapping[tuple[str, int | None], Sequence[tuple[int, int]]],
+    levels: Mapping[str | None, tuple[int, ...]],
+    readers: Mapping[tuple[str, int | None, str | None], Sequence[tuple[int, int]]],
     params: Mapping[str, object],
 ) -> list[list[float]]:
     """Each cell's values over replications lo..hi-1, in replication order.
 
-    ``levels`` holds the levels of the sweep by x and, if an estimator takes
-    the norm, of the sweep by it; ``readers`` maps (estimator, k_alpha) to the
-    (cell index, k) of its cells. Each stack of replications is swept once
-    (``_stack_sweeps``). A row's error fails that row's cell only.
+    ``levels`` holds the levels of each ranking's sweep; ``readers`` maps
+    (estimator, k_alpha, ranking) to the (cell index, k) of its cells. Each
+    stack of replications is swept once per ranking (``_stack_sweeps``). A
+    row's error fails that row's cell only.
     """
     values: list[list[float]] = [[] for cells in readers.values() for _ in cells]
-    depth = _stack_rows(config.n, max(levels["x"]))
+    depth = _stack_rows(config.n, max(map(max, levels.values())))
     for stack in range(lo, hi, depth):
-        sweeps = _stack_sweeps(config, stack, min(stack + depth, hi), levels, params["norm"])
-        for (name, ka), cells in readers.items():
-            sweep = sweeps["norm" if "norm" in ESTIMATORS[name].params else "x"]
+        sweeps = _stack_sweeps(config, stack, min(stack + depth, hi), levels)
+        for (name, ka, norm), cells in readers.items():
+            sweep = sweeps[norm]
             for (index, _), got in zip(cells, _cell_values(sweep, name, ka, cells, params)):
                 values[index] += got
         del sweeps, sweep  # the stack's arrays go before the next stack is drawn
@@ -432,29 +431,23 @@ def _cell_values(sweep: LevelSweep, name: str, ka: int | None, cells, params) ->
 
 
 def _stack_sweeps(
-    config: ModelConfig, lo: int, hi: int, levels: Mapping[str, tuple[int, ...]], norm: str
-) -> dict[str, LevelSweep]:
-    """The sweeps of replications lo..hi-1 at ``levels["x"]`` and, if given, ``levels["norm"]``.
+    config: ModelConfig, lo: int, hi: int, levels: Mapping[str | None, tuple[int, ...]]
+) -> dict[str | None, LevelSweep]:
+    """The sweeps of replications lo..hi-1, one per ranking in ``levels`` (None for x, or a norm).
 
     The rows are drawn a chunk at a time, and each row is cut to its top
-    pairs, max(levels) + 1 by x for the one and by the norm for the other:
-    all that a sweep at those levels reads of it (``core.top_pairs``). The
-    sweep of the norm's pairs is only their carrier: it is keyed by x, so its
-    thresholds and counts mean nothing for them and are never read. The one
-    reader that takes the norm (``edm``) takes its rows, levels and n and
-    ranks the pairs by the norm in a sweep of its own.
+    max(levels) + 1 pairs by each ranking: all that a sweep at those levels,
+    ranked alike, reads of it (``core.top_pairs``).
     """
     n, step = config.n, _chunk_rows(config.n)
-    cut = {key: (np.empty((hi - lo, max(ks) + 1)), np.empty((hi - lo, max(ks) + 1)))
-           for key, ks in levels.items()}
+    cut = {norm: (np.empty((hi - lo, max(ks) + 1)), np.empty((hi - lo, max(ks) + 1)))
+           for norm, ks in levels.items()}
     for start in range(lo, hi, step):
         rows = _sample_rows(config, start, min(start + step, hi))
         at = slice(start - lo, start - lo + len(rows.x))
-        for key, (x, y) in cut.items():
-            with np.errstate(over="ignore"):  # an infinite norm is a key; its reader fails it
-                rank = None if key == "x" else norm_values(rows.x, rows.y, norm)
-            x[at], y[at] = top_pairs(rows, max(levels[key]), rank)
-    return {key: LevelSweep(SampleRows(x, y), levels[key], n=n) for key, (x, y) in cut.items()}
+        for norm, (x, y) in cut.items():
+            x[at], y[at] = top_pairs(rows, max(levels[norm]), norm)
+    return {norm: LevelSweep(SampleRows(*xy), levels[norm], norm, n) for norm, xy in cut.items()}
 
 
 # From a small heap a fork and join costs about 2-3 ms; 100 replications of

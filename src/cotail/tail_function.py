@@ -32,7 +32,8 @@ from typing import Callable
 
 import numpy as np
 
-from .core import BivariateSample, LevelSweep, check_positive_finite, check_real
+from .core import (BivariateSample, LevelSweep, check_norm, check_positive_finite, check_real,
+                   norm_values, squared_norm)
 from .errors import NonPositiveThreshold
 
 Weight = Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -47,31 +48,6 @@ class TailFunctionSpec:
     gamma: float
     region: Region
     name: str = ""
-
-
-# ---------------------------------------------------------------------------
-# norms shared by the built-in specs and the dependence-measure estimator
-# ---------------------------------------------------------------------------
-
-NORMS = ("l2", "l1", "linf")
-
-
-def norm_values(x: np.ndarray, y: np.ndarray, norm: str) -> np.ndarray:
-    if norm == "l2":
-        return np.sqrt(x * x + y * y)
-    if norm == "l1":
-        return x + y
-    if norm == "linf":
-        return np.maximum(x, y)
-    raise ValueError(f"unknown norm {norm!r}, expected one of {NORMS}")
-
-
-def squared_norm(x: np.ndarray, y: np.ndarray, norm: str) -> np.ndarray:
-    # l2 avoids the sqrt round-trip so x = y gives the ratio 1/2 exactly
-    if norm == "l2":
-        return x * x + y * y
-    r = norm_values(x, y, norm)
-    return r * r
 
 
 # ---------------------------------------------------------------------------
@@ -133,8 +109,7 @@ def coordinate_ratio() -> TailFunctionSpec:
 
 def normalized_product(norm: str = "l2") -> TailFunctionSpec:
     """psi = x1 * x2 / |x|^2 on {|x| > 1}: the dependence-measure weight."""
-    if norm not in NORMS:
-        raise ValueError(f"unknown norm {norm!r}, expected one of {NORMS}")
+    check_norm(norm)
     return TailFunctionSpec(
         psi=lambda u, v: (u * v) / squared_norm(u, v, norm),
         gamma=0.0,

@@ -43,8 +43,7 @@ from cotail import (
 )
 from cotail import rng as crng
 from cotail.cli import ingest_text, main
-from cotail.core import top_pairs
-from cotail.tail_function import norm_values, squared_norm
+from cotail.core import norm_values, squared_norm, top_pairs
 from cotail.tail_index import sweep_alphas
 
 
@@ -111,8 +110,8 @@ def test_tdc_quasispectral_bruteforce():
 
 
 def test_the_hill_step_reads_any_sweep_at_k_alpha():
-    # k_alpha need not be a level of the sweep, and a sweep keyed by another
-    # value still gives the Hill step of x; rows cut below k_alpha + 1 pairs
+    # k_alpha need not be a level of the sweep, and a sweep ranked by a norm
+    # still gives the Hill step of x; rows cut below k_alpha + 1 pairs
     # refuse it
     gen = crng.generator(12)
     x = crng.pareto(gen, 3.0, 200)
@@ -123,7 +122,7 @@ def test_the_hill_step_reads_any_sweep_at_k_alpha():
         assert sweep_alphas(sweep, 40) == want
         reader = level_reader("tdc_quasispectral_estimated", sweep, k_alpha=40, y=1.0)
         assert reader.estimate(20) == direct
-    assert sweep_alphas(LevelSweep(sample, (20, 40), key=sample.y), 40) == want
+    assert sweep_alphas(LevelSweep(sample, (20, 40), norm="l2"), 40) == want
     rows = SampleRows(x[None], sample.y[None])
     cut = LevelSweep(SampleRows(*top_pairs(rows, 20)), (20,), n=200)
     with pytest.raises(ValueError, match="needs 41 pairs"):
@@ -750,13 +749,9 @@ GUARD_INPUTS = {
     # (0.4 / 1e-300)^2 is past the double range; so is 1e10 * 3 * 4e299
     "theta_hat_factor_overflow": (lambda: theta_hat(_S, 2, 1e-300, 1.0, 0.5), ValueError),
     "theta_hat_value_overflow": (lambda: theta_hat(_S, 2, 1e-300, 1e10, 1.0), ValueError),
-    # a sweep key must be per pair and NaN-free; each row's third entry matches the message
-    "level_sweep_key_rows": (
-        lambda: LevelSweep(_S, (2,), np.array([_S.x, _S.x])).threshold(2), ValueError, "^key "),
-    "level_sweep_key_short": (lambda: LevelSweep(_S, (2,), np.ones(1)).x, ValueError, "^key "),
-    "level_sweep_key_long": (lambda: LevelSweep(_S, (2,), np.ones(6)).x, ValueError, "^key "),
-    "level_sweep_key_nan": (
-        lambda: LevelSweep(_S, (2,), np.array([1, 2, 3, 4, math.nan])).x, ValueError, "^key "),
+    # a sweep ranks by x or a named norm; another name fails the sweep at once (a
+    # row's third entry matches the message)
+    "level_sweep_norm_l3": (lambda: LevelSweep(_S, (2,), norm="l3"), ValueError, "^unknown norm"),
 }
 # numeric inputs pinned to a rejection, each a cell of the matrix: (row, value)
 GUARD_CASES = {
@@ -785,6 +780,15 @@ def test_guard_rejects_input(case, guard_matrix):
     with pytest.raises(error, match=match[0] if match else None) as info:
         call()
     assert type(info.value) is error
+
+
+def test_an_unknown_norm_is_reported_before_a_bad_level():
+    # k = 50 is past n - 1 = 4, yet the norm is judged first
+    for call in (lambda: edm_estimate(_S, 50, "l3"), lambda: estimate("edm", _S, 50, norm="l3")):
+        with pytest.raises(ValueError, match="^unknown norm 'l3'"):
+            call()
+    with pytest.raises(ValueError, match="^k = 50 is not in"):
+        edm_estimate(_S, 50, "l2")
 
 
 def test_a_level_is_any_integer_and_a_named_error_otherwise():

@@ -56,8 +56,7 @@ from cotail import (
 )
 from cotail import simulate
 from cotail.core import fraction_to_count, top_pairs
-from cotail.tail_function import norm_values
-from cotail.tail_index import hill_alphas
+from cotail.tail_index import sweep_alphas
 
 POOL = st.sampled_from([0.0, 0.5, 1.0, 2.0, 2.0, 3.0, 4.5, 8.0])
 VALUE = st.one_of(POOL, st.floats(min_value=1e-3, max_value=1e3))
@@ -240,7 +239,7 @@ def test_block_rows_match_oracle(case):
             ]
             assert got == want, (name, k)
     # the Hill step and the thresholds of every row
-    alphas = [_row_outcome(a) for a in hill_alphas(np.array(xs), q["k_alpha"])]
+    alphas = [_row_outcome(a) for a in sweep_alphas(sweep, q["k_alpha"])]
     assert alphas == [_outcome(lambda: reference.hill_alpha(x, q["k_alpha"])) for x in xs]
     for k in ks:
         assert sweep.threshold(k).tolist() == [reference.kth_threshold(x, k) for x in xs]
@@ -250,9 +249,9 @@ def test_block_rows_match_oracle(case):
 @given(blocks(), st.data())
 def test_a_sweep_of_cut_rows_reads_as_the_whole_rows(case, data):
     # the Monte Carlo engine's sweep: each row cut to its top max(levels) + 1
-    # pairs by x (by the norm for edm) and swept with the rows' n. Every
-    # reader must give the whole rows' sums, failures and values bit for bit,
-    # k_alpha above every k included
+    # pairs by x (by the norm for edm) and swept, ranked alike, with the rows'
+    # n. Every reader must give the whole rows' sums, failures and values bit
+    # for bit, k_alpha above every k included
     xs, ys, ks, q = case
     n = len(xs[0])
     q = {**q, "k_alpha": data.draw(st.one_of(st.just(q["k_alpha"]), st.integers(max(ks), n - 1)))}
@@ -260,17 +259,16 @@ def test_a_sweep_of_cut_rows_reads_as_the_whole_rows(case, data):
     levels = (*ks, q["k_alpha"])
     width = max(levels)
     whole = LevelSweep(rows, levels)
-    radii = norm_values(rows.x, rows.y, q["norm"])
     cut = {
-        None: LevelSweep(SampleRows(*top_pairs(rows, width)), levels, n=n),
-        "norm": LevelSweep(SampleRows(*top_pairs(rows, width, radii)), levels, n=n),
+        norm: LevelSweep(SampleRows(*top_pairs(rows, width, norm)), levels, norm, n)
+        for norm in (None, q["norm"])
     }
     assert cut[None].sample.x.shape == (len(xs), width + 1)
     for k in levels:
         assert cut[None].threshold(k).tolist() == whole.threshold(k).tolist()
         assert cut[None].count(k).tolist() == whole.count(k).tolist()
     for name in ESTIMATORS:
-        sweep = cut["norm" if "norm" in ESTIMATORS[name].params else None]
+        sweep = cut[q["norm"] if "norm" in ESTIMATORS[name].params else None]
         readers = [_outcome(lambda s=s: level_reader(name, s, **q)) for s in (whole, sweep)]
         if isinstance(readers[0], type):  # a parameter failure holds for both
             assert readers[1] == readers[0], name

@@ -640,6 +640,47 @@ def test_run_mc_sorts_each_sample_once(monkeypatch):
     ]
 
 
+def test_run_mc_sorts_each_sample_once_per_ranking(monkeypatch):
+    # edm ranks the pairs by their l2 norm, the others by x: each chunk is
+    # partitioned once per ranking, x's to k_alpha = 500 and the norm's to
+    # k = 400, and each stack of cut rows is sorted once per ranking; edm
+    # reads the norm's sweep as it is and the Hill step reads x's. With edm
+    # alone, no row is cut or sorted by x
+    calls = []
+    for name in ("argsort", "argpartition"):
+        def counting(a, *args, _name=name, _real=getattr(np, name), **kwargs):
+            calls.append((_name, np.shape(a), kwargs.get("kind")))
+            return _real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, name, counting)
+    monkeypatch.setattr(simulate, "_chunk_rows", lambda n: 2)
+    monkeypatch.setattr(simulate, "_STACK_BYTES", 4 * 64 * 501)
+    config = ModelConfig(LinearParetoModel(0.8, 0.1, 4.0), n=1000, seed=20_260_808)
+    summary = run_mc(
+        config,
+        reps=5,
+        k_fractions=(0.05, 0.1, 0.2, 0.3, 0.4),
+        k_alpha_fractions=(0.5,),
+        estimators=("tdc_empirical", "tdc_quasispectral_estimated", "edm"),
+    )
+    assert len(summary.cells) == 15
+    assert all(cell.failures == 0 for cell in summary.cells.values())
+    # chunks of 2, 2 and 1 rows, each partitioned by x then by the norm;
+    # stacks of 4 and 1 rows, cut to 501 pairs by x and 401 by the norm
+    chunk = ("argpartition", (2, 1000), None)
+    assert calls == [
+        chunk, chunk, chunk, chunk, ("argsort", (4, 501), None), ("argsort", (4, 401), None),
+        ("argpartition", (1, 1000), None), ("argpartition", (1, 1000), None),
+        ("argsort", (1, 501), None), ("argsort", (1, 401), None),
+    ]
+    calls.clear()
+    run_mc(config, reps=5, k_fractions=(0.05, 0.4), estimators=("edm",))
+    assert calls == [
+        chunk, chunk, ("argsort", (4, 401), None),
+        ("argpartition", (1, 1000), None), ("argsort", (1, 401), None),
+    ]
+
+
 def _recorded_forks(monkeypatch):
     """The pids of the children ``os.fork`` starts from now on."""
     pids = []
