@@ -1,7 +1,7 @@
 """Float64 columns as the text of ``repr``, byte for byte, in numpy.
 
-``repr_rows(columns, sep, end)`` gives the bytes of
-``"".join(sep.join(map(repr, row)) + end for row in zip(*columns))`` for
+``repr_rows(columns, end)`` gives the bytes of
+``"".join(",".join(map(repr, row)) + end for row in zip(*columns))`` for
 finite doubles without a Python call per value. Each pass takes ``_CHUNK``
 rows, so its arrays stay in the L2 cache, in four steps:
 
@@ -209,16 +209,16 @@ def _text(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return text, order
 
 
-def repr_rows(columns, sep: bytes = b",", end: bytes = b"\n") -> bytes:
-    """The bytes of ``"".join(sep.join(map(repr, row)) + end for row in zip(*columns))``.
+def repr_rows(columns, end: bytes = b"\n") -> bytes:
+    """The bytes of ``"".join(",".join(map(repr, row)) + end for row in zip(*columns))``.
 
-    ``columns`` are float64 arrays of one length, every value finite. With
-    one column and ``end=b", "`` these are json.dumps's items, each with the
-    separator after it.
+    ``columns`` are float64 arrays of one length, every value finite, and
+    the separator is the constant ``b","``. With one column and ``end=b", "``
+    these are json.dumps's items, each with the separator after it.
     """
     columns = [np.asarray(c, dtype=np.float64) for c in columns]
     n = len(columns[0])
-    cuts = [np.frombuffer(cut, np.uint8) for cut in [sep] * (len(columns) - 1) + [end]]
+    cuts = [np.frombuffer(cut, np.uint8) for cut in [b","] * (len(columns) - 1) + [end]]
     width = sum(_WIDTH + len(cut) for cut in cuts)
     pieces = []
     for lo in range(0, n, _CHUNK):

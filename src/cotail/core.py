@@ -21,8 +21,9 @@ sweep by x too, at k_alpha.
 
 ``level_sums`` is the one exact reduction: for each row of a weight array it
 returns ``math.fsum`` of the row's prefix at each of a set of counts, bit for
-bit, from a few ``np.cumsum`` runs over pieces of the weights cut at fixed
-power-of-two boundaries. The estimators and the Hill step sum through it.
+bit, from ``np.cumsum`` runs over two pieces of the weights cut at fixed
+power-of-two boundaries, and from ``math.fsum`` for a row the two pieces do
+not hold. The estimators and the Hill step sum through it.
 
 Every numeric argument passes one of three rules, which return it as an
 ``int`` or a float and reject anything else (None, NaN, bools and strings
@@ -168,10 +169,10 @@ def check_norm(norm) -> str:
 
 
 def norm_values(x: np.ndarray, y: np.ndarray, norm: str) -> np.ndarray:
-    """Each pair's norm, elementwise."""
+    """Each pair's norm, elementwise; l2 is ``np.hypot``, so no nonzero pair's key is 0."""
     norm = check_norm(norm)
     if norm == "l2":
-        return np.sqrt(x * x + y * y)
+        return np.hypot(x, y)
     if norm == "l1":
         return x + y
     return np.maximum(x, y)
@@ -305,24 +306,22 @@ def level_sums(w: np.ndarray, counts: np.ndarray) -> np.ndarray:
 
     ``w`` is (rows, width) and ``counts`` (rows, levels), each count in
     [0, width]. Each row is cut at fixed power-of-two boundaries (Demmel &
-    Hida, SIAM J. Sci. Comput. 25(4), 2003) into pieces of b = 53 -
+    Hida, SIAM J. Sci. Comput. 25(4), 2003) into two pieces of b = 53 -
     m.bit_length() bits, m the largest count. With 2^e the power of two
     above the row's largest |w| and sigma = 2^(e + m.bit_length()) from
     ``np.ldexp``, (w + sigma) - sigma is w rounded to a multiple of
     2^(e - b), exactly, and w minus it is exact too (Rump, Ogita & Oishi,
     SIAM J. Sci. Comput. 31(1), 2008); that is the first piece, and the
-    next is cut from the rest with sigma * 2^-b. A piece is 2^(e - b) times
-    an integer of at most 2^b in magnitude, so ``np.cumsum`` adds up to m of
-    them exactly; pieces are taken until nothing is left, two on the Monte
-    Carlo studies. A prefix sum is then the exact sum of its pieces' running
-    sums, and rounding that once gives fsum's bits: one add of at most two
-    of them, else one ``math.fsum`` of them. No piece is -0.0, so an exact 0
-    is +0.0, as in fsum. A row with a non-finite weight, or one of magnitude
-    2^(1023 - m.bit_length()) or more, is summed by ``math.fsum`` prefix by
-    prefix, and where fsum raises (an intermediate overflow, inf - inf) the
-    sum is NaN.
+    second is cut from the rest with sigma * 2^-b. A piece is 2^(e - b)
+    times an integer of at most 2^b in magnitude, so ``np.cumsum`` adds up
+    to m of them exactly, from a +0.0 column; one add of the two running
+    sums then rounds a prefix sum once, to fsum's bits (no piece is -0.0,
+    so an exact 0 is +0.0). A row with anything left after the two pieces,
+    a non-finite weight, or one of magnitude 2^(1023 - m.bit_length()) or
+    more, is summed by ``math.fsum`` prefix by prefix, and where fsum
+    raises (an intermediate overflow, inf - inf) the sum is NaN.
     """
-    rows, levels = counts.shape
+    rows = counts.shape[0]
     width = int(counts.max())
     w = w[:, :width]
     bits = width.bit_length()
@@ -330,25 +329,20 @@ def level_sums(w: np.ndarray, counts: np.ndarray) -> np.ndarray:
     fast = top < math.ldexp(1.0, 1023 - bits)  # NaN fails it too; the others are summed apart
     sigma = np.ldexp(1.0, np.frexp(np.where(fast, top, 0.0))[1] + bits)[:, None]
     rest = np.where(fast[:, None], w, 0.0)
-    # each piece is cut into ``piece`` and summed there in place, so that
-    # piece[r, c - 1] sums row r's first c; ``at`` indexes it flat
+    # each piece is cut into ``piece`` and its running sums go to columns 1..
+    # of ``run``, so that run[r, c] sums row r's first c; ``at`` indexes it flat
+    run = np.zeros((rows, width + 1))
     piece = np.empty(w.shape)
-    empty = counts == 0
-    at = np.maximum(counts - 1, 0) + np.arange(rows)[:, None] * width
-    parts = []
-    while np.count_nonzero(rest):
+    at = counts + np.arange(rows)[:, None] * (width + 1)
+    sums = np.zeros(counts.shape)
+    for _ in range(2):  # 0 + the first piece's sums is exact, adding the second's rounds once
         np.add(rest, sigma, out=piece)
         piece -= sigma
         rest -= piece
-        np.cumsum(piece, axis=1, out=piece)
-        parts.append(np.where(empty, 0.0, piece.take(at)))
+        np.cumsum(piece, axis=1, out=run[:, 1:])
+        sums += run.take(at)
         sigma = np.ldexp(sigma, bits - 53)
-    if len(parts) <= 2:  # 0 + the first part is exact, adding the second rounds once
-        sums = sum(parts, np.zeros((rows, levels)))
-    else:
-        exact = np.stack(parts, axis=2).reshape(-1, len(parts)).tolist()
-        sums = np.array([math.fsum(terms) for terms in exact]).reshape(rows, levels)
-    for r in np.flatnonzero(~fast).tolist():
+    for r in np.flatnonzero(~fast | rest.any(axis=1)).tolist():
         row = w[r].tolist()
         for i, count in enumerate(counts[r].tolist()):
             try:

@@ -266,10 +266,10 @@ def _edm(sweep: LevelSweep, norm: str) -> LevelReader:
         xe, ye = sweep.x, sweep.y
         squares = squared_norm(xe, ye, norm)
         weights = (xe * ye) / squares
-    # a square beyond the double range ties keys at inf and turns weights into 0
-    # or NaN; the largest norms are the ones gathered, so their squares tell
-    # whether any pair of the row has one. A nonzero pair's square below the
-    # normal range has lost digits, or all of them, and fails its row as well
+    # a square beyond the double range turns weights into 0 or NaN; the largest
+    # norms are the ones gathered, so their squares tell whether any pair of the
+    # row has one. A nonzero pair's square below the normal range has lost
+    # digits, or all of them, and fails its row as well (its hypot key is not 0)
     over = (~np.isfinite(squares)).any(axis=1).tolist()
     under = ((squares < np.finfo(float).tiny) & ((xe > 0) | (ye > 0))).any(axis=1).tolist()
     failed = [

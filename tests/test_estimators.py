@@ -749,6 +749,8 @@ GUARD_INPUTS = {
     # (0.4 / 1e-300)^2 is past the double range; so is 1e10 * 3 * 4e299
     "theta_hat_factor_overflow": (lambda: theta_hat(_S, 2, 1e-300, 1.0, 0.5), ValueError),
     "theta_hat_value_overflow": (lambda: theta_hat(_S, 2, 1e-300, 1e10, 1.0), ValueError),
+    # an integer past the double range is no real number: float() overflows
+    "theta_hat_p_past_the_double_range": (lambda: theta_hat(_S, 2, 10**400, 1.0, 0.5), InvalidP),
     # a sweep ranks by x or a named norm; another name fails the sweep at once (a
     # row's third entry matches the message)
     "level_sweep_norm_l3": (lambda: LevelSweep(_S, (2,), norm="l3"), ValueError, "^unknown norm"),
@@ -841,7 +843,7 @@ def test_sums_beyond_the_double_range_are_a_non_finite_estimate():
             reader.value(3)
 
 
-# every squared norm beyond the double range (the l2 keys all inf)
+# every squared norm beyond the double range (the l2 keys are not: hypot is finite there)
 _WIDE = BivariateSample([1e200] * 4 + [2e200], [1e200, 2e200, 3e200, 4e200, 1e200])
 
 
@@ -869,6 +871,18 @@ def test_edm_with_squared_norms_below_the_normal_range_is_a_non_finite_estimate(
     zeros = BivariateSample([0.0, 0.0, 0.0, 1.0, 2.0], [0.0, 0.0, 0.0, 2.0, 1.0])
     weight = 2.0 / squared_norm(np.array([1.0]), np.array([2.0]), norm)[0]
     assert edm_estimate(zeros, 3, norm).value == math.fsum([weight, weight]) / 3
+
+
+def test_edm_on_pairs_whose_squares_underflow_does_not_depend_on_their_order():
+    # (1e-200, 0) keeps the l2 key 1e-200, so it never ties with (0, 0) at the
+    # cut: k = 3 gathers one of those pairs in every order, and its square is 0
+    x = np.array([5.0, 4.0, 0.0, 0.0, 1e-200, 1e-200, 0.0, 1e-200])
+    y = np.array([1.0, 2.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+    order = np.random.default_rng(0)
+    for _ in range(200):
+        p = order.permutation(x.size)
+        with pytest.raises(NonFiniteEstimate, match="below the normal range"):
+            edm_estimate(BivariateSample(x[p], y[p]), 3)
 
 
 def test_a_non_finite_variance_fails_the_estimate_not_the_value():

@@ -94,6 +94,29 @@ def test_a_region_scaled_past_the_double_range_takes_its_limit():
     assert fixed == math.fsum(ys) / (30 * 0.5)
 
 
+def test_a_scale_that_underflows_divides_by_each_factor_in_turn():
+    # s X_(n-k) = 1e-200 * 2e-200 and s u = 1e-200 * 1e-200 underflow to 0:
+    # x / level / s keeps every pair inside the region, and nothing may warn
+    sample = BivariateSample([1e-200, 2e-200, 4e-200, 8e-200], [1e-200] * 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert tef_random(sample, second_coordinate(), 2, s=1e-200) == 1.0  # 4 * (1/2) / 2
+        fixed = tef_fixed(sample, margin_exceedance(), u=1e-200, s=1e-200, fbar_u=0.5)
+    assert fixed == 2.0  # 4 / (4 * 0.5)
+
+
+def test_weights_whose_arguments_overflow_follow_by_homogeneity():
+    # x / u and y / u overflow at u = 5e-324, so psi is read at the raw pairs:
+    # psi(x / u, y / u) = psi(x, y) / u^gamma, with gamma 0 for y / x
+    t = BivariateSample([1.0, 2.0, 4.0, 8.0], [0.5, 3.0, 1.0, 2.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fixed = tef_fixed(t, coordinate_ratio(), u=5e-324, s=1.0, fbar_u=0.5)
+        random = tef_random(t, coordinate_ratio(), 2, u=5e-324)
+    assert fixed == 1.25  # (0.5 + 1.5 + 0.25 + 0.25) / (4 * 0.5)
+    assert random == 0.25  # the pairs above X_(n-2) = 2: (0.25 + 0.25) / 2
+
+
 def test_random_level_deterministic_psi_scale():
     xs = [1.0, 2.0, 4.0, 8.0]
     ys = [1.0, 1.0, 1.0, 1.0]
