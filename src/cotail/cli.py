@@ -22,15 +22,18 @@ blocks, one per usable CPU, through the fork-join that runs ``mc``'s
 replications. A table, named file or stdin, is read as bytes and cut into
 byte blocks at line ends, wherever ``str.splitlines`` breaks the UTF-8 text
 (never inside CRLF). A leading byte order mark and the first non-blank line,
-a header or not, are judged first; every row is read in a block. numpy's C
-text reader converts a block whose rows hold only digits, ``.,eE+-`` and LF
-or CRLF newlines with the routine ``float()`` uses, skipping blank lines. A
-block with any other byte (spaces, U+001F, non-ASCII, ``1_0``, ``nan``,
-invalid UTF-8), or one numpy refuses (a lone CR, a wrong column count, an
-empty cell), is decoded and read line by line on its own. Each sample's blocks are
-written in order, never joined. The values, the bytes written and every
-error's text are the same for any block count (``taskset -c 0`` gives the
-same bytes), and there is no option for it.
+a header or not, are judged first; every row is read in a block. A numpy
+kernel, ``_decimal.read_block``, converts a block whose rows hold two cells
+of digits and ``.eE+-`` each, ending at LF or CRLF, and skips blank lines:
+Eisel-Lemire in ``uint64`` gives ``float()``'s bits, and the cells it cannot
+decide (more than 19 significant digits, an ambiguous product, a subnormal
+or overflowing result) go to ``float()`` itself. A block with any other byte
+(spaces, U+001F, non-ASCII, ``1_0``, ``nan``, invalid UTF-8), or one the
+kernel refuses (a lone CR, a wrong column count, an empty cell, a cell
+``float()`` refuses), is decoded and read line by line on its own. Each
+sample's blocks are written in order, never joined. The values, the bytes
+written and every error's text are the same for any block count (``taskset
+-c 0`` gives the same bytes), and there is no option for it.
 
 Every failure, a command line that argparse rejects included, writes one JSON
 object {"error": {"type": ..., "message": ...}} to stderr and exits 1. A
@@ -45,12 +48,11 @@ from __future__ import annotations
 import argparse
 import codecs
 import errno
-import io
 import json
 import os
 import re
 import sys
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager
 from dataclasses import asdict, fields
 from itertools import starmap
 from pathlib import Path
@@ -77,12 +79,11 @@ TRANSFORMS = ("none", "abs-log-returns")
 # repr_rows formats 50000 rows of two columns in about 25-45 ms on a 2-vCPU
 # Xeon host.
 _MIN_ROWS = 50_000
-# A table's byte blocks hold at least this many bytes: numpy's reader
-# takes about 30 ms a MiB of repr floats (about 28000 rows) on a 2-vCPU
-# host, where a fork and join holding the table's bytes takes 6-11 ms.
+# A table's byte blocks hold at least this many bytes: the table kernel
+# (_decimal.read_block) takes about 7-9 ms a MiB of repr floats (about 28000
+# rows) on one CPU of a 2-vCPU Xeon host, where a fork and join holding the
+# table's bytes takes 6-11 ms, so a smaller block would not pay its way.
 _MIN_BYTES = 1 << 20
-# the only bytes a byte block may hold
-_ROW_BYTES = b"0123456789.,eE+-\r\n"
 # the UTF-8 of every line end str.splitlines breaks at, CRLF as one
 _LINE_END = re.compile(rb"\r\n?|[\n\x0b\x0c\x1c-\x1e]|\xc2\x85|\xe2\x80[\xa8\xa9]")
 
@@ -157,28 +158,27 @@ def _is_header(line: str) -> bool:
 def _parse_block(data: bytes, body: int, lo: int, hi: int) -> tuple[np.ndarray, int, str | None]:
     """The rows that start in bytes body+lo..body+hi-1, as ``_parse_rows`` returns them.
 
-    numpy's text reader converts each cell with ``PyOS_string_to_double``,
-    the routine ``float()`` uses (tests/test_cli.py pins the two together).
-    It is given a block of digits, ``.,eE+-``, CR and LF bytes only, and
-    skips blank lines as the per-line rules do; a block of blank lines alone
-    is no rows, without calling numpy (which warns on a block with no data).
-    numpy ends a line at LF or CRLF and refuses a lone CR with data after
-    it, so a block it reads gives the per-line rules' rows. A block with
-    any other byte (spaces, U+001F, non-ASCII, ``_``, ``nan``), or one numpy
-    refuses (a lone CR, a wrong column count, an empty cell), takes the
-    per-line rules.
+    ``_decimal.read_block`` converts a block whose rows hold two cells of
+    digits and ``.eE+-`` each, with ``float()``'s bits: in numpy where it
+    can decide a cell, by ``float()`` where it cannot (more than 19
+    significant digits, an ambiguous product, a subnormal or overflowing
+    result). It ends a line at LF or CRLF, or at a CR that ends the block,
+    and skips blank lines as the per-line rules do, so a block it reads
+    gives their rows. A block with any other byte (spaces, U+001F,
+    non-ASCII, ``_``, ``nan``), or one the kernel refuses (a lone CR, a
+    wrong column count, an empty cell, a cell ``float()`` refuses), takes
+    the per-line rules.
     """
     start = body if lo == 0 else _line_start(data, body + lo)
     end = _line_start(data, body + hi)
-    block = data[start:end]
-    if not block.strip(b"\r\n"):  # no line starts in this block, or only blank ones
-        return np.empty((0, 2)), 0, None
-    if not block.translate(None, _ROW_BYTES):
-        with suppress(ValueError):  # numpy refuses the block
-            table = np.loadtxt(io.BytesIO(block), delimiter=",", comments=None, ndmin=2)
-            if table.shape[1] == 2:
-                return table, len(table), None
-    return _parse_rows(_lines(data, start, end))
+    # imported on use: simulate and mc parse no table, and an import without
+    # cached bytecode compiles the module
+    from ._decimal import read_block
+
+    table = read_block(data, start, end)
+    if table is None:
+        return _parse_rows(_lines(data, start, end))
+    return table, len(table), None
 
 
 def _line_start(data: bytes, i: int) -> int:
@@ -512,7 +512,16 @@ def _cmd_mc(args) -> None:
 # ---------------------------------------------------------------------------
 
 class _Parser(argparse.ArgumentParser):
-    """An argparse parser whose rejections are ``ValueError``s, so they take the JSON path."""
+    """An argparse parser whose rejections are ``ValueError``s, so they take the JSON path.
+
+    A word that starts with '-' and a digit, or '-.' and a digit, is a value
+    (``--k-grid -1,0.5``), as a plain negative number is to argparse itself:
+    no option of this parser starts so.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
 
     def error(self, message):
         raise ValueError(message)

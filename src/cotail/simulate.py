@@ -216,6 +216,11 @@ Model = Union[LinearParetoModel, BivariateTModel]
 MODELS = {"linear-pareto": LinearParetoModel, "bivariate-t": BivariateTModel}
 
 
+# the largest n whose buffers, about 64 bytes a pair (``_CHUNK_BYTES``), a
+# numpy array can index; a larger n is refused before anything is allocated
+_MAX_N = np.iinfo(np.intp).max // 64
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     model: Model
@@ -225,7 +230,7 @@ class ModelConfig:
     def __post_init__(self):
         if not isinstance(self.model, tuple(MODELS.values())):
             raise TypeError(f"unknown model type {type(self.model).__name__}")
-        object.__setattr__(self, "n", check_level(self.n, "n"))
+        object.__setattr__(self, "n", check_level(self.n, "n", 1, _MAX_N))
         object.__setattr__(self, "seed", check_level(self.seed, "seed", -math.inf))
 
 

@@ -1,6 +1,8 @@
 import sys
+from decimal import Decimal, localcontext
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -49,3 +51,10 @@ CORPUS = [
 @pytest.fixture(params=CORPUS, ids=[name for name, _, _ in CORPUS])
 def corpus_case(request):
     return request.param
+
+
+def exact_midpoint(x: float) -> str:
+    """The exact decimal halfway between the double x and the next one up."""
+    with localcontext() as context:
+        context.prec = 2000  # a tie between doubles has fewer than 800 digits
+        return str((Decimal(x) + Decimal(float(np.nextafter(x, np.inf)))) / 2)

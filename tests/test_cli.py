@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import cotail._decimal as _decimal
 import cotail.cli as cli
 import cotail.simulate as simulate
 from cotail import BivariateSample, BivariateTModel, LinearParetoModel, tdc_quasispectral
@@ -472,6 +473,43 @@ def test_a_list_flag_that_is_no_list_is_an_argparse_rejection(capsys, argv, flag
     assert json.loads(err)["error"] == {"type": "ValueError", "message": message}
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["curve", "--k-grid", "-1,0.5"], "--k-grid fractions must be a number in (0, 1), got -1.0"),
+    (["curve", "--y-grid", "-0.0,1", "--k", "5"],
+     "y_grid must be strictly increasing, positive and finite"),
+    (["mc", "--model", "linear-pareto", "--n", "50", "--reps", "2", "--k-fracs", "-0.1,0.2"],
+     "k fraction must be a number in (0, 1), got -0.1"),
+], ids=["k_grid", "y_grid", "k_fracs"])
+def test_a_list_that_starts_with_a_minus_is_a_value_not_a_flag(tmp_path, capsys, argv, message):
+    # argparse alone would take "-1,0.5" for a flag and say --k-grid lacks its value
+    table = tmp_path / "table.csv"
+    table.write_text("".join(f"{i},{i + 1}\n" for i in range(1, 21)))
+    if argv[0] == "curve":
+        argv = [*argv, "--input", str(table)]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"] == {"type": "ValueError", "message": message}
+
+
+_SIZED = {
+    "simulate": ["simulate", "--model", "linear-pareto"],
+    "mc": ["mc", "--model", "bivariate-t", "--reps", "2", "--k-fracs", "0.1"],
+}
+
+
+@pytest.mark.parametrize("n", [2**63, 2**64])
+@pytest.mark.parametrize("command", sorted(_SIZED))
+def test_an_n_no_numpy_array_can_hold_names_n_and_its_range(capsys, command, n):
+    code, out, err = run_cli(capsys, *_SIZED[command], "--n", str(n))
+    assert (code, out) == (1, "")
+    bound = np.iinfo(np.intp).max // 64
+    message = f"n = {n} is not in [1, {bound}]"
+    assert json.loads(err)["error"] == {"type": "ValueError", "message": message}
+    # an n within the bound that cannot be allocated is still a MemoryError
+    code, out, err = run_cli(capsys, *_SIZED[command], "--n", str(bound))
+    assert (code, out, json.loads(err)["error"]["type"]) == (1, "", "MemoryError")
+
+
 @pytest.mark.parametrize("argv", [["--help"], ["estimate", "--help"]])
 def test_help_prints_usage_and_exits_zero(capsys, argv):
     with pytest.raises(SystemExit) as info:
@@ -582,13 +620,17 @@ def test_csv_bytes_do_not_depend_on_the_cpu_count(tmp_path, capsys, monkeypatch)
 
 # strings on which a converter other than float()'s would differ: half the
 # least subnormal and the overflow threshold from both sides, a tie at 2**53 + 1,
-# a 40-digit mantissa, the normal range's edge, and forms float() rejects
+# a 40-digit mantissa, the normal range's edge, the ends of the kernel's power
+# table (10^-342 and 10^308) and just past them, 21 digits with 4 of zero
+# padding, and forms float() rejects
 _HARD_CELLS = [
     "2.4703282292062327e-324", "2.4703282292062328e-324", "4.9406564584124654e-324",
     "1.7976931348623158e308", "1.7976931348623159e308", "1e400", "-1e400", "1e-400",
     "9007199254740993", "9007199254740993.0000000000000000001", "-9007199254740995",
     "1234567890123456789012345678901234567890", "0.1234567890123456789012345678901234567890",
     "2.2250738585072011e-308", "2.2250738585072014e-308", "0.1", "-0", "-0.0", "000.5e+0001",
+    "1e-342", "9999999999999999999e-342", "1e-343", "1e308", "1e309", "0.1e309",
+    "0.00012345678901234567",
     "1.", ".5", "-.5E-3", "+1e+2", "1e", "+-1", "1e+", "1e-", ".", "-", "+", "e5", "E",
     ".e1", "1..2", "1.2.3", "1e5.5", "--1", "1-1", "1e+-3", "1ee3", "",
 ]
@@ -633,21 +675,21 @@ def _spy_on_per_line_rules(monkeypatch, tmp_path):
     return calls
 
 
-def test_numpy_reader_converts_each_cell_as_float_does(tmp_path, monkeypatch):
-    # the byte blocks rest on numpy's text reader calling float()'s routine:
-    # a numpy whose reader differs on one of these strings fails here
+def test_the_kernel_converts_each_cell_as_float_does(tmp_path, monkeypatch):
+    # the byte blocks rest on _decimal.read_block giving float()'s bits, in
+    # numpy or by float() itself: a kernel that differs on one of these fails here
     calls = _spy_on_per_line_rules(monkeypatch, tmp_path)
     for cell in _HARD_CELLS:
         data = f"{cell},{cell}\n".encode()
-        assert not data.translate(None, cli._ROW_BYTES), cell
+        assert set(data) <= set(b"0123456789.,eE+-\n"), cell
         table, count, fault = cli._parse_block(data, 0, 0, len(data))
         try:
             want = float(cell)
         except ValueError:
-            # numpy refused the block, and the per-line rules named the fault
+            # the kernel refused the block, and the per-line rules named the fault
             assert (count, fault, calls()) == (0, "non-numeric cell", [1]), cell
             continue
-        assert (count, fault, calls()) == (1, None, []), cell  # numpy's values alone
+        assert (count, fault, calls()) == (1, None, []), cell  # the kernel's values alone
         assert table.tobytes() == np.array([[want, want]]).tobytes(), cell
 
 
@@ -759,9 +801,9 @@ def test_crlf_and_bom_copies_ingest_as_the_lf_table(tmp_path, capsys, monkeypatc
     calls = _spy_on_per_line_rules(monkeypatch, tmp_path)
     outputs = set()
     copies = {
-        "lf": data,  # numpy's blocks
-        "crlf": data.replace(b"\n", b"\r\n"),  # numpy's blocks too
-        "bom": b"\xef\xbb\xbf" + data,  # numpy's blocks after the header
+        "lf": data,  # the kernel's blocks
+        "crlf": data.replace(b"\n", b"\r\n"),  # the kernel's blocks too
+        "bom": b"\xef\xbb\xbf" + data,  # the kernel's blocks after the header
     }
     for name, copy in copies.items():
         table = tmp_path / f"{name}.csv"
@@ -773,23 +815,23 @@ def test_crlf_and_bom_copies_ingest_as_the_lf_table(tmp_path, capsys, monkeypatc
     assert outputs == {_LF_TABLE}
 
 
-def test_a_clean_crlf_block_is_read_by_numpy(tmp_path, monkeypatch):
+def test_a_clean_crlf_block_is_read_by_the_kernel(tmp_path, monkeypatch):
     calls = _spy_on_per_line_rules(monkeypatch, tmp_path)
     reads = []
-    real = np.loadtxt
+    real = _decimal.read_block
 
-    def loadtxt(*args, **kwargs):
-        reads.append(args[0].getvalue())
-        return real(*args, **kwargs)
+    def read_block(data, start, end):
+        reads.append(data[start:end])
+        return real(data, start, end)
 
-    monkeypatch.setattr(np, "loadtxt", loadtxt)
+    monkeypatch.setattr(_decimal, "read_block", read_block)
     block = b"1.5,2\r\n\r\n-3e1,.25\r\n"
     table, count, fault = cli._parse_block(block, 0, 0, len(block))
     assert (table.tolist(), count, fault) == ([[1.5, 2.0], [-30.0, 0.25]], 2, None)
     assert reads == [block] and calls() == []
-    # a block of CR and LF alone is no rows, and numpy never sees it
-    assert cli._parse_block(b"\r\n\r\n", 0, 0, 4)[1:] == (0, None)
-    assert reads == [block]
+    # a block of CR and LF alone is no rows, without the per-line rules
+    table, count, fault = cli._parse_block(b"\r\n\r\n", 0, 0, 4)
+    assert (table.shape, count, fault, calls()) == ((0, 2), 0, None, [])
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
@@ -856,8 +898,8 @@ def test_blank_lines_take_the_byte_blocks(tmp_path, capsys, monkeypatch, cpus):
     calls = _spy_on_per_line_rules(monkeypatch, tmp_path)
     got = ingest_text(data)
     assert (got.x.tobytes(), got.y.tobytes()) == _LF_COLUMNS
-    assert calls() == []  # numpy read every block
-    table, count, fault = cli._parse_block(b"1,2\n\n\n\n", 0, 4, 8)  # numpy never sees it
+    assert calls() == []  # the kernel read every block
+    table, count, fault = cli._parse_block(b"1,2\n\n\n\n", 0, 4, 8)  # blank lines alone
     assert (table.shape, count, fault) == ((0, 2), 0, None)
     # a bad row after them is numbered without the blank lines
     table = tmp_path / "table.csv"
@@ -869,7 +911,7 @@ def test_blank_lines_take_the_byte_blocks(tmp_path, capsys, monkeypatch, cpus):
 
 
 # each table's rows and the count of its blocks read by the per-line rules,
-# or its error's type and text; first the tables numpy's blocks read whole
+# or its error's type and text; first the tables the kernel's blocks read whole
 _READS = {
     b"x,y\n1,2\n": ([(1.0, 2.0)], 0),
     b"1,2\n3,4": ([(1.0, 2.0), (3.0, 4.0)], 0),
@@ -885,7 +927,7 @@ _READS = {
     b"1,2\r\n3,4\r\n": ([(1.0, 2.0), (3.0, 4.0)], 0),  # CRLF
     b"1,2\r\n\r\n3,4\r\n\r\n": ([(1.0, 2.0), (3.0, 4.0)], 0),
     b"1,2\r\n3,4\r": ([(1.0, 2.0), (3.0, 4.0)], 0),  # a last lone CR
-    # a block numpy refuses is read by the per-line rules
+    # a block the kernel refuses is read by the per-line rules
     b"1,2\r3,4\n": ([(1.0, 2.0), (3.0, 4.0)], 1),  # a lone CR before data
     b"1,2\r\r\n3,4\r\n": ([(1.0, 2.0), (3.0, 4.0)], 1),
     b"x\ry\n1,2\n": (ParseError, "row 2: expected 2 columns, got 1"),

@@ -8,20 +8,24 @@ every cell passes ``float()``, then ``float()`` of each cell of two-column
 rows numbered among non-blank lines.
 
 Generated tables mix clean cells (float reprs, integers, exponents,
-subnormals) with the cases a reader may meet: a header or none, a byte order
-mark at the start or inside, leading and inner blank lines, every line end
-``str.splitlines`` breaks at (LF, CRLF, lone CR, vertical tab, form feed,
-U+001C-U+001E, NEL, U+2028, U+2029), U+001F, non-ASCII digits, ``1_0``, a
-missing or extra column, an empty cell, strings of float punctuation,
-invalid UTF-8 and no final newline. A CR, which numpy's blocks take, is drawn
-wherever a block can hold one: ending a line, alone or before LF, in blank
-lines, inside a row and last in the file. Whatever the CPU count and block floor,
-the reader must give the reference's float64 bits, or its exception type and
+subnormals, and the table kernel's edges: fractions below 10^-3 whose zero
+padding makes more than 19 digits, exact ties between adjacent doubles, w
+10^q at the ends of its power table and past them) with the cases a reader
+may meet: a header or none, a byte order mark at the start or inside,
+leading and inner blank lines, every line end ``str.splitlines`` breaks at
+(LF, CRLF, lone CR, vertical tab, form feed, U+001C-U+001E, NEL, U+2028,
+U+2029), U+001F, non-ASCII digits, ``1_0``, a missing or extra column, an
+empty cell, strings of float punctuation, invalid UTF-8 and no final
+newline. A CR, which the kernel's blocks take, is drawn wherever a block
+can hold one: ending a line, alone or before LF, in blank lines, inside a
+row and last in the file. Whatever the CPU count and block floor, the
+reader must give the reference's float64 bits, or its exception type and
 text, for the file's bytes, passed in or read from stdin.
 """
 import io
 import os
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -32,6 +36,7 @@ import cotail.cli as cli
 import cotail.simulate as simulate
 from cotail import BivariateSample
 from cotail.errors import CotailError, ParseError
+from conftest import exact_midpoint
 
 _DIGITS = "0123456789"
 
@@ -50,6 +55,15 @@ clean_cells = st.one_of(
     st.floats(min_value=0.0, max_value=2.2250738585072014e-308).map(repr),
     st.integers(-(10**25), 10**25).map(str),
     exponent_forms,
+    # more than 19 digits with the zero padding of a fraction below 10^-3
+    st.tuples(st.integers(3, 8), st.integers(1, 10**17 - 1)).map(
+        lambda t: "0." + "0" * t[0] + str(t[1])),
+    # exact ties between adjacent doubles: long ones, and integers above 2^53
+    st.floats(-1.7e308, 1.7e308).map(exact_midpoint),
+    st.integers(2**53, 2**63).map(lambda k: str(int(Fraction(exact_midpoint(float(k)))))),
+    # w 10^q at the ends of the kernel's power table (q = -342 and 308) and past them
+    st.tuples(st.integers(1, 10**19 - 1), st.sampled_from([-343, -342, 308, 309])).map(
+        lambda t: f"{t[0]}e{t[1]}"),
 )
 
 odd_cells = st.one_of(
@@ -58,7 +72,7 @@ odd_cells = st.one_of(
         "1e", "+-1", ".", "-", "1.", ".5", "1e400", "2.4703282292062328e-324", "0x10",
         "1\r", "\r2", "1\r\n", "\r\n2", "1\r\r\n",  # a CR or CRLF inside a row
     ]),
-    st.text("0123456789.eE+-", max_size=12),  # bytes numpy's blocks take, parsed or not
+    st.text("0123456789.eE+-", max_size=12),  # bytes the kernel's blocks take, parsed or not
 )
 
 line_ends = st.sampled_from([

@@ -39,6 +39,12 @@ comparison is recorded under ``previous``.
 It also records the operations attempted and failed, the usable CPUs, numpy's
 version and SIMD dispatch, and both revisions. The bounds are read, never
 changed.
+
+For a workload whose runs print per-command times (``cli_csv_1m``'s
+``simulate_s``, ``ingest_s``, ``estimate_s`` and ``curve_s``, on the lines
+before ``perfbench/run.py``'s last), each side's runs of them and their
+median and quartiles are recorded under ``commands`` and printed. They are
+for information only: the verdicts come from the end-to-end metrics alone.
 """
 from __future__ import annotations
 
@@ -58,6 +64,8 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
+# the per-command times perfbench/run.py prints before its last line
+COMMAND_TIMES = ("simulate_s", "ingest_s", "estimate_s", "curve_s")
 
 
 def git(*args: str) -> str:
@@ -114,7 +122,8 @@ def simd() -> dict:
 
 
 def run_side(root: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One ``perfbench/run.py --trace 0`` run: its end-to-end metrics and operation counts."""
+    """One ``perfbench/run.py --trace 0`` run: its end-to-end metrics, operation counts
+    and any per-command times it prints."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(argv, cwd=root, capture_output=True, text=True,
@@ -123,8 +132,13 @@ def run_side(root: Path, workload: str, seed: int, seconds: float) -> dict:
     if proc.returncode != 0 or not lines:
         raise RuntimeError(f"{workload} in {root} exited {proc.returncode}: {proc.stderr[-800:]}")
     result = json.loads(lines[-1])
+    commands = {}
+    for line in lines[:-1]:  # "[perfbench] <workload> <name> <value> <unit>"
+        words = line.split()
+        if len(words) == 5 and words[0] == "[perfbench]" and words[2] in COMMAND_TIMES:
+            commands[words[2]] = float(words[3])
     return {"metrics": {k: v["value"] for k, v in result["metrics"].items()},
-            "attempted": result["attempted"], "failed": result["failed"]}
+            "attempted": result["attempted"], "failed": result["failed"], "commands": commands}
 
 
 def spread(values: list[float]) -> dict:
@@ -181,6 +195,9 @@ def show(report: dict) -> None:
                   f"(IQR {m['parent']['iqr']:.3g}) change {m['change']['median']:.4g} "
                   f"(IQR {m['change']['iqr']:.3g}) better in {m['change_better_in']}/"
                   f"{m['pairs']}, bound {m['bound']:.0%}: {m['verdict']}")
+        for name, sides in entry.get("commands", {}).items():
+            print(f"{workload:<14} {name:<14} parent {sides['parent']['median']:.4g} "
+                  f"change {sides['change']['median']:.4g} (for information)")
 
 
 def against_previous(out: dict, previous_path: Path) -> dict:
@@ -279,6 +296,12 @@ def main(argv=None) -> int:
                   for m in bench["end_to_end"]}
         report[workload] = {"pairs": args.pairs, "metrics": judge(bench, values, operations),
                             "operations": operations}
+        commands = {name: {s: spread([r["commands"][name] for r in rs])
+                           for s, rs in by_side.items()}
+                    for name in COMMAND_TIMES
+                    if all(name in r["commands"] for rs in by_side.values() for r in rs)}
+        if commands:
+            report[workload]["commands"] = commands
     out = {
         "command": [Path(sys.argv[0]).name, *(argv if argv is not None else sys.argv[1:])],
         "revisions": sides,
