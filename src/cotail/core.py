@@ -25,13 +25,13 @@ bit, from ``np.cumsum`` runs over two pieces of the weights cut at fixed
 power-of-two boundaries, and from ``math.fsum`` for a row the two pieces do
 not hold. The estimators and the Hill step sum through it.
 
-Every numeric argument passes one of three rules, which return it as an
+Every numeric argument passes one of two rules, which return it as an
 ``int`` or a float and reject anything else (None, NaN, bools and strings
 too) with an error naming the argument and its range, a ``ValueError`` unless
 the caller names a ``CotailError``: ``check_level`` takes integers (numpy's
-and 0-d integer arrays too) in [lo, hi], ``check_positive_finite`` reals in
-(0, inf) and ``check_real`` reals in a stated interval. README lists the
-range of each parameter.
+and 0-d integer arrays too) in [lo, hi], and ``check_real`` reals in a stated
+interval, (0, inf) unless another is named. README lists the range of each
+parameter.
 
 ``order_view`` sorts a sample's x margin in full (a stable sort on each call)
 for callers that want every order statistic; no estimator uses it. Its
@@ -379,9 +379,6 @@ def check_real(value, name: str, interval: str = "(0, inf)", error: type = Value
     if not (lo < real < hi or closed):
         raise error(f"{name} must be a number in {interval}, got {value!r}")
     return real
-
-
-check_positive_finite = check_real  # the rule for a positive, finite parameter: (0, inf)
 
 
 def fraction_to_count(frac: float, n: int, what: str = "fraction") -> int:

@@ -70,8 +70,8 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core import (BivariateSample, LevelSweep, TailEstimate, check_level, check_positive_finite,
-                   check_real, level_sums, squared_norm)
+from .core import (BivariateSample, LevelSweep, TailEstimate, check_level, check_real,
+                   level_sums, squared_norm)
 from .errors import (
     AlphaNotAboveOne,
     CotailError,
@@ -186,7 +186,7 @@ def _prefix_sums(sweep: LevelSweep, weights: np.ndarray) -> Callable[[int, int],
 
 
 def _empirical(sweep: LevelSweep, y: float) -> LevelReader:
-    y = check_positive_finite(y, "y")
+    y = check_real(y, "y")
 
     def joint(k, power):
         # the indicator weights that are 1, and their squares, add up to the joint count
@@ -201,7 +201,7 @@ def _empirical(sweep: LevelSweep, y: float) -> LevelReader:
 
 def _ratio_power(sweep: LevelSweep, name: str, y: float, alphas: list, **metadata) -> LevelReader:
     """Weights min(y_j / (y x_j), 1)^alpha; each row's alpha is positive and finite, or an error."""
-    y = check_positive_finite(y, "y")
+    y = check_real(y, "y")
     failed = [a if isinstance(a, CotailError) else None for a in alphas]
     weights = np.zeros(sweep.x.shape)  # a failed row sums its zeros
     with _quiet():
@@ -216,7 +216,7 @@ def _ratio_power(sweep: LevelSweep, name: str, y: float, alphas: list, **metadat
 
 
 def _quasispectral(sweep: LevelSweep, y: float, alpha: float) -> LevelReader:
-    alpha = check_positive_finite(alpha, "alpha")
+    alpha = check_real(alpha, "alpha")
     return _ratio_power(
         sweep, "tdc_quasispectral", y, [alpha] * sweep.rows, alpha_source="supplied"
     )
@@ -369,7 +369,7 @@ def theta_hat(
     """
     p = check_real(p, "p", "(0, 1)", InvalidP)
     aleph = check_real(aleph, "aleph", "[0, inf)")
-    alpha = check_positive_finite(alpha, "alpha")
+    alpha = check_real(alpha, "alpha")
     k = check_level(k, "k", 1, sample.n - 1)
     thr = float(LevelSweep(sample, (k,)).threshold(k)[0])
     try:

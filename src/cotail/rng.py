@@ -25,19 +25,17 @@ streams are independent across seeds as well as across replications.
 stream a plain seeded generator draws. ``streams`` serves a chunk of
 replications from generators kept per thread, re-keyed through their state.
 
-Each draw has a rows form (``open_uniform_rows``, ``standard_normal_rows``,
-``standard_gamma_rows``, ``chi_square_rows``) that takes one generator per
-row; row i draws from its generator exactly what the one-generator form
-draws, and the one-generator form is its one-row case. The rows draw their
-uniforms into one padded buffer, and one transform covers it. The gamma
-rejection runs in rounds (Marsaglia & Tsang 2000, *ACM TOMS* 26): in each,
-every row with pending candidates draws its normals' uniforms and then its
-acceptance uniforms, and one Box-Muller and one acceptance test cover the
-pending candidates of every row.
+Each draw (``open_uniform``, ``standard_normal``, ``standard_gamma``,
+``chi_square``, ``pareto``) has one form, which takes one generator per row:
+row i draws from gens[i] alone, so a draw over [gen] is one generator's
+draw. The rows draw their uniforms into one padded buffer, and one transform
+covers it. The gamma rejection runs in rounds (Marsaglia & Tsang 2000, *ACM
+TOMS* 26): in each, every row with pending candidates draws its normals'
+uniforms and then its acceptance uniforms, and one Box-Muller and one
+acceptance test cover the pending candidates of every row.
 
-The transforms (``pareto_of``, ``box_muller``) act elementwise or along the
-last axis, on contiguous rows, so a block of uniforms drawn as rows
-transforms to the same bits as each row drawn alone.
+``box_muller`` acts along the last axis, on contiguous rows, so a block of
+uniforms drawn as rows transforms to the same bits as each row drawn alone.
 """
 from __future__ import annotations
 
@@ -47,7 +45,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import check_positive_finite
+from .core import check_real
 
 _MASK64 = (1 << 64) - 1
 
@@ -84,18 +82,13 @@ def streams(seed: int, reps: Iterable[int]) -> list[np.random.Generator]:
     return gens[:len(keys)]
 
 
-def open_uniform(gen: np.random.Generator, size: int) -> np.ndarray:
-    """Uniform draws strictly inside (0, 1): (m + 0.5) * 2^-53, m a 53-bit integer."""
-    return open_uniform_rows([gen], size)[0]
-
-
-def open_uniform_rows(gens: Sequence[np.random.Generator], size: int) -> np.ndarray:
-    """``open_uniform(gens[i], size)`` as row i of one array."""
+def open_uniform(gens: Sequence[np.random.Generator], size: int) -> np.ndarray:
+    """Row i: ``size`` uniforms in (0, 1) from gens[i], (m + 0.5) * 2^-53 for 53-bit m."""
     return _fill_rows(gens, [size] * len(gens), np.empty((len(gens), size)))
 
 
 def _fill_rows(gens: Sequence[np.random.Generator], sizes: Sequence[int], out: np.ndarray) -> np.ndarray:
-    """Start row i of ``out`` with ``open_uniform(gens[i], sizes[i])``.
+    """Start row i of ``out`` with ``sizes[i]`` open uniforms from gens[i].
 
     The rest of each row gains 2^-54, which leaves a 1 as it is.
     """
@@ -116,17 +109,13 @@ def _leading(a: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return a[np.arange(a.shape[-1]) < counts[..., None]]
 
 
-def standard_normal(gen: np.random.Generator, size: int) -> np.ndarray:
-    """Box-Muller pairs; for odd sizes the last variate of a pair is dropped."""
-    return standard_normal_rows([gen], [size])
-
-
-def standard_normal_rows(gens: Sequence[np.random.Generator], sizes: Sequence[int]) -> np.ndarray:
-    """``standard_normal(gens[i], sizes[i])`` for each row, concatenated in row order.
+def standard_normal(gens: Sequence[np.random.Generator], sizes: Sequence[int]) -> np.ndarray:
+    """``sizes[i]`` normals from gens[i] for each row i, concatenated in row order.
 
     Each row draws its radius block and then its angle block, ceil(size / 2)
     uniforms each, into the two halves of its row of one buffer padded with
-    1s, so one ``box_muller`` covers every row.
+    1s, so one ``box_muller`` covers every row; for an odd size the last
+    variate of a pair is dropped.
     """
     sizes = np.asarray(sizes)
     half = (sizes + 1) // 2
@@ -158,21 +147,16 @@ def box_muller(u: np.ndarray, size: int) -> np.ndarray:
     return u[..., :size]
 
 
-def standard_gamma(gen: np.random.Generator, shape: float, size: int) -> np.ndarray:
-    """Gamma(shape, scale=1): the one-row case of ``standard_gamma_rows``."""
-    return standard_gamma_rows([gen], shape, size)[0]
-
-
-def standard_gamma_rows(gens: Sequence[np.random.Generator], shape: float, size: int) -> np.ndarray:
+def standard_gamma(gens: Sequence[np.random.Generator], shape: float, size: int) -> np.ndarray:
     """Gamma(shape, scale=1) as rows, row i from gens[i]: Marsaglia-Tsang with the shape < 1 boost.
 
     Below shape 1 each row draws its ``size`` boost uniforms first.
     """
     # an infinite shape would make every acceptance test NaN, so the
     # rejection loop would never finish
-    check_positive_finite(shape, "shape")
+    check_real(shape, "shape")
     if shape < 1.0:
-        boost = open_uniform_rows(gens, size) ** (1.0 / shape)
+        boost = open_uniform(gens, size) ** (1.0 / shape)
         return _gamma_at_least_one(gens, shape + 1.0, size).reshape(boost.shape) * boost
     return _gamma_at_least_one(gens, shape, size).reshape(len(gens), size)
 
@@ -180,15 +164,15 @@ def standard_gamma_rows(gens: Sequence[np.random.Generator], shape: float, size:
 def _gamma_at_least_one(gens: Sequence[np.random.Generator], shape: float, size: int) -> np.ndarray:
     """``size`` variates for each row, concatenated, by rounds over every row's pending candidates.
 
-    In a round, a row with m pending candidates draws what its one-row loop
-    draws: m normals, then m acceptance uniforms.
+    In a round, a row with m pending candidates draws what it would draw
+    alone: m normals, then m acceptance uniforms.
     """
     d = shape - 1.0 / 3.0
     c = 1.0 / math.sqrt(9.0 * d)
     out = np.empty(len(gens) * size)
     pending = np.ones(out.size, dtype=bool)  # candidates not yet accepted, row by row
     while (counts := pending.reshape(len(gens), size).sum(axis=1)).any():
-        x = standard_normal_rows(gens, counts)
+        x = standard_normal(gens, counts)
         v = (1.0 + c * x) ** 3
         # log(v) is NaN or -inf where v <= 0; the v > 0 term rejects those
         with np.errstate(invalid="ignore", divide="ignore"):
@@ -200,20 +184,12 @@ def _gamma_at_least_one(gens: Sequence[np.random.Generator], shape: float, size:
     return out
 
 
-def chi_square(gen: np.random.Generator, df: float, size: int) -> np.ndarray:
-    return chi_square_rows([gen], df, size)[0]
+def chi_square(gens: Sequence[np.random.Generator], df: float, size: int) -> np.ndarray:
+    """Chi-square(df) as rows, row i from gens[i]: 2 * gamma(df / 2)."""
+    return 2.0 * standard_gamma(gens, df / 2.0, size)
 
 
-def chi_square_rows(gens: Sequence[np.random.Generator], df: float, size: int) -> np.ndarray:
-    return 2.0 * standard_gamma_rows(gens, df / 2.0, size)
-
-
-def pareto(gen: np.random.Generator, alpha: float, size: int) -> np.ndarray:
-    """Standard Pareto(alpha): survival x^(-alpha) on x >= 1."""
-    check_positive_finite(alpha, "alpha")
-    return pareto_of(open_uniform(gen, size), alpha)
-
-
-def pareto_of(u: np.ndarray, alpha: float) -> np.ndarray:
-    """Standard Pareto(alpha) variates from open uniforms: u^(-1/alpha), elementwise."""
-    return u ** (-1.0 / alpha)
+def pareto(gens: Sequence[np.random.Generator], alpha: float, size: int) -> np.ndarray:
+    """Standard Pareto(alpha) as rows, row i from gens[i]: u^(-1/alpha) of open uniforms u."""
+    check_real(alpha, "alpha")
+    return open_uniform(gens, size) ** (-1.0 / alpha)

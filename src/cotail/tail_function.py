@@ -32,8 +32,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import (BivariateSample, LevelSweep, check_norm, check_positive_finite, check_real,
-                   norm_values, squared_norm)
+from .core import BivariateSample, LevelSweep, check_norm, check_real, norm_values, squared_norm
 from .errors import NonPositiveThreshold
 
 Weight = Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -66,7 +65,7 @@ def margin_exceedance() -> TailFunctionSpec:
 
 def joint_exceedance(y_cut: float = 1.0) -> TailFunctionSpec:
     """psi = 1 on {x1 > 1, x2 > y_cut}: joint exceedance counting."""
-    check_positive_finite(y_cut, "y_cut")
+    check_real(y_cut, "y_cut")
     return TailFunctionSpec(
         psi=lambda u, v: np.ones_like(u),
         gamma=0.0,
@@ -77,8 +76,8 @@ def joint_exceedance(y_cut: float = 1.0) -> TailFunctionSpec:
 
 def capped_ratio_power(alpha: float, y_cut: float = 1.0) -> TailFunctionSpec:
     """psi = min(x2 / (y_cut * x1), 1)^alpha on {x1 > 1}."""
-    check_positive_finite(alpha, "alpha")
-    check_positive_finite(y_cut, "y_cut")
+    check_real(alpha, "alpha")
+    check_real(y_cut, "y_cut")
     return TailFunctionSpec(
         psi=lambda u, v: np.minimum(v / (y_cut * u), 1.0) ** alpha,
         gamma=0.0,
@@ -178,8 +177,8 @@ def tef_fixed(
     Returns (1 / (n * fbar_u)) * sum_j psi(x_j/u, y_j/u) * 1{(x_j, y_j) in s*u*C}
     where fbar_u is the caller-supplied survival mass at u.
     """
-    check_positive_finite(u, "u")
-    check_positive_finite(s, "s")
+    check_real(u, "u")
+    check_real(s, "s")
     fbar_u = check_real(fbar_u, "fbar_u", "(0, 1]")
     total = _weighted_sum(sample.x, sample.y, spec, s, level=u, denom=u)
     return total / (sample.n * fbar_u)
@@ -198,9 +197,9 @@ def tef_random(
     given (simulation-side use only), else by the order statistic itself. The
     inclusion region is always scaled by s * X_{n:n-k}.
     """
-    check_positive_finite(s, "s")
+    check_real(s, "s")
     if u is not None:
-        check_positive_finite(u, "u")
+        check_real(u, "u")
     thr = float(LevelSweep(sample, (k,)).threshold(k)[0])
     if thr <= 0:
         raise NonPositiveThreshold(f"X_(n-k) = {thr} is not positive")

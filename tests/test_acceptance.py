@@ -233,7 +233,7 @@ def test_criterion_6_cte_identity():
     totals = [0.0, 0.0]
     for rep in range(reps):
         gen = crng.generator(606, rep)
-        x = crng.pareto(gen, alpha, n)
+        x = crng.pareto([gen], alpha, n)[0]
         sample = BivariateSample(x, x)
         totals[0] += cte_aleph3(sample, k).value
         totals[1] += cte_aleph4(sample, k, alpha).value
@@ -268,7 +268,7 @@ def test_criterion_7_hill_consistency():
     total = 0.0
     for rep in range(reps):
         gen = crng.generator(707, rep)
-        x = crng.pareto(gen, alpha, n)
+        x = crng.pareto([gen], alpha, n)[0]
         sample = BivariateSample(x, np.zeros(n))
         total += hill_estimate(order_view(sample), k_alpha).alpha_hat
     mean = total / reps

@@ -16,7 +16,9 @@ Each command runs through ``cli.main`` in-process with warnings as errors
 (the test configuration), and must either
 
 - exit 0 with nothing on stderr and, on stdout or in its ``--out`` file,
-  strict JSON (a NaN or infinity fails the parse) or the pinned CSV header;
+  strict JSON (a NaN or infinity fails the parse) or the pinned CSV header,
+  where every ``mc`` truth, the report's and each cell's, is empty (null) or
+  in [0, 1];
 - or exit 1 with nothing on stdout and exactly one JSON error object,
   ``{"error": {"type": ..., "message": ...}}``, on one line of stderr.
 """
@@ -41,6 +43,8 @@ EXAMPLES = 300
 EDGE_NUMERALS = [
     "0", "-0.0", "5e-324", "1e-320", "1e200", "1e308", "1.7976931348623157e308",
     "inf", "nan", "1e400", str(2**64), "1234567890123456789012",
+    # bivariate-t --nu past the switch of its truth to the normal limit
+    "1e8", "1e12", str(2**52 - 1),
 ]
 # ordinary values of int and float flags, drawn three times as often as the edges
 ORDINARY = {
@@ -200,9 +204,17 @@ def test_every_command_line_exits_0_with_its_output_or_1_with_one_json_error(
         assert out == "", argv
         out = out_file.read_text()
     if "--format" in argv and argv[argv.index("--format") + 1] == "json":
-        assert isinstance(json.loads(out, parse_constant=_no_constant), dict), argv
+        payload = json.loads(out, parse_constant=_no_constant)
+        assert isinstance(payload, dict), argv
+        if argv[0] == "mc":
+            truths = [payload["truth"], *(row["truth"] for row in payload["rows"])]
     else:
         assert out.split("\n", 1)[0] == CSV_HEADERS[argv[0]], (argv, out[:200])
+        if argv[0] == "mc":
+            truths = [line.rsplit(",", 1)[1] or None for line in out.splitlines()[1:]]
+    if argv[0] == "mc":
+        # a tail dependence coefficient, or none where the cell has no truth
+        assert all(t is None or 0.0 <= float(t) <= 1.0 for t in truths), (argv, truths)
 
 
 def _no_constant(name):

@@ -49,7 +49,7 @@ from cotail.tail_index import sweep_alphas
 
 def pareto_sample(seed, n, alpha=4.0, ratio=None):
     gen = crng.generator(seed)
-    x = crng.pareto(gen, alpha, n)
+    x = crng.pareto([gen], alpha, n)[0]
     y = x.copy() if ratio is None else ratio * x
     return BivariateSample(x, y)
 
@@ -114,8 +114,8 @@ def test_the_hill_step_reads_any_sweep_at_k_alpha():
     # still gives the Hill step of x; rows cut below k_alpha + 1 pairs
     # refuse it
     gen = crng.generator(12)
-    x = crng.pareto(gen, 3.0, 200)
-    sample = BivariateSample(x, x * crng.open_uniform(gen, 200))
+    x = crng.pareto([gen], 3.0, 200)[0]
+    sample = BivariateSample(x, x * crng.open_uniform([gen], 200)[0])
     want = [reference.hill_alpha(x.tolist(), 40)]
     direct = tdc_quasispectral_estimated(sample, 20, 40, 1.0)
     for sweep in (LevelSweep(sample, (20,)), LevelSweep(sample, (20, 40))):
@@ -131,8 +131,8 @@ def test_the_hill_step_reads_any_sweep_at_k_alpha():
 
 def test_tdc_quasispectral_variance_below_value():
     gen = crng.generator(6)
-    x = crng.pareto(gen, 3.0, 300)
-    y = x * crng.open_uniform(gen, 300)
+    x = crng.pareto([gen], 3.0, 300)[0]
+    y = x * crng.open_uniform([gen], 300)[0]
     s = BivariateSample(x, y)
     for y_level in (1.0, 1.5, 4.0):
         est = tdc_quasispectral(s, 60, y_level, alpha=3.0)
@@ -141,8 +141,8 @@ def test_tdc_quasispectral_variance_below_value():
 
 def test_tdc_methods_nonincreasing_in_alpha():
     gen = crng.generator(8)
-    x = crng.pareto(gen, 3.0, 150)
-    y = x * crng.open_uniform(gen, 150)
+    x = crng.pareto([gen], 3.0, 150)[0]
+    y = x * crng.open_uniform([gen], 150)[0]
     s = BivariateSample(x, y)
     values = [tdc_quasispectral(s, 30, 1.0, alpha=a).value for a in (1.0, 2.0, 4.0, 8.0)]
     assert all(b <= a for a, b in zip(values, values[1:]))
@@ -643,8 +643,8 @@ MATRIX_ROWS = {
     "run_mc_k_alpha_fraction": (
         "c.run_mc(lp, 3, [0.1], [V], ['tdc_quasispectral_estimated'])", "ValueError"),
     "run_mc_y": ("c.run_mc(lp, 3, [0.1], y=V)", "ValueError"),
-    "rng_pareto_alpha": ("rng.pareto(rng.generator(1), V, 3)", "ValueError"),
-    "rng_gamma_shape": ("rng.standard_gamma(rng.generator(1), V, 3)", "ValueError"),
+    "rng_pareto_alpha": ("rng.pareto([rng.generator(1)], V, 3)", "ValueError"),
+    "rng_gamma_shape": ("rng.standard_gamma([rng.generator(1)], V, 3)", "ValueError"),
 }
 # values no numeric parameter accepts
 MATRIX_NOT_NUMBERS = ("none", "bool", "nan", "inf", "string", "vector")

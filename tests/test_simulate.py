@@ -97,8 +97,8 @@ def test_correlated_normal_pair_machinery():
     gen = crng.generator(9)
     n = 200_000
     for rho in (0.0, 0.9, -0.5):
-        z1 = crng.standard_normal(gen, n)
-        z2 = rho * z1 + math.sqrt(1 - rho * rho) * crng.standard_normal(gen, n)
+        z1 = crng.standard_normal([gen], [n])
+        z2 = rho * z1 + math.sqrt(1 - rho * rho) * crng.standard_normal([gen], [n])
         got = float(np.corrcoef(z1, z2)[0, 1])
         assert abs(got - rho) < 0.01
 
@@ -106,7 +106,7 @@ def test_correlated_normal_pair_machinery():
 def test_gamma_sampler_moments():
     gen = crng.generator(10)
     for shape in (0.5, 1.0, 2.0, 4.5):
-        draws = crng.standard_gamma(gen, shape, 200_000)
+        draws = crng.standard_gamma([gen], shape, 200_000)[0]
         assert np.all(draws > 0)
         assert float(np.mean(draws)) == pytest.approx(shape, rel=0.02)
         assert float(np.var(draws)) == pytest.approx(shape, rel=0.05)
@@ -114,7 +114,7 @@ def test_gamma_sampler_moments():
 
 def test_chi_square_matches_gamma_scaling():
     gen = crng.generator(11)
-    draws = crng.chi_square(gen, 4.0, 100_000)
+    draws = crng.chi_square([gen], 4.0, 100_000)[0]
     assert float(np.mean(draws)) == pytest.approx(4.0, rel=0.02)
 
 
@@ -124,7 +124,7 @@ def test_pareto_ks_distance_across_seeds():
     crit = 1.6276 / math.sqrt(n)
     below = 0
     for seed in range(20):
-        draws = np.sort(crng.pareto(crng.generator(seed), 4.0, n))
+        draws = np.sort(crng.pareto([crng.generator(seed)], 4.0, n)[0])
         cdf = 1.0 - draws ** -4.0
         grid = np.arange(1, n + 1) / n
         d = float(np.max(np.maximum(np.abs(grid - cdf), np.abs(grid - 1 / n - cdf))))
@@ -173,45 +173,35 @@ def _reference_standard_gamma(gen, shape, size):
     return _reference_gamma_at_least_one(gen, shape, size)
 
 
-# draw id -> (rng draw, reference draw), each called as f(gen, size)
+# draw id -> (rng draw, called as f(gens, size) for one row per generator,
+# reference draw, called as f(gen, size))
 SAMPLER_DRAWS = {
     "uniform": (crng.open_uniform, _reference_open_uniform),
-    "normal": (crng.standard_normal, _reference_standard_normal),
+    "normal": (
+        lambda gens, size: crng.standard_normal(gens, [size] * len(gens)).reshape(len(gens), size),
+        _reference_standard_normal,
+    ),
     **{
         f"gamma_{shape}": (
-            lambda gen, size, shape=shape: crng.standard_gamma(gen, shape, size),
+            lambda gens, size, shape=shape: crng.standard_gamma(gens, shape, size),
             lambda gen, size, shape=shape: _reference_standard_gamma(gen, shape, size),
         )
         for shape in (0.3, 0.5, 1.0, 2.0, 7.5)
     },
     **{
         f"chi_square_{df}": (
-            lambda gen, size, df=df: crng.chi_square(gen, df, size),
+            lambda gens, size, df=df: crng.chi_square(gens, df, size),
             lambda gen, size, df=df: 2.0 * _reference_standard_gamma(gen, df / 2.0, size),
         )
         for df in (1.0, 4.0)
     },
     "pareto": (
-        lambda gen, size: crng.pareto(gen, 4.0, size),
+        lambda gens, size: crng.pareto(gens, 4.0, size),
         lambda gen, size: _reference_open_uniform(gen, size) ** (-1.0 / 4.0),
     ),
 }
 
 
-# draw id -> the rows form of SAMPLER_DRAWS[id]'s rng draw, called as f(gens, size)
-ROWS_DRAWS = {
-    "uniform": crng.open_uniform_rows,
-    "normal": lambda gens, size: crng.standard_normal_rows(gens, [size] * len(gens)).reshape(
-        len(gens), size),
-    **{
-        f"gamma_{shape}": lambda gens, size, shape=shape: crng.standard_gamma_rows(gens, shape, size)
-        for shape in (0.3, 0.5, 1.0, 2.0, 7.5)
-    },
-    **{
-        f"chi_square_{df}": lambda gens, size, df=df: crng.chi_square_rows(gens, df, size)
-        for df in (1.0, 4.0)
-    },
-}
 SAMPLER_KEYS = [0, 1, 2, 3, 303, 2**32 - 1, 2**32, 2**63, 2**64 - 1, 0x9E3779B97F4A7C15]
 
 
@@ -229,27 +219,27 @@ def test_sampler_matches_its_reference_formulas_bit_for_bit(draw):
             for before in (0, 1, 3):
                 a, b = crng.generator(key), crng.generator(key)
                 if before:
-                    crng.standard_normal(a, before)
+                    crng.standard_normal([a], [before])
                     _reference_standard_normal(b, before)
-                got, want = new(a, size), reference(b, size)
+                got, want = new([a], size)[0], reference(b, size)
                 assert got.dtype == want.dtype and got.shape == want.shape == (size,)
                 assert got.tobytes() == want.tobytes(), (key, size, before)
                 assert _state(a) == _state(b), (key, size, before)
                 # the next draw starts at the same place
-                assert new(a, 5).tobytes() == reference(b, 5).tobytes()
+                assert new([a], 5)[0].tobytes() == reference(b, 5).tobytes()
 
 
-@pytest.mark.parametrize("draw", sorted(ROWS_DRAWS))
+@pytest.mark.parametrize("draw", sorted(SAMPLER_DRAWS))
 def test_rows_draws_match_their_reference_formulas_row_by_row(draw):
     # one row per key, each generator first left at its own place in Philox's
     # four-word buffer; every row must equal its own reference draw, and every
     # generator must end where that draw leaves it
-    rows, reference = ROWS_DRAWS[draw], SAMPLER_DRAWS[draw][1]
+    rows, reference = SAMPLER_DRAWS[draw]
     for size in (1, 2, 3, 17, 1000, 1001):
         gens = [crng.generator(key) for key in SAMPLER_KEYS]
         refs = [crng.generator(key) for key in SAMPLER_KEYS]
         for before, (a, b) in enumerate(zip(gens, refs)):
-            crng.standard_normal(a, before % 4)
+            crng.standard_normal([a], [before % 4])
             _reference_standard_normal(b, before % 4)
         got = rows(gens, size)
         assert got.shape == (len(SAMPLER_KEYS), size)
@@ -263,12 +253,12 @@ def test_normal_rows_of_different_sizes_match_the_reference():
     sizes = [0, 1, 2, 5, 17, 64, 1001, 3]
     gens = [crng.generator(7, rep) for rep in range(len(sizes))]
     refs = [crng.generator(7, rep) for rep in range(len(sizes))]
-    got = crng.standard_normal_rows(gens, sizes)
+    got = crng.standard_normal(gens, sizes)
     want = np.concatenate([_reference_standard_normal(b, k) for b, k in zip(refs, sizes)])
     assert got.tobytes() == want.tobytes()
     assert [_state(a) for a in gens] == [_state(b) for b in refs]
     for a, b in zip(gens, refs):
-        assert crng.open_uniform(a, 3).tobytes() == _reference_open_uniform(b, 3).tobytes()
+        assert crng.open_uniform([a], 3)[0].tobytes() == _reference_open_uniform(b, 3).tobytes()
 
 
 def test_streams_rekey_one_pool_of_generators():
@@ -287,7 +277,7 @@ def test_seed_mixing_distinct_streams():
     assert not np.array_equal(a.x, b.x)
     # replication 0 keeps the stream of a plain seeded generator
     plain = np.random.Generator(np.random.Philox(key=123))
-    assert np.array_equal(a.x, crng.pareto(plain, 4.0, 100))
+    assert np.array_equal(a.x, crng.pareto([plain], 4.0, 100)[0])
 
 
 def test_stream_keys_are_injective_in_seed_and_rep():
@@ -532,7 +522,7 @@ class _ScaledParetoModel:
         return self.scale ** 2
 
     def sample_rows(self, seed, reps, n):
-        x = np.array([crng.pareto(gen, 2.0, n) for gen in crng.streams(seed, reps)])
+        x = crng.pareto(crng.streams(seed, reps), 2.0, n)
         return x, self.scale * x
 
 
@@ -540,7 +530,7 @@ def test_a_model_with_only_sample_rows_runs_everywhere(monkeypatch, capsys):
     monkeypatch.setitem(simulate.MODELS, "scaled-pareto", _ScaledParetoModel)
     config = ModelConfig(_ScaledParetoModel(), n=60, seed=5)
     sample = sample_dataset(config, 2)
-    want = crng.pareto(crng.generator(5, 2), 2.0, 60)
+    want = crng.pareto([crng.generator(5, 2)], 2.0, 60)[0]
     assert sample.x.tobytes() == want.tobytes()
     assert sample.y.tobytes() == (0.5 * want).tobytes()
 
@@ -934,7 +924,7 @@ def test_bivariate_t_tail_dependence_an_ulp_below_one_at_a_huge_nu(nu):
 
 
 def test_bivariate_t_tail_dependence_past_the_normal_limit_switch():
-    # from (nu + 1) / 2 = 2^52 on, the normal limit with its 1/df term
+    # far past (nu + 1) / 2 = 2^26, the normal limit with its 1/df term is near exact
     nus = [2.0**53 - 1.0, 2.0**53, *(10.0 ** (e / 4) for e in range(64, 80)), 2.7e19, 2.8e19]
     rhos = [1.0 - 2.0**-53, 1.0 - 2.0**-52, 1.0 - 1e-15, 1.0 - 1e-14, 0.9, -0.9]
     for nu in nus:
@@ -944,6 +934,28 @@ def test_bivariate_t_tail_dependence_past_the_normal_limit_switch():
                 assert got == pytest.approx(want, rel=1e-12), (nu, rho)
             else:
                 assert got == pytest.approx(want, abs=1e-200), (nu, rho)
+
+
+# nu within a factor of 2 of the switch at (nu + 1) / 2 = 2^26 on both sides,
+# and far from it; 1 - rho from 1.5 down to 1e-16, 2e-5 where the normal
+# limit's error peaks at the switch (t^2 near 1340)
+_SWITCH_NUS = (0.5, 4.0, 1e3, 1e6, 2.0**26, 1e8, 2.0**27 - 1.0, 2.0**27, 2e8, 2.0**28, 1e12,
+               2.0**52 - 1.0, 2.0**52, 1e16, 1e300)
+_SWITCH_COMPLEMENTS = (1.5, 1.0, 0.5, 0.1, 1e-2, 1e-3, 1e-4, 2e-5, 1e-5, 1e-6, 1e-8, 1e-10,
+                       1e-12, 1e-14, 2.0**-52, 1e-16)
+
+
+def test_bivariate_t_tail_dependence_on_both_sides_of_the_normal_limit_switch():
+    # nu = 2^52 at rho = 1 - 2^-52 was -1.369 when the continued fraction ran to 2^52
+    for nu in _SWITCH_NUS:
+        rhos = [1.0 - c for c in _SWITCH_COMPLEMENTS]
+        truths = [BivariateTModel(nu, rho).tail_dependence for rho in rhos]
+        assert all(0.0 <= t <= 1.0 for t in truths), nu
+        assert all(t <= u for t, u in zip(truths, truths[1:])), nu
+        for rho, got in zip(rhos, truths):
+            want = _t_tail_truth(nu, rho)
+            if want > 1e-300:
+                assert abs(got - want) <= 1e-5 * want, (nu, rho, got, want)
 
 
 @pytest.mark.parametrize("nu", ["1e20", "1e200", "1e308", "1.7976931348623157e308"])

@@ -51,7 +51,7 @@ def test_fixed_level_joint_exceedance_limit():
 
 def test_random_level_counter_is_one():
     gen = crng.generator(21)
-    x = crng.pareto(gen, 2.0, 60)
+    x = crng.pareto([gen], 2.0, 60)[0]
     sample = BivariateSample(x, np.zeros_like(x))
     for k in (1, 10, 30, 59):
         assert tef_random(sample, margin_exceedance(), k) == 1.0
@@ -59,7 +59,7 @@ def test_random_level_counter_is_one():
 
 def test_random_level_constant_ratio():
     gen = crng.generator(22)
-    x = crng.pareto(gen, 3.0, 50)
+    x = crng.pareto([gen], 3.0, 50)[0]
     sample = BivariateSample(x, 0.5 * x)
     for k in (1, 5, 25, 49):
         assert tef_random(sample, coordinate_ratio(), k) == 0.5
@@ -80,7 +80,7 @@ def test_a_region_scaled_past_the_double_range_takes_its_limit():
     # s X_(n-k) is subnormal, so x / (s X_(n-k)) overflows to inf, its exact
     # limit: every pair is inside the region, and nothing may warn
     gen = crng.generator(34)
-    xs, ys = crng.pareto(gen, 2.0, 30).tolist(), crng.pareto(gen, 2.0, 30).tolist()
+    xs, ys = crng.pareto([gen], 2.0, 30)[0].tolist(), crng.pareto([gen], 2.0, 30)[0].tolist()
     sample = BivariateSample(xs, ys)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -136,8 +136,8 @@ def test_nonpositive_threshold_raises():
 
 def test_monotone_in_s():
     gen = crng.generator(30)
-    x = crng.pareto(gen, 2.0, 200)
-    y = crng.pareto(gen, 2.0, 200)
+    x = crng.pareto([gen], 2.0, 200)[0]
+    y = crng.pareto([gen], 2.0, 200)[0]
     sample = BivariateSample(x, y)
     for spec in (margin_exceedance(), joint_exceedance(1.0), second_coordinate()):
         values = [tef_random(sample, spec, k=50, s=s) for s in (0.5, 1.0, 1.5, 2.0, 4.0)]
@@ -146,8 +146,8 @@ def test_monotone_in_s():
 
 def test_additivity_of_weights():
     gen = crng.generator(31)
-    x = crng.pareto(gen, 3.0, 100)
-    y = crng.pareto(gen, 3.0, 100)
+    x = crng.pareto([gen], 3.0, 100)[0]
+    y = crng.pareto([gen], 3.0, 100)[0]
     sample = BivariateSample(x, y)
     summed_spec = TailFunctionSpec(
         psi=lambda u, v: np.ones_like(u) + v / u,
@@ -164,8 +164,8 @@ def test_additivity_of_weights():
 
 def test_scale_invariance_of_random_level_form():
     gen = crng.generator(32)
-    x = crng.pareto(gen, 2.5, 80)
-    y = x * (0.3 + 0.5 * crng.open_uniform(gen, 80))
+    x = crng.pareto([gen], 2.5, 80)[0]
+    y = x * (0.3 + 0.5 * crng.open_uniform([gen], 80)[0])
     for spec in (margin_exceedance(), coordinate_ratio(), capped_ratio_power(2.0)):
         base = tef_random(BivariateSample(x, y), spec, k=20)
         for c in (0.125, 8.0):
@@ -176,7 +176,7 @@ def test_scale_invariance_of_random_level_form():
 def test_homogeneity_scaling_of_level():
     # ratios of fixed-level values follow s^(gamma - alpha) on Pareto margins
     gen = crng.generator(33)
-    x = crng.pareto(gen, 4.0, 200_000)
+    x = crng.pareto([gen], 4.0, 200_000)[0]
     sample = BivariateSample(x, np.zeros_like(x))
     u = 50.0 ** 0.25  # the 98% quantile
     base = tef_fixed(sample, margin_exceedance(), u=u, s=1.0, fbar_u=0.02)

@@ -13,6 +13,14 @@ files under ``src/`` are refused). Each side runs its own unchanged
 the pairs alternate which side runs first, and pair i runs seed + i on both
 sides.
 
+Before the pairs, each side runs ``perfbench/run.py --trace 1 --seconds 2``
+once per workload, at the first seed. The tool stops, writing no BENCH file
+and naming the side, the workload and the fault, unless that run's last line
+is strict JSON (no NaN or Infinity) with ``correct`` true and every
+``per_layer`` metric of ``BENCHMARK.json``: a traced run that loses a metric,
+say to a renamed function the tracer binds, is not a result. Every run's last
+line is parsed as strictly.
+
 The BENCH file holds, per workload and end-to-end metric of
 ``BENCHMARK.json``, each side's runs, median and quartiles, the pairs in which
 the change read better, and a verdict against the metric's bound:
@@ -121,17 +129,34 @@ def simd() -> dict:
             "dispatch": [f for f in __cpu_dispatch__ if __cpu_features__.get(f)]}
 
 
-def run_side(root: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One ``perfbench/run.py --trace 0`` run: its end-to-end metrics, operation counts
-    and any per-command times it prints."""
+def _refuse_constant(name: str):
+    raise ValueError(f"{name} is not JSON")
+
+
+def run_perfbench(root: Path, workload: str, seed: int, seconds: float, trace: int):
+    """One ``perfbench/run.py`` run: the result on its last line, parsed as strict JSON, and
+    every line it printed."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-            "--seconds", str(seconds), "--trace", "0"]
+            "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(argv, cwd=root, capture_output=True, text=True,
                           timeout=20 * seconds + 900)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
-        raise RuntimeError(f"{workload} in {root} exited {proc.returncode}: {proc.stderr[-800:]}")
-    result = json.loads(lines[-1])
+        raise RuntimeError(f"exited {proc.returncode}: {proc.stderr[-800:]}")
+    try:
+        return json.loads(lines[-1], parse_constant=_refuse_constant), lines
+    except ValueError as exc:
+        raise RuntimeError(f"its last line is not a strict JSON result ({exc}): "
+                           f"{lines[-1][:200]!r}") from None
+
+
+def run_side(root: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One ``perfbench/run.py --trace 0`` run: its end-to-end metrics, operation counts
+    and any per-command times it prints."""
+    try:
+        result, lines = run_perfbench(root, workload, seed, seconds, trace=0)
+    except RuntimeError as exc:
+        raise RuntimeError(f"{workload} in {root}: {exc}") from None
     commands = {}
     for line in lines[:-1]:  # "[perfbench] <workload> <name> <value> <unit>"
         words = line.split()
@@ -139,6 +164,20 @@ def run_side(root: Path, workload: str, seed: int, seconds: float) -> dict:
             commands[words[2]] = float(words[3])
     return {"metrics": {k: v["value"] for k, v in result["metrics"].items()},
             "attempted": result["attempted"], "failed": result["failed"], "commands": commands}
+
+
+def traced_check(root: Path, side: str, workload: str, seed: int, per_layer: list[str]) -> None:
+    """One ``perfbench/run.py --trace 1`` run of a side; SystemExit naming its fault, if any."""
+    try:
+        result, _ = run_perfbench(root, workload, seed, 2, trace=1)
+    except RuntimeError as exc:
+        fault = str(exc)
+    else:
+        absent = [name for name in per_layer if name not in result.get("metrics", {})]
+        fault = ("`correct` is not true" if result.get("correct") is not True
+                 else f"per-layer metrics absent: {absent}" if absent else None)
+    if fault:
+        raise SystemExit(f"traced {workload} run on the {side} side: {fault}")
 
 
 def spread(values: list[float]) -> dict:
@@ -273,6 +312,12 @@ def main(argv=None) -> int:
         for name, side in sides.items():
             export(side["rev"], work / name)
             side["src_sha256"] = src_digest(work / name)
+        per_layer = [m["name"] for m in bench["per_layer"]]
+        for workload in workloads:
+            for name in sides:
+                traced_check(work / name, name, workload, args.seed, per_layer)
+                print(f"{workload} traced {name}: a result with every per-layer metric",
+                      flush=True)
         runs = {w: {"parent": [], "change": []} for w in workloads}
         for workload in workloads:
             for i in range(args.pairs):
