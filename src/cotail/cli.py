@@ -42,6 +42,9 @@ checks first (--y with --y-grid, a missing --k, the --y-grid order, theta
 without --p, ...), fails before any input is read. Every other parameter
 value, a parameter an estimator requires included, is judged by the
 library's rules after the read. --help exits 0.
+
+``estimate`` and ``curve`` read their rows off one sweep by x of the sample,
+binding each reader once per (method, k_alpha, y) and reading it at every k.
 """
 from __future__ import annotations
 
@@ -54,6 +57,7 @@ import re
 import sys
 from contextlib import contextmanager
 from dataclasses import asdict, fields
+from functools import cache
 from itertools import starmap
 from pathlib import Path
 from types import SimpleNamespace
@@ -401,26 +405,20 @@ def _cmd_ingest(args) -> None:
     _sample_payload(args, _load_sample(args))
 
 
-def _report_row(args, sweep: LevelSweep, name: str, k: int, y: float):
-    """The ``ESTIMATORS`` entry ``name`` read off a sweep at (k, y), and its report row."""
-    k_alpha = _k_alpha(args, k, sweep.n) if "k_alpha" in ESTIMATORS[name].params else None
-    # curve has no --norm: none of its tdc methods takes one
-    norm = getattr(args, "norm", None)
-    est = level_reader(name, sweep, y=y, alpha=args.alpha, k_alpha=k_alpha, norm=norm).estimate(k)
-    return est, {**asdict(est), **est.metadata}
+def _estimates(args, sample: BivariateSample, names: list, ks: list, ys: list) -> list:
+    """Each (name, k, y) ``TailEstimate`` in order, with one reader per (name, k_alpha, y).
 
-
-def _sweep(args, sample: BivariateSample, ks: list, hill: bool) -> LevelSweep:
-    """One sweep at every k and, if ``hill``, at each k's k_alpha.
-
-    Each Hill step then reads this sweep, sorted once, rather than a one-level
-    sweep of its own (``tail_index.sweep_alphas``). A k_alpha outside [1, n - 1] is no level: the reader that takes it names
-    it in its error, after the rows read before it.
+    They read one sweep by x, sorted once, at every k and, if a reader takes k_alpha,
+    each k's k_alpha in [1, n - 1] (one outside fails that reader, after the rows before it).
     """
-    n = sample.n
-    k_alphas = [_k_alpha(args, k, n) for k in ks] if hill else []
-    levels = [*ks, *(ka for ka in k_alphas if 1 <= ka <= n - 1)]
-    return LevelSweep(sample, tuple(dict.fromkeys(levels)))
+    hill = [name for name in names if "k_alpha" in ESTIMATORS[name].params]
+    k_alphas = {k: _k_alpha(args, k, sample.n) for k in ks if hill}
+    levels = [*ks, *(ka for ka in k_alphas.values() if 1 <= ka <= sample.n - 1)]
+    sweep = LevelSweep(sample, tuple(dict.fromkeys(levels)))
+    params = {"alpha": args.alpha, "norm": getattr(args, "norm", None)}  # curve has no --norm
+    reader = cache(lambda name, ka, y: level_reader(name, sweep, k_alpha=ka, y=y, **params))
+    return [reader(name, k_alphas[k] if name in hill else None, y).estimate(k)
+            for name in names for k in ks for y in ys]
 
 
 def _cmd_estimate(args) -> None:
@@ -430,24 +428,22 @@ def _cmd_estimate(args) -> None:
     sample = _load_sample(args)
     k = _resolve_count(args.k, args.k_frac, sample.n, "k")
     name = _registry_id(args.estimator)
-    theta = name == "theta"
-    hill = args.alpha is None if theta else "k_alpha" in ESTIMATORS[name].params
-    sweep = _sweep(args, sample, [k], hill)
-    if theta:
-        row = _theta_report(args, sweep, k)
+    if name == "theta":
+        row = _theta_report(args, sample, k)
     else:
-        est, row = _report_row(args, sweep, name, k, args.y)
+        [est] = _estimates(args, sample, [name], [k], [args.y])
         lo, hi = confidence_interval(est, args.ci_level)
-        row.update(ci_level=args.ci_level, ci_lo=lo, ci_hi=hi)
+        row = {**asdict(est), **est.metadata, "ci_level": args.ci_level, "ci_lo": lo, "ci_hi": hi}
     _emit(args, REPORT_COLUMNS, [{"n": sample.n, **row}])
 
 
-def _theta_report(args, sweep: LevelSweep, k: int) -> dict:
-    """theta_hat composes a Hill or supplied alpha, a CTE coefficient and k."""
-    k_alpha = None if args.alpha is not None else _k_alpha(args, k, sweep.n)
+def _theta_report(args, sample: BivariateSample, k: int) -> dict:
+    """theta_hat composes a Hill or supplied alpha, a CTE coefficient and k, off one sweep."""
+    k_alpha = None if args.alpha is not None else _k_alpha(args, k, sample.n)
+    sweep = LevelSweep(sample, (k,) if k_alpha is None else (k, k_alpha))
     alpha = args.alpha if k_alpha is None else unwrap(sweep_alphas(sweep, k_alpha)[0])
     aleph = level_reader(_registry_id(args.aleph_from), sweep, alpha=alpha).value(k)
-    ext = theta_hat(sweep.sample, k, args.p, aleph, alpha)
+    ext = theta_hat(sample, k, args.p, aleph, alpha)
     return {
         "estimator_id": "theta_hat",
         "k": k,
@@ -484,9 +480,7 @@ def _cmd_curve(args) -> None:
         ks = [fraction_to_count(frac, sample.n, "--k-grid fractions") for frac in args.k_grid]
     else:
         ks = [_resolve_count(args.k, args.k_frac, sample.n, "k")]
-    # one sweep gathers the exceedances of every k for all methods
-    sweep = _sweep(args, sample, ks, any("k_alpha" in ESTIMATORS[name].params for name in names))
-    rows = [_report_row(args, sweep, name, k, y)[1] for name in names for k in ks for y in ys]
+    rows = [{**asdict(est), **est.metadata} for est in _estimates(args, sample, names, ks, ys)]
     _emit(args, _CURVE_COLUMNS, rows)
 
 

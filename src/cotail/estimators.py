@@ -33,19 +33,20 @@ into a normal interval; its quantile comes from the standard library's
 y / alpha / k_alpha / norm, and the upper end of its natural range. Every
 estimator is read off a ``core.LevelSweep``, which gathers the exceedances
 of one sample, or of each row of a block of replications, at a whole set of
-levels k, ranked by x or, for ``edm``, by its norm (``edm`` re-ranks a
-sweep by x). ``level_reader`` binds an estimator and its parameters to a sweep:
-the Hill step (which reads the sweep at k_alpha, a level of it or not) and
-every weight that does not depend on k are computed once for all rows, and
-each (row, level) is then one exactly rounded sum over a prefix of that
-row's weights, from one ``core.level_sums`` call per reader (per level for
-``cte_aleph3``, none for ``tdc_empirical``'s joint counts).
-``LevelReader.values`` gives every row's estimate alone (the Monte Carlo
-harness discards the variance);
+levels k. ``level_reader`` binds an estimator and its parameters to a sweep
+ranked as it reads, by its norm for ``edm`` and by x for the others (whole
+rows ranked otherwise are swept again; rows cut by another ranking,
+``core.top_pairs``, are a ``ValueError``): the Hill step (which reads the
+sweep at k_alpha, a level of it or not) and every weight that does not
+depend on k are computed once for all rows, and each (row, level) is then
+one exactly rounded sum over a prefix of that row's weights, from one
+``core.level_sums`` call per reader (per level for ``cte_aleph3``, none for
+``tdc_empirical``'s joint counts). ``LevelReader.values`` gives every row's
+estimate alone (the Monte Carlo harness discards the variance);
 ``LevelReader.estimate`` gives a one-row sweep's full ``TailEstimate``.
 ``estimate`` runs a reader on a one-level sweep of one sample, and each
 function above is one ``estimate`` call; the CLI's ``estimate`` and ``curve``
-read their rows from one sweep per sample, as the Monte Carlo harness does.
+bind each reader once to one sweep per sample, as the Monte Carlo harness does.
 A reader's ``metadata``, copied into each ``TailEstimate``, names the report
 fields it fills (``y``, ``k_alpha``, ``alpha_source``); a CLI row is the
 estimate's fields plus that metadata.
@@ -260,8 +261,6 @@ def _aleph4(sweep: LevelSweep, alpha: float) -> LevelReader:
 
 
 def _edm(sweep: LevelSweep, norm: str) -> LevelReader:
-    if sweep.norm != norm:  # a sweep of the same rows ranked by the norm; rejects an unknown one
-        sweep = LevelSweep(sweep.sample, sweep.ks, norm, sweep.n)
     with _quiet():
         xe, ye = sweep.x, sweep.y
         squares = squared_norm(xe, ye, norm)
@@ -427,7 +426,7 @@ ESTIMATORS: Mapping[str, EstimatorEntry] = {
 
 
 def level_reader(name: str, sweep: LevelSweep, **params) -> LevelReader:
-    """Bind the estimator ``name`` from ``ESTIMATORS`` to a sweep.
+    """Bind the estimator ``name`` from ``ESTIMATORS`` to a sweep, ranked as it reads.
 
     Each parameter the estimator takes must be in ``params`` and not None;
     the others are ignored, so callers can pass one shared set.
@@ -440,6 +439,12 @@ def level_reader(name: str, sweep: LevelSweep, **params) -> LevelReader:
         if params.get(param) is None:
             raise ValueError(f"{name} requires {param}")
         kwargs[param] = params[param]
+    norm = kwargs.get("norm")  # edm's ranking; every other reader's is x (None)
+    if sweep.norm != norm:
+        if sweep.sample.x.shape[-1] < sweep.n:  # rows cut by another ranking
+            raise ValueError(f"{name} reads pairs ranked by {norm or 'x'}, "
+                             f"these rows are cut by {sweep.norm or 'x'}")
+        sweep = LevelSweep(sweep.sample, sweep.ks, norm, sweep.n)
     return entry.reader(sweep, **kwargs)
 
 

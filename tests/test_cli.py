@@ -354,6 +354,31 @@ def test_curve_and_estimate_report_the_same_numbers(capsys):
                 assert curve[field] == single[field], (method, grid, field)
 
 
+def test_curve_binds_each_reader_once(capsys, monkeypatch):
+    # one reader per (method, k_alpha, y), read at every k of the grid: with
+    # the default 2k, each k has its own k_alpha and so its own reader
+    data = str(Path(__file__).parent / "golden" / "linear_pareto.csv")
+    binds = []
+    real = cli.level_reader
+
+    def counted(*args, **kwargs):
+        binds.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "level_reader", counted)
+    grid = ["curve", "--input", data, "--k-grid", "0.05,0.1,0.2,0.3"]
+    for argv, methods, want in (
+        (["--methods", "empirical,quasispectral", "--alpha", "4"], 2, 2),
+        (["--methods", "quasispectral-estimated", "--k-alpha", "60"], 1, 1),
+        (["--methods", "quasispectral-estimated"], 1, 4),
+    ):
+        binds.clear()
+        code, out, err = run_cli(capsys, *grid, *argv)
+        assert (code, err) == (0, "")
+        assert len(out.splitlines()) == 1 + 4 * methods, argv
+        assert len(binds) == want, (argv, binds)
+
+
 def test_error_is_machine_readable(tmp_path, capsys):
     data = tmp_path / "bad.csv"
     data.write_text("1.0,2.0\nbroken,4.0\n")

@@ -26,6 +26,7 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import sys
 from dataclasses import fields
 from unittest import mock
@@ -219,3 +220,29 @@ def test_every_command_line_exits_0_with_its_output_or_1_with_one_json_error(
 
 def _no_constant(name):
     raise ValueError(f"{name} is not JSON")
+
+
+# the --nu edges past 2^26, about where the bivariate-t truth takes its normal
+# limit, and rho within 1e-1 ... 1e-16 of 1 or -1, the largest doubles below 1
+# included: a line of the grammar above reaches the limit about once in 1000
+HUGE_NU = [numeral for numeral in EDGE_NUMERALS if 2**26 < float(numeral) < math.inf]
+NEAR_ONE = st.one_of(
+    st.integers(1, 16).map(lambda e: 1.0 - 10.0**-e), st.sampled_from([1 - 2**-52, 1 - 2**-53])
+)
+
+
+@settings(max_examples=EXAMPLES, deadline=None, database=None)
+@given(st.sampled_from(HUGE_NU), NEAR_ONE, st.sampled_from([1, -1]), st.sampled_from(["csv", "json"]))
+def test_every_bivariate_t_truth_at_a_huge_nu_is_in_0_1(nu, rho, sign, fmt):
+    argv = ["mc", "--model", "bivariate-t", "--nu", nu, "--rho", repr(sign * rho),
+            "--n", "20", "--reps", "2", "--k-fracs", "0.2", "--format", fmt]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli.main(argv)
+    assert (code, stderr.getvalue()) == (0, ""), argv
+    if fmt == "json":
+        payload = json.loads(stdout.getvalue(), parse_constant=_no_constant)
+        truths = [payload["truth"], *(row["truth"] for row in payload["rows"])]
+    else:
+        truths = [float(line.rsplit(",", 1)[1]) for line in stdout.getvalue().splitlines()[1:]]
+    assert all(0.0 <= t <= 1.0 for t in truths), (argv, truths)

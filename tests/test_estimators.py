@@ -129,6 +129,31 @@ def test_the_hill_step_reads_any_sweep_at_k_alpha():
         sweep_alphas(cut, 40)
 
 
+def test_every_reader_reads_the_ranking_it_conditions_on():
+    # a sweep of whole rows ranked otherwise is swept again as the reader
+    # reads: tdc_empirical counts x-exceedances on a sweep ranked by l1 too
+    s = sample_dataset(ModelConfig(LinearParetoModel(), 1000, 3))
+    by_x = level_reader("tdc_empirical", LevelSweep(s, (100,)), y=1.0).value(100)
+    assert by_x == 0.51
+    assert level_reader("tdc_empirical", LevelSweep(s, (100,), norm="l1"), y=1.0).value(100) == by_x
+
+
+def test_rows_cut_by_another_ranking_are_refused():
+    # rows cut to their top pairs by one ranking lack the pairs another ranks
+    # first: edm on rows cut by x, and every x reader on rows cut by l2
+    rows = SampleRows(*LinearParetoModel().sample_rows(3, range(4), 1000))
+    whole = level_reader("edm", LevelSweep(rows, (100,)), norm="l2").values(100)
+    assert whole[0] == pytest.approx(0.49198, abs=5e-6)
+    by_x = LevelSweep(SampleRows(*top_pairs(rows, 100)), (100,), n=1000)
+    with pytest.raises(ValueError, match="edm reads pairs ranked by l2, these rows are cut by x"):
+        level_reader("edm", by_x, norm="l2")
+    by_l2 = LevelSweep(SampleRows(*top_pairs(rows, 100, "l2")), (100,), "l2", 1000)
+    assert level_reader("edm", by_l2, norm="l2").values(100) == whole
+    for name in [name for name in ESTIMATORS if name != "edm"]:
+        with pytest.raises(ValueError, match=f"{name} reads pairs ranked by x, these rows are cut by l2"):
+            level_reader(name, by_l2, y=1.0, alpha=4.0, k_alpha=50)
+
+
 def test_tdc_quasispectral_variance_below_value():
     gen = crng.generator(6)
     x = crng.pareto([gen], 3.0, 300)[0]
