@@ -7,11 +7,8 @@ Conditional tail distribution / tail dependence coefficient:
 - ``tdc_quasispectral``: averages the capped ratio weights
   min(y_j / (y * x_j), 1)^alpha over x-exceedances; needs the tail index.
 - ``tdc_quasispectral_estimated``: same, with the tail index replaced by a
-  Hill estimate on k_alpha upper order statistics.
-
-Both ratio-weight estimators read through one body: each binding computes
-the capped ratio once and raises each row to that row's alpha (the known
-alpha, or the row's Hill alpha or the error that fails the row).
+  Hill estimate on k_alpha upper order statistics (each row's capped ratios
+  raised to its own alpha, or the row failed by its Hill error).
 
 Conditional tail expectation coefficients:
 
@@ -22,11 +19,11 @@ Conditional tail expectation coefficients:
 High-quantile extrapolation ``theta_hat`` multiplies a CTE coefficient by the
 threshold and the power-law factor (k/(n p))^(1/alpha). ``edm_estimate`` is
 the extremal dependence measure, thresholded on norm order statistics rather
-than the x margin; a row with a squared norm beyond the double range, or a
-nonzero pair's squared norm below the normal range, fails with
-``NonFiniteEstimate``. ``confidence_interval`` turns a plug-in variance
-into a normal interval; its quantile comes from the standard library's
-``statistics.NormalDist``.
+than the x margin; a pair among the top k by norm whose squared norm is
+beyond the double range, or nonzero and below the normal range, fails the
+estimate at k with ``NonFiniteEstimate``. ``confidence_interval`` turns a
+plug-in variance into a normal interval; its quantile comes from the
+standard library's ``statistics.NormalDist``.
 
 ``ESTIMATORS`` is the one table of the estimators above (all but
 ``theta_hat``): each id maps to its reader, the parameters it takes from
@@ -36,25 +33,25 @@ of one sample, or of each row of a block of replications, at a whole set of
 levels k. ``level_reader`` binds an estimator and its parameters to a sweep
 ranked as it reads, by its norm for ``edm`` and by x for the others (whole
 rows ranked otherwise are swept again; rows cut by another ranking,
-``core.top_pairs``, are a ``ValueError``): the Hill step (which reads the
-sweep at k_alpha, a level of it or not) and every weight that does not
-depend on k are computed once for all rows, and each (row, level) is then
-one exactly rounded sum over a prefix of that row's weights, from one
-``core.level_sums`` call per reader (per level for ``cte_aleph3``, none for
-``tdc_empirical``'s joint counts). ``LevelReader.values`` gives every row's
-estimate alone (the Monte Carlo harness discards the variance);
-``LevelReader.estimate`` gives a one-row sweep's full ``TailEstimate``.
-``estimate`` runs a reader on a one-level sweep of one sample, and each
-function above is one ``estimate`` call; the CLI's ``estimate`` and ``curve``
-bind each reader once to one sweep per sample, as the Monte Carlo harness does.
-A reader's ``metadata``, copied into each ``TailEstimate``, names the report
-fields it fills (``y``, ``k_alpha``, ``alpha_source``); a CLI row is the
-estimate's fields plus that metadata.
+``core.top_pairs``, are a ``ValueError``). Each reader hands a
+``LevelReader`` its per-pair weights, computed once for all rows where they
+do not depend on k (the Hill step reads the sweep at k_alpha, a level of it
+or not), and ``LevelReader`` alone forms values, influences and plug-in
+variances from them. ``LevelReader.values`` gives every row's estimate alone
+(the Monte Carlo harness discards the variance); ``LevelReader.estimate``
+gives a one-row sweep's full ``TailEstimate``. ``estimate`` runs a reader on
+a one-level sweep of one sample, and each function above is one ``estimate``
+call; the CLI's ``estimate`` and ``curve`` bind each reader once to one
+sweep per sample, as the Monte Carlo harness does. A reader's ``metadata``,
+copied into each ``TailEstimate``, names the report fields it fills (``y``,
+``k_alpha``, ``alpha_source``); a CLI row is the estimate's fields plus that
+metadata.
 
-Plug-in variances are second moments of the same weights (the fixed-level
-approximation at s = 1); they omit random-threshold corrections, so treat the
-derived intervals as approximate. Ties are handled by the nominal-k
-convention: exceedances are strict and sums always divide by k.
+Every plug-in variance follows one rule: the uncentred sum of the squared
+per-pair influences (each exceedance's weight), over k, times the reader's
+factor squared, the fixed-level second moment at s = 1. It omits centring,
+the level's spread and the Hill step, so the intervals are approximate.
+Ties follow the nominal-k rule: exceedances are strict, sums divide by k.
 
 All estimators are scale invariant under (x, y) -> (c x, c y), permutation
 invariant, and pure; sums are correctly rounded (``math.fsum``'s bits), so
@@ -64,7 +61,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cached_property
 from itertools import repeat
 from statistics import NormalDist
 from typing import Callable, Iterable, Mapping, Sequence
@@ -127,21 +124,24 @@ def _quiet():
     return np.errstate(divide="ignore", invalid="ignore", over="ignore")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LevelReader:
     """One estimator with its parameters bound to a sweep, read for all rows at any of its levels.
 
-    ``sums(k, power)`` gives each row's exactly rounded sum (``core.level_sums``)
-    of its exceedances' weights at level k, raised to ``power`` (1 or 2), and
-    ``failed(k)`` each row's ``CotailError`` at level k, or None where the row
-    has a value (None for every row if not given). A row's value is
-    factor * (1/k) sum w and its plug-in variance factor^2 * (1/k) sum w^2,
-    taken for all rows at once; one that is beyond the double range fails the
-    row with ``NonFiniteEstimate``. ``alpha_used`` holds each row's alpha.
+    ``weights`` are each row's per-pair weights in the sweep's order: a
+    (rows, width) array free of k, summed at every level by one
+    ``core.level_sums`` call, or a function of k giving a (rows, k) array
+    (of bools, counted, for indicator weights). A row's exceedances at k are
+    its first ``sweep.count(k)`` pairs. Its value is factor * (1/k) times
+    their sum and its plug-in variance, the one rule, factor^2 * (1/k) times
+    the sum of its squared ``influence(k)``; past the double range either
+    fails the row (``NonFiniteEstimate``), as its error in ``failed(k)``
+    does (None: no error). ``alpha_used`` holds each row's alpha.
     """
 
     estimator_id: str
-    sums: Callable[[int, int], np.ndarray]
+    sweep: LevelSweep
+    weights: np.ndarray | Callable[[int], np.ndarray]
     failed: Callable[[int], Iterable] = lambda k: repeat(None)
     factor: float = 1.0
     alpha_used: Sequence | None = None
@@ -149,8 +149,26 @@ class LevelReader:
 
     def values(self, k: int) -> list:
         """Each row's estimate at level k without its variance, or the error that fails the row."""
-        means = self._means(self.sums(k, 1), k, self.factor)
+        with _quiet():
+            if not callable(self.weights):
+                sums = self._every_level[:, self.sweep.column(k)]
+            elif (w := self.weights(k)).dtype == bool:
+                sums = np.count_nonzero(w, axis=1).astype(float)
+            else:
+                sums = level_sums(w, self.sweep.count(k)[:, None])[:, 0]
+        means = self._means(sums, k, self.factor)
         return [m if f is None else f for m, f in zip(means, self.failed(k))]
+
+    @cached_property
+    def _every_level(self) -> np.ndarray:
+        return level_sums(self.weights, self.sweep.counts)
+
+    def influence(self, k: int) -> np.ndarray:
+        """(rows, k): each row's per-pair influences at k: its exceedances' weights, then 0."""
+        exceeds = np.arange(k) < self.sweep.count(k)[:, None]  # the sweep judges k first
+        with _quiet():
+            w = self.weights(k) if callable(self.weights) else self.weights[:, :k]
+        return np.where(exceeds, w, 0.0)
 
     def value(self, k: int) -> float:
         """The estimate of a one-row sweep at level k, without its variance."""
@@ -158,15 +176,12 @@ class LevelReader:
 
     def estimate(self, k: int) -> TailEstimate:
         """The estimate of a one-row sweep at level k with its plug-in variance."""
-        factor = self.factor
-        return TailEstimate(
-            value=self.value(k),
-            k=k,
-            estimator_id=self.estimator_id,
-            plugin_variance=unwrap(self._means(self.sums(k, 2), k, factor * factor)[0]),
-            alpha_used=None if self.alpha_used is None else self.alpha_used[0],
-            metadata=dict(self.metadata),
-        )
+        value, phi = self.value(k), self.influence(k)
+        with _quiet():
+            squares = level_sums(phi * phi, self.sweep.count(k)[:, None])[:, 0]
+        variance = unwrap(self._means(squares, k, self.factor * self.factor)[0])
+        alpha = None if self.alpha_used is None else self.alpha_used[0]
+        return TailEstimate(value, k, self.estimator_id, variance, alpha, dict(self.metadata))
 
     def _means(self, sums: np.ndarray, k: int, scale: float) -> list:
         """scale * (1/k) times each row's sum, or a ``NonFiniteEstimate`` where that is not finite."""
@@ -176,28 +191,16 @@ class LevelReader:
         return [m if math.isfinite(m) else NonFiniteEstimate(beyond) for m in means]
 
 
-def _prefix_sums(sweep: LevelSweep, weights: np.ndarray) -> Callable[[int, int], np.ndarray]:
-    """``LevelReader.sums`` of weights free of k: a power's first read sums every level at once."""
-    @cache
-    def every_level(power):
-        with _quiet():
-            return level_sums(weights if power == 1 else weights * weights, sweep.counts)
-
-    return lambda k, power: every_level(power)[:, sweep.column(k)]
-
-
 def _empirical(sweep: LevelSweep, y: float) -> LevelReader:
     y = check_real(y, "y")
 
-    def joint(k, power):
-        # the indicator weights that are 1, and their squares, add up to the joint count
+    def joint(k):
+        # indicator weights: the exceedances whose y also clears y X_(n-k)
         thr = sweep.threshold(k)[:, None]
-        with _quiet():  # a y X_(n-k) past the double range is inf, its exact limit
-            cut = y * thr
-        hits = (sweep.x[:, :k] > thr) & (sweep.y[:, :k] > cut)
-        return np.count_nonzero(hits, axis=1).astype(float)
+        cut = y * thr  # a y X_(n-k) past the double range is inf, its exact limit
+        return (sweep.x[:, :k] > thr) & (sweep.y[:, :k] > cut)
 
-    return LevelReader("tdc_empirical", joint, metadata={"y": y})
+    return LevelReader("tdc_empirical", sweep, joint, metadata={"y": y})
 
 
 def _ratio_power(sweep: LevelSweep, name: str, y: float, alphas: list, **metadata) -> LevelReader:
@@ -210,10 +213,8 @@ def _ratio_power(sweep: LevelSweep, name: str, y: float, alphas: list, **metadat
         for row, a in enumerate(alphas):
             if failed[row] is None:
                 weights[row] = capped[row] ** a
-    return LevelReader(
-        name, _prefix_sums(sweep, weights), lambda k: failed, alpha_used=alphas,
-        metadata={"y": y, **metadata},
-    )
+    return LevelReader(name, sweep, weights, lambda k: failed, alpha_used=alphas,
+                       metadata={"y": y, **metadata})
 
 
 def _quasispectral(sweep: LevelSweep, y: float, alpha: float) -> LevelReader:
@@ -232,11 +233,9 @@ def _quasispectral_estimated(sweep: LevelSweep, k_alpha: int, y: float) -> Level
 
 
 def _aleph3(sweep: LevelSweep) -> LevelReader:
-    def scaled(k, power):
+    def scaled(k):
         thr = sweep.threshold(k)[:, None]
-        with _quiet():
-            terms = sweep.y[:, :k] / thr
-            return level_sums(terms if power == 1 else terms * terms, sweep.count(k)[:, None])[:, 0]
+        return sweep.y[:, :k] / thr
 
     def failed(k):
         return [
@@ -245,7 +244,7 @@ def _aleph3(sweep: LevelSweep) -> LevelReader:
         ]
 
     return LevelReader(
-        "cte_aleph3", scaled, failed,
+        "cte_aleph3", sweep, scaled, failed,
         metadata={"variance_note": "second-moment proxy, valid for tail index > 2"},
     )
 
@@ -255,7 +254,7 @@ def _aleph4(sweep: LevelSweep, alpha: float) -> LevelReader:
     with _quiet():
         ratios = sweep.y / sweep.x
     return LevelReader(
-        "cte_aleph4", _prefix_sums(sweep, ratios), factor=alpha / (alpha - 1.0),
+        "cte_aleph4", sweep, ratios, factor=alpha / (alpha - 1.0),
         alpha_used=[alpha] * sweep.rows, metadata={"alpha_source": "supplied"},
     )
 
@@ -265,22 +264,22 @@ def _edm(sweep: LevelSweep, norm: str) -> LevelReader:
         xe, ye = sweep.x, sweep.y
         squares = squared_norm(xe, ye, norm)
         weights = (xe * ye) / squares
-    # a square beyond the double range turns weights into 0 or NaN; the largest
-    # norms are the ones gathered, so their squares tell whether any pair of the
-    # row has one. A nonzero pair's square below the normal range has lost
-    # digits, or all of them, and fails its row as well (its hypot key is not 0)
-    over = (~np.isfinite(squares)).any(axis=1).tolist()
-    under = ((squares < np.finfo(float).tiny) & ((xe > 0) | (ye > 0))).any(axis=1).tolist()
-    failed = [
-        NonFiniteEstimate(f"edm: a squared {norm} norm is beyond the double range") if o
-        else NonFiniteEstimate(f"edm: a squared {norm} norm is below the normal range") if u
-        else None
-        for o, u in zip(over, under)
-    ]
-    return LevelReader(
-        "edm", _prefix_sums(sweep, weights), lambda k: failed,
-        metadata={"norm": norm, "threshold_scale": "norm order statistic"},
-    )
+    # a square beyond the double range turns a weight into 0 or NaN, and a nonzero
+    # pair's square below the normal range has lost digits: either fails its row
+    # at each k that gathers it (pairs tied at the cut share its norm and range)
+    over = ~np.isfinite(squares)
+    under = (squares < np.finfo(float).tiny) & ((xe > 0) | (ye > 0))
+
+    def failed(k):
+        return [
+            NonFiniteEstimate(f"edm: a squared {norm} norm is beyond the double range") if o
+            else NonFiniteEstimate(f"edm: a squared {norm} norm is below the normal range") if u
+            else None
+            for o, u in zip(over[:, :k].any(axis=1).tolist(), under[:, :k].any(axis=1).tolist())
+        ]
+
+    return LevelReader("edm", sweep, weights, failed,
+                       metadata={"norm": norm, "threshold_scale": "norm order statistic"})
 
 
 def tdc_empirical(sample: BivariateSample, k: int, y: float = 1.0) -> TailEstimate:

@@ -910,6 +910,19 @@ def test_edm_on_pairs_whose_squares_underflow_does_not_depend_on_their_order():
             edm_estimate(BivariateSample(x[p], y[p]), 3)
 
 
+def test_edm_at_one_level_judges_only_the_pairs_that_level_gathers():
+    # the 1e-200 pair's square underflows, and only k = 6 gathers it: at k = 3
+    # a sweep of both levels reads as edm_estimate at k = 3 alone
+    s = BivariateSample([5.0, 4.0, 3.0, 2.0, 1e-150, 1e-200, 0.0, 0.0],
+                        [1.0, 2.0, 1.0, 1.0, 1e-150, 1e-200, 0.0, 0.0])
+    reader = level_reader("edm", LevelSweep(s, (3, 6), norm="l2"), norm="l2")
+    assert reader.values(3) == [edm_estimate(s, 3).value] == [0.29743589743589743]
+    [wide] = reader.values(6)
+    assert isinstance(wide, NonFiniteEstimate) and "below the normal range" in str(wide)
+    with pytest.raises(NonFiniteEstimate, match="below the normal range"):
+        edm_estimate(s, 6)
+
+
 def test_a_non_finite_variance_fails_the_estimate_not_the_value():
     # ratios 1.5e200, 1e200 and 0.25: their mean is finite, their mean square is not
     sample = BivariateSample([1.0, 2.0, 3.0, 4.0], [1.0, 3e200, 3e200, 1.0])

@@ -17,9 +17,21 @@ above every k too, and every reader must read a sweep of whole rows ranked
 by x or by any norm as one ranked the way it reads. ``run_mc`` itself is
 checked against the oracle with the draw replaced by such rows, chunk sizes
 that do not divide the replication count and stacks of one, several or all
-chunks. Values stay above 1e-3 or
-are 0: below about 1e-154 a square underflows, and which of several pairs
-tied at the cut ``edm``'s underflow check sees is then the sort's choice.
+chunks. One more check holds every reader's value and plug-in variance to
+the one rule on the influences it gives, on whole and cut rows.
+
+Values run from the subnormals up to 1e3, with 0. The oracle applies the
+library's range rules to the reference: a value, plug-in variance or Hill
+log-ratio sum past the double range fails with ``NonFiniteEstimate`` (fsum's
+intermediate overflow reads inf, as every term summed is nonnegative), and
+so does ``edm`` where a pair among the top k by norm has a squared norm past
+the double range or, nonzero, below the normal range (ranked by numpy's
+norms: the reference's l2 norm underflows there). Where the reference has
+no value, that check is left out: it divides by a y x_j that underflows to
+0, or ``tef_random``'s meets a ratio x_j / T whose square overflows (psi's
+squared norm) or that is past the double range (where the library takes
+psi's homogeneous limit). A NaN reads as any NaN.
+
 numpy's transcendental functions on the strided 2-D views the engine uses
 must match their 1-D results bit for bit.
 
@@ -30,6 +42,9 @@ scalars, and scalar and vectorised pow may round differently.
 """
 from __future__ import annotations
 
+import math
+from contextlib import contextmanager
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -45,6 +60,7 @@ from cotail import (
     LinearParetoModel,
     McCell,
     ModelConfig,
+    NonFiniteEstimate,
     SampleRows,
     builtin_specs,
     estimate,
@@ -61,7 +77,9 @@ from cotail.core import fraction_to_count, top_pairs
 from cotail.tail_index import sweep_alphas
 
 POOL = st.sampled_from([0.0, 0.5, 1.0, 2.0, 2.0, 3.0, 4.5, 8.0])
-VALUE = st.one_of(POOL, st.floats(min_value=1e-3, max_value=1e3))
+VALUE = st.one_of(POOL, st.floats(min_value=1e-3, max_value=1e3),
+                  st.floats(min_value=5e-324, max_value=1e-3))
+TINY_NORMAL = np.finfo(float).tiny
 SPECS = [spec for spec in builtin_specs() if not spec.name.startswith("capped_ratio")]
 
 
@@ -80,19 +98,97 @@ def cases(draw):
     return xs, ys, ks, params
 
 
+def _fsum(values):
+    # every weight, square and log-ratio summed here is nonnegative, so fsum's
+    # intermediate overflow means a sum past the double range: it reads inf
+    try:
+        return math.fsum(values)
+    except OverflowError:
+        return math.inf
+
+
+# the reference's own ``math``, with that fsum
+ORACLE_MATH = SimpleNamespace(**{**vars(math), "fsum": _fsum})
+
+
+class Undefined(Exception):
+    """The reference has no value: it divides by a y x_j that underflows to 0
+    (x_j = 5e-324, y = 0.5), or meets a ratio x_j / T too large for psi."""
+
+
+NUMPY_NORMS = {"l2": np.hypot, "l1": np.add, "linf": np.maximum}
+
+
+def _hill(xs, k_alpha):
+    alpha = reference.hill_alpha(xs, k_alpha)
+    if alpha == 0.0:  # the log-ratios sum to inf
+        raise NonFiniteEstimate("X_(n) / X_(n-k_alpha) is beyond the double range")
+    return alpha
+
+
+def _edm(xs, ys, k, norm):
+    # a pair among the top k by norm whose square is beyond the double range,
+    # or nonzero and below the normal range, fails the estimate. The top k are
+    # ranked by numpy's norms, as the library ranks them: the reference's l2
+    # norm, sqrt(x x + y y), is 0 where those squares underflow
+    norms = NUMPY_NORMS[norm](xs, ys).tolist()
+    for j in sorted(range(len(xs)), key=lambda j: -norms[j])[:k]:
+        square = reference._sq_norm(xs[j], ys[j], norm)
+        if not math.isfinite(square) or square < TINY_NORMAL and (xs[j] or ys[j]):
+            raise NonFiniteEstimate("a squared norm is out of range")
+    return reference.edm(xs, ys, k, norm)
+
+
+def _reference(name, xs, ys, k, q):
+    with mock.patch.object(reference, "math", ORACLE_MATH), _defined():
+        if name == "tdc_empirical":
+            value = reference.tdc_empirical(xs, ys, k, q["y"])
+            return value, value, None
+        if name == "tdc_quasispectral":
+            return (*reference.tdc_quasispectral(xs, ys, k, q["y"], q["alpha"]), q["alpha"])
+        if name == "tdc_quasispectral_estimated":
+            alpha = _hill(xs, q["k_alpha"])
+            return (*reference.tdc_quasispectral(xs, ys, k, q["y"], alpha), alpha)
+        if name == "cte_aleph3":
+            return (*reference.cte_aleph3(xs, ys, k), None)
+        if name == "cte_aleph4":
+            return (*reference.cte_aleph4(xs, ys, k, q["alpha"]), q["alpha"])
+        return (*_edm(xs, ys, k, q["norm"]), None)
+
+
+@contextmanager
+def _defined():
+    try:
+        yield
+    except ZeroDivisionError:
+        raise Undefined from None
+
+
+def _tef(xs, ys, spec, k, scale):
+    # from 2^510 on a ratio x_j / T's square (psi's squared norm, any norm)
+    # overflows, and past the double range the library takes psi's homogeneous
+    # limit where the reference evaluates psi at inf: no value to compare there
+    thr = reference.kth_threshold(xs, k)
+    if thr > 0 and max(*xs, *ys) / thr >= 2.0 ** 510:
+        raise Undefined
+    with _defined():
+        return reference.tef_random(xs, ys, spec.psi, spec.region, k, scale)
+
+
 def _oracle(name, xs, ys, k, q):
-    if name == "tdc_empirical":
-        value = reference.tdc_empirical(xs, ys, k, q["y"])
-        return value, value, None
-    if name == "tdc_quasispectral":
-        return (*reference.tdc_quasispectral(xs, ys, k, q["y"], q["alpha"]), q["alpha"])
-    if name == "tdc_quasispectral_estimated":
-        return reference.tdc_quasispectral_estimated(xs, ys, k, q["k_alpha"], q["y"])
-    if name == "cte_aleph3":
-        return (*reference.cte_aleph3(xs, ys, k), None)
-    if name == "cte_aleph4":
-        return (*reference.cte_aleph4(xs, ys, k, q["alpha"]), q["alpha"])
-    return (*reference.edm(xs, ys, k, q["norm"]), None)
+    """The reference's value, plug-in variance and alpha; either one past the double range fails."""
+    value, variance, alpha = _reference(name, xs, ys, k, q)
+    if not (math.isfinite(value) and math.isfinite(variance)):
+        raise NonFiniteEstimate(f"{name} at k = {k} is beyond the double range")
+    return value, variance, alpha
+
+
+def _oracle_value(name, xs, ys, k, q):
+    """The reference's value alone; past the double range it fails."""
+    value = _reference(name, xs, ys, k, q)[0]
+    if not math.isfinite(value):
+        raise NonFiniteEstimate(f"{name} at k = {k} is beyond the double range")
+    return value
 
 
 def _readers(xs, ys, k, q):
@@ -107,7 +203,7 @@ def _readers(xs, ys, k, q):
     out.append((
         "hill",
         lambda s: hill_estimate(order_view(s), q["k_alpha"]).alpha_hat,
-        lambda: reference.hill_alpha(xs, q["k_alpha"]),
+        lambda: _hill(xs, q["k_alpha"]),
     ))
     out.append((
         "order_view threshold",
@@ -130,9 +226,7 @@ def _readers(xs, ys, k, q):
             out.append((
                 f"tef_random {spec.name} s={scale}",
                 lambda s, spec=spec, scale=scale: tef_random(s, spec, k, scale),
-                lambda spec=spec, scale=scale: reference.tef_random(
-                    xs, ys, spec.psi, spec.region, k, scale
-                ),
+                lambda spec=spec, scale=scale: _tef(xs, ys, spec, k, scale),
             ))
     return out
 
@@ -142,11 +236,15 @@ def _check(context, lib_call, ref_call):
         expected, expected_error = ref_call(), None
     except CotailError as exc:
         expected, expected_error = None, type(exc)
+    except Undefined:
+        return
     try:
         got, got_error = lib_call(), None
     except CotailError as exc:
         got, got_error = None, type(exc)
-    assert (got_error, got) == (expected_error, expected), context
+    # a NaN reads as any NaN
+    same = got == expected or got != got and expected != expected
+    assert got_error == expected_error and same, (context, got_error, got, expected_error, expected)
 
 
 @settings(max_examples=150, deadline=None, database=None)
@@ -185,7 +283,7 @@ def test_one_sweep_matches_oracle_at_every_level(case):
             _check(f"{name} k={k} sweep", full, lambda k=k: _oracle(name, xs, ys, k, q))
             _check(
                 f"{name} k={k} sweep value", value,
-                lambda k=k: _oracle(name, xs, ys, k, q)[0],
+                lambda k=k: _oracle_value(name, xs, ys, k, q),
             )
 
 
@@ -204,9 +302,8 @@ def _reads_as_ranked(sample, ks, q, ranking):
             assert readers[0] == readers[1], name
             continue
         for k in ks:
-            for power in (1, 2):
-                got, want = (r.sums(k, power) for r in readers)
-                assert np.array_equal(got, want, equal_nan=True), (name, k, power)
+            got, want = (r.influence(k) for r in readers)
+            assert np.array_equal(got, want, equal_nan=True), (name, k)
             got, want = ([_row_outcome(v) for v in r.values(k)] for r in readers)
             assert got == want, (name, k)
             got, want = (_outcome(lambda r=r: r.estimate(k)) for r in readers)
@@ -247,7 +344,7 @@ def blocks(draw, max_rows=6):
 def _outcome(call):
     try:
         return call()
-    except CotailError as exc:
+    except (CotailError, Undefined) as exc:
         return type(exc)
 
 
@@ -268,12 +365,12 @@ def test_block_rows_match_oracle(case):
         for k in ks:
             got = [error] * len(xs) if error else [_row_outcome(v) for v in reader.values(k)]
             want = [
-                _outcome(lambda: _oracle(name, x, y, k, q)[0]) for x, y in zip(xs, ys)
+                _outcome(lambda: _oracle_value(name, x, y, k, q)) for x, y in zip(xs, ys)
             ]
-            assert got == want, (name, k)
+            assert all(g == w for g, w in zip(got, want) if w is not Undefined), (name, k)
     # the Hill step and the thresholds of every row
     alphas = [_row_outcome(a) for a in sweep_alphas(sweep, q["k_alpha"])]
-    assert alphas == [_outcome(lambda: reference.hill_alpha(x, q["k_alpha"])) for x in xs]
+    assert alphas == [_outcome(lambda: _hill(x, q["k_alpha"])) for x in xs]
     for k in ks:
         assert sweep.threshold(k).tolist() == [reference.kth_threshold(x, k) for x in xs]
 
@@ -307,9 +404,9 @@ def test_a_sweep_of_cut_rows_reads_as_the_whole_rows(case, data):
             assert readers[1] == readers[0], name
             continue
         for k in ks:
-            for power in (1, 2):
-                want, got = (r.sums(k, power) for r in readers)
-                assert np.array_equal(got, want, equal_nan=True), (name, k, power)
+            # the exceedances' order among ties is the selection's, not their weights
+            want, got = (np.sort(r.influence(k), axis=1) for r in readers)
+            assert np.array_equal(got, want, equal_nan=True), (name, k)
             want, got = ([_row_outcome(v) for v in r.values(k)] for r in readers)
             assert got == want, (name, k)
 
@@ -321,13 +418,41 @@ def test_every_reader_reads_block_rows_swept_by_any_ranking(case, ranking):
     _reads_as_ranked(SampleRows(np.array(xs), np.array(ys)), ks, q, ranking)
 
 
+@settings(max_examples=150, deadline=None, database=None)
+@given(cases())
+def test_every_plugin_variance_is_the_one_rule_on_whole_and_cut_rows(case):
+    # value = factor * (1/k) fsum of a row's influences at k, and plug-in
+    # variance = factor^2 * (1/k) fsum of their squares (in the library's
+    # rounding order), for every estimator, on the whole row and on the row
+    # cut to its top pairs; the influences past the row's exceedances are 0
+    xs, ys, ks, q = case
+    n, width = len(xs), max(*ks, q["k_alpha"])
+    row = SampleRows(np.array([xs]), np.array([ys]))
+    for name in ESTIMATORS:
+        norm = q["norm"] if "norm" in ESTIMATORS[name].params else None
+        cut = SampleRows(*top_pairs(row, width, norm))
+        for sweep in (LevelSweep(BivariateSample(xs, ys), tuple(ks), norm),
+                      LevelSweep(cut, (*ks, q["k_alpha"]), norm, n)):
+            reader = _outcome(lambda: level_reader(name, sweep, **q))
+            for k in ks:
+                est = reader if isinstance(reader, type) else _outcome(lambda: reader.estimate(k))
+                if isinstance(est, type):  # a parameter, Hill or range failure
+                    continue
+                phi, count = reader.influence(k), int(sweep.count(k)[0])
+                assert phi.shape == (1, k) and not phi[0, count:].any(), (name, k)
+                f = reader.factor
+                assert est.value == f * (math.fsum(phi[0, :count]) / k), (name, k)
+                assert est.plugin_variance == f * f * (math.fsum(phi[0, :count] ** 2) / k), (name, k)
+
+
 def _summary_cell(values, reps, truth):
     stats = [None] * 7
     if values:
         arr = np.asarray(values, dtype=float)
-        sd = float(np.std(arr, ddof=1)) if arr.size > 1 else 0.0
+        # a mean or sd whose sums overflow is taken on arr / max|arr|, as the summary takes it
+        sd = simulate._finite_stat(lambda a: np.std(a, ddof=1), arr) if arr.size > 1 else 0.0
         qs = np.quantile(arr, [0.05, 0.25, 0.5, 0.75, 0.95])
-        stats = [float(np.mean(arr)), sd, *(float(v) for v in qs)]
+        stats = [simulate._finite_stat(np.mean, arr), sd, *(float(v) for v in qs)]
     return McCell(*stats, rep_count=reps, failures=reps - len(values), truth=truth)
 
 
@@ -355,9 +480,11 @@ def test_run_mc_chunks_match_oracle(case, chunk, alpha, stack_bytes):
         k = fraction_to_count(kf, n)
         ka = None if kaf is None else fraction_to_count(kaf, n)
         outcomes = [
-            _outcome(lambda: _oracle(name, x, y, k, {**params, "k_alpha": ka})[0])
+            _outcome(lambda: _oracle_value(name, x, y, k, {**params, "k_alpha": ka}))
             for x, y in zip(xs, ys)
         ]
+        if Undefined in outcomes:
+            continue
         values = [v for v in outcomes if not isinstance(v, type)]
         # a tdc_* cell at y = 1 estimates the model's tail dependence coefficient
         tdc = name.startswith("tdc_")

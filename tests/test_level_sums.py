@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from cotail import BivariateSample, LevelSweep, NonFiniteEstimate, cte_aleph3
 from cotail.core import level_sums
-from cotail.estimators import LevelReader, _prefix_sums
+from cotail.estimators import LevelReader
 
 TINY = 5e-324
 EDGES = [0.0, -0.0, TINY, -TINY, 3 * TINY, 2.2250738585072014e-308, -2.225073858507201e-308,
@@ -138,10 +138,10 @@ def test_an_intermediate_overflow_is_nan():
 
 @pytest.mark.parametrize("name", ["cte_aleph3", "edm"])
 def test_a_sum_that_fsum_cannot_form_fails_the_estimate(name):
-    # the mixed-sign row above, bound as a reader binds its weights: the
+    # the mixed-sign row above, handed to a reader as its weights: the
     # kernel's NaN is the reader's NonFiniteEstimate, as fsum's OverflowError was
     sweep = LevelSweep(BivariateSample([1.0, 2.0, 3.0, 4.0], [1.0] * 4), (3,))
-    reader = LevelReader(name, _prefix_sums(sweep, np.array([[1e308, 1e308, -1e308]])))
+    reader = LevelReader(name, sweep, np.array([[1e308, 1e308, -1e308]]))
     [value] = reader.values(3)
     assert isinstance(value, NonFiniteEstimate)
     with pytest.raises(NonFiniteEstimate, match=f"^{name} at k = 3 is beyond the double range$"):
